@@ -1,11 +1,9 @@
 """CI smoke test for the campaign runner.
 
-Runs a short-duration campaign three ways — serial, with two workers,
-and serially under the *other* event-loop engine — and asserts the
-per-experiment digests are bit-identical across all three; then writes a
+Runs a short-duration campaign twice — serially and with two workers —
+and asserts the per-experiment digests are bit-identical; then writes a
 baseline (``BENCH_campaign.json``) and exercises ``--check`` against it.
-Exits non-zero on any digest divergence (parallel vs serial, or wheel vs
-heap), task failure, or check failure.
+Exits non-zero on any digest divergence, task failure, or check failure.
 
 Usage::
 
@@ -27,7 +25,6 @@ from repro.runner.baseline import (     # noqa: E402
     check_campaign, load_baseline, write_baseline,
 )
 from repro.runner.campaign import run_campaign  # noqa: E402
-from repro.sim.engine import ENGINE_ENV, EventLoop  # noqa: E402
 
 DEFAULT_EXPERIMENTS = "fig07,fig09,fig12,tab05"
 
@@ -44,47 +41,23 @@ def main() -> int:
     print(f"[smoke] parallel campaign (2 workers)")
     parallel = run_campaign(ids, workers=2, duration_s=duration,
                             task_timeout_s=300.0)
-    # Cross-engine gate: the same serial campaign under the *other*
-    # event-loop engine must produce the same digests — the wheel's
-    # firing-order contract makes engine choice digest-invisible.
-    default_engine = EventLoop().impl
-    other_engine = "heap" if default_engine == "wheel" else "wheel"
-    print(f"[smoke] serial campaign under engine={other_engine} "
-          f"(default was {default_engine})")
-    prev = os.environ.get(ENGINE_ENV)
-    os.environ[ENGINE_ENV] = other_engine
-    try:
-        cross = run_campaign(ids, workers=1, duration_s=duration,
-                             task_timeout_s=300.0)
-    finally:
-        if prev is None:
-            del os.environ[ENGINE_ENV]
-        else:
-            os.environ[ENGINE_ENV] = prev
 
     failed = False
     for exp_id in ids:
         s, p = serial.experiments[exp_id], parallel.experiments[exp_id]
-        x = cross.experiments[exp_id]
-        if not (s.ok and p.ok and x.ok):
+        if not (s.ok and p.ok):
             print(f"[smoke] FAIL {exp_id}: task failures "
-                  f"{s.failures + p.failures + x.failures}")
+                  f"{s.failures + p.failures}")
             failed = True
             continue
         if s.digest != p.digest:
             print(f"[smoke] FAIL {exp_id}: parallel digest {p.digest[:12]}… "
                   f"!= serial {s.digest[:12]}…")
             failed = True
-        elif s.digest != x.digest:
-            print(f"[smoke] FAIL {exp_id}: engine={other_engine} digest "
-                  f"{x.digest[:12]}… != engine={default_engine} "
-                  f"{s.digest[:12]}… — the engines must fire "
-                  f"bit-identically")
-            failed = True
         else:
             print(f"[smoke] ok {exp_id}: digest {s.digest[:12]}… "
                   f"({len(s.tasks)} tasks, {s.task_wall_s:.2f}s worker "
-                  f"time, engines agree)")
+                  f"time)")
     if failed:
         return 1
 

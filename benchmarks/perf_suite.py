@@ -1,29 +1,22 @@
-"""CI-gated performance benchmark suite (schema v2: per-engine).
+"""CI-gated performance benchmark suite (schema v3).
 
 Runs a pinned set of experiments (the fig07, fig09 and fig16 short
-grids, one SLO-battery cell and one 4-host cluster-scaling cell) under
-**both** event-loop engines (``heap`` and ``wheel``) and records, per
-experiment and per engine:
+grids, one SLO-battery cell and one 4-host cluster-scaling cell) and
+records, per experiment:
 
 * wall-clock seconds for the whole case grid,
 * simulation events processed and events/second (from the event loop's
   hygiene counters),
-* peak pending events and wheel cascade count across the grid,
+* peak pending events across the grid,
 * the combined result digest over every case (bit-stability check: a
   faster simulator must compute the *same* results).
 
-The digest is stored once per experiment because the engines are
-required to agree — a divergence is a correctness bug, and the suite
-fails immediately (with or without ``--check``) when the wheel and the
-heap disagree on any case.
-
 Results are written to ``benchmarks/BENCH_perf.json``.  With ``--check``
 the run is compared against the committed baseline instead: digests must
-match exactly, and per-engine wall-clock may not regress more than
-``--tolerance`` (default 25%) after scaling by that engine's calibration
-score — a fixed pure-Python microbenchmark that normalises for machine
-speed, so a slow CI runner does not read as a regression and a fast one
-does not mask it.
+match exactly, and wall-clock may not regress more than ``--tolerance``
+(default 25%) after scaling by the calibration score — a fixed
+pure-Python microbenchmark that normalises for machine speed, so a slow
+CI runner does not read as a regression and a fast one does not mask it.
 
 Usage::
 
@@ -53,7 +46,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.analysis.export import result_to_dict   # noqa: E402
 from repro.runner.digest import digest_of          # noqa: E402
-from repro.sim.engine import ENGINE_ENV            # noqa: E402
 
 #: The pinned grids: experiment id -> module path.  Short durations keep
 #: the whole suite under a few minutes while still exercising every
@@ -67,28 +59,21 @@ GRIDS = {
     "cluster_scaling": "repro.experiments.cluster_scaling",
 }
 
-#: Both engines always run: the suite is the cross-engine equivalence
-#: gate as much as it is the speed gate.
-ENGINES = ("heap", "wheel")
+SCHEMA_VERSION = 3
 
 DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "BENCH_perf.json")
 
 
-class DigestDivergence(RuntimeError):
-    """The two engines produced different results for the same cases."""
-
-
-def calibrate(engine: str, n: int = 200_000) -> float:
+def calibrate(n: int = 200_000) -> float:
     """Machine-speed score: events/second through a bare EventLoop.
 
     A fixed-size periodic-tick workload through the real event loop —
     the same interpreter-bound work the simulator spends its time on, so
-    the score moves with the machine the way the experiments do.  Scored
-    per engine: the wheel's dispatch constant is its own baseline.
+    the score moves with the machine the way the experiments do.
     """
     from repro.sim.engine import EventLoop
 
-    loop = EventLoop(impl=engine)
+    loop = EventLoop()
     loop.call_every(10, lambda: None)
     t0 = time.perf_counter()
     loop.run_until(n * 10)
@@ -96,9 +81,8 @@ def calibrate(engine: str, n: int = 200_000) -> float:
     return loop.pops / elapsed
 
 
-def run_grid(exp_id: str, engine: str, duration_s: float,
-             passes: int) -> dict:
-    """Run one experiment's campaign grid serially under ``engine``.
+def run_experiment(exp_id: str, duration_s: float, passes: int) -> dict:
+    """Run one experiment's campaign grid serially.
 
     The grid is executed ``passes`` times and the *minimum* wall-clock is
     recorded — the runs are deterministic, so min is the least-noise
@@ -108,79 +92,31 @@ def run_grid(exp_id: str, engine: str, duration_s: float,
     mod = importlib.import_module(GRIDS[exp_id])
     cases = mod.campaign_cases(duration_s=duration_s)
     fns = [(case, getattr(mod, case.fn)) for case in cases]
-    prev = os.environ.get(ENGINE_ENV)
-    os.environ[ENGINE_ENV] = engine
-    try:
-        walls = []
-        results = None
-        for _ in range(passes):
-            gc.collect()
-            t0 = time.perf_counter()
-            batch = [fn(**case.kwargs) for case, fn in fns]
-            walls.append(time.perf_counter() - t0)
-            results = batch
-    finally:
-        if prev is None:
-            del os.environ[ENGINE_ENV]
-        else:
-            os.environ[ENGINE_ENV] = prev
+    walls = []
+    results = None
+    for _ in range(passes):
+        gc.collect()
+        t0 = time.perf_counter()
+        results = [fn(**case.kwargs) for case, fn in fns]
+        walls.append(time.perf_counter() - t0)
     digests = {case.label: digest_of(result_to_dict(res))
                for (case, _), res in zip(fns, results)}
     events = 0
     peak_pending = 0
-    cascades = 0
     for res in results:
         stats = getattr(res, "loop_stats", None) or {}
-        if stats.get("impl", engine) != engine:
-            raise RuntimeError(
-                f"{exp_id}: requested engine {engine!r} but loop_stats "
-                f"reports {stats.get('impl')!r}")
         events += stats.get("pops", 0)
         peak_pending = max(peak_pending, stats.get("peak_pending", 0))
-        cascades += stats.get("cascades", 0)
     wall = min(walls)
     return {
+        "duration_s": duration_s,
         "cases": len(cases),
+        "digest": digest_of(digests),
         "wall_s": round(wall, 4),
         "events": events,
         "events_per_sec": round(events / wall) if wall > 0 else 0,
         "peak_pending": peak_pending,
-        "cascades": cascades,
-        "digest": digest_of(digests),
-        "case_digests": digests,
     }
-
-
-def run_experiment(exp_id: str, duration_s: float, passes: int) -> dict:
-    """Run one grid under both engines; enforce digest identity."""
-    engines = {}
-    for engine in ENGINES:
-        engines[engine] = run_grid(exp_id, engine, duration_s, passes)
-    ref = engines[ENGINES[0]]
-    for engine in ENGINES[1:]:
-        cur = engines[engine]
-        if cur["case_digests"] != ref["case_digests"]:
-            drifted = sorted(
-                label for label in ref["case_digests"]
-                if cur["case_digests"].get(label)
-                != ref["case_digests"][label])
-            raise DigestDivergence(
-                f"{exp_id}: engines {ENGINES[0]!r} and {engine!r} "
-                f"disagree on case(s) {', '.join(drifted) or '<set>'} — "
-                f"the wheel must fire bit-identically to the heap")
-    record = {
-        "duration_s": duration_s,
-        "cases": ref["cases"],
-        "digest": ref["digest"],
-        "engines": {},
-    }
-    for engine, rec in engines.items():
-        record["engines"][engine] = {
-            k: rec[k] for k in
-            ("wall_s", "events", "events_per_sec", "peak_pending",
-             "cascades")
-        }
-    return record
 
 
 def _selected_grids() -> list:
@@ -196,25 +132,18 @@ def _selected_grids() -> list:
 
 
 def run_suite(duration_s: float, passes: int) -> dict:
-    calibration = {}
-    for engine in ENGINES:
-        calibration[engine] = round(calibrate(engine))
-        print(f"[perf] calibration[{engine}]: "
-              f"{calibration[engine]:,} loop events/s")
+    calibration = round(calibrate())
+    print(f"[perf] calibration: {calibration:,} loop events/s")
     experiments = {}
     for exp_id in _selected_grids():
         rec = run_experiment(exp_id, duration_s, passes)
         experiments[exp_id] = rec
-        for engine, eng in rec["engines"].items():
-            print(f"[perf] {exp_id}/{engine}: {rec['cases']} cases in "
-                  f"{eng['wall_s']:.2f}s — "
-                  f"{eng['events_per_sec']:,} events/s, "
-                  f"peak pending {eng['peak_pending']}, "
-                  f"cascades {eng['cascades']}")
-        print(f"[perf] {exp_id}: digest {rec['digest'][:12]}… "
-              f"(identical across {len(rec['engines'])} engines)")
+        print(f"[perf] {exp_id}: {rec['cases']} cases in "
+              f"{rec['wall_s']:.2f}s — {rec['events_per_sec']:,} events/s, "
+              f"peak pending {rec['peak_pending']}, "
+              f"digest {rec['digest'][:12]}…")
     return {
-        "version": 2,
+        "version": SCHEMA_VERSION,
         "calibration": calibration,
         "experiments": experiments,
     }
@@ -224,16 +153,17 @@ def check(current: dict, baseline: dict, tolerance: float) -> list:
     """Compare a fresh run against the committed baseline.
 
     Returns a list of human-readable problems (empty = pass).  Digest
-    mismatches always fail; per-engine wall-clock is compared after
-    scaling the baseline by that engine's calibration scores.
+    mismatches always fail; wall-clock is compared after scaling the
+    baseline by the ratio of calibration scores.
     """
-    problems = []
-    if baseline.get("version") != 2:
+    if baseline.get("version") != SCHEMA_VERSION:
         return [f"baseline schema version {baseline.get('version')!r} "
-                f"is not 2 — rebaseline with: "
+                f"is not {SCHEMA_VERSION} — rebaseline with: "
                 f"python benchmarks/perf_suite.py"]
-    cal_now = current["calibration"]
-    cal_base = baseline.get("calibration", {})
+    problems = []
+    scale = 1.0
+    if current["calibration"] and baseline.get("calibration"):
+        scale = baseline["calibration"] / current["calibration"]
     subset = bool(os.environ.get("REPRO_PERF_GRIDS", "").strip())
     for exp_id, base in baseline.get("experiments", {}).items():
         cur = current["experiments"].get(exp_id)
@@ -247,63 +177,33 @@ def check(current: dict, baseline: dict, tolerance: float) -> list:
                 f"{exp_id}: result digest drifted "
                 f"({cur['digest'][:12]}… != {base['digest'][:12]}…) — "
                 f"speed must not buy behaviour change")
-        for engine, eng_base in base.get("engines", {}).items():
-            eng_cur = cur.get("engines", {}).get(engine)
-            if eng_cur is None:
-                problems.append(f"{exp_id}/{engine}: missing from "
-                                f"current run")
-                continue
-            scale = 1.0
-            if cal_now.get(engine) and cal_base.get(engine):
-                scale = cal_base[engine] / cal_now[engine]
-            allowed = eng_base["wall_s"] * scale * (1.0 + tolerance)
-            if eng_cur["wall_s"] > allowed:
-                problems.append(
-                    f"{exp_id}/{engine}: wall-clock "
-                    f"{eng_cur['wall_s']:.2f}s exceeds {allowed:.2f}s "
-                    f"(baseline {eng_base['wall_s']:.2f}s × calibration "
-                    f"{scale:.2f} × {1 + tolerance:.2f})")
+        allowed = base["wall_s"] * scale * (1.0 + tolerance)
+        if cur["wall_s"] > allowed:
+            problems.append(
+                f"{exp_id}: wall-clock {cur['wall_s']:.2f}s exceeds "
+                f"{allowed:.2f}s (baseline {base['wall_s']:.2f}s × "
+                f"calibration {scale:.2f} × {1 + tolerance:.2f})")
     return problems
 
 
 def _load_ref(current: dict, path: str) -> None:
-    """Record speedups against a prior suite run (v1 or v2 schema)."""
+    """Record speedups against a prior v3 suite run."""
     with open(path) as fh:
         ref = json.load(fh)
     reference = {"experiments": {}}
     for exp_id, base in ref.get("experiments", {}).items():
         cur = current["experiments"].get(exp_id)
-        if cur is None:
+        if cur is None or "wall_s" not in base:
             continue
         if cur["digest"] != base["digest"]:
             print(f"[perf] WARNING {exp_id}: digest differs from "
                   f"reference — speedup not comparable")
             continue
-        if "engines" in base:  # v2 reference: engine-for-engine
-            rec = {
-                engine: {
-                    "wall_s": eng["wall_s"],
-                    "speedup": round(
-                        eng["wall_s"]
-                        / cur["engines"][engine]["wall_s"], 3),
-                }
-                for engine, eng in base["engines"].items()
-                if engine in cur["engines"]
-            }
-        else:  # v1 reference (single heap engine): compare both
-            rec = {
-                engine: {
-                    "wall_s": base["wall_s"],
-                    "speedup": round(
-                        base["wall_s"] / eng_cur["wall_s"], 3),
-                }
-                for engine, eng_cur in cur["engines"].items()
-            }
-        reference["experiments"][exp_id] = rec
-        for engine, r in rec.items():
-            print(f"[perf] {exp_id}/{engine}: {r['speedup']}x vs "
-                  f"reference ({r['wall_s']:.2f}s -> "
-                  f"{cur['engines'][engine]['wall_s']:.2f}s)")
+        speedup = round(base["wall_s"] / cur["wall_s"], 3)
+        reference["experiments"][exp_id] = {
+            "wall_s": base["wall_s"], "speedup": speedup}
+        print(f"[perf] {exp_id}: {speedup}x vs reference "
+              f"({base['wall_s']:.2f}s -> {cur['wall_s']:.2f}s)")
     current["reference"] = reference
 
 
@@ -317,9 +217,9 @@ def main() -> int:
                              "instead of overwriting it")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed wall-clock regression fraction "
-                             "per engine with --check (default 0.25)")
+                             "with --check (default 0.25)")
     parser.add_argument("--ref", default=None, metavar="PATH",
-                        help="a prior suite run (v1 or v2, e.g. from the "
+                        help="a prior v3 suite run (e.g. from the "
                              "pre-optimisation commit) to record "
                              "speedups against in the written baseline")
     parser.add_argument("--snapshot", default=None, metavar="PATH",
@@ -330,11 +230,7 @@ def main() -> int:
 
     duration = float(os.environ.get("REPRO_PERF_DURATION", "0.1"))
     passes = int(os.environ.get("REPRO_PERF_PASSES", "2"))
-    try:
-        current = run_suite(duration, passes)
-    except DigestDivergence as exc:
-        print(f"[perf] ENGINE DIVERGENCE {exc}")
-        return 1
+    current = run_suite(duration, passes)
 
     if args.snapshot:
         with open(args.snapshot, "w") as fh:
@@ -355,8 +251,7 @@ def main() -> int:
         if problems:
             return 1
         print(f"[perf] check passed against {args.out} "
-              f"(tolerance {args.tolerance:.0%}, "
-              f"engines {', '.join(ENGINES)})")
+              f"(tolerance {args.tolerance:.0%})")
         return 0
 
     if args.ref:

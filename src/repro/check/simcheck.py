@@ -31,7 +31,7 @@ enforces them statically (stdlib ``ast`` only, no third-party deps):
   ``np.random.default_rng`` …) outside ``repro/sim/rng.py``: every
   stream must come from the seeded :class:`~repro.sim.rng.RngFactory`.
 * **SIM501** — direct ``heapq`` use outside ``repro/sim/engine.py``: the
-  timer-wheel/heap engines own every priority queue on the hot path, and
+  EventLoop's heap owns every priority queue on the hot path, and
   ad-hoc heaps re-introduce the O(log n)-per-event cost (and subtle
   tie-ordering hazards) the engine exists to centralise.  Schedule
   through the EventLoop instead.

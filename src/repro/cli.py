@@ -82,10 +82,21 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _bad_duration(duration: Optional[float]) -> bool:
+    """Report (on stderr) a ``--duration`` that is given but not positive."""
+    if duration is None or duration > 0:
+        return False
+    print(f"--duration must be a positive number of simulated seconds "
+          f"(got {duration})", file=sys.stderr)
+    return True
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.experiment not in EXPERIMENTS:
         print(f"unknown experiment {args.experiment!r}; "
               f"try: python -m repro list", file=sys.stderr)
+        return 2
+    if _bad_duration(args.duration):
         return 2
     import importlib
 
@@ -94,13 +105,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.duration is not None:
         kwargs["duration_s"] = args.duration
-    if args.engine is not None:
-        import os as _os
-
-        from repro.sim.engine import ENGINE_ENV
-
-        _os.environ[ENGINE_ENV] = args.engine
-
     if args.span_sample_rate < 1:
         print("--span-sample-rate must be a positive integer "
               f"(got {args.span_sample_rate})", file=sys.stderr)
@@ -233,16 +237,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.check and args.baseline is None:
         print("--check requires --baseline", file=sys.stderr)
         return 2
+    if _bad_duration(args.duration):
+        return 2
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     if workers < 1:
         print(f"--workers must be >= 1 (got {workers})", file=sys.stderr)
         return 2
-    if args.engine is not None:
-        from repro.sim.engine import ENGINE_ENV
-
-        # Worker processes inherit the environment, so this one set()
-        # covers serial and parallel execution alike.
-        os.environ[ENGINE_ENV] = args.engine
 
     on_done = None
     if not args.quiet:
@@ -456,11 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sort key for the --profile hot-function table "
                           "(tottime, cumtime, ncalls, pcalls, filename, "
                           "name; default tottime — use cumtime to see "
-                          "wheel cascade cost inside run_until, see "
+                          "callback cost inside run_until, see "
                           "docs/performance.md)")
-    run.add_argument("--engine", default=None, choices=["heap", "wheel"],
-                     help="event-loop engine for this run (sets "
-                          "REPRO_ENGINE; default: REPRO_ENGINE or wheel)")
     run.set_defaults(func=_cmd_run)
 
     campaign = sub.add_parser(
@@ -499,13 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "artifact to DIR/<id>.txt")
     campaign.add_argument("--quiet", action="store_true",
                           help="suppress per-task progress on stderr")
-    campaign.add_argument("--engine", default=None,
-                          choices=["heap", "wheel"],
-                          help="event-loop engine for every worker (sets "
-                               "REPRO_ENGINE; default: REPRO_ENGINE or "
-                               "wheel). Digests are engine-independent "
-                               "by contract, so a baseline recorded "
-                               "under one engine checks under the other")
     campaign.set_defaults(func=_cmd_campaign)
 
     obs = sub.add_parser(

@@ -197,6 +197,8 @@ class ClusterScenario:
 
     def run(self, duration_s: float = 1.0) -> ScenarioResult:
         """Run the cluster for ``duration_s`` simulated seconds."""
+        if not duration_s > 0:
+            raise ValueError(f"duration_s must be positive, got {duration_s!r}")
         from repro.check.sanitizer import current_sanitizer
         from repro.obs.session import current_session
 

@@ -139,8 +139,8 @@ class ScenarioResult:
     #: latencies, packets lost vs requeued.  JSON-safe, digest-covered.
     resilience: Dict[str, Any] = field(default_factory=dict)
     #: Event-loop hygiene counters captured at the end of the run via
-    #: :meth:`repro.sim.engine.EventLoop.stats_dict` (impl, pushes, pops,
-    #: lazy_cancel_skips, compactions, cascades, peak_pending).
+    #: :meth:`repro.sim.engine.EventLoop.stats_dict` (pushes, pops,
+    #: lazy_cancel_skips, compactions, peak_pending).
     #: Machine-speed metadata for the perf suite — deliberately NOT
     #: serialised by :func:`repro.analysis.export.result_to_dict`, so it
     #: never enters a digest.
@@ -298,6 +298,8 @@ class Scenario:
     def run(self, duration_s: float = 2.0,
             extra_probes: Optional[Dict[str, Tuple]] = None) -> ScenarioResult:
         """Run for ``duration_s`` simulated seconds and summarise."""
+        if not duration_s > 0:
+            raise ValueError(f"duration_s must be positive, got {duration_s!r}")
         from repro.obs.session import current_session
 
         from repro.check.sanitizer import current_sanitizer

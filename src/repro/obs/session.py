@@ -246,35 +246,28 @@ class ObsSession:
                       fn=(lambda c=core: c.stats.dispatches),
                       core=str(core_id), scenario=scenario)
         # Event-loop hygiene: queue traffic and how well lazy cancellation
-        # and the periodic fast path are containing it.  The gauges are
-        # implementation-neutral (heap and timer-wheel engines share the
-        # counter surface); the ``engine`` label says which one ran.
+        # and the periodic fast path are containing it.
         loop = mgr.loop
-        engine = loop.impl
         reg.gauge("repro_loop_event_pushes",
                   "event inserts, periodic re-arms included",
                   fn=(lambda l=loop: l.pushes),
-                  scenario=scenario, engine=engine)
+                  scenario=scenario)
         reg.gauge("repro_loop_event_pops",
                   "events fired",
                   fn=(lambda l=loop: l.pops),
-                  scenario=scenario, engine=engine)
+                  scenario=scenario)
         reg.gauge("repro_loop_lazy_cancel_skips",
                   "cancelled entries discarded lazily",
                   fn=(lambda l=loop: l.lazy_cancel_skips),
-                  scenario=scenario, engine=engine)
+                  scenario=scenario)
         reg.gauge("repro_loop_compactions",
-                  "in-place rebuilds (heap compactions / wheel sweeps)",
+                  "in-place heap compactions",
                   fn=(lambda l=loop: l.compactions),
-                  scenario=scenario, engine=engine)
-        reg.gauge("repro_loop_cascades",
-                  "timer-wheel bucket redistributions (0 on the heap)",
-                  fn=(lambda l=loop: l.cascades),
-                  scenario=scenario, engine=engine)
+                  scenario=scenario)
         reg.gauge("repro_loop_peak_pending",
                   "high-water mark of pending scheduled events",
                   fn=(lambda l=loop: l.peak_heap),
-                  scenario=scenario, engine=engine)
+                  scenario=scenario)
         # Ring coalescing effectiveness, aggregated over every NF ring:
         # hit rate near 1.0 means bursty arrivals are merging into single
         # segments instead of allocating per-enqueue.

@@ -1,38 +1,21 @@
-"""The discrete-event loop.
+"""The discrete-event loop: one binary heap of ``(time, sequence, handle)``.
 
-Two interchangeable engines live behind one ``EventLoop`` front:
+Contract:
 
-``impl="heap"``
-    A binary heap of ``(time, sequence, handle)`` entries — the original
-    engine.  Cancellation is lazy (a cancelled handle stays in the heap and
-    is skipped when popped) because schedulers and cores re-plan the running
-    task frequently; when cancelled entries outnumber live ones the heap is
-    compacted *in place* (rebinding the list would strand the local alias
-    ``run_until`` drains — see PR 2's regression).
-
-``impl="wheel"`` (default)
-    A hierarchical timer wheel: three levels of 256 power-of-two slots
-    (4.096 µs, ~1.05 ms and ~268 ms wide), a per-level occupancy bitmask
-    scanned with integer bit tricks, a tiny "current window" heap that
-    holds only the events of the active 4.096 µs slot (preserving the exact
-    ``(time, sequence)`` firing order, including mid-callback same-instant
-    inserts), and a small overflow heap for events farther than ~68.7 s
-    out.  Insertion and periodic re-arm are O(1): a bucket holds the
-    *handles themselves* (intrusive — no per-event node or tuple), so the
-    dominant rx/tx/wakeup/monitor re-arms never allocate.  Cancellation is
-    lazy with per-bucket live counters: a bucket whose live count hits
-    zero is dropped wholesale (tombstones and all), replacing the heap
-    engine's global compaction heuristic; the current-window and overflow
-    heaps keep a global sweep as backstop.
-
-Both engines honour the same contract: integer-nanosecond times (the
-``call_at`` fast path never touches floating point, so precision survives
-past 2**53 ns), events fire strictly in ``(time, sequence)`` order, and a
-periodic re-arm consumes one sequence number *before* its callback runs —
-bit-compatible with the cancel+reschedule idiom it replaced, so every
-campaign digest is identical between the two implementations.  The engine
-is picked per loop with ``EventLoop(impl=...)`` or globally with the
-``REPRO_ENGINE`` environment variable (``repro run --engine`` sets it).
+* Times are integer nanoseconds.  ``call_at`` rounds up and clamps to
+  ``now``; integer times take a fast path that never touches floating
+  point, so precision survives past 2**53 ns.
+* Events fire strictly in ``(time, sequence)`` order; a monotonically
+  increasing sequence number breaks same-instant ties, so runs are fully
+  deterministic.
+* A periodic handle (:meth:`EventLoop.call_every`) re-arms in place and
+  takes its sequence number *before* its callback runs — bit-compatible
+  with the cancel+reschedule idiom it replaced.
+* Cancellation is lazy: a cancelled handle stays in the heap and is
+  skipped when popped, because schedulers and cores re-plan the running
+  task frequently.  Once cancelled entries outnumber live ones the heap is
+  compacted *in place* (rebinding the list would strand the local alias
+  ``run_until`` drains while callbacks cancel).
 """
 
 from __future__ import annotations
@@ -43,16 +26,11 @@ __digest_safety__ = "digest-invisible: loop_stats instrumentation only"
 
 import heapq
 import math
-import os
 from typing import Callable, Dict, List, Optional
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _heapreplace = heapq.heapreplace
-
-#: Environment variable consulted when ``EventLoop(impl=None)``.
-ENGINE_ENV = "REPRO_ENGINE"
-_DEFAULT_IMPL = "wheel"
 
 
 class EventHandle:
@@ -60,13 +38,10 @@ class EventHandle:
 
     ``period`` is 0 for one-shot events; periodic handles (from
     :meth:`EventLoop.call_every`) carry their re-arm interval and stay
-    live across fires until cancelled.  ``seq`` and ``_bkey`` are the
-    wheel engine's intrusive bookkeeping (tie-break rank and current
-    bucket index); the heap engine keeps the rank in its tuples instead.
+    live across fires until cancelled.
     """
 
-    __slots__ = ("time", "period", "callback", "cancelled", "seq", "_bkey",
-                 "_loop")
+    __slots__ = ("time", "period", "callback", "cancelled", "_loop")
 
     def __init__(self, time: int, callback: Callable[[], None], loop: "EventLoop",
                  period: int = 0):
@@ -74,8 +49,6 @@ class EventHandle:
         self.period = period
         self.callback = callback
         self.cancelled = False
-        self.seq = 0
-        self._bkey = -1
         self._loop = loop
 
     def cancel(self) -> None:
@@ -85,7 +58,7 @@ class EventHandle:
         self.cancelled = True
         # Drop the reference so large closures are collectable immediately.
         self.callback = _noop
-        self._loop._on_cancel(self)
+        self._loop._on_cancel()
 
 
 def _noop() -> None:
@@ -93,131 +66,24 @@ def _noop() -> None:
 
 
 class EventLoop:
-    """Nanosecond-resolution discrete-event loop.
+    """Nanosecond-resolution discrete-event loop (see module docstring)."""
 
-    Events scheduled for the same instant fire in scheduling order
-    (a monotonically increasing sequence number breaks ties), which makes
-    runs fully deterministic.
-
-    ``EventLoop(impl="wheel"|"heap")`` selects the engine; ``impl=None``
-    reads the ``REPRO_ENGINE`` environment variable and falls back to the
-    wheel.  Both engines are drop-in equivalent (identical firing
-    sequences, hence identical digests) — they differ only in asymptotic
-    cost and in how the hygiene counters are realised.
-    """
-
-    #: Structures smaller than this are never compacted/swept — the churn
-    #: would cost more than the memory it reclaims.
+    #: Heaps smaller than this are never compacted — the churn would cost
+    #: more than the memory it reclaims.
     _COMPACT_MIN_SIZE = 64
 
-    def __new__(cls, impl: Optional[str] = None) -> "EventLoop":
-        if cls is EventLoop:
-            if impl is None:
-                impl = os.environ.get(ENGINE_ENV) or _DEFAULT_IMPL
-            try:
-                cls = _IMPLS[impl]
-            except KeyError:
-                raise ValueError(
-                    f"unknown EventLoop impl {impl!r}; expected one of "
-                    f"{sorted(_IMPLS)}"
-                ) from None
-        return object.__new__(cls)
-
-    def __init__(self, impl: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.now: int = 0
         self._seq: int = 0
         self._live_events: int = 0
+        self._heap: List = []
         # Hygiene counters (exposed as repro.obs gauges and recorded by the
         # perf suite).  Plain int adds; cheap enough for the hot loop.
         self.pushes: int = 0            # inserts, periodic re-arms included
         self.pops: int = 0              # events actually fired
         self.lazy_cancel_skips: int = 0  # dead entries discarded lazily
-        self.compactions: int = 0       # in-place rebuilds / sweeps
-        self.cascades: int = 0          # wheel bucket redistributions
-        self.peak_heap: int = 0         # high-water mark of pending entries
-
-    #: Engine name ("heap" or "wheel"); set by the concrete subclass.
-    impl = "?"
-
-    # ------------------------------------------------------------------
-    # Scheduling (shared surface; call_at/call_every are per-engine)
-    # ------------------------------------------------------------------
-    def call_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        raise NotImplementedError
-
-    def call_every(self, period: int, callback: Callable[[], None],
-                   first: Optional[int] = None) -> EventHandle:
-        raise NotImplementedError
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` after ``delay`` nanoseconds."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay!r}")
-        return self.call_at(self.now + delay, callback)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def step(self) -> bool:
-        raise NotImplementedError
-
-    def run_until(self, t_end: float) -> None:
-        raise NotImplementedError
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Drain the queue (or at most ``max_events``); returns events run."""
-        count = 0
-        while self.step():
-            count += 1
-            if max_events is not None and count >= max_events:
-                break
-        return count
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def _on_cancel(self, handle: EventHandle) -> None:
-        raise NotImplementedError
-
-    @property
-    def pending(self) -> int:
-        """Number of live (non-cancelled) scheduled events."""
-        return self._live_events
-
-    def stats_dict(self) -> Dict[str, int]:
-        """Loop-hygiene counters with implementation-appropriate semantics.
-
-        Digest-invisible (rides ``ScenarioResult.loop_stats``).  Shared
-        keys mean the same thing under both engines; ``peak_pending`` is
-        the high-water mark of entries resident in the engine (heap
-        length for the heap, current-window + buckets + overflow for the
-        wheel), ``compactions`` counts in-place rebuilds (heap
-        compactions / wheel sweeps) and ``cascades`` counts wheel bucket
-        redistributions (always 0 for the heap).
-        """
-        return {
-            "impl": self.impl,  # type: ignore[dict-item]
-            "pushes": self.pushes,
-            "pops": self.pops,
-            "lazy_cancel_skips": self.lazy_cancel_skips,
-            "compactions": self.compactions,
-            "cascades": self.cascades,
-            "peak_pending": self.peak_heap,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"EventLoop(impl={self.impl!r}, now={self.now}ns, "
-                f"pending={self.pending})")
-
-
-class _HeapLoop(EventLoop):
-    """Binary-heap engine: ``(time, sequence, handle)`` tuples."""
-
-    impl = "heap"
-
-    def __init__(self, impl: Optional[str] = None) -> None:
-        super().__init__(impl)
-        self._heap: List = []
+        self.compactions: int = 0       # in-place heap rebuilds
+        self.peak_heap: int = 0         # high-water mark of heap length
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -226,10 +92,7 @@ class _HeapLoop(EventLoop):
         """Schedule ``callback`` at absolute simulated time ``time`` (ns).
 
         ``time`` is rounded up to an integer nanosecond and clamped to
-        ``now`` so an event can never fire in the past.  Integer times
-        take a fast path that never touches floating point, so nanosecond
-        precision survives past 2**53 ns (float doubles lose integer
-        exactness there, which would misorder events in very long runs).
+        ``now`` so an event can never fire in the past.
         """
         if type(time) is int:
             t = time
@@ -239,11 +102,12 @@ class _HeapLoop(EventLoop):
             t = self.now
         handle = EventHandle(t, callback, self)
         self._seq += 1
-        _heappush(self._heap, (t, self._seq, handle))
+        heap = self._heap
+        _heappush(heap, (t, self._seq, handle))
         self._live_events += 1
         self.pushes += 1
-        if len(self._heap) > self.peak_heap:
-            self.peak_heap = len(self._heap)
+        if len(heap) > self.peak_heap:
+            self.peak_heap = len(heap)
         return handle
 
     def call_every(self, period: int, callback: Callable[[], None],
@@ -270,12 +134,19 @@ class _HeapLoop(EventLoop):
             t = self.now
         handle = EventHandle(t, callback, self, period)
         self._seq += 1
-        _heappush(self._heap, (t, self._seq, handle))
+        heap = self._heap
+        _heappush(heap, (t, self._seq, handle))
         self._live_events += 1
         self.pushes += 1
-        if len(self._heap) > self.peak_heap:
-            self.peak_heap = len(self._heap)
+        if len(heap) > self.peak_heap:
+            self.peak_heap = len(heap)
         return handle
+
+    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
+        """Schedule ``callback`` after ``delay`` nanoseconds."""
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay!r}")
+        return self.call_at(self.now + delay, callback)
 
     # ------------------------------------------------------------------
     # Execution
@@ -349,493 +220,66 @@ class _HeapLoop(EventLoop):
         if self.now < t_end:
             self.now = t_end
 
+    def run(self, max_events: Optional[int] = None) -> int:
+        """Drain the queue (or at most ``max_events``); returns events run."""
+        count = 0
+        while self.step():
+            count += 1
+            if max_events is not None and count >= max_events:
+                break
+        return count
+
     # ------------------------------------------------------------------
     # Heap hygiene
     # ------------------------------------------------------------------
-    def _on_cancel(self, handle: EventHandle) -> None:
-        self._live_events -= 1
-        self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        """Rebuild the heap once cancelled entries outnumber live ones.
+    def _on_cancel(self) -> None:
+        """Account a cancel; rebuild the heap once dead entries outnumber
+        live ones.
 
         Every heap entry is either live or cancelled (fired one-shot
         entries are popped, periodic entries stay live until cancelled),
         so the dead count is ``len(heap) - _live_events``.
         """
+        self._live_events -= 1
         heap = self._heap
         if len(heap) < self._COMPACT_MIN_SIZE:
             return
         if len(heap) - self._live_events <= len(heap) // 2:
             return
-        # Compact *in place*: step()/run_until() hold a local alias to the
-        # heap list while draining it, and cancel() — hence compaction — runs
-        # from inside event callbacks.  Rebinding self._heap would strand
-        # those aliases on the stale list and silently drop every event
-        # scheduled after the compaction.
+        self._compact()
+
+    def _compact(self) -> None:
+        """Drop every cancelled entry and restore the heap invariant.
+
+        Compacts *in place*: step()/run_until() hold a local alias to the
+        heap list while draining it, and cancel() — hence compaction — runs
+        from inside event callbacks.  ``(time, seq)`` keys are unique, so
+        the firing order after a rebuild is unchanged.
+        """
+        heap = self._heap
         heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(heap)
         self.compactions += 1
 
-
-# Wheel geometry: 3 levels of 256 slots; level-0 slots are 2**12 ns
-# (4.096 µs) wide, each higher level's slot spans a whole lower level.
-#   level 0: events    <  2**20 ns (~1.05 ms) ahead, slot = (t>>12) & 255
-#   level 1: events    <  2**28 ns (~268 ms) ahead, slot = (t>>20) & 255
-#   level 2: events    <  2**36 ns (~68.7 s) ahead, slot = (t>>28) & 255
-#   beyond:  overflow heap (rare: nothing in the simulator schedules that
-#            far out; exercised by tests)
-_SHIFT0 = 12
-_SLOT_BITS = 8
-_SLOTS = 1 << _SLOT_BITS          # 256
-_SLOT_MASK = _SLOTS - 1           # 255
-_FULL_MASK = (1 << _SLOTS) - 1    # 256-bit occupancy word
-
-
-class _WheelLoop(EventLoop):
-    """Hierarchical-timer-wheel engine (see module docstring).
-
-    Internal invariants (``ct`` is ``_cur_tick``, the level-0 tick of the
-    active window):
-
-    * ``_cur`` holds tuple entries with ``time >> 12 <= ct`` — the active
-      window plus any stragglers scheduled behind it after ``run_until``
-      stopped the clock short of the loaded window.  It is a heap, so
-      order within is exact.
-    * a level-``l`` bucket holds handles whose level tick ``t >> shift_l``
-      is in ``(ct_l, ct_l + 256]`` where ``ct_l = ct >> (8*l)``; the slot
-      index is ``tick & 255``, which is collision-free on that range.
-      Window advances only shrink the distance, so placements stay valid
-      without rehashing.
-    * ``_far`` entries are strictly beyond the loaded window (``tick >
-      ct``); refill pulls them in before their slot can fire.
-    * every live handle has exactly one entry somewhere; dead entries are
-      tombstones discarded lazily (``lazy_cancel_skips``).
-    """
-
-    impl = "wheel"
-
-    def __init__(self, impl: Optional[str] = None) -> None:
-        super().__init__(impl)
-        self._cur: List = []                  # (time, seq, handle) tuples
-        self._cur_tick: int = 0               # level-0 tick of active window
-        self._buckets: List[List[EventHandle]] = [[] for _ in range(3 * _SLOTS)]
-        self._blive: List[int] = [0] * (3 * _SLOTS)   # live handles per bucket
-        self._occ: List[int] = [0, 0, 0]      # per-level occupancy bitmask
-        self._far: List = []                  # (time, seq, handle) overflow heap
-        self._total: int = 0                  # entries resident, tombstones incl.
-
     # ------------------------------------------------------------------
-    # Placement
+    # Introspection
     # ------------------------------------------------------------------
-    def _place(self, h: EventHandle) -> None:
-        """File ``h`` (time/seq already set) into the right structure.
+    @property
+    def pending(self) -> int:
+        """Number of live (non-cancelled) scheduled events."""
+        return self._live_events
 
-        Does not touch counters — callers account pushes/_total/peak.
-        """
-        t = h.time
-        ct = self._cur_tick
-        tick = t >> 12
-        d = tick - ct
-        if d <= 0:
-            # Active window (or behind it): exact-order mini heap.
-            h._bkey = -1
-            _heappush(self._cur, (t, h.seq, h))
-            return
-        if d <= 256:
-            key = tick & 255
-        else:
-            tick = t >> 20
-            d = tick - (ct >> 8)
-            if d <= 256:
-                key = 256 + (tick & 255)
-            else:
-                tick = t >> 28
-                d = tick - (ct >> 16)
-                if d <= 256:
-                    key = 512 + (tick & 255)
-                else:
-                    h._bkey = -1
-                    _heappush(self._far, (t, h.seq, h))
-                    return
-        bucket = self._buckets[key]
-        if not bucket:
-            self._occ[key >> 8] |= 1 << (key & 255)
-        bucket.append(h)
-        h._bkey = key
-        self._blive[key] += 1
+    def stats_dict(self) -> Dict[str, int]:
+        """Loop-hygiene counters; digest-invisible (rides
+        ``ScenarioResult.loop_stats``).  ``peak_pending`` is the heap's
+        high-water length, cancelled entries included."""
+        return {
+            "pushes": self.pushes,
+            "pops": self.pops,
+            "lazy_cancel_skips": self.lazy_cancel_skips,
+            "compactions": self.compactions,
+            "peak_pending": self.peak_heap,
+        }
 
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def call_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at absolute simulated time ``time`` (ns).
-
-        Same contract as the heap engine: round up to integer ns, clamp
-        to ``now``, integer fast path past 2**53 ns.
-        """
-        if type(time) is int:
-            t = time
-        else:
-            t = int(math.ceil(time))
-        if t < self.now:
-            t = self.now
-        handle = EventHandle(t, callback, self)
-        self._seq += 1
-        handle.seq = self._seq
-        self._place(handle)
-        self._live_events += 1
-        self.pushes += 1
-        total = self._total + 1
-        self._total = total
-        if total > self.peak_heap:
-            self.peak_heap = total
-        return handle
-
-    def call_every(self, period: int, callback: Callable[[], None],
-                   first: Optional[int] = None) -> EventHandle:
-        """Schedule ``callback`` every ``period`` ns (see heap docstring).
-
-        On the wheel this is the allocation-free path: the handle itself
-        is the bucket node, so each re-arm is an append — no tuple, no
-        node, no sift.
-        """
-        period = int(period)
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period!r}")
-        if first is None:
-            t = self.now + period
-        elif type(first) is int:
-            t = first
-        else:
-            t = int(math.ceil(first))
-        if t < self.now:
-            t = self.now
-        handle = EventHandle(t, callback, self, period)
-        self._seq += 1
-        handle.seq = self._seq
-        self._place(handle)
-        self._live_events += 1
-        self.pushes += 1
-        total = self._total + 1
-        self._total = total
-        if total > self.peak_heap:
-            self.peak_heap = total
-        return handle
-
-    # ------------------------------------------------------------------
-    # Window refill
-    # ------------------------------------------------------------------
-    def _next_tick(self, lvl: int) -> int:
-        """Tick of the nearest occupied slot at ``lvl``, or -1 if empty.
-
-        Every occupied slot maps to exactly one tick in
-        ``(base, base + 256]`` (placement invariant): bits above the
-        current slot index fire within this 256-slot span, bits at or
-        below it have wrapped into the next one.
-        """
-        occ = self._occ[lvl]
-        if not occ:
-            return -1
-        base = self._cur_tick >> (_SLOT_BITS * lvl)
-        s = base & 255
-        hi = occ >> (s + 1)
-        if hi:
-            # No wrap: lowest set bit above the current slot.
-            return base + (hi & -hi).bit_length()
-        # Wrapped: slot index i <= s fires at tick base + 256 - s + i.
-        return base + 256 - s + (occ & -occ).bit_length() - 1
-
-    def _cascade(self, lvl: int, tick: int) -> None:
-        """Advance the window to ``tick``'s span and redistribute its bucket."""
-        key = (lvl << 8) | (tick & 255)
-        bucket = self._buckets[key]
-        self._occ[lvl] &= ~(1 << (tick & 255))
-        self._blive[key] = 0
-        # New window base = start of the cascaded span, so redistributed
-        # entries land at distance [1, 256] of the right lower level.
-        self._cur_tick = (tick << (_SLOT_BITS * lvl)) - 1
-        skips = 0
-        for h in bucket:
-            if h.cancelled:
-                skips += 1
-            else:
-                self._place(h)
-        del bucket[:]
-        if skips:
-            self.lazy_cancel_skips += skips
-            self._total -= skips
-        self.cascades += 1
-
-    def _refill(self, bound: Optional[int]) -> bool:
-        """Make ``_cur``'s head the next live event; False when drained.
-
-        With a ``bound``, stops (returning False) once the nearest
-        candidate lies strictly beyond it — without loading its window.
-        """
-        cur = self._cur
-        far = self._far
-        buckets = self._buckets
-        while True:
-            while cur:
-                if cur[0][2].cancelled:
-                    _heappop(cur)
-                    self.lazy_cancel_skips += 1
-                    self._total -= 1
-                    continue
-                return True
-            # Fast path: an occupied level-0 slot strictly after the current
-            # one within the same 256-slot span (no wrap) is necessarily
-            # nearer than any level-1/2 cascade, whose earliest possible
-            # window starts at the next span boundary.  Only the overflow
-            # heap could still precede it, so one strict slot-granularity
-            # comparison guards the shortcut (ties and nearer far entries
-            # take the slow path, which drains them in exact order).
-            occ0 = self._occ[0]
-            if occ0:
-                ct = self._cur_tick
-                hi = occ0 >> ((ct & 255) + 1)
-                if hi:
-                    tick0 = ct + (hi & -hi).bit_length()
-                    if not far or (far[0][0] >> 12) > tick0:
-                        if bound is not None and (tick0 << 12) > bound:
-                            return False
-                        self._cur_tick = tick0
-                        key = tick0 & 255
-                        bucket = buckets[key]
-                        self._occ[0] = occ0 & ~(1 << key)
-                        self._blive[key] = 0
-                        skips = 0
-                        lst = []
-                        for h in bucket:
-                            if h.cancelled:
-                                skips += 1
-                            else:
-                                h._bkey = -1
-                                lst.append((h.time, h.seq, h))
-                        del bucket[:]
-                        if skips:
-                            self.lazy_cancel_skips += skips
-                            self._total -= skips
-                        lst.sort()
-                        cur[:] = lst  # sorted == valid heap; cur was empty
-                        continue
-            while far and far[0][2].cancelled:
-                _heappop(far)
-                self.lazy_cancel_skips += 1
-                self._total -= 1
-            # Candidate window start per source; pick the smallest, breaking
-            # ties towards the higher level (its span *contains* the lower
-            # candidates, so it must be broken up first).
-            t0 = t1 = t2 = -1
-            tick0 = self._next_tick(0)
-            if tick0 >= 0:
-                t0 = tick0 << 12
-            tick1 = self._next_tick(1)
-            if tick1 >= 0:
-                t1 = tick1 << 20
-            tick2 = self._next_tick(2)
-            if tick2 >= 0:
-                t2 = tick2 << 28
-            far_t = far[0][0] if far else -1
-            best = -1
-            for c in (t0, t1, t2, far_t):
-                if c >= 0 and (best < 0 or c < best):
-                    best = c
-            if best < 0:
-                return False
-            if bound is not None and best > bound:
-                return False
-            if t2 == best:
-                self._cascade(2, tick2)
-                continue
-            if t1 == best:
-                self._cascade(1, tick1)
-                continue
-            if t0 == best:
-                # Load the slot into the current window.
-                ct = self._cur_tick = tick0
-                key = tick0 & 255
-                bucket = self._buckets[key]
-                self._occ[0] &= ~(1 << key)
-                self._blive[key] = 0
-                skips = 0
-                lst = []
-                for h in bucket:
-                    if h.cancelled:
-                        skips += 1
-                    else:
-                        h._bkey = -1
-                        lst.append((h.time, h.seq, h))
-                del bucket[:]
-                if skips:
-                    self.lazy_cancel_skips += skips
-                    self._total -= skips
-                lst.sort()
-                cur[:] = lst  # sorted == valid heap; cur was empty
-            else:
-                # Overflow heap is nearest: jump the window to it.
-                ct = far_t >> 12
-                if ct > self._cur_tick:
-                    self._cur_tick = ct
-                else:
-                    ct = self._cur_tick
-            # Pull overflow entries that fall inside the (possibly new)
-            # window so they interleave exactly with its events.
-            while far and (far[0][0] >> 12) <= ct:
-                e = heapq.heappop(far)
-                if e[2].cancelled:
-                    self.lazy_cancel_skips += 1
-                    self._total -= 1
-                else:
-                    _heappush(cur, e)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Run the next pending event.  Returns False when the queue is empty."""
-        cur = self._cur
-        while True:
-            if cur:
-                entry = cur[0]
-                handle = entry[2]
-                if handle.cancelled:
-                    _heappop(cur)
-                    self.lazy_cancel_skips += 1
-                    self._total -= 1
-                    continue
-                t = entry[0]
-                _heappop(cur)
-                self._total -= 1
-                self.now = t
-                self.pops += 1
-                period = handle.period
-                if period:
-                    # Re-arm before the callback — consumes one sequence
-                    # number first, exactly like the heap engine.
-                    self._seq += 1
-                    handle.time = t + period
-                    handle.seq = self._seq
-                    self._place(handle)
-                    self.pushes += 1
-                    total = self._total + 1
-                    self._total = total
-                    if total > self.peak_heap:
-                        self.peak_heap = total
-                else:
-                    handle.cancelled = True  # fired; late cancel is a no-op
-                    self._live_events -= 1
-                handle.callback()
-                return True
-            if not self._refill(None):
-                return False
-
-    def run_until(self, t_end: float) -> None:
-        """Run events with ``time <= t_end``; the clock finishes at ``t_end``."""
-        if type(t_end) is not int:
-            t_end = int(t_end)
-        cur = self._cur
-        pops = 0
-        while True:
-            if cur:
-                entry = cur[0]
-                handle = entry[2]
-                if handle.cancelled:
-                    _heappop(cur)
-                    self.lazy_cancel_skips += 1
-                    self._total -= 1
-                    continue
-                t = entry[0]
-                if t > t_end:
-                    break
-                _heappop(cur)
-                self._total -= 1
-                self.now = t
-                pops += 1
-                period = handle.period
-                if period:
-                    self._seq += 1
-                    handle.time = t + period
-                    handle.seq = self._seq
-                    self._place(handle)
-                    self.pushes += 1
-                    total = self._total + 1
-                    self._total = total
-                    if total > self.peak_heap:
-                        self.peak_heap = total
-                else:
-                    handle.cancelled = True  # fired; see step()
-                    self._live_events -= 1
-                handle.callback()
-                continue
-            if not self._refill(t_end):
-                break
-        self.pops += pops
-        if self.now < t_end:
-            self.now = t_end
-
-    # ------------------------------------------------------------------
-    # Hygiene
-    # ------------------------------------------------------------------
-    def _on_cancel(self, handle: EventHandle) -> None:
-        self._live_events -= 1
-        key = handle._bkey
-        if key >= 0:
-            # Per-bucket accounting: when the last live handle in a bucket
-            # is cancelled the whole bucket (tombstones included) is
-            # dropped at once — no global scan needed.
-            handle._bkey = -1
-            n = self._blive[key] - 1
-            self._blive[key] = n
-            if n == 0:
-                bucket = self._buckets[key]
-                dropped = len(bucket)
-                del bucket[:]
-                self._occ[key >> 8] &= ~(1 << (key & 255))
-                self.lazy_cancel_skips += dropped
-                self._total -= dropped
-                return
-        # Backstop sweep for tombstones the per-bucket rule cannot reach
-        # (tuples in _cur/_far, dead handles in buckets that keep one
-        # live occupant) — same outnumbered-by-dead heuristic the heap
-        # engine's compaction uses.
-        total = self._total
-        if total >= self._COMPACT_MIN_SIZE and \
-                total - self._live_events > total // 2:
-            self._sweep()
-
-    def _sweep(self) -> None:
-        """Drop tombstones from every structure (the wheel's "compaction").
-
-        In place — ``run_until`` holds local aliases to ``_cur`` while
-        draining it, and cancel() (hence a sweep) runs from inside event
-        callbacks.
-        """
-        removed = 0
-        cur = self._cur
-        if cur:
-            live = [e for e in cur if not e[2].cancelled]
-            removed += len(cur) - len(live)
-            live.sort()
-            cur[:] = live
-        far = self._far
-        if far:
-            live = [e for e in far if not e[2].cancelled]
-            removed += len(far) - len(live)
-            heapq.heapify(live)
-            far[:] = live
-        for key, bucket in enumerate(self._buckets):
-            if not bucket:
-                continue
-            kept = [h for h in bucket if not h.cancelled]
-            if len(kept) != len(bucket):
-                removed += len(bucket) - len(kept)
-                bucket[:] = kept
-                if not kept:
-                    self._occ[key >> 8] &= ~(1 << (key & 255))
-        self._total -= removed
-        self.compactions += 1
-
-
-_IMPLS: Dict[str, type] = {"heap": _HeapLoop, "wheel": _WheelLoop}
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"EventLoop(now={self.now}ns, pending={self.pending})"

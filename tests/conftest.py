@@ -2,20 +2,37 @@
 
 from __future__ import annotations
 
+import types
+
 import pytest
 
 from repro.platform.config import PlatformConfig
 from repro.sim.engine import EventLoop
 
 
-@pytest.fixture(params=["heap", "wheel"])
-def loop(request) -> EventLoop:
-    """An EventLoop, parametrized over both engines.
+#: The two loop variants every ``loop`` test runs under: a stock
+#: EventLoop, and one that compacts its heap after every cancel, so
+#: in-place compaction runs under every test and any firing-order change
+#: it could cause fails one.  The ids date from when the suite ran a
+#: second, timer-wheel engine and are kept so test names stay stable.
+LOOP_VARIANTS = (STOCK, COMPACTING) = ("heap", "wheel")
 
-    Any test taking this fixture runs once per implementation, so the
-    whole suite doubles as an equivalence battery for the timer wheel.
-    """
-    return EventLoop(impl=request.param)
+_stock_on_cancel = EventLoop._on_cancel
+
+
+def compacting_on_cancel(self: EventLoop) -> None:
+    """``EventLoop._on_cancel`` that also compacts after every cancel."""
+    _stock_on_cancel(self)
+    self._compact()
+
+
+@pytest.fixture(params=LOOP_VARIANTS)
+def loop(request) -> EventLoop:
+    """A fresh EventLoop, once per variant in :data:`LOOP_VARIANTS`."""
+    loop = EventLoop()
+    if request.param == COMPACTING:
+        loop._on_cancel = types.MethodType(compacting_on_cancel, loop)
+    return loop
 
 
 @pytest.fixture

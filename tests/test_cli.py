@@ -108,6 +108,21 @@ def test_run_rejects_nonpositive_stream_interval(capsys):
     assert "--stream-interval-ms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration", ["0", "-1"])
+def test_run_rejects_nonpositive_duration(capsys, duration):
+    assert main(["run", "fig07", "--duration", duration]) == 2
+    err = capsys.readouterr().err
+    assert "--duration must be a positive number" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("duration", ["0", "-0.5"])
+def test_campaign_rejects_nonpositive_duration(capsys, duration):
+    assert main(["campaign", "fig07", "--duration", duration]) == 2
+    err = capsys.readouterr().err
+    assert "--duration must be a positive number" in err
+
+
 def test_run_rejects_empty_stream_out(capsys):
     assert main(["run", "tab05", "--stream-out", "  "]) == 2
     assert "--stream-out" in capsys.readouterr().err

@@ -454,6 +454,8 @@ class TestClusterScenario:
         scenario = ClusterScenario(n_hosts=1)
         with pytest.raises(RuntimeError, match="set_chain before run"):
             scenario.run(0.01)
+        with pytest.raises(ValueError, match="duration_s"):
+            scenario.run(0)
         with pytest.raises(RuntimeError, match="set_chain before"):
             scenario.enable_autoscaler(slots=[])
         scenario.set_chain("svc", (100.0,))

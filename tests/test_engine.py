@@ -180,7 +180,7 @@ class TestLazyCancelAccounting:
     def test_compaction_bounds_heap_in_replan_heavy_run(self):
         """The re-plan pattern — schedule far ahead, cancel, repeat — must
         not grow the heap without bound."""
-        loop = EventLoop(impl="heap")
+        loop = EventLoop()
         keeper = loop.schedule(10**9, lambda: None)  # one long-lived event
         for i in range(10_000):
             handle = loop.schedule(10**6 + i, lambda: None)
@@ -188,20 +188,6 @@ class TestLazyCancelAccounting:
         assert loop.pending == 1
         # Without compaction the heap would hold ~10_001 entries.
         assert len(loop._heap) <= EventLoop._COMPACT_MIN_SIZE
-        keeper.cancel()
-
-    def test_bucket_drop_bounds_wheel_in_replan_heavy_run(self):
-        """The wheel's per-bucket live counters must bound the same
-        pattern: cancelling the last live handle in a bucket drops the
-        bucket, tombstones included."""
-        loop = EventLoop(impl="wheel")
-        keeper = loop.schedule(10**9, lambda: None)  # one long-lived event
-        for i in range(10_000):
-            handle = loop.schedule(10**6 + i, lambda: None)
-            handle.cancel()
-        assert loop.pending == 1
-        # Without per-bucket cleanup the wheel would hold ~10_001 entries.
-        assert loop._total <= EventLoop._COMPACT_MIN_SIZE
         keeper.cancel()
 
     def test_compaction_preserves_event_order(self, loop):
@@ -238,7 +224,7 @@ class TestLazyCancelAccounting:
 
     def test_small_heaps_are_not_compacted(self):
         """Below the size floor the heap keeps dead entries (cheaper)."""
-        loop = EventLoop(impl="heap")
+        loop = EventLoop()
         live = loop.schedule(100, lambda: None)
         dead = [loop.schedule(200 + i, lambda: None) for i in range(10)]
         for h in dead:

@@ -1,45 +1,115 @@
-"""Wheel-vs-heap equivalence battery.
+"""EventLoop-vs-reference-oracle equivalence battery.
 
-The two EventLoop engines must be observationally identical: any program
-of ``call_at``/``call_after``/``call_every``/``cancel`` (including cancel
-after fire and scheduling/cancelling from inside callbacks) must produce
-the same firing sequence — same tags, same instants, same tie-break order
-— and leave the loop in the same observable state.  Campaign digests
-being bit-identical between engines reduces to exactly this property.
+The oracle below is the firing-order contract written as plainly as
+possible: a list kept sorted by ``(time, seq)``, eager cancellation, and
+a periodic re-arm that takes its sequence number *before* the callback
+runs.  Any program of ``call_at``/``schedule``/``call_every``/``cancel``
+(including cancel after fire and scheduling/cancelling from inside
+callbacks) must produce the same firing sequence on the real loop — same
+tags, same instants, same tie-break order — and leave it in the same
+observable state.  Campaign digests staying bit-identical across engine
+changes reduces to exactly this property.
 
-The random program interpreter below deliberately mixes time scales so
-every wheel structure is exercised: the active window (< 4.096 µs),
-all three bucket levels, and the far-future overflow heap (> 2**36 ns),
-plus cascades between them and windows skipped over idle gaps.
+The random program interpreter mixes time scales (same-instant, sub-µs,
+ms, s, past 2**53 ns) so lazy cancellation, in-place compaction and the
+integer-time fast path are all exercised.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import EventLoop
 
-# Offsets straddling every wheel level boundary (slot width 2**12 ns,
-# level spans 2**20 / 2**28 / 2**36 ns) plus the far-overflow region.
+
+class _OracleHandle:
+    def __init__(self, oracle, callback, period):
+        self.oracle, self.callback, self.period = oracle, callback, period
+        self.live = True
+
+    def cancel(self):
+        if self.live:
+            self.live = False
+            self.oracle.queue = [e for e in self.oracle.queue if e[2] is not self]
+
+
+class _Oracle:
+    """Reference loop: a sorted list of ``(time, seq, handle)``."""
+
+    def __init__(self):
+        self.now = self.seq = self.pushes = self.pops = 0
+        self.queue = []
+
+    @property
+    def pending(self):
+        return len(self.queue)
+
+    def _push(self, t, handle):
+        self.seq += 1
+        self.pushes += 1
+        insort(self.queue, (max(t, self.now), self.seq, handle))
+
+    def call_at(self, t, callback, period=0):
+        handle = _OracleHandle(self, callback, period)
+        self._push(t, handle)
+        return handle
+
+    def schedule(self, delay, callback):
+        return self.call_at(self.now + delay, callback)
+
+    def call_every(self, period, callback):
+        return self.call_at(self.now + period, callback, period)
+
+    def step(self, t_end=None):
+        if not self.queue or (t_end is not None and self.queue[0][0] > t_end):
+            return False
+        t, _, handle = self.queue.pop(0)
+        self.now = t
+        self.pops += 1
+        if handle.period:
+            self._push(t + handle.period, handle)  # seq taken before callback
+        else:
+            handle.live = False
+        handle.callback()
+        return True
+
+    def run_until(self, t_end):
+        while self.step(t_end):
+            pass
+        self.now = max(self.now, t_end)
+
+    def run(self, max_events=None):
+        count = 0
+        while (max_events is None or count < max_events) and self.step():
+            count += 1
+        return count
+
+
+# Round values recur across offsets and periods, so same-instant ties
+# (a periodic re-arm vs. an event its callback schedules) are common.
+_ROUND = st.sampled_from([0, 1, 10, 100, 1_000])
+
 _OFFSETS = st.one_of(
+    _ROUND,
     st.integers(0, 5_000),
     st.integers(0, (1 << 21) + 3),
-    st.integers((1 << 20) - 2, (1 << 20) + 2),
     st.integers(0, (1 << 29) + 7),
-    st.integers((1 << 28) - 2, (1 << 28) + 2),
-    st.integers((1 << 36) - 4_096, (1 << 36) + (1 << 20)),
     st.integers(0, 1 << 40),
+    st.integers((1 << 53) - 4, (1 << 53) + 4),
 )
 
 _PERIODS = st.one_of(
+    _ROUND.filter(bool),
     st.integers(1, 1_000),
     st.integers(1, 1 << 22),
     st.integers(1 << 27, 1 << 30),
 )
 
 # Ops runnable from inside a callback (no nested run_until/step — the
-# engines forbid re-entrant draining just like asyncio does).
+# loop forbids re-entrant draining just like asyncio does).
 _NESTED_OP = st.one_of(
     st.tuples(st.just("at"), _OFFSETS),
     st.tuples(st.just("after"), _OFFSETS),
@@ -57,13 +127,12 @@ _TOP_OP = st.one_of(
 )
 
 #: A periodic handle auto-cancels after this many fires so run_until over
-#: a huge horizon stays bounded.  Deterministic, hence engine-invariant.
+#: a huge horizon stays bounded.  Deterministic, hence loop-invariant.
 _MAX_FIRES = 30
 
 
-def _interpret(impl: str, program):
-    """Run ``program`` on a fresh loop; return (trace, final state)."""
-    loop = EventLoop(impl=impl)
+def _interpret(loop, program):
+    """Run ``program`` on ``loop``; return (trace, final state)."""
     handles = []
     trace = []
     fires = {}
@@ -113,13 +182,17 @@ def _interpret(impl: str, program):
     return trace, state
 
 
+def _both(run):
+    """``run(loop)`` on the real loop and the oracle; assert they agree."""
+    out = run(EventLoop())
+    assert out == run(_Oracle())
+    return out
+
+
 @settings(max_examples=80, deadline=None)
 @given(program=st.lists(_TOP_OP, min_size=1, max_size=40))
 def test_random_program_equivalence(program):
-    heap_trace, heap_state = _interpret("heap", program)
-    wheel_trace, wheel_state = _interpret("wheel", program)
-    assert wheel_trace == heap_trace
-    assert wheel_state == heap_state
+    _both(lambda loop: _interpret(loop, program))
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,8 +203,7 @@ def test_random_program_equivalence(program):
 def test_one_shot_ordering_equivalence(offsets, horizon):
     """Pure call_at programs: identical (time, tie-break) firing order."""
 
-    def run(impl):
-        loop = EventLoop(impl=impl)
+    def run(loop):
         trace = []
         for i, off in enumerate(offsets):
             loop.call_at(off, (lambda v: lambda: trace.append((v, loop.now)))(i))
@@ -140,17 +212,16 @@ def test_one_shot_ordering_equivalence(offsets, horizon):
         loop.run()
         return trace
 
-    assert run("wheel") == run("heap")
+    _both(run)
 
 
 def test_far_future_event_interleaves_with_near_ones():
-    """An overflow-heap event must fire in exact order once the window
-    reaches it, even when nearer events are scheduled around it later."""
+    """A far-future event must fire in exact order once the clock reaches
+    it, even when nearer events are scheduled around it later."""
 
-    def run(impl):
-        loop = EventLoop(impl=impl)
+    def run(loop):
         trace = []
-        far_t = (1 << 36) + 12_345           # beyond the wheel span
+        far_t = (1 << 36) + 12_345
         loop.call_at(far_t, lambda: trace.append(("far", loop.now)))
         # March the clock most of the way there, then surround the far
         # event with near ones — same instant included.
@@ -161,17 +232,15 @@ def test_far_future_event_interleaves_with_near_ones():
         loop.run()
         return trace
 
-    out = run("wheel")
-    assert out == run("heap")
+    out = _both(run)
     assert [t for t, _ in out] == ["before", "far", "same_a", "same_b", "after"]
 
 
 def test_mid_callback_same_instant_scheduling_matches():
     """Events scheduled at ``now`` from a callback fire this instant, after
-    everything already queued for it — identically on both engines."""
+    everything already queued for it."""
 
-    def run(impl):
-        loop = EventLoop(impl=impl)
+    def run(loop):
         trace = []
 
         def first():
@@ -184,26 +253,24 @@ def test_mid_callback_same_instant_scheduling_matches():
         loop.run_until(1000)
         return trace
 
-    out = run("wheel")
-    assert out == run("heap")
-    assert out == ["first", "second", "nested", "nested2"]
+    assert _both(run) == ["first", "second", "nested", "nested2"]
 
 
 def test_cancel_after_fire_is_noop_on_both():
-    for impl in ("heap", "wheel"):
-        loop = EventLoop(impl=impl)
+    def run(loop):
         h = loop.schedule(10, lambda: None)
         live = loop.schedule(20, lambda: None)
         loop.run_until(15)
         h.cancel()                 # already fired: must not double-decrement
-        assert loop.pending == 1, impl
+        pending = [loop.pending]
         live.cancel()
-        assert loop.pending == 0, impl
+        return pending + [loop.pending]
+
+    assert _both(run) == [1, 0]
 
 
 def test_periodic_cancel_from_own_callback_matches():
-    def run(impl):
-        loop = EventLoop(impl=impl)
+    def run(loop):
         trace = []
         count = [0]
 
@@ -213,25 +280,30 @@ def test_periodic_cancel_from_own_callback_matches():
             if count[0] == 5:
                 handle.cancel()
 
-        handle = loop.call_every(70_000, tick)  # crosses slot boundaries
+        handle = loop.call_every(70_000, tick)
         loop.run_until(10**7)
         trace.append(loop.pending)
         return trace
 
-    assert run("wheel") == run("heap")
+    assert _both(run)[-1] == 0
 
 
-def test_unknown_impl_rejected():
-    import pytest
+def test_periodic_rearm_takes_seq_before_its_callback():
+    """A re-armed periodic event fires before anything its own callback
+    scheduled for the same next instant — in run_until and in step."""
 
-    with pytest.raises(ValueError, match="unknown EventLoop impl"):
-        EventLoop(impl="calendar")
+    def run(loop):
+        trace = []
 
+        def tick():
+            trace.append(("tick", loop.now))
+            loop.schedule(100, lambda: trace.append(("echo", loop.now)))
 
-def test_env_var_selects_engine(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "heap")
-    assert EventLoop().impl == "heap"
-    monkeypatch.setenv("REPRO_ENGINE", "wheel")
-    assert EventLoop().impl == "wheel"
-    monkeypatch.delenv("REPRO_ENGINE")
-    assert EventLoop().impl == "wheel"   # default engine
+        handle = loop.call_every(100, tick)
+        loop.run_until(250)
+        loop.run(max_events=3)
+        handle.cancel()
+        return trace
+
+    assert _both(run) == [("tick", 100), ("tick", 200), ("echo", 200),
+                          ("tick", 300), ("echo", 300), ("tick", 400)]

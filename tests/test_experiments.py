@@ -47,6 +47,15 @@ class TestCommon:
         with pytest.raises(ValueError):
             scenario.add_flow("f", "c")
 
+    @pytest.mark.parametrize("duration_s", [0, -1.0, float("nan")])
+    def test_scenario_rejects_nonpositive_duration(self, duration_s):
+        scenario = Scenario()
+        scenario.add_nf("nf", 100)
+        scenario.add_chain("c", ["nf"])
+        scenario.add_flow("f", "c", rate_pps=1e6)
+        with pytest.raises(ValueError, match="duration_s"):
+            scenario.run(duration_s)
+
     def test_result_accessors(self):
         scenario = Scenario(scheduler="BATCH", features="NFVnice")
         scenario.add_nf("nf", 260)
