@@ -1,9 +1,13 @@
 """CI smoke test for the campaign runner.
 
-Runs a short-duration campaign twice — serially and with two workers —
-and asserts the per-experiment digests are bit-identical; then writes a
-baseline (``BENCH_campaign.json``) and exercises ``--check`` against it.
-Exits non-zero on any digest divergence, task failure, or check failure.
+Runs a short-duration campaign three times — serially, with two
+workers, and serially with the experiment ids reversed — and asserts the
+per-experiment digests are bit-identical.  Pool workers are long-lived,
+so the reversed run gives every task different predecessors in its
+worker: equal digests show a task's result does not depend on what ran
+before it.  Then writes a baseline (``BENCH_campaign.json``) and
+exercises ``--check`` against it.  Exits non-zero on any digest
+divergence, task failure, or check failure.
 
 Usage::
 
@@ -41,17 +45,25 @@ def main() -> int:
     print(f"[smoke] parallel campaign (2 workers)")
     parallel = run_campaign(ids, workers=2, duration_s=duration,
                             task_timeout_s=300.0)
+    print(f"[smoke] reversed campaign (1 worker): {ids[::-1]}")
+    reversed_ = run_campaign(ids[::-1], workers=1, duration_s=duration,
+                             task_timeout_s=300.0)
 
     failed = False
     for exp_id in ids:
-        s, p = serial.experiments[exp_id], parallel.experiments[exp_id]
-        if not (s.ok and p.ok):
-            print(f"[smoke] FAIL {exp_id}: task failures "
-                  f"{s.failures + p.failures}")
+        s = serial.experiments[exp_id]
+        others = {"parallel": parallel.experiments[exp_id],
+                  "reversed": reversed_.experiments[exp_id]}
+        failures = s.failures + [f for r in others.values()
+                                 for f in r.failures]
+        if failures:
+            print(f"[smoke] FAIL {exp_id}: task failures {failures}")
             failed = True
             continue
-        if s.digest != p.digest:
-            print(f"[smoke] FAIL {exp_id}: parallel digest {p.digest[:12]}… "
+        drift = [f"{name} digest {r.digest[:12]}…"
+                 for name, r in others.items() if r.digest != s.digest]
+        if drift:
+            print(f"[smoke] FAIL {exp_id}: {', '.join(drift)} "
                   f"!= serial {s.digest[:12]}…")
             failed = True
         else:

@@ -157,18 +157,20 @@ RNG_SANCTIONED_PREFIXES: Tuple[str, ...] = (
 # ----------------------------------------------------------------------
 #: Module-level globals that are deliberately process-local mutable
 #: state, with the reason they are safe under ``--workers`` fan-out.
-#: Every campaign worker is a fresh process that re-activates its own
-#: copy, so cross-worker invariance holds by construction.
+#: Only the CLI parent sets them, before any campaign worker forks, and
+#: tasks never write them, so every task in every long-lived worker sees
+#: the same value and cross-worker invariance holds by construction.
 PROCESS_LOCAL_STATE: Dict[str, str] = {
     "repro.obs.session._ACTIVE": (
-        "per-process ObsSession singleton; activated/deactivated around "
-        "each run, never shared across pool workers"),
+        "per-process ObsSession singleton; set and cleared only by the "
+        "CLI parent around a run, before pool workers fork, and never "
+        "written by a task"),
     "repro.faults.plan._ACTIVE": (
         "per-process FaultPlan singleton mirroring the obs session "
-        "pattern"),
+        "pattern: set only by the CLI parent, never by a task"),
     "repro.check.sanitizer._ACTIVE": (
         "per-process Sanitizer singleton mirroring the obs session "
-        "pattern"),
+        "pattern: set only by the CLI parent, never by a task"),
 }
 
 #: Package-relative path prefixes of code that executes inside a

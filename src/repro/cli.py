@@ -363,6 +363,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_topology(args: argparse.Namespace) -> int:
     from repro.platform.orchestrator import load_topology
 
+    if _bad_duration(args.duration):
+        return 2
     topology = load_topology(args.path, seed=args.seed)
     if args.fault_plan is not None and topology.manager.faults is None:
         from repro.faults.plan import FaultPlan
@@ -375,8 +377,8 @@ def _cmd_topology(args: argparse.Namespace) -> int:
             return 2
         topology.manager.attach_faults(
             plan, rng=RngFactory(args.seed).stream("faults"))
-    topology.run(args.duration or 1.0)
-    duration = args.duration or 1.0
+    duration = args.duration
+    topology.run(duration)
     rows = []
     for chain in topology.manager.chains.values():
         rows.append([

@@ -1,38 +1,49 @@
-"""A crash-isolated process pool for campaign tasks.
+"""A crash-isolated pool of persistent campaign workers.
 
-Each task runs in its own worker process (fork where the platform has it,
-spawn otherwise), up to ``workers`` concurrently.  Unlike
+Up to ``workers`` long-lived worker processes (fork where the platform has
+it, spawn otherwise) are started lazily, one per busy slot, and each runs
+task after task: the parent sends a wire spec down the worker's pipe and
+the worker answers with the payload as JSON text.  Keeping workers alive
+means every module a task imports lazily is imported once per worker, not
+once per task.
+
+Crash isolation is still per task attempt.  Unlike
 ``concurrent.futures.ProcessPoolExecutor`` — where one dying worker breaks
-the whole pool — a worker here owns exactly one task attempt, so a crash,
-hang or unpicklable explosion costs that attempt and nothing else.
+the whole pool — a worker that dies mid-task (or whose pipe hits EOF)
+fails only the attempt it was running, and a worker that overruns the
+per-task timeout is terminated.  Either way the parent forks a fresh
+worker for the next task, so a dead or hung process never takes another
+task with it.
 
 Failure semantics: every task gets at most two attempts (retry-once).  An
 attempt fails by raising (the worker reports an ``error`` payload), by
-exceeding the per-task timeout (the parent terminates it), or by dying
-without publishing a result (crash).  The second failure marks the task
-failed and the campaign carries on.
+exceeding the per-task timeout (the parent terminates the worker), or by
+the worker dying without sending a result (crash).  A result already
+readable when the deadline check runs is honoured: the task finished, and
+only its reading was late.  The second failure marks the task failed and
+the campaign carries on.
 
 Results are returned **in task order** regardless of completion order, so
-downstream aggregation is bit-identical to a serial run.
+downstream aggregation is bit-identical to a serial run.  Before
+``run_tasks`` returns (or raises) every worker is stopped and reaped, so
+the workers' CPU time shows up in ``RUSAGE_CHILDREN``.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import os
-import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.runner.tasks import TaskSpec
-from repro.runner.worker import child_entry
+from repro.runner.worker import serve
 
-#: Parent-side reap interval; tasks take >= milliseconds, so 10 ms of
-#: polling granularity is invisible in campaign wall time.
-_POLL_S = 0.01
+#: How long stopped workers get to exit before they are terminated.
+_STOP_GRACE_S = 1.0
 
 
 @dataclass
@@ -57,6 +68,49 @@ def default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
+class _Worker:
+    """One worker process, the parent's end of its pipe, and its task."""
+
+    def __init__(self, ctx) -> None:
+        self.conn, child_conn = ctx.Pipe()
+        self.proc = ctx.Process(target=serve, args=(child_conn,), daemon=True)
+        self.proc.start()
+        child_conn.close()   # so a dead worker reads as EOF on self.conn
+        #: (index, attempt, deadline) while busy, None while idle.
+        self.task: Optional[Tuple[int, int, float]] = None
+
+    def assign(self, index: int, attempt: int, wire: dict,
+               timeout_s: float) -> None:
+        self.task = (index, attempt, time.monotonic() + timeout_s)
+        try:
+            self.conn.send(wire)
+        except OSError:     # died while idle: the EOF reports it as a crash
+            pass
+
+    def result(self) -> Tuple[str, Optional[dict], Optional[str]]:
+        """Read the answer to the current task (the pipe must be ready)."""
+        try:
+            payload = json.loads(self.conn.recv_bytes())
+        except (EOFError, OSError):
+            self.kill()
+            return "crashed", None, self.died()
+        if payload.get("kind") == "error":
+            return "error", None, payload.get("error", "unknown task error")
+        return "ok", payload, None
+
+    def died(self) -> str:
+        return f"worker died without a result (exit code {self.proc.exitcode})"
+
+    def kill(self) -> None:
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join(5.0)
+            if self.proc.is_alive():    # pragma: no cover - stuck in kernel
+                self.proc.kill()
+        self.proc.join()
+        self.conn.close()
+
+
 def run_tasks(
     specs: List[TaskSpec],
     workers: int = 1,
@@ -73,8 +127,7 @@ def run_tasks(
     outcomes: List[Optional[TaskOutcome]] = [None] * len(specs)
     history: Dict[int, List[str]] = {i: [] for i in range(len(specs))}
     queue = deque((i, 1) for i in range(len(specs)))  # (index, attempt#)
-    # proc -> (index, attempt, out_path, deadline)
-    running: Dict[multiprocessing.process.BaseProcess, Tuple] = {}
+    pool: List[_Worker] = []
 
     def finish(index: int, attempt: int, status: str, payload: Optional[dict],
                error: Optional[str]) -> None:
@@ -94,61 +147,58 @@ def run_tasks(
         if on_done is not None:
             on_done(outcomes[index])
 
-    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as tmpdir:
-        while queue or running:
-            while queue and len(running) < workers:
+    try:
+        while True:
+            while queue:
+                worker = next((w for w in pool if w.task is None), None)
+                if worker is None:
+                    if len(pool) == workers:
+                        break
+                    worker = _Worker(ctx)
+                    pool.append(worker)
                 index, attempt = queue.popleft()
-                out_path = os.path.join(tmpdir, f"task-{index}-{attempt}.json")
-                proc = ctx.Process(
-                    target=child_entry,
-                    args=(specs[index].to_wire(), out_path),
-                    daemon=True,
-                )
-                proc.start()
-                running[proc] = (index, attempt, out_path,
-                                 time.monotonic() + timeout_s)
-            if not running:
-                continue
-            time.sleep(_POLL_S)
-            now = time.monotonic()
-            for proc in list(running):
-                index, attempt, out_path, deadline = running[proc]
-                if proc.is_alive():
-                    if now < deadline:
-                        continue
-                    # The worker publishes its payload atomically before
-                    # exiting, so a result that landed right at the deadline
-                    # is a finished task whose process just hasn't been
-                    # reaped yet — honour it rather than burning the retry.
-                    status, payload, error = _read_result(out_path, None)
-                    proc.terminate()
-                    proc.join(5.0)
-                    if proc.is_alive():    # pragma: no cover - stuck in kernel
-                        proc.kill()
-                        proc.join()
-                    del running[proc]
-                    if status == "crashed":    # nothing published: real timeout
-                        finish(index, attempt, "timeout", None,
-                               f"exceeded {timeout_s:g}s task timeout")
-                    else:
-                        finish(index, attempt, status, payload, error)
+                worker.assign(index, attempt, specs[index].to_wire(),
+                              timeout_s)
+            busy = [w for w in pool if w.task is not None]
+            if not busy:
+                break
+            nearest = min(w.task[2] for w in busy)
+            wait([w.conn for w in busy] + [w.proc.sentinel for w in busy],
+                 timeout=max(0.0, nearest - time.monotonic()))
+            for worker in busy:
+                index, attempt, deadline = worker.task
+                if worker.conn.poll():
+                    # A readable answer wins over the deadline; EOF here
+                    # means the worker died mid-task.
+                    status, payload, error = worker.result()
+                elif not worker.proc.is_alive():
+                    worker.kill()
+                    status, payload, error = "crashed", None, worker.died()
+                elif time.monotonic() >= deadline:
+                    worker.kill()
+                    status, payload, error = (
+                        "timeout", None,
+                        f"exceeded {timeout_s:g}s task timeout")
+                else:
                     continue
-                proc.join()
-                del running[proc]
-                status, payload, error = _read_result(out_path, proc.exitcode)
+                worker.task = None
+                if status in ("crashed", "timeout"):
+                    pool.remove(worker)     # replaced by a fresh fork
                 finish(index, attempt, status, payload, error)
+    finally:
+        _stop(pool)
     assert all(o is not None for o in outcomes)
     return outcomes  # type: ignore[return-value]
 
 
-def _read_result(out_path: str, exitcode: Optional[int]
-                 ) -> Tuple[str, Optional[dict], Optional[str]]:
-    try:
-        with open(out_path) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return ("crashed", None,
-                f"worker died without a result (exit code {exitcode})")
-    if payload.get("kind") == "error":
-        return "error", None, payload.get("error", "unknown task error")
-    return "ok", payload, None
+def _stop(pool: List[_Worker]) -> None:
+    """Ask every worker to exit, then reap it (terminating stragglers)."""
+    for worker in pool:
+        try:
+            worker.conn.send(None)
+        except OSError:
+            pass
+    grace_end = time.monotonic() + _STOP_GRACE_S
+    for worker in pool:
+        worker.proc.join(max(0.0, grace_end - time.monotonic()))
+        worker.kill()

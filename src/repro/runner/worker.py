@@ -1,25 +1,23 @@
 """Worker-side task execution.
 
 ``run_task_wire`` is pure (spec in, payload dict out) and is also used
-in-process by tests; ``child_entry`` wraps it for a worker subprocess,
-writing the payload as JSON to a result file the parent reads back after
-the process exits.  Files (not pipes) carry results so a worker that is
-killed mid-write can never deadlock the parent, and a partially written
-file is never observed — the write goes to a temp name and is atomically
-renamed into place.
+in-process by tests; ``serve`` is the body of a long-lived pool worker.
+It reads wire specs from its pipe, runs each with ``run_task_wire`` and
+sends the payload back as JSON text, the same text for every worker
+count, until the parent sends ``None`` or closes the pipe.
 
-Any exception inside the task is caught and reported as an ``error``
-payload; the worker still exits 0.  Only a hard crash (segfault, kill,
-``os._exit``) leaves no result file, which the parent treats as a crashed
-task — crash isolation means a dying worker fails its task, never the
-campaign.
+Any exception inside a task is caught and reported as an ``error``
+payload, and the worker goes on to its next task.  Only a hard crash
+(segfault, kill, ``os._exit``) ends a worker mid-task; the parent sees
+EOF on the pipe, fails that one attempt as crashed and forks a
+replacement.  Crash isolation means a dying worker fails its task, never
+the campaign.
 """
 
 from __future__ import annotations
 
 import importlib
 import json
-import os
 import time
 import traceback
 from typing import Any, Dict
@@ -65,10 +63,13 @@ def _encode_result(value: Any) -> Dict[str, Any]:
     }
 
 
-def child_entry(spec: Dict[str, Any], out_path: str) -> None:
-    """Subprocess target: run the task, atomically publish the payload."""
-    payload = run_task_wire(spec)
-    tmp_path = out_path + ".tmp"
-    with open(tmp_path, "w") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp_path, out_path)
+def serve(conn) -> None:
+    """Pool worker target: answer wire specs on ``conn`` until stopped."""
+    while True:
+        try:
+            spec = conn.recv()
+        except EOFError:        # the parent is gone
+            return
+        if spec is None:
+            return
+        conn.send_bytes(json.dumps(run_task_wire(spec)).encode())

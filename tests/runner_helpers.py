@@ -32,16 +32,19 @@ def sleepy(duration_s: float = 0.0, sleep_s: float = 30.0) -> str:
     return "finally awake"
 
 
-def publish_then_hang(spec: dict, out_path: str) -> None:
-    """``child_entry`` double: publish the result, then refuse to exit.
+def publish_then_hang(conn) -> None:
+    """``serve`` double: answer the first spec, then refuse to go on.
 
     Stands in for a worker whose task finishes right at the timeout
-    boundary — the payload is on disk but the process is still alive when
-    the parent's deadline check fires.
+    boundary: the payload is already in the pipe, but the process is still
+    alive and busy when the parent's deadline check fires, and it never
+    reads the stop message.
     """
-    from repro.runner.worker import child_entry
+    import json
 
-    child_entry(spec, out_path)
+    from repro.runner.worker import run_task_wire
+
+    conn.send_bytes(json.dumps(run_task_wire(conn.recv())).encode())
     time.sleep(30.0)
 
 

@@ -123,6 +123,21 @@ def test_campaign_rejects_nonpositive_duration(capsys, duration):
     assert "--duration must be a positive number" in err
 
 
+@pytest.mark.parametrize("duration", ["0", "-1", "nan"])
+def test_topology_rejects_nonpositive_duration(tmp_path, capsys, duration):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({
+        "nfs": [{"name": "fw", "cycles": 300, "core": 0}],
+        "chains": [{"name": "c", "nfs": ["fw"]}],
+        "flows": [{"id": "f", "chain": "c", "rate_pps": 1e6}],
+    }))
+    assert main(["topology", str(path), "--duration", duration]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--duration must be a positive number" in captured.err
+
+
 def test_run_rejects_empty_stream_out(capsys):
     assert main(["run", "tab05", "--stream-out", "  "]) == 2
     assert "--stream-out" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.runner.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.runner.campaign import run_campaign
+from repro.runner.campaign import experiment_registry, run_campaign
 from repro.runner.digest import combine_digests, digest_of
 from repro.runner.pool import run_tasks
 from repro.runner.tasks import TaskSpec, derive_task_seed, enumerate_tasks
@@ -20,6 +21,10 @@ HELPERS = "tests.runner_helpers"
 
 #: Small enough that a whole grid stays fast, large enough to schedule.
 FAST = 0.02
+
+#: The pool must work under both; spawn also proves the worker entry point
+#: is importable rather than inherited.
+START_METHODS = ("fork", "spawn")
 
 
 def helper_task(fn, label="t", **kwargs) -> TaskSpec:
@@ -73,30 +78,66 @@ class TestEnumeration:
 # The pool: isolation, timeout, retry
 # ----------------------------------------------------------------------
 class TestPool:
-    def test_results_come_back_in_task_order(self):
+    @pytest.fixture(autouse=True)
+    def no_leaked_children(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_results_come_back_in_task_order(self, start_method):
         specs = [helper_task("ok_text", label=f"t{i}", duration_s=float(i))
                  for i in range(5)]
-        outcomes = run_tasks(specs, workers=3)
+        outcomes = run_tasks(specs, workers=3, start_method=start_method)
         assert [o.spec.label for o in outcomes] == [f"t{i}" for i in range(5)]
         assert [o.payload["value"] for o in outcomes] == \
             [f"artifact for {float(i)}" for i in range(5)]
 
-    def test_raising_task_fails_alone(self):
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_raising_task_fails_alone(self, start_method):
         specs = [helper_task("ok_text", label="good"),
                  helper_task("boom", label="bad"),
                  helper_task("ok_text", label="alsogood")]
-        outcomes = run_tasks(specs, workers=2)
+        outcomes = run_tasks(specs, workers=2, start_method=start_method)
         assert [o.status for o in outcomes] == ["ok", "error", "ok"]
         assert outcomes[1].attempts == 2          # retried once, then failed
         assert "deliberate task failure" in outcomes[1].error
 
-    def test_crashing_worker_fails_its_task_not_the_campaign(self):
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_crashing_worker_fails_its_task_not_the_campaign(
+            self, start_method):
         specs = [helper_task("hard_crash", label="crash"),
                  helper_task("ok_text", label="survivor")]
-        outcomes = run_tasks(specs, workers=2)
+        outcomes = run_tasks(specs, workers=2, start_method=start_method)
         assert outcomes[0].status == "crashed"
         assert outcomes[0].attempts == 2
         assert outcomes[1].ok
+
+    def test_one_worker_slot_survives_a_crash(self):
+        """The dead worker is replaced, so its slot keeps serving tasks."""
+        specs = [helper_task("hard_crash", label="crash"),
+                 helper_task("ok_text", label="after1"),
+                 helper_task("ok_text", label="after2")]
+        outcomes = run_tasks(specs, workers=1)
+        assert outcomes[0].status == "crashed"
+        assert outcomes[0].attempts == 2
+        assert "exit code -9" in outcomes[0].error
+        assert [o.status for o in outcomes[1:]] == ["ok", "ok"]
+
+    def test_results_do_not_depend_on_task_history(self):
+        """A worker runs many tasks, so each result must be a function of
+        its own spec only: the same tasks in reverse order on one worker
+        see different predecessors and must give identical payloads.
+        fig10's per-packet cost draws make its results seed-sensitive, so
+        leaked RNG state would show too."""
+        registry = experiment_registry()
+        specs = [spec for exp_id in ("tab05", "fig07", "fig10")
+                 for spec in enumerate_tasks(exp_id, registry[exp_id],
+                                             duration_s=FAST)]
+        forward = run_tasks(specs, workers=1)
+        backward = run_tasks(specs[::-1], workers=1)[::-1]
+        assert all(o.ok for o in forward + backward)
+        assert [digest_of(o.payload["value"]) for o in forward] == \
+            [digest_of(o.payload["value"]) for o in backward]
 
     def test_timeout_terminates_and_retries_once(self):
         specs = [helper_task("sleepy", label="slow", sleep_s=30.0)]
@@ -106,18 +147,39 @@ class TestPool:
         assert outcomes[0].statuses == ["timeout", "timeout"]
 
     def test_result_published_by_deadline_is_honoured(self, monkeypatch):
-        """A payload published before the deadline is a success even when
-        the worker process is still alive at the timeout check — the task
-        completed; only the process reap is late."""
+        """A payload sent before the deadline is a success even when the
+        parent only reads it after the deadline, while the worker is still
+        alive and busy: the task completed, only the read is late."""
+        import time
+
         import repro.runner.pool as pool_mod
         from tests.runner_helpers import publish_then_hang
 
-        monkeypatch.setattr(pool_mod, "child_entry", publish_then_hang)
-        specs = [helper_task("ok_text", label="slow-exit")]
-        outcomes = run_tasks(specs, workers=1, timeout_s=0.5)
-        assert outcomes[0].ok
-        assert outcomes[0].attempts == 1
-        assert outcomes[0].payload["value"] == "artifact for 0.0"
+        monkeypatch.setattr(pool_mod, "serve", publish_then_hang)
+        done = []
+
+        def slow_on_done(outcome):
+            # Hold the parent past the other task's deadline.
+            if not done:
+                time.sleep(1.0)
+            done.append(outcome)
+
+        specs = [helper_task("ok_text", label="first"),
+                 helper_task("ok_text", label="slow-exit")]
+        outcomes = run_tasks(specs, workers=2, timeout_s=0.5,
+                             on_done=slow_on_done)
+        assert len(done) == 2
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+        assert [o.attempts for o in outcomes] == [1, 1]
+        assert outcomes[1].payload["value"] == "artifact for 0.0"
+
+    def test_workers_are_reaped_when_run_tasks_raises(self):
+        def fail(outcome):
+            raise RuntimeError("on_done failed")
+
+        specs = [helper_task("ok_text", label=f"t{i}") for i in range(4)]
+        with pytest.raises(RuntimeError, match="on_done failed"):
+            run_tasks(specs, workers=2, on_done=fail)
 
     def test_flaky_task_recovers_on_retry(self, tmp_path):
         marker = tmp_path / "marker"
