@@ -1,8 +1,8 @@
 """CI-gated performance benchmark suite (schema v3).
 
-Runs a pinned set of experiments (the fig07, fig09 and fig16 short
-grids, one SLO-battery cell and one 4-host cluster-scaling cell) and
-records, per experiment:
+Runs a pinned set of experiments (the fig07, fig09, fig10 and fig16
+short grids, one SLO-battery cell and one 4-host cluster-scaling cell)
+and records, per experiment:
 
 * wall-clock seconds for the whole case grid,
 * simulation events processed and events/second (from the event loop's
@@ -49,11 +49,13 @@ from repro.runner.digest import digest_of          # noqa: E402
 
 #: The pinned grids: experiment id -> module path.  Short durations keep
 #: the whole suite under a few minutes while still exercising every
-#: scheduler and feature combination the canonical figures sweep, plus
-#: the SLO-governor and multi-host cluster subsystems.
+#: scheduler and feature combination the canonical figures sweep, the
+#: per-packet stochastic cost models (fig10), plus the SLO-governor and
+#: multi-host cluster subsystems.
 GRIDS = {
     "fig07": "repro.experiments.fig07_single_core_chain",
     "fig09": "repro.experiments.fig09_shared_chains",
+    "fig10": "repro.experiments.fig10_variable_cost",
     "fig16": "repro.experiments.fig16_chain_length",
     "slo_battery": "repro.experiments.slo_battery",
     "cluster_scaling": "repro.experiments.cluster_scaling",

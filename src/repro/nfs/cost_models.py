@@ -9,10 +9,23 @@ the cost of the next ``n`` packets without consuming them, and
 same order.  The core's run planner needs estimates that are exact for the
 packets it later executes — pre-drawing into a buffer guarantees the cycles
 foreseen equal the cycles charged.
+
+For stochastic models the *timing* of every buffer refill and compaction
+(``BufferedCost._ensure``) is digest-load-bearing, not just the draws:
+where the ``np.cumsum`` chunks break and which prefix is subtracted at
+compaction decide the low bits of every later prefix sum.  Fast paths
+here (``WithOverhead.consume_upto``'s windowed search) therefore call
+``_ensure`` with exactly the arguments, at exactly the points, of the
+plain probe-per-step search they replace.
+
+Every constructor rejects a non-finite or out-of-range parameter with a
+``ValueError`` that names the field, so a bad topology spec fails when
+it is built rather than mid-run.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -33,6 +46,23 @@ _REFILL = 1024
 _RAW_REFILL = 8192
 #: Compact the consumed prefix when it exceeds this many entries.
 _COMPACT = 65536
+
+
+def _finite(field: str, value, low: float = 0.0,
+            inclusive: bool = False) -> float:
+    """``value`` as a float, or a ValueError naming ``field``.
+
+    Accepts finite values above ``low`` (or equal to it when
+    ``inclusive``); NaN and infinities are always rejected.
+    """
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must be a number, got {value!r}") from None
+    if not math.isfinite(v) or v < low or (v == low and not inclusive):
+        bound = f">= {low:g}" if inclusive else f"> {low:g}"
+        raise ValueError(f"{field} must be finite and {bound}, got {value!r}")
+    return v
 
 
 class CostModel:
@@ -61,9 +91,7 @@ class FixedCost(CostModel):
     """Every packet costs exactly ``cycles`` — the common case, O(1)."""
 
     def __init__(self, cycles: float):
-        if cycles <= 0:
-            raise ValueError(f"cycles must be positive, got {cycles!r}")
-        self.cycles = float(cycles)
+        self.cycles = _finite("cycles", cycles)
         self.mean_cycles = self.cycles
 
     def peek_sum(self, n: int) -> float:
@@ -173,14 +201,20 @@ class ChoiceCost(BufferedCost):
                  rng: Optional[np.random.Generator] = None):
         super().__init__(rng)
         self.values = np.asarray(values, dtype=float)
-        if np.any(self.values <= 0):
-            raise ValueError("all cost values must be positive")
+        if self.values.ndim != 1 or len(self.values) == 0:
+            raise ValueError(f"values must be a non-empty list, got {values!r}")
+        if not np.all(np.isfinite(self.values) & (self.values > 0)):
+            raise ValueError(f"values must be finite and > 0, got {values!r}")
         if probabilities is None:
             self.probabilities = np.full(len(self.values), 1.0 / len(self.values))
         else:
             self.probabilities = np.asarray(probabilities, dtype=float)
-            if len(self.probabilities) != len(self.values):
+            if self.probabilities.shape != self.values.shape:
                 raise ValueError("probabilities must match values")
+            if not np.all(np.isfinite(self.probabilities)
+                          & (self.probabilities >= 0)):
+                raise ValueError(f"probabilities must be finite and >= 0, "
+                                 f"got {probabilities!r}")
             total = self.probabilities.sum()
             if not np.isclose(total, 1.0):
                 raise ValueError(f"probabilities must sum to 1, got {total}")
@@ -196,10 +230,8 @@ class NormalCost(BufferedCost):
     def __init__(self, mean: float, std: float,
                  rng: Optional[np.random.Generator] = None):
         super().__init__(rng)
-        if mean <= 0 or std < 0:
-            raise ValueError("mean must be positive and std non-negative")
-        self.mean = float(mean)
-        self.std = float(std)
+        self.mean = _finite("mean", mean)
+        self.std = _finite("std", std, inclusive=True)
         self.mean_cycles = self.mean
 
     def _draw_block(self, n: int) -> np.ndarray:
@@ -212,10 +244,8 @@ class UniformCost(BufferedCost):
     def __init__(self, low: float, high: float,
                  rng: Optional[np.random.Generator] = None):
         super().__init__(rng)
-        if not 0 < low <= high:
-            raise ValueError("need 0 < low <= high")
-        self.low = float(low)
-        self.high = float(high)
+        self.low = _finite("low", low)
+        self.high = _finite("high", high, self.low, inclusive=True)
         self.mean_cycles = 0.5 * (self.low + self.high)
 
     def _draw_block(self, n: int) -> np.ndarray:
@@ -228,9 +258,7 @@ class ExponentialCost(BufferedCost):
 
     def __init__(self, mean: float, rng: Optional[np.random.Generator] = None):
         super().__init__(rng)
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        self.mean = float(mean)
+        self.mean = _finite("mean", mean)
         self.mean_cycles = self.mean
 
     def _draw_block(self, n: int) -> np.ndarray:
@@ -247,10 +275,8 @@ class ScaledCost(CostModel):
     """
 
     def __init__(self, inner: CostModel, factor: float):
-        if factor <= 0:
-            raise ValueError(f"factor must be positive, got {factor!r}")
         self.inner = inner
-        self.factor = float(factor)
+        self.factor = _finite("factor", factor)
         self.mean_cycles = inner.mean_cycles * self.factor
         # Cached fast path for the common fixed-cost inner model: the
         # whole consume_upto collapses to arithmetic, with the float
@@ -303,11 +329,13 @@ class WithOverhead(CostModel):
     """
 
     def __init__(self, inner: CostModel, overhead_cycles: float):
-        if overhead_cycles < 0:
-            raise ValueError("overhead must be non-negative")
         self.inner = inner
-        self.overhead = float(overhead_cycles)
+        self.overhead = _finite("overhead_cycles", overhead_cycles,
+                                inclusive=True)
         self.mean_cycles = inner.mean_cycles + self.overhead
+        self._buffered: Optional[BufferedCost] = (
+            inner if isinstance(inner, BufferedCost) else None
+        )
 
     def peek_sum(self, n: int) -> float:
         if n <= 0:
@@ -318,7 +346,35 @@ class WithOverhead(CostModel):
         if max_packets <= 0 or budget_cycles <= 0:
             return 0, 0.0
         # Largest k with inner.peek_sum(k) + k*overhead <= budget: binary
-        # search on the monotone total (peek_sum is O(1) once buffered).
+        # search on the monotone total.
+        inner = self._buffered
+        if inner is not None:
+            # Same search over one list read of the un-consumed prefix
+            # sums instead of a peek_sum call chain per probe.  Each probe
+            # is peek_sum's own float expression, and a probe past the
+            # buffered window calls _ensure(mid) exactly where peek_sum
+            # would, so refill/compaction timing (hence every later
+            # prefix sum) is unchanged; the window is re-read after it.
+            overhead = self.overhead
+            pos = inner._pos
+            w = inner._cum[pos:pos + max_packets + 1].tolist()
+            top = len(w) - 1
+            lo, hi = 0, max_packets
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if mid > top:
+                    inner._ensure(mid)
+                    pos = inner._pos
+                    w = inner._cum[pos:pos + max_packets + 1].tolist()
+                    top = len(w) - 1
+                if (w[mid] - w[0]) + mid * overhead <= budget_cycles:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            if lo == 0:
+                return 0, 0.0
+            inner._pos = pos + lo
+            return lo, (w[lo] - w[0]) + lo * overhead
         lo, hi = 0, max_packets
         while lo < hi:
             mid = (lo + hi + 1) // 2

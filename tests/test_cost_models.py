@@ -1,5 +1,8 @@
 """Unit + property tests for per-packet cost models."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from repro.nfs.cost_models import (
     ExponentialCost,
     FixedCost,
     NormalCost,
+    ScaledCost,
     UniformCost,
     WithOverhead,
 )
@@ -178,3 +182,48 @@ class TestCatalog:
         cfg = PlatformConfig(nf_overhead_cycles=100.0)
         nf = make_bridge(config=cfg)
         assert nf.cost_model.mean_cycles == 220
+
+
+class TestParameterValidation:
+    """Bad parameters fail at construction, naming the field — not as a
+    NaN digest or a numpy error at the first draw."""
+
+    @pytest.mark.parametrize("build,field", [
+        (lambda: FixedCost(math.nan), "cycles"),
+        (lambda: FixedCost(math.inf), "cycles"),
+        (lambda: NormalCost(math.nan, 1), "mean"),
+        (lambda: NormalCost(100, math.inf), "std"),
+        (lambda: NormalCost(100, -1), "std"),
+        (lambda: ExponentialCost(math.inf), "mean"),
+        (lambda: ChoiceCost([math.nan, 2.0]), "values"),
+        (lambda: ChoiceCost([]), "values"),
+        (lambda: ChoiceCost([100, 200], [1.5, -0.5]), "probabilities"),
+        (lambda: ChoiceCost([100, 200], [math.nan, 0.5]), "probabilities"),
+        (lambda: UniformCost(1, math.inf), "high"),
+        (lambda: UniformCost(math.nan, 5), "low"),
+        (lambda: WithOverhead(FixedCost(100), math.nan), "overhead_cycles"),
+        (lambda: ScaledCost(FixedCost(100), math.inf), "factor"),
+        (lambda: ScaledCost(FixedCost(100), 0), "factor"),
+        (lambda: FixedCost("fast"), "cycles"),
+    ])
+    def test_rejected_at_construction(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
+    def test_boundary_values_still_accepted(self):
+        assert NormalCost(100, 0).std == 0.0
+        assert UniformCost(5, 5).mean_cycles == 5.0
+        assert WithOverhead(FixedCost(100), 0).mean_cycles == 100.0
+        assert ChoiceCost([100, 200], [1.0, 0.0]).mean_cycles == 100.0
+
+    def test_topology_nan_cost_spec_names_field(self):
+        from repro.platform.orchestrator import build_topology
+
+        spec = json.loads("""{
+          "nfs": [{"name": "x", "core": 0,
+                   "cost": {"kind": "normal", "mean": NaN, "std": 10}}],
+          "chains": [{"name": "c", "nfs": ["x"]}],
+          "flows": [{"id": "f", "chain": "c", "rate_pps": 1e6}]
+        }""")
+        with pytest.raises(ValueError, match="mean"):
+            build_topology(spec)

@@ -4,10 +4,13 @@ Every optimisation in the perf overhaul claims *bit-identical* results:
 segment coalescing must not change what a dequeue observes, the periodic
 fast path must fire at the same instants as a cancel+reschedule loop,
 batched arrival generation must emit the same counts as scalar draws,
-and the widened RNG draw-ahead in the cost models must consume the same
-bit stream.  These tests pin each claim directly, so a future change
-that quietly breaks digest stability fails here first, with a readable
-diff, instead of as an opaque campaign-digest mismatch.
+the widened RNG draw-ahead in the cost models must consume the same
+bit stream, and the windowed ``WithOverhead`` search must take the same
+packets, charge the same cycles and refill its buffer at the same points
+as the probe-per-step search it replaced.  These tests pin each claim
+directly, so a future change that quietly breaks digest stability fails
+here first, with a readable diff, instead of as an opaque
+campaign-digest mismatch.
 """
 
 import numpy as np
@@ -16,12 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nfs.cost_models import (
+    _COMPACT,
     _RAW_REFILL,
     _REFILL,
     ChoiceCost,
     ExponentialCost,
     NormalCost,
+    ScaledCost,
     UniformCost,
+    WithOverhead,
 )
 from repro.platform.packet import Flow
 from repro.platform.ring import PacketRing
@@ -441,3 +447,181 @@ def test_buffered_cost_pool_is_stream_transparent(make):
         assert fast.peek_sum(7) == ref.peek_sum(7)
         assert fast.consume_upto(b, 32) == ref.consume_upto(b, 32)
         assert fast.consume(3) == ref.consume(3)
+
+
+# ----------------------------------------------------------------------
+# Windowed WithOverhead search: one list read of the buffered prefix sums
+# per batch must equal the probe-per-step search bit for bit — same k,
+# same cycles, and the same _ensure refill/compaction points (which fix
+# the float grouping of every later prefix sum for non-integer models).
+# ----------------------------------------------------------------------
+
+def _probe_consume_upto(self, budget_cycles, max_packets):
+    """Reference: the search as it was, one ``peek_sum`` call per probe."""
+    if max_packets <= 0 or budget_cycles <= 0:
+        return 0, 0.0
+    lo, hi = 0, max_packets
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if self.peek_sum(mid) <= budget_cycles:
+            lo = mid
+        else:
+            hi = mid - 1
+    if lo == 0:
+        return 0, 0.0
+    return lo, self.inner.consume(lo) + lo * self.overhead
+
+
+class _ProbeWithOverhead(WithOverhead):
+    consume_upto = _probe_consume_upto
+
+
+_INNERS = {
+    "choice": lambda rng: ChoiceCost([120.0, 270.0, 550.0], rng=rng),
+    "normal": lambda rng: NormalCost(270.0, 90.0, rng=rng),
+    "uniform": lambda rng: UniformCost(100.0, 400.0, rng=rng),
+    "exponential": lambda rng: ExponentialCost(300.0, rng=rng),
+}
+
+
+def _pair(inner, overhead, scaled, seed=5):
+    fast = WithOverhead(_INNERS[inner](np.random.default_rng(seed)), overhead)
+    ref = _ProbeWithOverhead(_INNERS[inner](np.random.default_rng(seed)),
+                             overhead)
+    if scaled:
+        return fast, ref, ScaledCost(fast, 1.7), ScaledCost(ref, 1.7)
+    return fast, ref, fast, ref
+
+
+def _same_buffer(fast, ref):
+    """Same consumed position and the same prefix sums buffered: the two
+    searches refilled (and compacted) at exactly the same points."""
+    assert fast.inner._pos == ref.inner._pos
+    assert np.array_equal(fast.inner._cum, ref.inner._cum)
+
+
+def _step(op, fast, ref):
+    """Apply one operation to both models; return packets consumed."""
+    kind = op[0]
+    if kind == "peek":
+        assert fast.peek_sum(op[1]) == ref.peek_sum(op[1])
+        return 0
+    if kind == "consume":
+        assert fast.consume(op[1]) == ref.consume(op[1])
+        return op[1]
+    if kind == "edge":
+        # A budget exactly on (or one ULP under) the total of the next k
+        # packets: where a differently-rounded comparison would diverge.
+        _, k, max_packets, below = op
+        budget = fast.peek_sum(k)
+        assert budget == ref.peek_sum(k)
+        if below:
+            budget = float(np.nextafter(budget, 0.0))
+    else:
+        _, budget, max_packets = op
+    got = fast.consume_upto(budget, max_packets)
+    want = ref.consume_upto(budget, max_packets)
+    assert got == want
+    assert type(got[1]) is type(want[1])
+    return got[0]
+
+
+def _random_op(r):
+    roll = r.random()
+    max_packets = 32 if r.random() < 0.8 else int(r.integers(1, 33))
+    if roll < 0.01:
+        # estimate_run_ns-style look-ahead far past the 32-packet window.
+        return ("peek", int(r.integers(33, 3000)))
+    if roll < 0.03:
+        return ("consume", int(r.integers(1, 200)))
+    if roll < 0.28:
+        return ("edge", int(r.integers(1, 33)), max_packets,
+                bool(r.random() < 0.5))
+    budget = r.choice([0.0, 50.0, float(r.uniform(0.0, 2000.0)),
+                       float(r.uniform(0.0, 8000.0)),
+                       float(r.uniform(0.0, 30_000.0)), 1e12])
+    return ("budget", float(budget), max_packets)
+
+
+@pytest.mark.parametrize("overhead", [100.0, 37.25])
+@pytest.mark.parametrize("inner", sorted(_INNERS))
+@pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+def test_windowed_overhead_search_matches_probe_search(inner, overhead,
+                                                       scaled):
+    """Long mixed sequences (zero, partial and full batches, exact-edge
+    budgets, wide peeks) across many 1024-draw refills and at least one
+    compaction give bit-identical results and buffers after every step."""
+    fast, ref, top_fast, top_ref = _pair(inner, overhead, scaled)
+    r = np.random.default_rng(2024)
+    consumed = 0
+    while consumed <= _COMPACT + 5 * _REFILL:
+        consumed += _step(_random_op(r), top_fast, top_ref)
+        _same_buffer(fast, ref)
+    assert fast.inner._pos < consumed  # the buffer was compacted
+
+
+@pytest.mark.parametrize("inner", sorted(_INNERS))
+def test_windowed_search_refills_only_where_probe_search_does(inner):
+    """20 packets buffered, budget for 3: the probe search never looks
+    past the buffer, so it must not refill — and the wide peek that
+    follows must then split the prefix sums at the same draw."""
+    fast, ref, _, _ = _pair(inner, 100.0, False)
+    for model in (fast, ref):
+        model.consume(1)
+        model.consume(len(model.inner._cum) - 1 - model.inner._pos - 20)
+    _same_buffer(fast, ref)
+    budget = fast.peek_sum(3)
+    assert fast.consume_upto(budget, 32) == ref.consume_upto(budget, 32)
+    _same_buffer(fast, ref)
+    assert fast.peek_sum(3000) == ref.peek_sum(3000)
+    _same_buffer(fast, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       inner=st.sampled_from(sorted(_INNERS)),
+       overhead=st.sampled_from([0.0, 37.25, 100.0]),
+       scaled=st.booleans(),
+       n_ops=st.integers(1, 400))
+def test_windowed_overhead_search_property(seed, inner, overhead, scaled,
+                                           n_ops):
+    fast, ref, top_fast, top_ref = _pair(inner, overhead, scaled, seed=seed)
+    r = np.random.default_rng(seed)
+    for _ in range(n_ops):
+        _step(_random_op(r), top_fast, top_ref)
+        _same_buffer(fast, ref)
+
+
+def test_noninteger_cost_scenario_digest_matches_probe_search(monkeypatch):
+    """End to end, with cost models whose draws are not integers (so the
+    prefix sums' float grouping is observable): the windowed search and
+    the probe search yield the same scenario digest."""
+    from repro.analysis.export import result_to_dict
+    from repro.experiments.common import Scenario
+    from repro.runner.digest import digest_of
+
+    def run():
+        sc = Scenario(scheduler="NORMAL", features="NFVnice", seed=3)
+        streams = sc.rng_factory
+        nfs = [
+            sc.add_nf("normal", NormalCost(270.0, 90.0,
+                                           rng=streams.stream("cost-a")),
+                      core=0),
+            sc.add_nf("exp", ExponentialCost(300.0,
+                                             rng=streams.stream("cost-b")),
+                      core=0),
+            sc.add_nf("uniform", UniformCost(100.0, 400.0,
+                                             rng=streams.stream("cost-c")),
+                      core=0),
+        ]
+        assert all(type(nf.cost_model) is WithOverhead for nf in nfs)
+        sc.add_chain("chain", [nf.name for nf in nfs])
+        sc.add_flow("flow", "chain", line_rate_fraction=1.0)
+        res = sc.run(0.05)
+        # Every NF consumed past the compaction threshold.
+        assert min(s.processed for s in res.nfs.values()) > _COMPACT
+        return digest_of(result_to_dict(res))
+
+    windowed = run()
+    monkeypatch.setattr(WithOverhead, "consume_upto", _probe_consume_upto)
+    assert run() == windowed
