@@ -40,7 +40,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.steering import FlowSteerer, Placement
-from repro.cluster.topology import ClusterHost, ClusterTopology
+from repro.cluster.topology import (ClusterHost, ClusterTopology,
+                                    validate_slots)
 from repro.core.nf import NFProcess
 from repro.nfs.cost_models import FixedCost
 from repro.platform.chain import ServiceChain
@@ -110,10 +111,7 @@ class Autoscaler:
         self.template = template
         #: Free (host index, core id) capacity replicas may land on, in
         #: preference order.
-        self.slots = [(int(h), int(c)) for h, c in slots]
-        for h, _c in self.slots:
-            if not 0 <= h < len(topology.hosts):
-                raise ValueError(f"slot host {h} outside the cluster")
+        self.slots = validate_slots("slots", slots, len(topology.hosts))
         #: Optional shared :class:`~repro.obs.latency.FlowLatencyTracker`
         #: (the SLO-projection trigger is inert without it).
         self.latency = latency

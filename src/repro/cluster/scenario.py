@@ -29,7 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.cluster.autoscaler import Autoscaler, ChainTemplate
 from repro.cluster.steering import FlowSteerer, Placement
-from repro.cluster.topology import ClusterTopology, IngressPoint
+from repro.cluster.topology import (HOST_CORE_STRIDE, ClusterTopology,
+                                    IngressPoint, validate_slots)
 from repro.experiments.common import (
     ChainSummary,
     NFSummary,
@@ -111,12 +112,16 @@ class ClusterScenario:
         """Declare the service chain and its initial replica placements.
 
         ``placements`` is a sequence of ``(host_index, core_id)`` slots;
-        each gets one replica before the run starts.  Call once.
+        each gets one replica before the run starts.  Call once.  A host
+        outside the cluster or a core outside ``[0, 100)`` raises
+        :class:`ValueError` naming the offending ``placements[i]``.
         """
         if self.template is not None:
             raise RuntimeError("set_chain may only be called once")
+        initial = validate_slots("placements", placements,
+                                 len(self.topology.hosts))
         self.template = ChainTemplate(name, costs, slo_us=slo_us)
-        self._initial_placements = [(int(h), int(c)) for h, c in placements]
+        self._initial_placements = initial
 
     def enable_autoscaler(
         self,
@@ -286,7 +291,7 @@ class ClusterScenario:
                 busy = core.stats.busy_ns + core.stats.overhead_ns
                 nfs[nf.name] = NFSummary(
                     name=nf.name,
-                    core_id=host.index * 100 + core.core_id,
+                    core_id=host.index * HOST_CORE_STRIDE + core.core_id,
                     processed=nf.processed_packets,
                     processed_pps=nf.processed_packets / duration_s,
                     wasted_pps=nf.wasted_processed / duration_s,
@@ -305,7 +310,7 @@ class ClusterScenario:
                     restarts=nf.restarts,
                 )
             for core_id, core in mgr.cores.items():
-                core_utilization[host.index * 100 + core_id] = \
+                core_utilization[host.index * HOST_CORE_STRIDE + core_id] = \
                     core.stats.utilization(horizon_ns)
         return ScenarioResult(
             scheduler=self.scheduler,

@@ -27,7 +27,8 @@ replicas that did not exist when the run started.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 from repro.cluster.fabric import FabricLink
 from repro.platform.config import PlatformConfig
@@ -40,6 +41,38 @@ from repro.sim.engine import EventLoop
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.steering import FlowSteerer
     from repro.platform.multihost import HostLink
+
+
+#: Cluster-wide core keys are ``host_index * HOST_CORE_STRIDE + core_id``
+#: (``core_utilization``, ``NFSummary.core_id``), so a host has at most
+#: this many addressable cores.
+HOST_CORE_STRIDE = 100
+
+
+def validate_slots(field: str, slots: Sequence[Tuple[int, int]],
+                   n_hosts: int) -> List[Tuple[int, int]]:
+    """``slots`` as ``(host_index, core_id)`` int pairs, checked.
+
+    Raises :class:`ValueError` naming ``field[i]`` for an entry that is
+    not a pair, a host outside ``[0, n_hosts)`` or a core outside
+    ``[0, HOST_CORE_STRIDE)`` (which would collide in the cluster-wide
+    core keys).
+    """
+    checked: List[Tuple[int, int]] = []
+    for i, slot in enumerate(slots):
+        try:
+            host, core = (int(x) for x in slot)
+        except (TypeError, ValueError):
+            raise ValueError(f"{field}[{i}]: expected a (host, core) pair, "
+                             f"got {slot!r}") from None
+        if not 0 <= host < n_hosts:
+            raise ValueError(f"{field}[{i}]: host {host} outside the "
+                             f"cluster (0..{n_hosts - 1})")
+        if not 0 <= core < HOST_CORE_STRIDE:
+            raise ValueError(f"{field}[{i}]: core {core} outside "
+                             f"0..{HOST_CORE_STRIDE - 1}")
+        checked.append((host, core))
+    return checked
 
 
 class ClusterHost:

@@ -65,6 +65,8 @@ class NFManager:
         self.nfs: List["NFProcess"] = []
         self.cores: Dict[int, Core] = {}
         self._started = False
+        #: The instant start() ran: the origin of every poll grid.
+        self._epoch = 0
 
         # Observability (attach_observability() before start()).
         self.bus = None
@@ -141,7 +143,12 @@ class NFManager:
         return nf
 
     def _register_live_nf(self, nf: "NFProcess") -> None:
-        """Announce a post-start NF to every subsystem that scans a roster."""
+        """Announce a post-start NF to every subsystem that scans a roster.
+
+        The first NF of a manager started empty (an idle cluster host)
+        also arms its wakeup scan and Rx/Tx threads, which stay dormant
+        until then (see :meth:`_arm_threads`).
+        """
         assert self.wakeup is not None
         self.wakeup.add_nf(nf)
         if self.monitor is not None:
@@ -154,6 +161,8 @@ class NFManager:
             nf.io.on_unblock = self._io_unblock_callback(nf)
         if self.faults is not None:
             self.faults.watch_nf(nf)
+        if len(self.nfs) == 1:
+            self._arm_threads()
 
     # ------------------------------------------------------------------
     # Observability
@@ -284,7 +293,16 @@ class NFManager:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Wire and start the manager threads; idempotent."""
+        """Wire and start the manager threads; idempotent.
+
+        ``now`` becomes the epoch of every poll grid.  The wakeup scan and
+        the Rx/Tx threads are armed here only when the manager has an NF;
+        an empty manager arms them when its first NF registers, at the
+        first points of the same grids after that instant.  An NF-less
+        manager has no chain, Tx roster or NF to wake, so its polls could
+        only count unroutable packets (a dormant Rx thread leaves them in
+        the NIC ring instead).  The Monitor always starts here.
+        """
         if self._started:
             return
         self._started = True
@@ -323,8 +341,8 @@ class NFManager:
             for part in partitions if part
         ]
         if not self.tx_threads:
-            # No NFs yet is unusual but legal; keep one idle thread so the
-            # attribute is populated.
+            # An empty manager (an idle cluster host) keeps one thread for
+            # the NFs that register later.
             self.tx_threads = [TxThread(self.loop, [], self.nic, self.wakeup,
                                         self.backpressure, self.ecn, cfg)]
         if self.latency is not None or self.causality is not None:
@@ -346,13 +364,30 @@ class NFManager:
         for nf in self.nfs:
             if nf.io is not None and getattr(nf.io, "on_unblock", None) is None:
                 nf.io.on_unblock = self._io_unblock_callback(nf)
-        self.wakeup.start()
-        self.rx_thread.start()
-        stagger = cfg.tx_poll_ns // max(1, len(self.tx_threads))
-        for i, tx in enumerate(self.tx_threads):
-            tx.start(phase_ns=i * stagger)
+        self._epoch = self.loop.now
+        if self.nfs:
+            self._arm_threads()
         if self.faults is not None:
             self.faults.wire()
+
+    def _arm_threads(self) -> None:
+        """Arm the wakeup scan, the Rx thread and the Tx thread(s), in that
+        order, on the grid they would have had from :meth:`start`.
+
+        The only arming path: :meth:`start` takes it when the manager has
+        an NF (so every thread fires first one period after the epoch),
+        and an empty manager takes it when its first NF registers.  A
+        late arm fires each thread at its first grid point after now,
+        Tx phase stagger included; until then an NF-less manager's
+        threads would have had nothing to do.
+        """
+        assert self.wakeup is not None and self.rx_thread is not None
+        epoch = self._epoch
+        self.wakeup.start(epoch=epoch)
+        self.rx_thread.start(epoch=epoch)
+        stagger = self.config.tx_poll_ns // max(1, len(self.tx_threads))
+        for i, tx in enumerate(self.tx_threads):
+            tx.start(phase_ns=i * stagger, epoch=epoch)
 
     def _apply_numa_penalties(self) -> None:
         """Charge cross-socket chain hops (paper §1's NUMA concern).

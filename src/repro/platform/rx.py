@@ -19,6 +19,7 @@ from repro.platform.flow_table import FlowTable
 from repro.platform.nic import NIC
 from repro.platform.wakeup import WakeupSubsystem
 from repro.sched.base import TaskState
+from repro.sim.clock import grid_after
 from repro.sim.engine import EventHandle, EventLoop
 
 _BLOCKED = TaskState.BLOCKED
@@ -68,11 +69,28 @@ class RxThread:
         self._poll_ns = int(self.config.rx_poll_ns)
         self._tick: Optional[EventHandle] = None
 
-    def start(self) -> None:
-        if self._tick is None:
-            # Recurring handle re-armed in place by the loop — no per-poll
-            # event allocation (EventLoop.call_every).
-            self._tick = self.loop.call_every(self._poll_ns, self.poll)
+    def start(self, epoch: Optional[int] = None) -> None:
+        """Begin polling on the grid ``epoch + k·rx_poll_ns`` (``k >= 1``,
+        ``epoch`` defaults to now), from its first point after now.
+
+        A late start replays, one poll at a time, the budget carry of the
+        grid points it skipped, so the carry matches a thread that polled
+        from ``epoch`` (a closed form would not be bit-identical).
+        """
+        if self._tick is not None:
+            return
+        now = self.loop.now
+        origin = now if epoch is None else int(epoch)
+        first = grid_after(origin, self._poll_ns, now)
+        per_poll = self._budget_per_poll
+        if per_poll is not None:
+            for _ in range((first - origin) // self._poll_ns - 1):
+                self._budget_carry += per_poll
+                self._budget_carry -= int(self._budget_carry)
+        # Recurring handle re-armed in place by the loop — no per-poll
+        # event allocation (EventLoop.call_every).
+        self._tick = self.loop.call_every(self._poll_ns, self.poll,
+                                          first=first)
 
     def stop(self) -> None:
         if self._tick is not None:

@@ -24,6 +24,7 @@ from repro.platform.config import PlatformConfig
 from repro.platform.nic import NIC
 from repro.platform.wakeup import WakeupSubsystem
 from repro.sched.base import TaskState
+from repro.sim.clock import grid_after
 from repro.sim.engine import EventHandle, EventLoop
 
 _BLOCKED = TaskState.BLOCKED
@@ -73,13 +74,17 @@ class TxThread:
         self._poll_ns = int(self.config.tx_poll_ns)
         self._tick: Optional[EventHandle] = None
 
-    def start(self, phase_ns: int = 0) -> None:
-        """Begin polling; ``phase_ns`` staggers multiple Tx threads so they
-        interleave instead of firing back to back."""
+    def start(self, phase_ns: int = 0, epoch: Optional[int] = None) -> None:
+        """Begin polling on the grid ``epoch + phase_ns + k·tx_poll_ns``
+        (``k >= 1``, ``epoch`` defaults to now), from its first point after
+        now; ``phase_ns`` staggers multiple Tx threads so they interleave
+        instead of firing back to back."""
         if self._tick is None:
+            now = self.loop.now
+            origin = (now if epoch is None else int(epoch)) + int(phase_ns)
             self._tick = self.loop.call_every(
                 self._poll_ns, self.poll,
-                first=self.loop.now + self._poll_ns + int(phase_ns))
+                first=grid_after(origin, self._poll_ns, now))
 
     def stop(self) -> None:
         if self._tick is not None:

@@ -21,6 +21,7 @@ from typing import List, Optional, TYPE_CHECKING
 
 from repro.platform.config import PlatformConfig
 from repro.sched.base import TaskState
+from repro.sim.clock import grid_after
 from repro.sim.engine import EventHandle, EventLoop
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -48,9 +49,16 @@ class WakeupSubsystem:
         self._scan_ns = int(self.config.wakeup_scan_ns)
         self._tick: Optional[EventHandle] = None
 
-    def start(self) -> None:
+    def start(self, epoch: Optional[int] = None) -> None:
+        """Begin scanning on the grid ``epoch + k·wakeup_scan_ns``
+        (``k >= 1``, ``epoch`` defaults to now), from its first point
+        after now."""
         if self._tick is None:
-            self._tick = self.loop.call_every(self._scan_ns, self.scan)
+            now = self.loop.now
+            origin = now if epoch is None else int(epoch)
+            self._tick = self.loop.call_every(
+                self._scan_ns, self.scan,
+                first=grid_after(origin, self._scan_ns, now))
 
     def stop(self) -> None:
         if self._tick is not None:

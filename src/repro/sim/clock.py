@@ -38,3 +38,14 @@ def cycles_to_ns(cycles: float, freq_hz: float = CPU_FREQ_HZ) -> float:
 def ns_to_cycles(ns: float, freq_hz: float = CPU_FREQ_HZ) -> float:
     """Convert nanoseconds to CPU cycles at ``freq_hz``."""
     return ns * freq_hz / SEC
+
+
+def grid_after(origin: int, period: int, now: int) -> int:
+    """The first point of the grid ``origin + k·period`` (``k >= 1``) that
+    lies strictly after ``now``.
+
+    A periodic thread started at ``origin`` first fires at
+    ``origin + period``; this is where the same thread fires next when it
+    is armed late, at ``now``, without shifting its phase.
+    """
+    return origin + period * max(1, (now - origin) // period + 1)

@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.analysis.export import result_to_dict
+from repro.experiments import cluster_scaling
 from repro.cluster import (
     Autoscaler,
     ChainTemplate,
@@ -33,6 +34,10 @@ from repro.obs.session import ObsSession
 from repro.platform.manager import NFManager
 from repro.platform.nic import WIRE_OVERHEAD_BYTES
 from repro.platform.packet import Flow
+from repro.platform.rx import RxThread
+from repro.platform.tx import TxThread
+from repro.platform.wakeup import WakeupSubsystem
+from repro.runner.digest import digest_of
 from repro.sim.clock import MSEC, SEC, USEC
 
 
@@ -354,6 +359,18 @@ class TestAutoscaler:
         with pytest.raises(ValueError, match="outside the cluster"):
             Autoscaler(topology, steerer, template, [(7, 0)])
 
+    @pytest.mark.parametrize("slot,match", [
+        ((-1, 0), r"slots\[1\]: host -1 outside the cluster"),
+        ((2, 0), r"slots\[1\]: host 2 outside the cluster"),
+        ((1, -3), r"slots\[1\]: core -3 outside 0\.\.99"),
+        ((1, 100), r"slots\[1\]: core 100 outside 0\.\.99"),
+        ((1,), r"slots\[1\]: expected a \(host, core\) pair"),
+    ])
+    def test_bad_slots_name_the_entry(self, loop, slot, match):
+        topology, steerer, template = small_cluster(loop)
+        with pytest.raises(ValueError, match=match):
+            Autoscaler(topology, steerer, template, [(1, 0), slot])
+
 
 # ----------------------------------------------------------------------
 # ClusterScenario end-to-end
@@ -464,6 +481,19 @@ class TestClusterScenario:
         with pytest.raises(ValueError, match="undeclared SLO class"):
             scenario.add_flow("f0", rate_pps=1000, slo_class="missing")
 
+    @pytest.mark.parametrize("placement,match", [
+        ((-1, 0), r"placements\[0\]: host -1 outside the cluster \(0\.\.1\)"),
+        ((5, 0), r"placements\[0\]: host 5 outside the cluster \(0\.\.1\)"),
+        ((1, -1), r"placements\[0\]: core -1 outside 0\.\.99"),
+        ((0, 100), r"placements\[0\]: core 100 outside 0\.\.99"),
+    ])
+    def test_bad_placements_fail_at_set_chain(self, placement, match):
+        scenario = ClusterScenario(n_hosts=2)
+        with pytest.raises(ValueError, match=match):
+            scenario.set_chain("svc", (100.0,), placements=(placement,))
+        # The rejected call left nothing half-declared.
+        scenario.set_chain("svc", (100.0,), placements=((1, 99),))
+
 
 # ----------------------------------------------------------------------
 # Monitor cluster snapshot
@@ -560,3 +590,107 @@ class TestLinkMetrics:
         assert "cluster2/NORMAL/NFVnice/h0" in labels
         assert "cluster2/NORMAL/NFVnice/h1" in labels
         assert "cluster2/NORMAL/NFVnice" in labels
+
+
+# ----------------------------------------------------------------------
+# Dormant manager threads on NF-less hosts
+# ----------------------------------------------------------------------
+def run_recorded_cell(monkeypatch, workload, hosts, mode, duration_s):
+    """Run one cluster_scaling cell; return its scenario, its result and
+    every Rx/Tx/wakeup fire instant, keyed by thread object."""
+    fires = {}
+    for cls, name in ((RxThread, "poll"), (TxThread, "poll"),
+                      (WakeupSubsystem, "scan")):
+        original = getattr(cls, name)
+
+        def recording(self, _original=original):
+            fires.setdefault(self, []).append(self.loop.now)
+            _original(self)
+
+        monkeypatch.setattr(cls, name, recording)
+    built = []
+
+    class Recorded(ClusterScenario):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(cluster_scaling, "ClusterScenario", Recorded)
+    result = cluster_scaling.run_case(workload, hosts, mode,
+                                      duration_s=duration_s)
+    return built[0], result, fires
+
+
+def manager_threads(mgr):
+    return [mgr.wakeup, mgr.rx_thread, *mgr.tx_threads]
+
+
+class TestDormantHostThreads:
+    def test_static_cell_leaves_empty_hosts_unarmed(self, monkeypatch):
+        scenario, _result, fires = run_recorded_cell(
+            monkeypatch, "flash", 8, "static", duration_s=0.02)
+        hosts = scenario.topology.hosts
+        assert [len(h.manager.nfs) > 0 for h in hosts] == [True] + [False] * 7
+        for thread in manager_threads(hosts[0].manager):
+            assert thread._tick is not None and fires[thread]
+        for host in hosts[1:]:
+            mgr = host.manager
+            for thread in manager_threads(mgr):
+                assert thread._tick is None
+                assert thread not in fires
+            ring = mgr.nic.rx_ring
+            assert (ring.enqueued_total, ring.dequeued_total,
+                    ring.dropped_total) == (0, 0, 0)
+            assert (mgr.nic.tx_packets, mgr.nic.tx_bytes) == (0, 0)
+
+    def test_scale_out_arms_on_the_start_grid(self, monkeypatch):
+        scenario, result, fires = run_recorded_cell(
+            monkeypatch, "mmpp", 2, "auto", duration_s=0.13)
+        event = result.resilience["cluster"]["autoscaler"]["events"][0]
+        assert (event["kind"], event["host"]) == ("scale_out", "h1")
+        t_out = event["t_ns"]
+        mgr = scenario.topology.hosts[1].manager
+        cfg = mgr.config
+        assert len(mgr.tx_threads) == 1
+        # A lone Tx thread has phase 0, so all three grids are k·period
+        # from the epoch at t=0.
+        grids = [(mgr.wakeup, cfg.wakeup_scan_ns),
+                 (mgr.rx_thread, cfg.rx_poll_ns),
+                 (mgr.tx_threads[0], cfg.tx_poll_ns)]
+        for thread, period in grids:
+            times = fires[thread]
+            # The autoscaler's 5 ms tick sits on every grid, so the first
+            # fire is one period later, not at the scale-out instant.
+            assert t_out % period == 0
+            assert times[0] == t_out + period
+            assert all(t % period == 0 for t in times)
+            assert all(b - a == period for a, b in zip(times, times[1:]))
+            assert times[-1] >= scenario.loop.now - period
+
+
+#: ``result_digest(run_case(w, h, "auto", duration_s=0.35, seed=s))`` as
+#: computed before idle hosts stopped polling.  The flash crowd draws no
+#: randomness, so its digest does not depend on the seed; the mmpp cells
+#: scale out onto empty hosts and so exercise the late-arm path.
+PINNED_AUTO_DIGESTS = {
+    ("flash", 2, 1): "ff02942f2b29c19fbe80ba0e39342ffffbd7bee61e46df9ed162ec5852e5bb69",
+    ("flash", 2, 2): "ff02942f2b29c19fbe80ba0e39342ffffbd7bee61e46df9ed162ec5852e5bb69",
+    ("flash", 2, 7): "ff02942f2b29c19fbe80ba0e39342ffffbd7bee61e46df9ed162ec5852e5bb69",
+    ("flash", 8, 1): "81ff20da323ef9ae99ce07fd8a8ebf078ae290c7fb4a36fae193647f6c3c2fe2",
+    ("flash", 8, 2): "81ff20da323ef9ae99ce07fd8a8ebf078ae290c7fb4a36fae193647f6c3c2fe2",
+    ("flash", 8, 7): "81ff20da323ef9ae99ce07fd8a8ebf078ae290c7fb4a36fae193647f6c3c2fe2",
+    ("mmpp", 2, 1): "3bec6a2299b285dadcb36eea820886daa18a781fe90995735826ab60c77846de",
+    ("mmpp", 2, 2): "c6cc857a898b0870107114e35e5cd6e278ca662dcd4c8556e6eed55048ffd0ad",
+    ("mmpp", 2, 7): "ad8387f9d8fd051af3837e6dbf9a258628b2a4d59894d5bdfedb76a54389383f",
+    ("mmpp", 8, 1): "9dd429e5890d23060f1401f5925ff2477373981335535cd24a7ec7f7a362deea",
+    ("mmpp", 8, 2): "1aa2b1c976a8bb55d3a1ca9fa89f8433ac083f3a75a819316752ddd48dd96545",
+    ("mmpp", 8, 7): "33230edf9f01a5478aab6b3308b2022adbf39d2fce638b4fc79a0f9be495860f",
+}
+
+
+@pytest.mark.parametrize("workload,hosts,seed", sorted(PINNED_AUTO_DIGESTS))
+def test_auto_cell_digest_pinned(workload, hosts, seed):
+    result = cluster_scaling.run_case(workload, hosts, "auto",
+                                      duration_s=0.35, seed=seed)
+    assert digest_of(result_to_dict(result)) \
+        == PINNED_AUTO_DIGESTS[workload, hosts, seed]

@@ -6,6 +6,7 @@ from repro.core.nf import NFProcess
 from repro.nfs.cost_models import FixedCost
 from repro.platform.manager import NFManager
 from repro.platform.packet import Flow
+from repro.platform.tx import TxThread
 from repro.sched.base import TaskState
 from repro.sim.clock import MSEC, SEC, USEC
 from repro.sim.engine import EventLoop
@@ -248,3 +249,74 @@ class TestMultipleTxThreads:
         mgr, *_ = build(loop, config)
         mgr.start()
         assert mgr.tx_thread is mgr.tx_threads[0]
+
+
+class TestThreadArming:
+    """Rx/Tx/wakeup threads arm on the start-time grid, and only once the
+    manager has an NF."""
+
+    def test_start_arms_one_period_after_the_epoch(self, loop, config):
+        import dataclasses
+
+        cfg = dataclasses.replace(config, num_tx_threads=2)
+        loop.run_until(7 * USEC)
+        mgr, *_ = build(loop, cfg)
+        mgr.start()
+        assert mgr.wakeup._tick.time == 7 * USEC + cfg.wakeup_scan_ns
+        assert mgr.rx_thread._tick.time == 7 * USEC + cfg.rx_poll_ns
+        stagger = cfg.tx_poll_ns // 2
+        assert [tx._tick.time for tx in mgr.tx_threads] == [
+            7 * USEC + cfg.tx_poll_ns + i * stagger for i in range(2)]
+
+    def test_empty_manager_arms_on_its_first_nf(self, loop, config):
+        mgr = NFManager(loop, config=config)
+        mgr.start()
+        threads = [mgr.wakeup, mgr.rx_thread, *mgr.tx_threads]
+        assert all(t._tick is None for t in threads)
+        loop.run_until(1234 * USEC)
+        nf = mgr.add_nf(NFProcess("nf1", FixedCost(100), config=config))
+        assert nf in mgr.tx_threads[0].nfs
+        assert mgr.wakeup._tick.time == 1300 * USEC
+        assert mgr.rx_thread._tick.time == 1250 * USEC
+        assert mgr.tx_threads[0]._tick.time == 1250 * USEC
+
+    def test_late_tx_arm_keeps_its_phase(self, loop, config):
+        mgr = NFManager(loop, config=config)
+        mgr.start()
+        tx = TxThread(loop, [], mgr.nic, mgr.wakeup, None, None, config)
+        loop.run_until(137 * USEC)
+        tx.start(phase_ns=20 * USEC, epoch=0)
+        assert tx._tick.time == 170 * USEC      # grid 70, 120, 170, ...
+
+    def test_late_arm_replays_the_budget_carry(self, config):
+        """A non-integral per-poll Rx budget: the carry of a thread armed
+        late equals, bit for bit, a loop of the per-poll float ops, and
+        stays equal to an always-armed thread's from then on."""
+        import dataclasses
+
+        cfg = dataclasses.replace(config, rx_thread_max_pps=6_800_001.0)
+        eager_loop, late_loop = EventLoop(), EventLoop()
+        eager = NFManager(eager_loop, config=cfg)
+        eager.add_nf(NFProcess("nf1", FixedCost(100), config=cfg))
+        eager.start()
+        late = NFManager(late_loop, config=cfg)
+        late.start()
+        t_arm = 3 * MSEC + 20 * USEC
+        late_loop.run_until(t_arm)
+        late.add_nf(NFProcess("nf1", FixedCost(100), config=cfg))
+
+        per_poll = late.rx_thread._budget_per_poll
+        assert per_poll != int(per_poll)
+        skipped = t_arm // cfg.rx_poll_ns
+        carry = 0.0
+        for _ in range(skipped):
+            carry += per_poll
+            carry -= int(carry)
+        assert carry != 0.0
+        assert late.rx_thread._budget_carry == carry    # exact, not approx
+        assert late.rx_thread._tick.time == (skipped + 1) * cfg.rx_poll_ns
+
+        end = 9 * MSEC + 1
+        eager_loop.run_until(end)
+        late_loop.run_until(end)
+        assert late.rx_thread._budget_carry == eager.rx_thread._budget_carry
