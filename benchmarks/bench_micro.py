@@ -1,8 +1,8 @@
 """Microbenchmarks of the simulator's hot data structures.
 
 Not paper artifacts — these justify the engineering choices (segment
-rings, lazy event cancellation, rbtree runqueue) by measuring the
-operations the simulation spends its time in.
+rings, lazy event cancellation, sorted-list CFS runqueue) by measuring
+the operations the simulation spends its time in.
 """
 
 import numpy as np
@@ -10,7 +10,8 @@ import numpy as np
 from repro.nfs.cost_models import ChoiceCost
 from repro.platform.packet import Flow
 from repro.platform.ring import PacketRing
-from repro.sched.rbtree import RBTree
+from repro.sched.base import CoreTask
+from repro.sched.cfs import CFSScheduler
 from repro.sim.engine import EventLoop
 
 
@@ -40,15 +41,17 @@ def test_ring_enqueue_dequeue(benchmark):
     benchmark(run)
 
 
-def test_rbtree_insert_pop(benchmark):
-    keys = np.random.default_rng(0).random(2_000)
-
+def test_cfs_enqueue_pick(benchmark):
+    """A 10-task runqueue (the longest fig16 chain on one core): each
+    dispatch picks the lowest vruntime, charges it and requeues it."""
     def run():
-        tree = RBTree()
-        for k in keys:
-            tree.insert(float(k), k)
-        while len(tree):
-            tree.pop_min()
+        sched = CFSScheduler()
+        for i in range(10):
+            sched.enqueue(CoreTask(f"nf{i}"), 0, wakeup=True)
+        for _ in range(2_000):
+            task = sched.pick_next(0)
+            sched.charge(task, 50_000.0)
+            sched.enqueue(task, 0, wakeup=False)
 
     benchmark(run)
 

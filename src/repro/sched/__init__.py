@@ -5,8 +5,8 @@ whichever scheduler is in use through cgroup weights and voluntary yields.
 Reproducing that claim requires faithful scheduler models to tune:
 
 * :mod:`~repro.sched.cfs` — the Completely Fair Scheduler: per-task virtual
-  runtime scaled by cgroup weight, a red-black-tree runqueue ordered by
-  vruntime, ``sched_latency``-derived time slices, and wakeup preemption.
+  runtime scaled by cgroup weight, a runqueue kept sorted by vruntime,
+  ``sched_latency``-derived time slices, and wakeup preemption.
   ``SCHED_BATCH`` is the same engine with wakeup preemption disabled and a
   coarser quantum.
 * :mod:`~repro.sched.rr` — ``SCHED_RR`` with a fixed quantum (the paper uses

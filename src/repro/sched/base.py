@@ -19,6 +19,7 @@ events without rollback.
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,7 +91,8 @@ class CoreTask:
         self.stats = TaskStats()
         self.core: Optional["Core"] = None  # set by Core.add_task
         self.last_ready_ns: int = 0
-        # Policy bookkeeping slot (e.g. CFS rbtree node); owned by the policy.
+        # Policy bookkeeping slot (e.g. the CFS runqueue entry); owned by
+        # the policy.
         self.sched_node = None
 
     # -- cgroup weight -------------------------------------------------
@@ -161,3 +163,15 @@ class Scheduler:
     def nr_ready(self) -> int:
         """Number of tasks currently queued (excluding the running one)."""
         raise NotImplementedError
+
+
+def rq_insert(q: list, entry: tuple) -> None:
+    """Insert ``entry`` — ``(key, seq, task)`` — into the sorted runqueue ``q``.
+
+    ``seq`` grows with every insert, so an entry whose key is at least the
+    tail's sorts last: the common requeue appends without a search.
+    """
+    if not q or entry[0] >= q[-1][0]:
+        q.append(entry)
+    else:
+        insort(q, entry)

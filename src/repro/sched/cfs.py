@@ -3,7 +3,7 @@
 Faithful to the kernel mechanics the paper leans on (§2.2):
 
 * every task carries a monotonically increasing **virtual runtime**; the
-  runqueue is a red-black tree ordered by vruntime and the leftmost task
+  runqueue is kept sorted by vruntime and the task with the lowest one
   runs next;
 * vruntime accrues as ``wall_time * NICE_0_WEIGHT / task.weight`` — this is
   precisely how cgroup cpu.shares written by NFVnice's Monitor steer the
@@ -19,10 +19,10 @@ Faithful to the kernel mechanics the paper leans on (§2.2):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
-from repro.sched.base import CoreTask, Scheduler
-from repro.sched.rbtree import RBTree
+from repro.sched.base import CoreTask, Scheduler, rq_insert
 from repro.sim.clock import MSEC, USEC
 
 #: The weight of a nice-0 task; cgroup cpu.shares defaults to this.
@@ -41,11 +41,21 @@ class CFSScheduler(Scheduler):
         wakeup_granularity_ns: int = 1 * MSEC,
         wakeup_preemption: bool = True,
     ):
+        if sched_latency_ns <= 0:
+            raise ValueError("sched_latency_ns must be positive")
+        if min_granularity_ns <= 0:
+            raise ValueError("min_granularity_ns must be positive")
+        if wakeup_granularity_ns < 0:
+            raise ValueError("wakeup_granularity_ns must be non-negative")
         self.sched_latency_ns = int(sched_latency_ns)
         self.min_granularity_ns = int(min_granularity_ns)
         self.wakeup_granularity_ns = int(wakeup_granularity_ns)
         self.wakeup_preemption = wakeup_preemption
-        self._tree = RBTree()
+        #: Runqueue: ``(vruntime, seq, task)`` entries kept sorted, so the
+        #: task to run next is ``_rq[0]`` and equal vruntimes run in
+        #: enqueue order.
+        self._rq: list = []
+        self._seq = 0
         self._ready_weight = 0
         self.min_vruntime = 0.0
 
@@ -63,20 +73,28 @@ class CFSScheduler(Scheduler):
             floor = self.min_vruntime - self.sched_latency_ns / 2.0
             if task.vruntime < floor:
                 task.vruntime = floor
-        task.sched_node = self._tree.insert(task.vruntime, task)
+        self._seq += 1
+        entry = task.sched_node = (task.vruntime, self._seq, task)
+        rq_insert(self._rq, entry)
         self._ready_weight += task.weight
 
     def dequeue(self, task: CoreTask, now_ns: int) -> None:
-        if task.sched_node is None:
+        entry = task.sched_node
+        if entry is None:
             return
-        self._tree.remove(task.sched_node)
+        q = self._rq
+        i = bisect_left(q, entry)
+        if i == len(q) or q[i] is not entry:
+            raise RuntimeError(f"{task.name} is not in this runqueue")
+        del q[i]
         task.sched_node = None
         self._ready_weight -= task.weight
 
     def pick_next(self, now_ns: int) -> Optional[CoreTask]:
-        task = self._tree.pop_min()
-        if task is None:
+        q = self._rq
+        if not q:
             return None
+        task = q.pop(0)[2]
         task.sched_node = None
         self._ready_weight -= task.weight
         self._advance_min_vruntime(task.vruntime)
@@ -87,7 +105,7 @@ class CFSScheduler(Scheduler):
     # ------------------------------------------------------------------
     def time_slice(self, task: CoreTask, now_ns: int) -> float:
         """The kernel's ``sched_slice()``: weight share of the period."""
-        nr_running = len(self._tree) + 1  # queued plus the task dispatching
+        nr_running = len(self._rq) + 1  # queued plus the task dispatching
         period = max(self.sched_latency_ns, nr_running * self.min_granularity_ns)
         total_weight = self._ready_weight + task.weight
         slice_ns = period * task.weight / total_weight
@@ -99,9 +117,9 @@ class CFSScheduler(Scheduler):
 
     def _advance_min_vruntime(self, running_vruntime: float) -> None:
         candidate = running_vruntime
-        left = self._tree.min_key()
-        if left is not None and left < candidate:
-            candidate = left
+        q = self._rq
+        if q and q[0][0] < candidate:
+            candidate = q[0][0]
         if candidate > self.min_vruntime:
             self.min_vruntime = candidate
 
@@ -127,7 +145,7 @@ class CFSScheduler(Scheduler):
 
     @property
     def nr_ready(self) -> int:
-        return len(self._tree)
+        return len(self._rq)
 
 
 class CFSBatchScheduler(CFSScheduler):

@@ -90,6 +90,12 @@ class Core:
         self.core_id = core_id
         #: NUMA socket this core belongs to.
         self.socket = int(socket)
+        if not ctx_switch_ns >= 0:
+            raise ValueError("ctx_switch_ns must be non-negative")
+        if max_segment_ns != float("inf") and not max_segment_ns >= 1:
+            # A zero-length segment would re-slice at the same instant
+            # forever.
+            raise ValueError("max_segment_ns must be inf or at least 1 ns")
         #: Context-switch cost in whole nanoseconds: overhead delays the
         #: first run segment, so it must land on an event-time boundary.
         self.ctx_switch_ns = int(ctx_switch_ns)

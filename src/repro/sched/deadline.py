@@ -3,7 +3,7 @@
 Two halves of one control loop:
 
 * :class:`DeadlineCFSScheduler` — the *policy* half.  Plain CFS mechanics
-  (weighted vruntime, rbtree runqueue, kernel time slices) so every
+  (weighted vruntime, sorted runqueue, kernel time slices) so every
   fairness property of :class:`~repro.sched.cfs.CFSScheduler` still
   holds, plus deadline cognizance at the two points a policy can act
   without touching vruntime: a waking task whose head-of-ring deadline is
@@ -77,6 +77,10 @@ class DeadlineCFSScheduler(CFSScheduler):
         )
         if default_slo_ns <= 0:
             raise ValueError("default_slo_ns must be positive")
+        if urgency_ns < 0:
+            raise ValueError("urgency_ns must be non-negative")
+        if urgent_slice_ns <= 0:
+            raise ValueError("urgent_slice_ns must be positive")
         self.default_slo_ns = int(default_slo_ns)
         #: Remaining slack at or below which a task counts as urgent.
         self.urgency_ns = int(urgency_ns)

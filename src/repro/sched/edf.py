@@ -33,10 +33,10 @@ consistently, and the policy intentionally exposes no ``min_vruntime``
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
-from repro.sched.base import CoreTask, Scheduler
-from repro.sched.rbtree import RBTree
+from repro.sched.base import CoreTask, Scheduler, rq_insert
 from repro.sim.clock import MSEC
 
 
@@ -73,7 +73,10 @@ class EDFScheduler(Scheduler):
         self.default_slo_ns = int(default_slo_ns)
         self.quantum_ns = int(quantum_ns)
         self.wakeup_preemption = wakeup_preemption
-        self._tree = RBTree()
+        #: Runqueue: ``(deadline, seq, task)`` entries kept sorted, so the
+        #: earliest deadline is ``_rq[0]`` and ties run in enqueue order.
+        self._rq: list = []
+        self._seq = 0
 
     # ------------------------------------------------------------------
     # Runqueue membership
@@ -85,18 +88,26 @@ class EDFScheduler(Scheduler):
         # exhausted quantum — so the key tracks the ring head as it drains.
         deadline = task_deadline(task, now_ns, self.default_slo_ns)
         task.edf_deadline_ns = deadline
-        task.sched_node = self._tree.insert(deadline, task)
+        self._seq += 1
+        entry = task.sched_node = (deadline, self._seq, task)
+        rq_insert(self._rq, entry)
 
     def dequeue(self, task: CoreTask, now_ns: int) -> None:
-        if task.sched_node is None:
+        entry = task.sched_node
+        if entry is None:
             return
-        self._tree.remove(task.sched_node)
+        q = self._rq
+        i = bisect_left(q, entry)
+        if i == len(q) or q[i] is not entry:
+            raise RuntimeError(f"{task.name} is not in this runqueue")
+        del q[i]
         task.sched_node = None
 
     def pick_next(self, now_ns: int) -> Optional[CoreTask]:
-        task = self._tree.pop_min()
-        if task is None:
+        q = self._rq
+        if not q:
             return None
+        task = q.pop(0)[2]
         task.sched_node = None
         return task
 
@@ -130,4 +141,4 @@ class EDFScheduler(Scheduler):
 
     @property
     def nr_ready(self) -> int:
-        return len(self._tree)
+        return len(self._rq)

@@ -7,6 +7,7 @@ import pytest
 from repro.sched.base import CoreTask, ExecOutcome, ExecResult, TaskState
 from repro.sched.cfs import CFSScheduler
 from repro.sched.core import Core
+from repro.sched.deadline import DeadlineCFSScheduler
 from repro.sched.rr import RRScheduler
 from repro.sim.clock import MSEC, SEC, USEC
 
@@ -202,6 +203,55 @@ class TestSegmentCap:
         loop.run_until(MSEC)
         # 1ms of run in <=50us segments: at least 20 events fired.
         assert t.stats.runtime_ns == pytest.approx(MSEC, rel=0.01)
+
+    def test_one_ns_segments_still_progress(self, loop):
+        core = make_core(loop, max_segment_ns=1.5)
+        t = GreedyTask("t")
+        core.add_task(t)
+        core.wake(t)
+        loop.run_until(20 * USEC)
+        assert t.stats.runtime_ns == pytest.approx(20 * USEC)
+
+
+class TestZeroSliceRejected:
+    """A zero slice or segment would re-slice at one instant forever, so
+    the constructors refuse it and name the field."""
+
+    @pytest.mark.parametrize("value", [0, 0.4, -5, float("nan")])
+    def test_core_max_segment(self, loop, value):
+        with pytest.raises(ValueError, match="max_segment_ns"):
+            make_core(loop, max_segment_ns=value)
+
+    @pytest.mark.parametrize("value", [-1, float("nan")])
+    def test_core_ctx_switch(self, loop, value):
+        with pytest.raises(ValueError, match="ctx_switch_ns"):
+            Core(loop, CFSScheduler(), ctx_switch_ns=value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("sched_latency_ns", 0),
+        ("sched_latency_ns", -MSEC),
+        ("min_granularity_ns", 0),
+        ("wakeup_granularity_ns", -1),
+    ])
+    def test_cfs_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CFSScheduler(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            DeadlineCFSScheduler(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("urgency_ns", -1),
+        ("urgent_slice_ns", 0),
+    ])
+    def test_deadline_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DeadlineCFSScheduler(**{field: value})
+
+    def test_boundary_values_accepted(self, loop):
+        CFSScheduler(min_granularity_ns=1, sched_latency_ns=1,
+                     wakeup_granularity_ns=0)
+        DeadlineCFSScheduler(urgency_ns=0, urgent_slice_ns=1)
+        Core(loop, CFSScheduler(), ctx_switch_ns=0, max_segment_ns=1)
 
 
 class TestInterrupt:
