@@ -1,129 +1,143 @@
-"""Unit and property tests for the CFS red-black tree."""
+"""Unit and property tests for the CFS sorted-list runqueue.
 
-import pytest
+The module keeps its old name from when CFS queued tasks in a red-black
+tree; the same contract now holds for ``CFSScheduler._rq``, a list of
+``(vruntime, seq, task)`` entries kept sorted by ``rq_insert``.  Tasks are
+enqueued with ``wakeup=False`` so their keys are exactly the vruntimes set
+here (no sleeper floor).
+"""
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sched.rbtree import BLACK, RED, RBTree
+from repro.sched.base import CoreTask
+from repro.sched.cfs import CFSScheduler
 
 
-def check_rb_invariants(tree: RBTree) -> None:
-    """Root black, no red-red edges, equal black heights, BST order,
-    leftmost pointer correct."""
+def check_rq_invariants(rq: CFSScheduler) -> None:
+    """Entries strictly ordered by (key, seq), each entry is its task's
+    handle and keyed by its vruntime, counts and ready weight agree."""
+    q = rq._rq
+    for a, b in zip(q, q[1:]):
+        assert (a[0], a[1]) < (b[0], b[1]), "runqueue out of order"
+    for key, _, task in q:
+        assert task.sched_node is not None and task.sched_node[2] is task
+        assert task.sched_node is q[q.index(task.sched_node)]
+        assert key == task.vruntime
+    assert len({id(e[2]) for e in q}) == len(q), "task queued twice"
+    assert rq.nr_ready == len(q)
+    assert rq._ready_weight == sum(e[2].weight for e in q)
 
-    def walk(node):
-        if node is None:
-            return 1, None, None
-        if node.color is RED:
-            assert node.parent is None or node.parent.color is BLACK, \
-                "red node with red parent"
-        lb, lmin, lmax = walk(node.left)
-        rb, rmin, rmax = walk(node.right)
-        assert lb == rb, "black-height mismatch"
-        if lmax is not None:
-            assert (lmax.key, lmax.seq) < (node.key, node.seq)
-        if rmin is not None:
-            assert (node.key, node.seq) < (rmin.key, rmin.seq)
-        height = lb + (0 if node.color is RED else 1)
-        return height, (lmin or node), (rmax or node)
 
-    if tree.root is not None:
-        assert tree.root.color is BLACK
-        _, leftmost, _ = walk(tree.root)
-        assert tree.min_node() is leftmost
-    else:
-        assert tree.min_node() is None
+def insert(rq: CFSScheduler, key, name=None) -> CoreTask:
+    task = CoreTask(name if name is not None else f"k{key}")
+    task.vruntime = key
+    rq.enqueue(task, 0, wakeup=False)
+    return task
+
+
+def keys(rq: CFSScheduler) -> list:
+    return [e[0] for e in rq._rq]
+
+
+def pop_min(rq: CFSScheduler):
+    task = rq.pick_next(0)
+    return None if task is None else task.vruntime
 
 
 class TestBasics:
     def test_empty(self):
-        tree = RBTree()
-        assert len(tree) == 0
-        assert tree.min_node() is None
-        assert tree.min_key() is None
-        assert tree.pop_min() is None
+        rq = CFSScheduler()
+        assert rq.nr_ready == 0
+        assert rq._rq == []
+        assert rq.pick_next(0) is None
+        assert rq.min_vruntime == 0.0
+        check_rq_invariants(rq)
 
     def test_single_insert(self):
-        tree = RBTree()
-        tree.insert(5.0, "a")
-        assert len(tree) == 1
-        assert tree.min_key() == 5.0
-        check_rb_invariants(tree)
+        rq = CFSScheduler()
+        task = insert(rq, 5.0, "a")
+        assert rq.nr_ready == 1
+        assert rq._rq[0][0] == 5.0
+        assert task.sched_node is rq._rq[0]
+        check_rq_invariants(rq)
 
     def test_pop_min_returns_smallest(self):
-        tree = RBTree()
+        rq = CFSScheduler()
         for key in (5, 1, 9, 3, 7):
-            tree.insert(key, key)
-        assert tree.pop_min() == 1
-        assert tree.pop_min() == 3
-        assert len(tree) == 3
-        check_rb_invariants(tree)
+            insert(rq, key)
+        assert pop_min(rq) == 1
+        assert pop_min(rq) == 3
+        assert rq.nr_ready == 3
+        check_rq_invariants(rq)
 
     def test_duplicate_keys_fifo(self):
-        tree = RBTree()
-        tree.insert(1.0, "first")
-        tree.insert(1.0, "second")
-        assert tree.pop_min() == "first"
-        assert tree.pop_min() == "second"
+        rq = CFSScheduler()
+        first = insert(rq, 1.0, "first")
+        second = insert(rq, 1.0, "second")
+        assert rq.pick_next(0) is first
+        assert rq.pick_next(0) is second
 
     def test_remove_specific_node(self):
-        tree = RBTree()
-        nodes = {k: tree.insert(k, k) for k in (4, 2, 6, 1, 3, 5, 7)}
-        tree.remove(nodes[4])
-        assert len(tree) == 6
-        assert [k for k, _ in tree.items()] == [1, 2, 3, 5, 6, 7]
-        check_rb_invariants(tree)
+        rq = CFSScheduler()
+        tasks = {k: insert(rq, k) for k in (4, 2, 6, 1, 3, 5, 7)}
+        rq.dequeue(tasks[4], 0)
+        assert tasks[4].sched_node is None
+        assert rq.nr_ready == 6
+        assert keys(rq) == [1, 2, 3, 5, 6, 7]
+        check_rq_invariants(rq)
 
     def test_remove_leftmost_updates_min(self):
-        tree = RBTree()
-        nodes = {k: tree.insert(k, k) for k in (3, 1, 2)}
-        tree.remove(nodes[1])
-        assert tree.min_key() == 2
-        check_rb_invariants(tree)
+        rq = CFSScheduler()
+        tasks = {k: insert(rq, k) for k in (3, 1, 2)}
+        rq.dequeue(tasks[1], 0)
+        assert rq._rq[0][0] == 2
+        assert pop_min(rq) == 2
+        check_rq_invariants(rq)
 
     def test_items_in_order(self):
-        tree = RBTree()
+        rq = CFSScheduler()
         for k in (9, 1, 8, 2, 7, 3):
-            tree.insert(k, k)
-        assert [k for k, _ in tree.items()] == [1, 2, 3, 7, 8, 9]
+            insert(rq, k)
+        assert keys(rq) == [1, 2, 3, 7, 8, 9]
 
     def test_ascending_insertions(self):
-        tree = RBTree()
+        rq = CFSScheduler()
         for k in range(100):
-            tree.insert(k, k)
-            check_rb_invariants(tree)
-        assert len(tree) == 100
+            insert(rq, k)
+            check_rq_invariants(rq)
+        assert rq.nr_ready == 100
+        assert keys(rq) == list(range(100))
 
     def test_descending_insertions(self):
-        tree = RBTree()
+        rq = CFSScheduler()
         for k in reversed(range(100)):
-            tree.insert(k, k)
-        check_rb_invariants(tree)
-        assert tree.min_key() == 0
+            insert(rq, k)
+        check_rq_invariants(rq)
+        assert rq._rq[0][0] == 0
+        assert keys(rq) == list(range(100))
 
 
 @given(st.lists(st.tuples(st.sampled_from(["ins", "del"]),
                           st.integers(0, 30)), max_size=120))
 @settings(max_examples=150, deadline=None)
 def test_random_operations_preserve_invariants(ops):
-    """Any interleaving of inserts and deletes keeps RB properties and
-    matches a sorted-list reference model."""
-    tree = RBTree()
-    nodes = []
+    """Any interleaving of enqueues and dequeues keeps the runqueue sorted
+    and matches a sorted-list reference model."""
+    rq = CFSScheduler()
+    tasks = []
     reference = []
     for op, key in ops:
-        if op == "ins" or not nodes:
-            node = tree.insert(key, key)
-            nodes.append(node)
+        if op == "ins" or not tasks:
+            tasks.append(insert(rq, key, f"t{len(reference)}"))
             reference.append(key)
         else:
-            idx = key % len(nodes)
-            node = nodes.pop(idx)
-            tree.remove(node)
-            reference.remove(node.key)
-        assert len(tree) == len(reference)
-        check_rb_invariants(tree)
-        assert [k for k, _ in tree.items()] == sorted(reference)
+            task = tasks.pop(key % len(tasks))
+            rq.dequeue(task, 0)
+            reference.remove(task.vruntime)
+        assert rq.nr_ready == len(reference)
+        check_rq_invariants(rq)
+        assert keys(rq) == sorted(reference)
 
 
 @given(st.lists(st.tuples(st.sampled_from(["ins", "del", "upd"]),
@@ -131,45 +145,45 @@ def test_random_operations_preserve_invariants(ops):
 @settings(max_examples=150, deadline=None)
 def test_insert_remove_update_sequences_preserve_invariants(ops):
     """The CFS usage pattern: a task's key (vruntime) is *updated* by
-    removing its node and reinserting under the new key.  Any interleaving
-    of inserts, removes and updates must keep RB invariants, match a
-    sorted reference model, and keep the leftmost pointer exact."""
-    tree = RBTree()
-    nodes = {}     # node -> current key (the tree node is the identity)
+    dequeuing it and enqueuing it again under the new key.  Any
+    interleaving of inserts, removes and updates must keep the runqueue
+    sorted, match a reference model, and keep the minimum at the head."""
+    rq = CFSScheduler()
+    order = {}     # task -> insertion number of its current entry
     next_id = 0
+
+    def by_position():
+        return sorted(order, key=lambda t: (t.vruntime, order[t]))
+
     for op, key in ops:
-        if op == "ins" or not nodes:
-            node = tree.insert(key, f"task{next_id}")
-            next_id += 1
-            nodes[node] = key
+        if op == "ins" or not order:
+            order[insert(rq, key, f"task{next_id}")] = next_id
         elif op == "del":
-            victim = sorted(nodes, key=lambda n: (nodes[n], n.seq))[
-                key % len(nodes)]
-            tree.remove(victim)
-            del nodes[victim]
-        else:  # upd: reinsert under a new key, keeping the payload
-            victim = sorted(nodes, key=lambda n: (nodes[n], n.seq))[
-                key % len(nodes)]
-            payload = victim.value
-            tree.remove(victim)
-            del nodes[victim]
-            node = tree.insert(key + 0.5, payload)  # vruntime advanced
-            nodes[node] = key + 0.5
-        assert len(tree) == len(nodes)
-        check_rb_invariants(tree)
-        assert [k for k, _ in tree.items()] == sorted(nodes.values())
-        if nodes:
-            assert tree.min_key() == min(nodes.values())
+            victim = by_position()[key % len(order)]
+            rq.dequeue(victim, 0)
+            del order[victim]
+        else:  # upd: requeue under a new key, keeping the task
+            victim = by_position()[key % len(order)]
+            rq.dequeue(victim, 0)
+            victim.vruntime = key + 0.5  # vruntime advanced
+            rq.enqueue(victim, 0, wakeup=False)
+            order[victim] = next_id
+        next_id += 1
+        assert rq.nr_ready == len(order)
+        check_rq_invariants(rq)
+        assert [e[2] for e in rq._rq] == by_position()
+        if order:
+            assert rq._rq[0][0] == min(t.vruntime for t in order)
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
                           width=32), min_size=1, max_size=60))
 @settings(max_examples=100, deadline=None)
 def test_pop_min_yields_sorted_sequence(keys):
-    tree = RBTree()
+    rq = CFSScheduler()
     for k in keys:
-        tree.insert(k, k)
+        insert(rq, k)
     popped = []
-    while len(tree):
-        popped.append(tree.pop_min())
+    while rq.nr_ready:
+        popped.append(pop_min(rq))
     assert popped == sorted(keys)
