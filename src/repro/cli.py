@@ -21,6 +21,7 @@ throughput.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Dict, Optional, Sequence
 
@@ -83,8 +84,9 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _bad_duration(duration: Optional[float]) -> bool:
-    """Report (on stderr) a ``--duration`` that is given but not positive."""
-    if duration is None or duration > 0:
+    """Report (on stderr) a ``--duration`` that is given but not a finite
+    positive number."""
+    if duration is None or (math.isfinite(duration) and duration > 0):
         return False
     print(f"--duration must be a positive number of simulated seconds "
           f"(got {duration})", file=sys.stderr)
@@ -105,11 +107,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.duration is not None:
         kwargs["duration_s"] = args.duration
-    if args.span_sample_rate < 1:
-        print("--span-sample-rate must be a positive integer "
-              f"(got {args.span_sample_rate})", file=sys.stderr)
-        return 2
-    if args.stream_interval_ms <= 0:
+    if not (math.isfinite(args.stream_interval_ms)
+            and args.stream_interval_ms > 0):
         print("--stream-interval-ms must be a positive number of "
               f"milliseconds (got {args.stream_interval_ms})",
               file=sys.stderr)
@@ -128,7 +127,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         session = ObsSession(
             trace_path=args.trace,
             metrics_path=args.metrics_out,
-            span_sample_rate=args.span_sample_rate,
             stream_path=args.stream_out,
             stream_interval_ns=int(args.stream_interval_ms * MSEC),
         )
@@ -423,9 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "activity to PATH")
     run.add_argument("--metrics-out", default=None, metavar="PATH",
                      help="write Prometheus text-format metrics to PATH")
-    run.add_argument("--span-sample-rate", type=int, default=64, metavar="N",
-                     help="record one packet-lifecycle span per N packets "
-                          "(with --trace/--metrics-out; default 64)")
     run.add_argument("--stream-out", default=None, metavar="PATH",
                      help="stream periodic telemetry snapshots (gauges, "
                           "latency percentiles, backpressure attribution) "

@@ -25,6 +25,7 @@ trigger read.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.cluster.autoscaler import Autoscaler, ChainTemplate
@@ -202,8 +203,9 @@ class ClusterScenario:
 
     def run(self, duration_s: float = 1.0) -> ScenarioResult:
         """Run the cluster for ``duration_s`` simulated seconds."""
-        if not duration_s > 0:
-            raise ValueError(f"duration_s must be positive, got {duration_s!r}")
+        if not (math.isfinite(duration_s) and duration_s > 0):
+            raise ValueError(
+                f"duration_s must be finite and positive, got {duration_s!r}")
         from repro.check.sanitizer import current_sanitizer
         from repro.obs.session import current_session
 

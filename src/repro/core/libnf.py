@@ -97,15 +97,16 @@ class CallbackNF(NFProcess):
 
     def _forward(self, batch, now_ns: int,
                  svc_ns_per_pkt: float = 0.0) -> bool:
-        # ``batch`` holds (flow, count, enqueue_ns, origin_ns, span) tuples
-        # from PacketRing.dequeue_batch (see NFProcess._forward).
+        # ``batch`` holds (flow, count, enqueue_ns, origin_ns) tuples from
+        # PacketRing.dequeue_batch (see NFProcess._forward).
         io_full = False
-        for flow, count, enqueue_ns, origin_ns, span in batch:
+        latency = self.latency
+        for flow, count, enqueue_ns, origin_ns in batch:
             wait = now_ns - enqueue_ns
             if wait >= 0:
                 self.latency_hist.add(wait)
-            if span is not None:
-                span.record_hop(self.name, max(0, wait), svc_ns_per_pkt)
+            if latency is not None:
+                latency.record_hop(self.name, wait, svc_ns_per_pkt, count)
             self.processed_packets += count
             chain = flow.chain
             if chain is not None:
@@ -120,6 +121,5 @@ class CallbackNF(NFProcess):
                 if not ok:
                     io_full = True
             if keep > 0:
-                self.tx_ring.enqueue(flow, keep, now_ns,
-                                     origin_ns=origin_ns, span=span)
+                self.tx_ring.enqueue(flow, keep, now_ns, origin_ns=origin_ns)
         return io_full

@@ -352,8 +352,8 @@ class NFProcess(CoreTask):
         """Emit processed packet runs to the Tx ring; returns True if the
         I/O context became full (NF must yield).
 
-        ``batch`` holds ``(flow, count, enqueue_ns, origin_ns, span)``
-        tuples from :meth:`PacketRing.dequeue_batch`.
+        ``batch`` holds ``(flow, count, enqueue_ns, origin_ns)`` tuples
+        from :meth:`PacketRing.dequeue_batch`.
         """
         io_full = False
         hist_add = self.latency_hist.add
@@ -372,7 +372,7 @@ class NFProcess(CoreTask):
             lat_wait, lat_svc = staging
             svc = svc_ns_per_pkt if svc_ns_per_pkt > 0 else 0.0
         processed = 0
-        for flow, count, enqueue_ns, origin_ns, span in batch:
+        for flow, count, enqueue_ns, origin_ns in batch:
             wait = now_ns - enqueue_ns
             if wait >= 0:
                 hist_add(wait)
@@ -383,9 +383,6 @@ class NFProcess(CoreTask):
                         lat_wait[wait] = count
             elif lat_wait is not None:
                 lat_wait[0] = lat_wait.get(0, 0) + count
-            if span is not None:
-                # Sampled packet: this hop's queue wait and service time.
-                span.record_hop(self.name, max(0, wait), svc_ns_per_pkt)
             processed += count
             chain = flow.chain
             if chain is not None:
@@ -399,7 +396,7 @@ class NFProcess(CoreTask):
                 if not ok:
                     io_full = True
             # Space was reserved (batch <= tx free), so this cannot drop.
-            tx_enqueue(flow, count, now_ns, origin_ns=origin_ns, span=span)
+            tx_enqueue(flow, count, now_ns, origin_ns=origin_ns)
         self.processed_packets += processed
         if lat_wait is not None and processed:
             # The modelled per-packet service time is constant across a

@@ -10,6 +10,7 @@ with the measurements every table/figure draws on.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -298,8 +299,9 @@ class Scenario:
     def run(self, duration_s: float = 2.0,
             extra_probes: Optional[Dict[str, Tuple]] = None) -> ScenarioResult:
         """Run for ``duration_s`` simulated seconds and summarise."""
-        if not duration_s > 0:
-            raise ValueError(f"duration_s must be positive, got {duration_s!r}")
+        if not (math.isfinite(duration_s) and duration_s > 0):
+            raise ValueError(
+                f"duration_s must be finite and positive, got {duration_s!r}")
         from repro.obs.session import current_session
 
         from repro.check.sanitizer import current_sanitizer

@@ -1,4 +1,4 @@
-"""Unified observability: event bus, packet spans, metrics, exporters.
+"""Unified observability: event bus, latency telemetry, metrics, exporters.
 
 The paper diagnoses its scheduler with ``perf sched`` traces and
 per-second testbed counters (§4.1, Table 4); this package gives the
@@ -6,8 +6,11 @@ reproduction the same visibility:
 
 * :mod:`repro.obs.bus` — a simulation-wide event bus every layer
   publishes to (scheduler, rings, backpressure, ECN, wakeup, monitor).
-* :mod:`repro.obs.spans` — per-packet lifecycle spans with 1-in-N
-  sampling, yielding per-hop queue-wait / service-time breakdowns.
+* :mod:`repro.obs.latency` — exact per-flow, per-chain and per-hop
+  latency histograms over every packet, including the per-hop
+  queue-wait / service-time breakdown.
+* :mod:`repro.obs.causality` — backpressure attribution: which NF's
+  throttling cost which flows how much delay.
 * :mod:`repro.obs.registry` — named, labelled counters/gauges/histograms
   with a periodic snapshot sampler.
 * :mod:`repro.obs.export` — Chrome/Perfetto trace-event JSON and
@@ -50,4 +53,3 @@ from repro.obs.session import (  # noqa: F401
     current_session,
     deactivate_session,
 )
-from repro.obs.spans import PacketSpan, SpanCollector  # noqa: F401

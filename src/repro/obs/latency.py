@@ -1,15 +1,15 @@
 """Exact per-flow / per-chain SLO latency telemetry.
 
-PR 1's packet spans sample one packet in N, which is enough to localise
-*where* time goes but not to read tail percentiles: a p99.9 over sampled
-spans is a p99.9 of the sample, not of the traffic.  The
-:class:`FlowLatencyTracker` instead records **every delivered packet**
-into log-bucketed :class:`~repro.metrics.histogram.CycleHistogram`
-instances — O(1) memory per flow/chain/hop, no sampling — so fig07/fig09
-runs can report true p50/p95/p99/p99.9 sojourn latency per flow class
-plus an exact per-hop wait-vs-service decomposition (the per-hop latency
-view *Benchmarking NFV Software Dataplanes* shows is what localises
-dataplane bottlenecks).
+A sampled trace is enough to localise *where* time goes but not to read
+tail percentiles: a p99.9 over sampled packets is a p99.9 of the sample,
+not of the traffic.  The :class:`FlowLatencyTracker` records **every
+delivered packet** into log-bucketed
+:class:`~repro.metrics.histogram.CycleHistogram` instances — O(1) memory
+per flow/chain/hop, no sampling — so fig07/fig09 runs can report true
+p50/p95/p99/p99.9 sojourn latency per flow class plus an exact per-hop
+wait-vs-service decomposition (the per-hop latency view *Benchmarking
+NFV Software Dataplanes* shows is what localises dataplane bottlenecks;
+``ObsSession`` prints it as the "per-hop latency breakdown" table).
 
 Recording sites (all wired by :class:`~repro.platform.manager.NFManager`
 when a tracker is attached; each costs one ``is not None`` branch when
@@ -18,8 +18,10 @@ off):
 * ``TxThread._route`` — chain completion: end-to-end sojourn (NIC
   arrival to chain exit) per flow and per chain, weighted by segment
   packet count, so the histograms cover 100% of delivered traffic.
-* ``NFProcess._forward`` — per hop: Rx-ring queue wait and modelled
-  per-packet service time for every processed batch run.
+* ``NFProcess._forward`` / ``CallbackNF._forward`` — per hop: Rx-ring
+  queue wait and modelled per-packet service time for every processed
+  batch run.  There is no hop for the NIC Rx ring or the NF Tx rings;
+  those waits stay inside the end-to-end sojourn.
 
 Everything the tracker accumulates is observational — it never touches
 simulation state, timing or RNG streams, so results (and campaign
@@ -288,6 +290,26 @@ def merge_latency_dicts(dicts: List[Dict[str, Any]]) -> Dict[str, Any]:
                  for n, (w, s) in sorted(merged_hops.items())},
         "hop_order": hop_order,
     }
+
+
+def render_hop_table(latency_dict: Dict[str, Any], title: str) -> str:
+    """The per-hop wait/service table, one row per hop in chain order."""
+    from repro.metrics.report import render_table
+
+    summary = summarize(latency_dict)
+    rows: List[list] = []
+    for name in summary.get("hop_order", []):
+        hop = summary["hops"][name]
+        rows.append([name, hop["count"], hop["wait_p50_us"],
+                     hop["wait_p99_us"], hop["service_p50_us"],
+                     hop["service_p99_us"]])
+    if not rows:
+        rows.append(["(no hops recorded)", 0, "-", "-", "-", "-"])
+    return render_table(
+        ["hop", "pkts", "wait p50 us", "wait p99 us", "svc p50 us",
+         "svc p99 us"],
+        rows, title=title,
+    )
 
 
 def render_slo_table(latency_dict: Dict[str, Any], title: str) -> str:

@@ -8,8 +8,10 @@ starting its platform and attaches itself.  The session then owns:
 
 * one :class:`~repro.obs.bus.EventBus` per scenario (distinct Perfetto
   process per scenario in the exported trace),
-* one shared :class:`~repro.obs.spans.SpanCollector` (per-hop latency
-  rows merge across scenarios; hop names carry the NF names),
+* one :class:`~repro.obs.latency.FlowLatencyTracker` per scenario (and
+  a :class:`~repro.obs.causality.CausalityTracer`), whose exact per-hop
+  wait/service histograms merge into one table at ``finalize()``; hop
+  names are the NF names, so rows merge across scenarios,
 * one shared :class:`~repro.obs.registry.MetricsRegistry` where each
   scenario registers its gauges under a ``scenario`` label, sampled
   periodically by a per-scenario :class:`RegistrySampler`.
@@ -25,11 +27,11 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.obs.bus import EventBus
 from repro.obs.export import write_chrome_trace, write_prometheus
 from repro.obs.registry import MetricsRegistry, RegistrySampler
-from repro.obs.spans import SpanCollector
 from repro.sim.clock import MSEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.common import Scenario
+    from repro.obs.latency import FlowLatencyTracker
     from repro.platform.manager import NFManager
 
 #: The module-level active session the Scenario runner consults.
@@ -58,7 +60,6 @@ class ObsSession:
         self,
         trace_path: Optional[str] = None,
         metrics_path: Optional[str] = None,
-        span_sample_rate: int = 64,
         max_bus_events: int = 100_000,
         sample_period_ns: int = 100 * MSEC,
         stream_path: Optional[str] = None,
@@ -68,7 +69,9 @@ class ObsSession:
         self.metrics_path = metrics_path
         self.max_bus_events = int(max_bus_events)
         self.sample_period_ns = int(sample_period_ns)
-        self.spans = SpanCollector(sample_rate=span_sample_rate)
+        #: One tracker per attached scenario (a cluster's is shared by
+        #: its hosts), merged into the per-hop table by ``finalize()``.
+        self.latencies: List["FlowLatencyTracker"] = []
         self.registry = MetricsRegistry()
         self.buses: List[Tuple[str, EventBus]] = []
         self._label_counts: Dict[str, int] = {}
@@ -94,14 +97,15 @@ class ObsSession:
         if self.trace_path is not None:
             bus = EventBus(scenario.loop, max_events=self.max_bus_events)
             self.buses.append((label, bus))
-        latency = causality = None
-        if self.streamer is not None:
-            from repro.obs.causality import CausalityTracer
-            from repro.obs.latency import FlowLatencyTracker
+        # Imported here so runs without a session never load the
+        # tracker modules (this module is imported by every Scenario.run).
+        from repro.obs.causality import CausalityTracer
+        from repro.obs.latency import FlowLatencyTracker
 
-            latency, causality = FlowLatencyTracker(), CausalityTracer()
+        latency, causality = FlowLatencyTracker(), CausalityTracer()
+        self.latencies.append(latency)
         scenario.manager.attach_observability(
-            bus=bus, spans=self.spans, latency=latency, causality=causality)
+            bus=bus, latency=latency, causality=causality)
         self.register_platform_metrics(scenario.manager, label)
         if self.streamer is not None:
             self.streamer.register(label, scenario.loop,
@@ -121,9 +125,10 @@ class ObsSession:
         fabric links register under the bare cluster label.  One event
         bus spans the whole cluster (all hosts share one loop, so one
         Perfetto process with every host's cores is the honest render);
-        link drop/ECN events ride the same bus.  Snapshot streaming is
-        not wired for clusters — the streamer's per-scenario registration
-        assumes one manager per label.
+        link drop/ECN events ride the same bus.  The per-hop table reads
+        the tracker the cluster already shares across its hosts.
+        Snapshot streaming is not wired for clusters — the streamer's
+        per-scenario registration assumes one manager per label.
         """
         topology = scenario.topology
         label = self._unique_label(
@@ -133,8 +138,9 @@ class ObsSession:
         if self.trace_path is not None:
             bus = EventBus(scenario.loop, max_events=self.max_bus_events)
             self.buses.append((label, bus))
+        self.latencies.append(scenario.latency)
         for host in topology.hosts:
-            host.manager.attach_observability(bus=bus, spans=self.spans)
+            host.manager.attach_observability(bus=bus)
             self.register_platform_metrics(
                 host.manager, f"{label}/{host.name}")
             sampler = RegistrySampler(
@@ -315,11 +321,12 @@ class ObsSession:
                 f"[obs] wrote {len(self.registry)} metrics to "
                 f"{self.metrics_path}"
             )
-        if len(self.spans):
-            lines.append(self.spans.render_report())
-        elif self.spans.started:
-            lines.append(
-                f"[obs] {self.spans.started} spans started but none "
-                f"completed (packets still queued or dropped)"
-            )
+        if self.latencies:
+            from repro.obs.latency import merge_latency_dicts, render_hop_table
+
+            merged = merge_latency_dicts(
+                [t.to_dict() for t in self.latencies])
+            lines.append(render_hop_table(
+                merged, f"per-hop latency breakdown — every packet, "
+                        f"{len(self.latencies)} scenario(s)"))
         return "\n".join(lines)

@@ -70,7 +70,6 @@ class NFManager:
 
         # Observability (attach_observability() before start()).
         self.bus = None
-        self.spans = None
         # Flow-level telemetry (attach_telemetry() before start()).
         self.latency = None
         self.causality = None
@@ -167,22 +166,20 @@ class NFManager:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def attach_observability(self, bus=None, spans=None,
+    def attach_observability(self, bus=None,
                              latency=None, causality=None) -> None:
-        """Attach an event bus and/or a span collector to the platform.
+        """Attach an event bus and/or telemetry trackers to the platform.
 
         Call before :meth:`start`.  ``bus`` (an
         :class:`repro.obs.bus.EventBus`) receives scheduler, ring,
         backpressure, ECN, wakeup and monitor events from every layer;
-        ``spans`` (a :class:`repro.obs.spans.SpanCollector`) samples
-        packet lifecycles at the Rx thread.  ``latency`` and ``causality``
-        delegate to :meth:`attach_telemetry`.  With nothing attached the
-        data path pays one ``is not None`` branch per publish site.
+        ``latency`` and ``causality`` delegate to :meth:`attach_telemetry`.
+        With nothing attached the data path pays one ``is not None``
+        branch per publish site.
         """
         if self._started:
             raise RuntimeError("attach observability before start()")
         self.bus = bus
-        self.spans = spans
         if latency is not None or causality is not None:
             self.attach_telemetry(latency=latency, causality=causality)
         if self.faults is not None:
@@ -327,8 +324,6 @@ class NFManager:
                 self.ecn.bus = self.bus
             self.wakeup.bus = self.bus
             self.rx_thread.bus = self.bus
-        if self.spans is not None:
-            self.rx_thread.spans = self.spans
         if self.causality is not None:
             if self.backpressure is not None:
                 self.backpressure.causality = self.causality

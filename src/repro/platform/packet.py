@@ -111,13 +111,9 @@ class PacketSegment:
     ``origin_ns`` is stamped once, when the packets first arrive at the
     NIC, and is carried through every hop so chain completion can account
     true end-to-end latency.
-
-    ``span`` carries an optional sampled :class:`repro.obs.spans.PacketSpan`
-    tracking the segment's head packet; it rides along as rings move the
-    segment through the chain.
     """
 
-    __slots__ = ("flow", "count", "enqueue_ns", "origin_ns", "span")
+    __slots__ = ("flow", "count", "enqueue_ns", "origin_ns")
 
     def __init__(self, flow: Flow, count: int, enqueue_ns: int = 0,
                  origin_ns: Optional[int] = None):
@@ -127,19 +123,12 @@ class PacketSegment:
         self.count = int(count)
         self.enqueue_ns = int(enqueue_ns)
         self.origin_ns = int(enqueue_ns) if origin_ns is None else int(origin_ns)
-        self.span = None
 
     def split(self, n: int) -> "PacketSegment":
-        """Remove and return the first ``n`` packets as a new segment.
-
-        The head packet — and therefore any attached span — moves with
-        the returned segment.
-        """
+        """Remove and return the first ``n`` packets as a new segment."""
         if not 0 < n < self.count:
             raise ValueError(f"cannot split {n} of {self.count}")
         head = PacketSegment(self.flow, n, self.enqueue_ns, self.origin_ns)
-        head.span = self.span
-        self.span = None
         self.count -= n
         return head
 

@@ -123,13 +123,11 @@ class PacketRing:
     # Mutation
     # ------------------------------------------------------------------
     def enqueue(self, flow: Flow, count: int, now_ns: int,
-                origin_ns: Optional[int] = None,
-                span=None) -> Tuple[int, int, bool]:
+                origin_ns: Optional[int] = None) -> Tuple[int, int, bool]:
         """Append up to ``count`` packets of ``flow``.
 
         ``origin_ns`` carries the packets' first-arrival stamp through the
-        chain (defaults to ``now_ns`` for fresh arrivals).  ``span``
-        attaches a sampled packet span to the run's head packet.  Returns
+        chain (defaults to ``now_ns`` for fresh arrivals).  Returns
         ``(accepted, dropped, above_high)`` — the watermark flag is
         evaluated *after* the enqueue, which is the feedback the Tx thread
         uses for overload detection.
@@ -161,8 +159,7 @@ class PacketRing:
             segments = self._segments
             tail = segments[-1] if segments else None
             if (
-                span is None
-                and tail is not None
+                tail is not None
                 and self.coalesce
                 and tail.flow is flow
                 and tail.enqueue_ns == now
@@ -180,7 +177,6 @@ class PacketRing:
                 seg.count = accepted
                 seg.enqueue_ns = now
                 seg.origin_ns = origin
-                seg.span = span
                 segments.append(seg)
                 self.coalesce_misses += 1
             cur += accepted
@@ -213,7 +209,7 @@ class PacketRing:
     def enqueue_segment(self, segment: PacketSegment, now_ns: int) -> Tuple[int, int, bool]:
         """Enqueue an existing segment (re-stamps enqueue, keeps origin)."""
         return self.enqueue(segment.flow, segment.count, now_ns,
-                            origin_ns=segment.origin_ns, span=segment.span)
+                            origin_ns=segment.origin_ns)
 
     def dequeue(self, max_packets: int) -> List[PacketSegment]:
         """Remove up to ``max_packets`` from the head, preserving FIFO order.
@@ -253,14 +249,14 @@ class PacketRing:
 
     def dequeue_batch(self, max_packets: int) -> List[Tuple]:
         """Like :meth:`dequeue` but yields ``(flow, count, enqueue_ns,
-        origin_ns, span)`` tuples instead of segments.
+        origin_ns)`` tuples instead of segments.
 
         A partial take decrements the head segment in place — no
         :class:`PacketSegment` is allocated for the split-off run.  This is
         the NF execute path: batch-bounded dequeues chop large coalesced
         arrival segments dozens of times, and the segment objects would be
-        torn apart immediately anyway.  Accounting and span movement are
-        identical to ``dequeue`` + ``PacketSegment.split``.
+        torn apart immediately anyway.  Accounting is identical to
+        ``dequeue`` + ``PacketSegment.split``.
         """
         if max_packets <= 0 or self.sealed:
             return []
@@ -275,14 +271,10 @@ class PacketRing:
             flow = head.flow
             if n <= remaining:
                 segments.popleft()
-                out.append((flow, n, head.enqueue_ns, head.origin_ns,
-                            head.span))
+                out.append((flow, n, head.enqueue_ns, head.origin_ns))
             else:
                 n = remaining
-                # The head packet — and its span — leaves with this run.
-                out.append((flow, n, head.enqueue_ns, head.origin_ns,
-                            head.span))
-                head.span = None
+                out.append((flow, n, head.enqueue_ns, head.origin_ns))
                 head.count -= n
             remaining -= n
             taken_total += n

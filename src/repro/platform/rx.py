@@ -54,7 +54,6 @@ class RxThread:
         self.unroutable = 0
         #: Optional observability hooks (wired by NFManager.start()).
         self.bus = None
-        self.spans = None
         #: Optional :class:`repro.obs.causality.CausalityTracer` charged
         #: with every early discard's culprit attribution.
         self.causality = None
@@ -131,15 +130,8 @@ class RxThread:
                                      count=seg.count, flow=flow.flow_id)
                 continue
             first = chain.nfs[0]
-            span = None
-            if self.spans is not None:
-                span = self.spans.maybe_start(flow.flow_id, seg.count,
-                                              seg.origin_ns)
-                if span is not None:
-                    # Hop 0: time spent waiting in the NIC Rx ring.
-                    span.record_hop("rx", max(0, now - seg.enqueue_ns))
             accepted, _dropped, above_high = first.rx_ring.enqueue(
-                flow, seg.count, now, origin_ns=seg.origin_ns, span=span
+                flow, seg.count, now, origin_ns=seg.origin_ns
             )
             # Drops here waste nothing: no NF has touched these packets yet.
             if above_high and self.backpressure is not None:

@@ -115,22 +115,13 @@ class TxThread:
     def _route(self, nf: "NFProcess", seg, now: int) -> None:
         flow = seg.flow
         chain = flow.chain
-        if seg.span is not None:
-            # Sampled packet: time spent parked in the NF's Tx ring
-            # waiting for this ferry pass.
-            seg.span.record_hop(f"{nf.name}:tx",
-                                max(0, now - seg.enqueue_ns))
         if chain is None:
             # Untracked flow: send it out the port.
-            if seg.span is not None:
-                seg.span.finish(now)
             self.nic.transmit(seg)
             self.egressed += seg.count
             return
         nxt = chain._next[nf]
         if nxt is None:
-            if seg.span is not None:
-                seg.span.finish(now)
             self.nic.transmit(seg)
             self.egressed += seg.count
             chain.completed += seg.count
@@ -166,7 +157,7 @@ class TxThread:
                             cause.drain_deliveries()
             return
         accepted, dropped, above_high = nxt.rx_ring.enqueue(
-            flow, seg.count, now, origin_ns=seg.origin_ns, span=seg.span)
+            flow, seg.count, now, origin_ns=seg.origin_ns)
         self.forwarded += accepted
         if dropped:
             # Work already performed upstream is lost with these packets.

@@ -473,6 +473,8 @@ class TestClusterScenario:
             scenario.run(0.01)
         with pytest.raises(ValueError, match="duration_s"):
             scenario.run(0)
+        with pytest.raises(ValueError, match="duration_s"):
+            scenario.run(float("inf"))
         with pytest.raises(RuntimeError, match="set_chain before"):
             scenario.enable_autoscaler(slots=[])
         scenario.set_chain("svc", (100.0,))

@@ -47,7 +47,8 @@ class TestCommon:
         with pytest.raises(ValueError):
             scenario.add_flow("f", "c")
 
-    @pytest.mark.parametrize("duration_s", [0, -1.0, float("nan")])
+    @pytest.mark.parametrize("duration_s",
+                             [0, -1.0, float("nan"), float("inf")])
     def test_scenario_rejects_nonpositive_duration(self, duration_s):
         scenario = Scenario()
         scenario.add_nf("nf", 100)

@@ -56,6 +56,27 @@ class TestCallbackNF:
         nf.execute(0, SEC)
         assert nf.processed_by_chain == {"c": 4}
 
+    def test_hops_reach_latency_tracker(self):
+        from repro.experiments.common import Scenario
+        from repro.obs.latency import FlowLatencyTracker
+
+        scenario = Scenario(scheduler="BATCH", features="NFVnice")
+        nfs = [CallbackNF(name, FixedCost(300), forward_all,
+                          config=scenario.config) for name in ("fw", "mon")]
+        for nf in nfs:
+            scenario.manager.add_nf(nf, core_id=0)
+        scenario.add_chain("c", ["fw", "mon"])
+        scenario.add_flow("f", "c", line_rate_fraction=0.2)
+        tracker = FlowLatencyTracker()
+        scenario.manager.attach_telemetry(latency=tracker)
+        scenario.run(0.02)
+        raw = tracker.to_dict()
+        assert raw["hop_order"] == ["fw", "mon"]
+        for nf in nfs:
+            assert nf.processed_packets > 0
+            assert raw["hops"][nf.name]["wait"]["count"] == \
+                nf.processed_packets
+
 
 class TestLibnfAPI:
     def test_write_pkt(self, config):

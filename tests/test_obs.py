@@ -1,9 +1,10 @@
 """Tests for the unified telemetry layer (:mod:`repro.obs`).
 
-Covers the event bus (ordering, caps, determinism), packet-lifecycle
-spans (deterministic 1-in-N sampling, per-hop recording), the metrics
-registry and sampler, the Chrome-trace / Prometheus exporters, and the
-end-to-end wiring through :class:`~repro.obs.session.ObsSession`.
+Covers the event bus (ordering, caps, determinism), the metrics registry
+and sampler, the Chrome-trace / Prometheus exporters, and the end-to-end
+wiring through :class:`~repro.obs.session.ObsSession` — including its
+per-hop latency table and the guarantee that an attached session leaves
+results bit-identical.
 """
 
 import json
@@ -24,7 +25,6 @@ from repro.obs.session import (
     current_session,
     deactivate_session,
 )
-from repro.obs.spans import SpanCollector, _percentile
 from repro.sim.clock import MSEC
 from repro.sim.engine import EventLoop
 
@@ -109,93 +109,6 @@ class TestEventBus:
                    for ev in evs)
         for ev in evs:
             assert ev.args["depth"] > 0
-
-
-class TestSpans:
-    def test_sampling_is_deterministic_counting(self):
-        coll = SpanCollector(sample_rate=10)
-        starts = []
-        for i in range(50):
-            span = coll.maybe_start("f", 2, origin_ns=i)
-            if span is not None:
-                starts.append(i)
-                span.finish(i)
-        # 100 packets in 2-packet segments: one span per 10 packets.
-        assert coll.started == 10
-        assert starts == [4, 9, 14, 19, 24, 29, 34, 39, 44, 49]
-
-    def test_cap_drops_excess_spans(self):
-        coll = SpanCollector(sample_rate=1, max_spans=2)
-        spans = [coll.maybe_start("f", 1, 0) for _ in range(4)]
-        for s in spans:
-            if s is not None:
-                s.finish(10)
-        assert len(coll) == 2
-        assert coll.dropped == 2
-        assert "dropped at cap" in coll.render_report()
-
-    def test_hop_stats_order_and_percentiles(self):
-        coll = SpanCollector(sample_rate=1)
-        for waits in ((100, 10), (300, 30)):
-            span = coll.maybe_start("f", 1, 0)
-            span.record_hop("rx", waits[0])
-            span.record_hop("nf1", waits[1], 7.0)
-            span.finish(1000)
-        rows = coll.hop_stats()
-        assert [r[0] for r in rows] == ["rx", "nf1"]
-        rx = rows[0]
-        assert rx[1] == 2
-        assert rx[2] == 100  # p50 (nearest rank of [100, 300])
-        assert rx[3] == 300  # p95
-        assert rows[1][4] == 7.0
-
-    def test_percentile_nearest_rank(self):
-        values = sorted(float(v) for v in range(1, 101))
-        assert _percentile(values, 50) == 50.0
-        assert _percentile(values, 95) == 95.0
-        assert _percentile([], 50) == 0.0
-
-    def test_percentile_single_sample(self):
-        # Any percentile of one sample is that sample.
-        for p in (0, 1, 50, 99, 100):
-            assert _percentile([42.0], p) == 42.0
-
-    def test_percentile_all_equal(self):
-        values = [7.0] * 10
-        for p in (1, 50, 95, 99.9):
-            assert _percentile(values, p) == 7.0
-
-    def test_percentile_extremes(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert _percentile(values, 0) == 1.0    # rank clamps to 1
-        assert _percentile(values, 100) == 4.0
-
-    def test_platform_spans_record_every_hop(self):
-        scenario = build_scenario()
-        spans = SpanCollector(sample_rate=32)
-        scenario.manager.attach_observability(spans=spans)
-        scenario.run(0.05)
-        assert len(spans) > 0
-        hop_names = [r[0] for r in spans.hop_stats()]
-        # NIC wait, then each NF and its Tx-ring wait, in chain order.
-        assert hop_names == ["rx", "nf1", "nf1:tx", "nf2", "nf2:tx"]
-        for span in spans.spans:
-            assert span.end_ns is not None
-            assert span.total_ns >= 0
-
-    def test_platform_spans_deterministic(self):
-        def run():
-            scenario = build_scenario(seed=7)
-            spans = SpanCollector(sample_rate=16)
-            scenario.manager.attach_observability(spans=spans)
-            scenario.run(0.05)
-            return [
-                (s.flow_id, s.origin_ns, s.end_ns,
-                 [(h.name, h.wait_ns, h.service_ns) for h in s.hops])
-                for s in spans.spans
-            ]
-
-        assert run() == run()
 
 
 class TestRegistry:
@@ -373,8 +286,7 @@ class TestObsSession:
     def test_scenario_attaches_to_active_session(self, tmp_path):
         trace = tmp_path / "t.json"
         prom = tmp_path / "m.prom"
-        session = ObsSession(trace_path=str(trace), metrics_path=str(prom),
-                             span_sample_rate=16)
+        session = ObsSession(trace_path=str(trace), metrics_path=str(prom))
         activate_session(session)
         try:
             build_scenario().run(0.05)
@@ -415,3 +327,55 @@ class TestObsSession:
         assert scenario.manager.bus is None
         for core in scenario.manager.cores.values():
             assert core.bus is None
+
+    def test_session_hop_table_lists_nfs_in_chain_order(self):
+        session = ObsSession()
+        activate_session(session)
+        try:
+            build_scenario().run(0.05)
+        finally:
+            deactivate_session()
+        summary = session.finalize()
+        assert "per-hop latency breakdown" in summary
+        words = summary.split()
+        assert [w for w in words if w in ("nf1", "nf2")] == ["nf1", "nf2"]
+        # Exact tracker hops only: no NIC Rx or Tx-ring rows.
+        assert "rx" not in words
+        assert "nf1:tx" not in words
+
+    def test_session_hop_table_deterministic(self):
+        def run():
+            session = ObsSession()
+            activate_session(session)
+            try:
+                build_scenario(seed=7).run(0.05)
+            finally:
+                deactivate_session()
+            return session.finalize()
+
+        assert run() == run()
+
+    def test_session_leaves_results_bit_identical(self, tmp_path):
+        """Tracing, metrics and streaming are observers: a run under an
+        active session produces the same result digest as a plain run."""
+        from repro.analysis.export import result_to_dict
+        from repro.runner.digest import digest_of
+
+        def run():
+            scenario = Scenario(scheduler="NORMAL", features="Default",
+                                seed=2)
+            build_linear_chain(scenario, (120, 270, 550), core=0)
+            scenario.add_flow("f", "chain", line_rate_fraction=1.0)
+            return digest_of(result_to_dict(scenario.run(0.2)))
+
+        plain = run()
+        session = ObsSession(trace_path=str(tmp_path / "t.json"),
+                             metrics_path=str(tmp_path / "m.prom"),
+                             stream_path=str(tmp_path / "s.jsonl"))
+        activate_session(session)
+        try:
+            observed = run()
+        finally:
+            deactivate_session()
+        session.finalize()
+        assert observed == plain

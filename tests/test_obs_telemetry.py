@@ -23,6 +23,7 @@ from repro.obs.latency import (
     FlowLatencyTracker,
     merge_latency_dicts,
     percentile_row,
+    render_hop_table,
     render_slo_table,
     summarize,
 )
@@ -226,6 +227,23 @@ class TestFlowLatencyTracker:
         assert "flow:f" in text and "chain:c" in text
         empty = render_slo_table({}, "SLO")
         assert "no telemetry recorded" in empty
+
+    def test_render_hop_table_order_and_percentiles(self):
+        t = FlowLatencyTracker()
+        # First-recorded order is chain order, whatever the names sort to.
+        t.record_hop("zeta", 100_000, 7_000, 1)
+        t.record_hop("zeta", 300_000, 7_000, 1)
+        t.record_hop("alpha", 10_000, 2_000, 4)
+        text = render_hop_table(t.to_dict(), "hops")
+        rows = [line.split() for line in text.splitlines()
+                if line.split() and line.split()[0] in ("zeta", "alpha")]
+        assert [r[0] for r in rows] == ["zeta", "alpha"]
+        assert [int(r[1]) for r in rows] == [2, 4]
+        hops = summarize(t.to_dict())["hops"]
+        assert hops["zeta"]["wait_p50_us"] == pytest.approx(100, rel=0.1)
+        assert hops["zeta"]["wait_p99_us"] == pytest.approx(300, rel=0.1)
+        assert hops["alpha"]["service_p50_us"] == pytest.approx(2, rel=0.1)
+        assert "no hops recorded" in render_hop_table({}, "hops")
 
 
 class TestCausalityTracer:

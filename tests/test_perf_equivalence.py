@@ -29,7 +29,7 @@ from repro.nfs.cost_models import (
     UniformCost,
     WithOverhead,
 )
-from repro.platform.packet import Flow
+from repro.platform.packet import Flow, PacketSegment
 from repro.platform.ring import PacketRing
 from repro.sim.engine import EventLoop
 from repro.traffic.flows import FlowSpec
@@ -63,7 +63,7 @@ def _packet_stream(segments):
 def _batch_stream(batch):
     """Flatten dequeue_batch tuples the same way."""
     out = []
-    for fl, count, enq, origin, _span in batch:
+    for fl, count, enq, origin in batch:
         out.extend([(fl.flow_id, enq, origin)] * count)
     return out
 
@@ -152,14 +152,19 @@ def test_coalescing_counts_hits_and_misses():
     assert [s.count for s in segs] == [10, 5]
 
 
-def test_spanned_enqueue_never_coalesces():
-    """A span must stay pinned to its own packet run."""
+def test_forwarded_segment_coalesces_into_tail():
+    """A segment forwarded at the same instant with the same origin merges
+    into the tail run, exactly like a fresh enqueue."""
     ring = PacketRing(capacity=100)
     f = flow("f")
-    ring.enqueue(f, 5, now_ns=10)
-    ring.enqueue(f, 5, now_ns=10, span=object())
-    assert ring.coalesce_hits == 0
-    assert ring.coalesce_misses == 2
+    ring.enqueue(f, 5, now_ns=10, origin_ns=3)
+    ring.enqueue_segment(PacketSegment(f, 5, enqueue_ns=7, origin_ns=3),
+                         now_ns=10)
+    assert ring.coalesce_hits == 1
+    assert ring.coalesce_misses == 1
+    segs = ring.dequeue(100)
+    assert [(s.count, s.enqueue_ns, s.origin_ns) for s in segs] == \
+        [(10, 10, 3)]
 
 
 # ----------------------------------------------------------------------
