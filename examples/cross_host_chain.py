@@ -18,13 +18,12 @@ from repro import (
     USEC,
     EventLoop,
     Flow,
-    HostLink,
-    NFManager,
     TrafficGenerator,
     default_platform_config,
     make_nf,
     render_table,
 )
+from repro.cluster import ClusterTopology
 from repro.traffic.flows import FlowSpec
 from repro.traffic.tcp import TCPFlow
 
@@ -33,8 +32,9 @@ def run(ecn: bool, duration_s: float = 3.0):
     loop = EventLoop()
     config = dataclasses.replace(default_platform_config(), enable_ecn=ecn)
 
-    host_a = NFManager(loop, scheduler="NORMAL", config=config)
-    host_b = NFManager(loop, scheduler="NORMAL", config=config)
+    topology = ClusterTopology(loop, 2, scheduler="NORMAL", config=config)
+    host_a = topology.host(0).manager
+    host_b = topology.host(1).manager
     host_a.add_nf(make_nf("fwd", 300, config=config))
     host_b.add_nf(make_nf("heavy", 8000, config=config))
     leg_a = host_a.add_chain("leg-a", [host_a.nf_by_name("fwd")])
@@ -42,15 +42,14 @@ def run(ecn: bool, duration_s: float = 3.0):
 
     flow_a = Flow("tcp", pkt_size=1500, protocol="tcp")
     host_a.install_flow(flow_a, leg_a)
-    link = HostLink(loop, host_a, host_b, latency_ns=10 * USEC)
+    link = topology.connect(0, 1, latency_ns=10 * USEC)
     host_b.install_flow(link.connect_flow(flow_a), leg_b)
 
     generator = TrafficGenerator(loop, host_a.nic)
     spec = generator.add(FlowSpec(flow_a, rate_pps=1.0))
     tcp = TCPFlow(loop, spec, rtt_ns=1 * MSEC, max_cwnd=2000.0)
 
-    host_a.start()
-    host_b.start()
+    topology.start()
     generator.start()
     tcp.start()
     loop.run_until(int(duration_s * SEC))

@@ -58,14 +58,12 @@ from repro.platform import (
     NIC,
     Flow,
     FlowTable,
-    HostLink,
     NFManager,
     PacketRing,
     PlatformConfig,
     ServiceChain,
     Topology,
     build_topology,
-    connect_hosts,
     line_rate_pps,
     load_topology,
 )
@@ -99,8 +97,6 @@ __all__ = [
     "PacketRing",
     "NIC",
     "line_rate_pps",
-    "HostLink",
-    "connect_hosts",
     "Topology",
     "build_topology",
     "load_topology",

@@ -7,9 +7,8 @@ Stdlib-``ast`` only, like the rest of simcheck.  Two layers:
   (alias-resolved where possible), module-level mutable globals,
   class-level mutables, digest-safety facts (invisible-field reads,
   invisible-producer calls, ``ScenarioResult(...)`` construction sites),
-  ``global`` rebinds and mutation sites.  Summaries are JSON-compatible
-  so the incremental cache can store them and worker processes can ship
-  them back from parallel parses.
+  ``global`` rebinds and mutation sites.  Summaries are plain
+  JSON-compatible dicts, so they print and compare as data.
 
 * :class:`ProjectGraph` — links the summaries of every parseable file
   into a call graph: function table, caller→callee edges (same-module
@@ -576,13 +575,8 @@ def _assign_key(targets: Sequence[ast.expr]) -> Optional[str]:
     return None
 
 
-def extract_summary(path: str, source: str) -> Dict[str, Any]:
-    """Parse one file into its JSON-compatible module summary.
-
-    Raises ``SyntaxError``/``ValueError`` like ``ast.parse`` — the
-    caller decides how parse failures are reported.
-    """
-    tree = ast.parse(source, filename=path)
+def extract_summary(path: str, tree: ast.AST) -> Dict[str, Any]:
+    """The JSON-compatible module summary of one parsed file."""
     return _Extractor(package_rel(path), tree).run()
 
 

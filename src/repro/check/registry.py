@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 __all__ = [
-    "REGISTRY_VERSION",
     "DIGEST_CHECKED_FIELDS",
     "DIGEST_INVISIBLE_FIELDS",
     "TELEMETRY_EXPORT_FIELDS",
@@ -45,10 +44,6 @@ __all__ = [
     "RUNTIME_PREFIXES",
     "validate_fields",
 ]
-
-#: Bump when any declaration below changes meaning — feeds the simcheck
-#: incremental-cache key so stale per-file summaries are discarded.
-REGISTRY_VERSION = "1"
 
 # ----------------------------------------------------------------------
 # ScenarioResult field partition

@@ -57,8 +57,8 @@ __all__ = ["Finding", "FileReport", "check_file", "check_paths",
            "iter_rules", "main", "run_deep", "RULES_VERSION",
            "render_sarif", "finding_fingerprint"]
 
-#: Bump when any rule's behaviour changes — combined with the registry
-#: version and file content hash into the incremental-cache key.
+#: Bump when any rule's behaviour changes — reported as the SARIF tool
+#: version.
 RULES_VERSION = "2"
 
 
@@ -121,6 +121,8 @@ class FileContext:
         self.rel = _package_rel(path)
         #: local name -> fully qualified dotted module/function name.
         self.aliases = _collect_aliases(self.tree)
+        #: line -> rule codes an inline ``# simcheck: ignore[...]`` waives.
+        self.suppress = _suppressions(source)
 
     def resolve_call(self, func: ast.expr) -> Optional[str]:
         """Dotted name a call target resolves to, or None.
@@ -595,26 +597,34 @@ def _suppressions(source: str) -> Dict[int, set]:
     return out
 
 
-def check_file(path: str) -> FileReport:
-    """Lint one file; parse errors are reported, not raised."""
+def _lint(path: str) -> Tuple[FileReport, Optional[FileContext]]:
+    """File-local findings for one file plus its parsed context.
+
+    The context is ``None`` when the file could not be read or parsed;
+    the report then carries the error instead of raising it.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
         ctx = FileContext(path, source)
     except (OSError, SyntaxError, ValueError, RecursionError) as exc:
-        return FileReport(path, [], error=str(exc))
-    suppress = _suppressions(source)
+        return FileReport(path, [], error=str(exc)), None
     findings: List[Finding] = []
     suppressed = 0
     for rule in _RULES:
         for finding in rule.check(ctx):
-            codes = suppress.get(finding.line)
+            codes = ctx.suppress.get(finding.line)
             if codes is not None and finding.code in codes:
                 suppressed += 1
             else:
                 findings.append(finding)
     findings.sort(key=lambda f: (f.line, f.col, f.code))
-    return FileReport(path, findings, suppressed=suppressed)
+    return FileReport(path, findings, suppressed=suppressed), ctx
+
+
+def check_file(path: str) -> FileReport:
+    """Lint one file; parse errors are reported, not raised."""
+    return _lint(path)[0]
 
 
 def _iter_py_files(paths: Sequence[str]) -> Iterator[str]:
@@ -643,100 +653,8 @@ def check_paths(paths: Sequence[str]) -> Tuple[List[FileReport], int]:
 
 
 # ----------------------------------------------------------------------
-# Deep mode: incremental cache, parallel extraction, flow passes
+# Deep mode: file-local rules plus whole-program flow passes
 # ----------------------------------------------------------------------
-def _cache_version() -> str:
-    from repro.check.registry import REGISTRY_VERSION
-    return f"{RULES_VERSION}:{REGISTRY_VERSION}"
-
-
-def _content_key(source: str) -> str:
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    return f"{digest}:{_cache_version()}"
-
-
-def _analyze_file(path: str) -> Dict[str, Any]:
-    """File-local findings plus the whole-program summary for one file.
-
-    Returns a JSON-compatible cache entry; never raises on bad input
-    (the error lands in ``entry["error"]``).
-    """
-    entry: Dict[str, Any] = {
-        "key": None, "findings": [], "suppressed": 0, "error": None,
-        "summary": None, "suppress": {},
-    }
-    try:
-        with open(path, encoding="utf-8") as fh:
-            source = fh.read()
-    except OSError as exc:
-        entry["error"] = str(exc)
-        return entry
-    entry["key"] = _content_key(source)
-    try:
-        ctx = FileContext(path, source)
-    except (SyntaxError, ValueError, RecursionError) as exc:
-        entry["error"] = str(exc)
-        return entry
-    suppress = _suppressions(source)
-    entry["suppress"] = {str(line): sorted(codes)
-                         for line, codes in suppress.items()}
-    findings: List[Finding] = []
-    suppressed = 0
-    for rule in _RULES:
-        for finding in rule.check(ctx):
-            codes = suppress.get(finding.line)
-            if codes is not None and finding.code in codes:
-                suppressed += 1
-            else:
-                findings.append(finding)
-    findings.sort(key=lambda f: (f.line, f.col, f.code))
-    entry["findings"] = [f.to_dict() for f in findings]
-    entry["suppressed"] = suppressed
-    try:
-        from repro.check.graph import extract_summary
-        entry["summary"] = extract_summary(path, source)
-    except (SyntaxError, ValueError, RecursionError) as exc:
-        entry["error"] = str(exc)
-    return entry
-
-
-def _load_cache(cache_path: Optional[str]) -> Dict[str, Any]:
-    if not cache_path or not os.path.exists(cache_path):
-        return {}
-    try:
-        with open(cache_path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(data, dict) or data.get("version") != _cache_version():
-        return {}
-    entries = data.get("entries")
-    return entries if isinstance(entries, dict) else {}
-
-
-def _save_cache(cache_path: Optional[str],
-                entries: Dict[str, Any]) -> None:
-    if not cache_path:
-        return
-    payload = {"version": _cache_version(), "entries": entries}
-    try:
-        parent = os.path.dirname(cache_path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        tmp = cache_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, cache_path)
-    except OSError:
-        pass  # cache is best-effort; never fail the check over it
-
-
-def _finding_from_dict(path: str, data: Dict[str, Any]) -> Finding:
-    return Finding(path, int(data["line"]), int(data["col"]),
-                   str(data["code"]), str(data["message"]),
-                   chain=tuple(data.get("chain") or ()))
-
-
 @dataclass
 class DeepResult:
     """Everything one ``repro check --deep`` run produced."""
@@ -744,76 +662,34 @@ class DeepResult:
     reports: List[FileReport]
     deep_findings: List[Finding]
     suppressed: int
-    cache_hits: int
-    cache_misses: int
 
 
-def run_deep(paths: Sequence[str], cache_path: Optional[str] = None,
-             jobs: Optional[int] = None) -> DeepResult:
+def run_deep(paths: Sequence[str]) -> DeepResult:
     """File-local rules plus whole-program flow passes.
 
-    Per-file work (parse + rules + graph summary) is cached by content
-    hash and parallelised across processes; the linked graph and flow
-    passes run in the parent.  Parse errors stay per-file (`FileReport
-    .error`) — the graph is built from the parseable subset.
+    Each file is read and parsed once: the file-local rules and the
+    graph summary share its tree.  Parse errors stay per-file
+    (``FileReport.error``) — the graph is built from the parseable
+    subset.
     """
     from repro.check.flow import run_flow_passes
-    from repro.check.graph import ProjectGraph
-
-    files = list(_iter_py_files(paths))
-    cached = _load_cache(cache_path)
-    entries: Dict[str, Any] = {}
-    hits = 0
-    todo: List[str] = []
-    for path in files:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                key = _content_key(fh.read())
-        except OSError:
-            key = None
-        prior = cached.get(path)
-        if key is not None and prior is not None \
-                and prior.get("key") == key:
-            entries[path] = prior
-            hits += 1
-        else:
-            todo.append(path)
-
-    if jobs is None:
-        jobs = min(os.cpu_count() or 1, 8)
-    if jobs > 1 and len(todo) >= 16:
-        from concurrent.futures import ProcessPoolExecutor
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for path, entry in zip(todo, pool.map(
-                        _analyze_file, todo, chunksize=8)):
-                    entries[path] = entry
-        except OSError:  # no process spawning available — degrade
-            for path in todo:
-                entries[path] = _analyze_file(path)
-    else:
-        for path in todo:
-            entries[path] = _analyze_file(path)
-    _save_cache(cache_path, entries)
+    from repro.check.graph import ProjectGraph, extract_summary
 
     reports: List[FileReport] = []
     suppressed = 0
     summaries: Dict[str, Dict[str, Any]] = {}
     suppress_by_path: Dict[str, Dict[int, set]] = {}
-    for path in files:
-        entry = entries[path]
-        reports.append(FileReport(
-            path,
-            [_finding_from_dict(path, f) for f in entry["findings"]],
-            suppressed=entry["suppressed"],
-            error=entry["error"],
-        ))
-        suppressed += entry["suppressed"]
-        if entry["summary"] is not None and entry["error"] is None:
-            summaries[path] = entry["summary"]
-        suppress_by_path[path] = {
-            int(line): set(codes)
-            for line, codes in entry["suppress"].items()}
+    for path in _iter_py_files(paths):
+        report, ctx = _lint(path)
+        reports.append(report)
+        suppressed += report.suppressed
+        if ctx is None:
+            continue
+        suppress_by_path[path] = ctx.suppress
+        try:
+            summaries[path] = extract_summary(path, ctx.tree)
+        except RecursionError as exc:
+            report.error = str(exc)
 
     graph = ProjectGraph(summaries)
     deep_findings: List[Finding] = []
@@ -823,12 +699,11 @@ def run_deep(paths: Sequence[str], cache_path: Optional[str] = None,
             suppressed += 1
         else:
             deep_findings.append(finding)
-    return DeepResult(reports, deep_findings, suppressed,
-                      cache_hits=hits, cache_misses=len(todo))
+    return DeepResult(reports, deep_findings, suppressed)
 
 
 # ----------------------------------------------------------------------
-# Output formats and baseline
+# Output formats
 # ----------------------------------------------------------------------
 def _all_rule_docs(deep: bool) -> Dict[str, str]:
     docs = {r.code: r.summary for r in _RULES}
@@ -839,54 +714,12 @@ def _all_rule_docs(deep: bool) -> Dict[str, str]:
 
 
 def finding_fingerprint(finding: Finding) -> str:
-    """Stable identity for baselining: path (package-relative), code and
-    message — deliberately line-number independent so unrelated edits
-    don't churn the baseline."""
+    """Stable identity for SARIF ``partialFingerprints``: path
+    (package-relative), code and message — deliberately line-number
+    independent so unrelated edits don't churn code-scanning alerts."""
     rel = _package_rel(finding.path)
     raw = f"{rel}|{finding.code}|{finding.message}"
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
-
-
-def _baseline_counts(findings: Sequence[Finding]) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for f in findings:
-        fp = finding_fingerprint(f)
-        counts[fp] = counts.get(fp, 0) + 1
-    return counts
-
-
-def load_baseline(path: str) -> Dict[str, int]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    fps = data.get("fingerprints", {})
-    return {str(k): int(v) for k, v in fps.items()}
-
-
-def save_baseline(path: str, findings: Sequence[Finding]) -> None:
-    payload = {
-        "format": "simcheck-baseline-v1",
-        "rules_version": RULES_VERSION,
-        "fingerprints": _baseline_counts(findings),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def apply_baseline(findings: Sequence[Finding],
-                   baseline: Dict[str, int]) -> Tuple[List[Finding], int]:
-    """Split findings into (new, baselined-count)."""
-    budget = dict(baseline)
-    new: List[Finding] = []
-    matched = 0
-    for f in findings:
-        fp = finding_fingerprint(f)
-        if budget.get(fp, 0) > 0:
-            budget[fp] -= 1
-            matched += 1
-        else:
-            new.append(f)
-    return new, matched
 
 
 def render_sarif(findings: Sequence[Finding], deep: bool) -> Dict[str, Any]:
@@ -951,56 +784,30 @@ def explain(code: str, out: Any) -> int:
 
 def main(paths: Sequence[str], as_json: bool = False,
          out: Optional[Any] = None, deep: bool = False,
-         fmt: Optional[str] = None, baseline: Optional[str] = None,
-         update_baseline: bool = False, explain_code: Optional[str] = None,
-         jobs: Optional[int] = None, cache: Optional[str] = None,
-         no_cache: bool = False) -> int:
+         fmt: Optional[str] = None,
+         explain_code: Optional[str] = None) -> int:
     """Entry point for ``repro check``.
 
     Exit codes: 0 clean, 1 findings, 2 a file could not be parsed (or
     usage error).  ``--deep`` adds the whole-program flow passes on top
-    of the file-local rules, with a content-hash incremental cache.
+    of the file-local rules.
     """
     out = out if out is not None else sys.stdout
     if explain_code is not None:
         return explain(explain_code, out)
     fmt = fmt or ("json" if as_json else "text")
 
-    cache_hits = cache_misses = 0
     if deep:
-        cache_path = None if no_cache else (
-            cache or os.path.join(".cache", "simcheck.json"))
-        result = run_deep(paths, cache_path=cache_path, jobs=jobs)
+        result = run_deep(paths)
         reports = result.reports
         suppressed = result.suppressed
         findings = [f for r in reports for f in r.findings]
         findings += result.deep_findings
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-        cache_hits, cache_misses = result.cache_hits, result.cache_misses
     else:
         reports, suppressed = check_paths(paths)
         findings = [f for r in reports for f in r.findings]
     errors = [(r.path, r.error) for r in reports if r.error]
-
-    if update_baseline:
-        if not baseline:
-            print("simcheck: --update-baseline requires --baseline PATH",
-                  file=out)
-            return 2
-        save_baseline(baseline, findings)
-        print(f"simcheck: baseline written to {baseline} "
-              f"({len(findings)} finding(s))", file=out)
-        return 2 if errors else 0
-
-    baselined = 0
-    if baseline:
-        try:
-            known = load_baseline(baseline)
-        except (OSError, ValueError) as exc:
-            print(f"simcheck: cannot read baseline {baseline}: {exc}",
-                  file=out)
-            return 2
-        findings, baselined = apply_baseline(findings, known)
 
     if fmt == "sarif":
         print(json.dumps(render_sarif(findings, deep), indent=2,
@@ -1015,24 +822,13 @@ def main(paths: Sequence[str], as_json: bool = False,
         }
         if deep:
             payload["deep"] = True
-            payload["cache"] = {"hits": cache_hits,
-                                "misses": cache_misses}
-        if baseline:
-            payload["baselined"] = baselined
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
     else:
         for f in findings:
             print(f.render(), file=out)
         for path, err in errors:
             print(f"{path}: ERROR {err}", file=out)
-        tail = ""
-        if deep:
-            tail += (f", cache {cache_hits} hit(s)/"
-                     f"{cache_misses} miss(es)")
-        if baseline:
-            tail += f", {baselined} baselined"
-        if errors:
-            tail += f", {len(errors)} error(s)"
+        tail = f", {len(errors)} error(s)" if errors else ""
         print(f"simcheck: {len(reports)} files, {len(findings)} "
               f"finding(s), {suppressed} suppression(s)" + tail, file=out)
     if errors:

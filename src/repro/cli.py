@@ -338,7 +338,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     out = None
     if args.output is not None:
-        out = open(args.output, "w", encoding="utf-8")
+        try:
+            out = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"check: cannot write {args.output}: {exc}",
+                  file=sys.stderr)
+            return 2
     try:
         return simcheck_main(
             args.paths or ["src"],
@@ -346,12 +351,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             out=out,
             deep=args.deep,
             fmt=args.format,
-            baseline=args.check_baseline,
-            update_baseline=args.update_baseline,
             explain_code=args.explain,
-            jobs=args.jobs,
-            cache=args.cache,
-            no_cache=args.no_cache,
         )
     finally:
         if out is not None:
@@ -363,7 +363,11 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
     if _bad_duration(args.duration):
         return 2
-    topology = load_topology(args.path, seed=args.seed)
+    try:
+        topology = load_topology(args.path, seed=args.seed)
+    except (OSError, ValueError) as exc:
+        print(f"topology: {args.path}: {exc}", file=sys.stderr)
+        return 2
     if args.fault_plan is not None and topology.manager.faults is None:
         from repro.faults.plan import FaultPlan
         from repro.sim.rng import RngFactory
@@ -531,25 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "scanning)")
     check.add_argument("-o", "--output", default=None, metavar="PATH",
                        help="write the report to PATH instead of stdout")
-    check.add_argument("--baseline", dest="check_baseline", default=None,
-                       metavar="PATH",
-                       help="suppress findings matching the committed "
-                            "baseline (staged adoption); new findings "
-                            "still fail")
-    check.add_argument("--update-baseline", action="store_true",
-                       help="rewrite --baseline from the current "
-                            "findings and exit 0")
     check.add_argument("--explain", default=None, metavar="CODE",
                        help="print the documentation for one rule code "
                             "(e.g. SIM601) and exit")
-    check.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes for --deep per-file "
-                            "parsing (default: min(cpus, 8))")
-    check.add_argument("--cache", default=None, metavar="PATH",
-                       help="incremental cache path for --deep "
-                            "(default: .cache/simcheck.json)")
-    check.add_argument("--no-cache", action="store_true",
-                       help="disable the --deep incremental cache")
     check.set_defaults(func=_cmd_check)
 
     topo = sub.add_parser("topology", help="run a declarative JSON topology")

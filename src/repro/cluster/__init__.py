@@ -7,58 +7,37 @@ Grows the single-host NFVnice platform into a datacenter row:
   queue-cap drops, ECN) every topology edge is built from;
 * :mod:`~repro.cluster.topology` — N :class:`~repro.platform.manager.
   NFManager` hosts on one event loop behind an
-  :class:`~repro.cluster.topology.IngressPoint`;
+  :class:`~repro.cluster.topology.IngressPoint`, joined host to host by
+  :meth:`~repro.cluster.topology.ClusterTopology.connect` (the §3.3
+  cross-host wire);
 * :mod:`~repro.cluster.steering` — the ingress load balancer binding
   flows to chain replica :class:`~repro.cluster.steering.Placement`\\ s;
 * :mod:`~repro.cluster.autoscaler` — the elastic control loop
   instantiating/draining replicas from Monitor telemetry;
 * :mod:`~repro.cluster.scenario` — the builder/runner producing standard
   :class:`~repro.experiments.common.ScenarioResult` objects.
-
-Exports resolve lazily (PEP 562): :mod:`repro.platform.multihost` builds
-its ``HostLink`` on :class:`~repro.cluster.fabric.FabricLink`, and eager
-re-exports here would close an import cycle through
-:mod:`repro.platform`.
 """
 
-from typing import TYPE_CHECKING
+from repro.cluster.autoscaler import Autoscaler, ChainTemplate
+from repro.cluster.fabric import FabricLink
+from repro.cluster.scenario import ClusterScenario
+from repro.cluster.steering import FlowSteerer, Placement
+from repro.cluster.topology import (
+    ClusterHost,
+    ClusterTopology,
+    CrossHostLink,
+    IngressPoint,
+)
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.autoscaler import Autoscaler, ChainTemplate
-    from repro.cluster.fabric import FabricLink
-    from repro.cluster.scenario import ClusterScenario
-    from repro.cluster.steering import FlowSteerer, Placement
-    from repro.cluster.topology import (
-        ClusterHost,
-        ClusterTopology,
-        IngressPoint,
-    )
-
-#: export name -> defining submodule.
-_EXPORTS = {
-    "Autoscaler": "repro.cluster.autoscaler",
-    "ChainTemplate": "repro.cluster.autoscaler",
-    "FabricLink": "repro.cluster.fabric",
-    "ClusterScenario": "repro.cluster.scenario",
-    "FlowSteerer": "repro.cluster.steering",
-    "Placement": "repro.cluster.steering",
-    "ClusterHost": "repro.cluster.topology",
-    "ClusterTopology": "repro.cluster.topology",
-    "IngressPoint": "repro.cluster.topology",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> object:
-    module_path = _EXPORTS.get(name)
-    if module_path is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_path), name)
-
-
-def __dir__() -> "list[str]":  # pragma: no cover - introspection aid
-    return sorted(set(globals()) | set(_EXPORTS))
+__all__ = [
+    "Autoscaler",
+    "ChainTemplate",
+    "ClusterHost",
+    "ClusterScenario",
+    "ClusterTopology",
+    "CrossHostLink",
+    "FabricLink",
+    "FlowSteerer",
+    "IngressPoint",
+    "Placement",
+]

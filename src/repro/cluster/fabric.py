@@ -1,14 +1,12 @@
 """Inter-host fabric links: the wire model of the cluster.
 
-Generalises :class:`repro.platform.multihost.HostLink` (the pairwise
-host-to-host wire of paper §3.3) into a reusable link primitive an
-arbitrary topology graph can be built from.  A :class:`FabricLink` models
-one direction of one wire:
+The one link primitive every topology edge is built from: the ToR-to-host
+ingress star and the host-to-host wires of paper §3.3
+(:meth:`repro.cluster.topology.ClusterTopology.connect`).  A
+:class:`FabricLink` models one direction of one wire:
 
 * **serialisation** — packets occupy the wire for ``wire_bits / link_bps``
-  seconds; back-to-back sends queue behind ``busy_until`` exactly like the
-  original ``HostLink`` (same float arithmetic, so existing cross-host
-  digests are unchanged);
+  seconds; back-to-back sends queue behind ``busy_until``;
 * **propagation** — delivery lands ``latency_ns`` after serialisation
   completes;
 * **queue cap** — at most ``queue_cap_pkts`` packets may be in flight
@@ -101,8 +99,7 @@ class FabricLink:
             if accepted == 0:
                 return 0
             count = accepted
-        # Serialise onto the wire (link-rate cap), then propagate — the
-        # exact HostLink arithmetic, kept bit-identical.
+        # Serialise onto the wire (link-rate cap), then propagate.
         wire_bits = count * (flow.pkt_size + WIRE_OVERHEAD_BYTES) * 8
         start = max(float(now_ns), self._busy_until)
         done = start + wire_bits * SEC / self.link_bps

@@ -34,13 +34,12 @@ from repro.cluster.fabric import FabricLink
 from repro.platform.config import PlatformConfig
 from repro.platform.manager import NFManager
 from repro.platform.nic import NIC
-from repro.platform.packet import Flow
+from repro.platform.packet import Flow, PacketSegment
 from repro.sim.clock import USEC
 from repro.sim.engine import EventLoop
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.steering import FlowSteerer
-    from repro.platform.multihost import HostLink
 
 
 #: Cluster-wide core keys are ``host_index * HOST_CORE_STRIDE + core_id``
@@ -85,6 +84,59 @@ class ClusterHost:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClusterHost({self.name}, nfs={len(self.manager.nfs)})"
+
+
+class CrossHostLink(FabricLink):
+    """A host-to-host wire fed by the upstream host's NIC egress (§3.3).
+
+    Only flows mapped with :meth:`connect_flow` are carried; other egress
+    traffic leaves the topology (it reached its destination).  ECN CE
+    marks applied on either host accumulate on the shared flow stats, so
+    the TCP sender sees congestion from any hop.
+    """
+
+    def __init__(self, loop: EventLoop, upstream: ClusterHost,
+                 downstream: ClusterHost,
+                 deliver: Callable[[Flow, int, int], None],
+                 latency_ns: int, link_bps: float) -> None:
+        if upstream is downstream:
+            raise ValueError(f"upstream and downstream are both "
+                             f"{upstream.name}: a host link needs two "
+                             f"distinct hosts")
+        nic = upstream.manager.nic
+        if nic.on_transmit is not None:
+            raise ValueError(f"upstream {upstream.name} NIC already has an "
+                             f"egress tap")
+        super().__init__(
+            loop,
+            name=f"{nic.name}->{downstream.manager.nic.name}",
+            deliver=deliver,
+            latency_ns=latency_ns,
+            link_bps=link_bps,
+        )
+        #: upstream flow_id -> the downstream host's twin Flow object.
+        self._carried_flows: Dict[str, Flow] = {}
+        nic.on_transmit = self._on_egress
+
+    def connect_flow(self, upstream_flow: Flow,
+                     downstream_flow: Optional[Flow] = None) -> Flow:
+        """Carry ``upstream_flow`` across this link.
+
+        Each host steers the flow with its own :class:`Flow` twin (the
+        ``chain`` backref is host-local) while stats and the TCP model are
+        shared.  Pass an existing twin or let the link clone one; install
+        the returned twin into the downstream host's flow table.
+        """
+        twin = (downstream_flow if downstream_flow is not None
+                else upstream_flow.clone_shared())
+        self._carried_flows[upstream_flow.flow_id] = twin
+        return twin
+
+    def _on_egress(self, segment: PacketSegment) -> None:
+        flow = self._carried_flows.get(segment.flow.flow_id)
+        if flow is not None:
+            self.send(flow, segment.count, self.loop.now,
+                      origin_ns=segment.origin_ns)
 
 
 class ClusterTopology:
@@ -145,16 +197,23 @@ class ClusterTopology:
 
     def connect(self, upstream: int, downstream: int,
                 latency_ns: int = 10 * USEC,
-                link_bps: float = 10e9) -> "HostLink":
-        """Add a host-to-host edge (a chain segment spanning machines)."""
-        # Deferred: repro.platform.multihost builds on repro.cluster.fabric,
-        # so a module-level import here would be circular.
-        from repro.platform.multihost import HostLink
+                link_bps: float = 10e9) -> "CrossHostLink":
+        """Add a host-to-host edge (a chain segment spanning machines).
 
-        link = HostLink(
+        Raises :class:`ValueError` naming ``upstream``/``downstream`` for
+        an index outside ``[0, n_hosts)``, the same host on both ends, or
+        an upstream host whose NIC already feeds another link.
+        """
+        for field, index in (("upstream", upstream),
+                             ("downstream", downstream)):
+            if not 0 <= index < len(self.hosts):
+                raise ValueError(f"{field} {index} outside the cluster "
+                                 f"(0..{len(self.hosts) - 1})")
+        link = CrossHostLink(
             self.loop,
-            self.hosts[upstream].manager,
-            self.hosts[downstream].manager,
+            self.hosts[upstream],
+            self.hosts[downstream],
+            deliver=self._deliver_to(self.hosts[downstream]),
             latency_ns=latency_ns,
             link_bps=link_bps,
         )

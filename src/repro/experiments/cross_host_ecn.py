@@ -14,15 +14,15 @@ to (near) zero at comparable goodput.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.cluster.topology import ClusterTopology
 from repro.core.nf import NFProcess
 from repro.nfs.cost_models import FixedCost
 from repro.metrics.report import render_table
-from repro.platform.config import PlatformConfig, default_platform_config
-from repro.platform.manager import NFManager
-from repro.platform.multihost import HostLink
+from repro.platform.config import default_platform_config
 from repro.platform.packet import Flow
 from repro.sim.clock import MSEC, SEC, USEC
 from repro.sim.engine import EventLoop
@@ -43,27 +43,22 @@ class CrossHostResult:
 def run_case(ecn: bool, duration_s: float = 5.0,
              seed: int = 0) -> CrossHostResult:
     loop = EventLoop()
-
-    def host_config() -> PlatformConfig:
-        cfg = default_platform_config()
-        import dataclasses
-
-        return dataclasses.replace(cfg, enable_ecn=ecn)
-
-    host_a = NFManager(loop, scheduler="NORMAL", config=host_config())
-    host_b = NFManager(loop, scheduler="NORMAL", config=host_config())
+    cfg = dataclasses.replace(default_platform_config(), enable_ecn=ecn)
+    topology = ClusterTopology(loop, 2, scheduler="NORMAL", config=cfg)
+    host_a = topology.host(0).manager
+    host_b = topology.host(1).manager
     # Host A: a light forwarder; Host B: the bottleneck NF.
-    fwd = NFProcess("fwd", FixedCost(300), config=host_a.config)
+    fwd = NFProcess("fwd", FixedCost(300), config=cfg)
     host_a.add_nf(fwd, core_id=0)
     chain_a = host_a.add_chain("leg-a", [fwd])
-    heavy = NFProcess("heavy", FixedCost(8000), config=host_b.config)
+    heavy = NFProcess("heavy", FixedCost(8000), config=cfg)
     host_b.add_nf(heavy, core_id=0)
     chain_b = host_b.add_chain("leg-b", [heavy])
 
     flow_a = Flow("tcp", pkt_size=1500, protocol="tcp")
     host_a.install_flow(flow_a, chain_a)
 
-    link = HostLink(loop, host_a, host_b, latency_ns=10 * USEC)
+    link = topology.connect(0, 1, latency_ns=10 * USEC)
     flow_b = link.connect_flow(flow_a)
     host_b.install_flow(flow_b, chain_b)
 
@@ -71,13 +66,11 @@ def run_case(ecn: bool, duration_s: float = 5.0,
     spec = gen.add(FlowSpec(flow_a, rate_pps=1.0))
     tcp = TCPFlow(loop, spec, rtt_ns=1 * MSEC, max_cwnd=2000.0)
 
-    host_a.start()
-    host_b.start()
+    topology.start()
     gen.start()
     tcp.start()
     loop.run_until(int(duration_s * SEC))
-    host_a.finalize()
-    host_b.finalize()
+    topology.finalize()
 
     return CrossHostResult(
         ecn=ecn,

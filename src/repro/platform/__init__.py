@@ -25,7 +25,6 @@ from repro.platform.chain import ServiceChain
 from repro.platform.config import PlatformConfig
 from repro.platform.flow_table import FlowTable
 from repro.platform.manager import NFManager
-from repro.platform.multihost import HostLink, connect_hosts
 from repro.platform.orchestrator import Topology, build_topology, load_topology
 from repro.platform.nic import NIC, line_rate_pps
 from repro.platform.packet import Flow, PacketSegment
@@ -41,8 +40,6 @@ __all__ = [
     "line_rate_pps",
     "NFManager",
     "PlatformConfig",
-    "HostLink",
-    "connect_hosts",
     "Topology",
     "build_topology",
     "load_topology",

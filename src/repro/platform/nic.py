@@ -41,8 +41,9 @@ class NIC:
         self.tx_packets = 0
         self.tx_bytes = 0
         #: Optional egress tap: called with each transmitted segment.  A
-        #: HostLink uses this to carry packets to the next host of a
-        #: multi-host service chain (§3.3).
+        #: :class:`~repro.cluster.topology.CrossHostLink` uses this to
+        #: carry packets to the next host of a multi-host service chain
+        #: (§3.3).
         self.on_transmit = None
 
     def receive(self, flow: Flow, count: int, now_ns: int) -> int:

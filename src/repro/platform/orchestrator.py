@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -102,6 +102,18 @@ def _require(spec: Dict[str, Any], key: str):
     return spec[key]
 
 
+def _objects(spec: Dict[str, Any], key: str) -> List[Dict[str, Any]]:
+    """``spec[key]`` as a list of JSON objects (absent means empty)."""
+    entries = spec.get(key, [])
+    if not isinstance(entries, list):
+        raise TopologyError(f"{key}: expected a list, got {entries!r}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise TopologyError(
+                f"{key}[{i}]: expected a JSON object, got {entry!r}")
+    return entries
+
+
 def build_topology(
     spec: Dict[str, Any],
     config: Optional[PlatformConfig] = None,
@@ -122,16 +134,19 @@ def build_topology(
     from repro.core.nf import NFProcess
     from repro.nfs.cost_models import FixedCost
 
-    nf_specs = spec.get("nfs")
+    nf_specs = _objects(spec, "nfs")
     if not nf_specs:
         raise TopologyError("topology needs at least one NF")
-    for nf_spec in nf_specs:
+    for i, nf_spec in enumerate(nf_specs):
         name = nf_spec.get("name")
         if not name:
             raise TopologyError(f"NF without a name: {nf_spec!r}")
         if "cycles" in nf_spec:
             cost = FixedCost(float(nf_spec["cycles"]))
         elif "cost" in nf_spec:
+            if not isinstance(nf_spec["cost"], dict):
+                raise TopologyError(f"nfs[{i}].cost: expected a JSON "
+                                    f"object, got {nf_spec['cost']!r}")
             cost = _build_cost(nf_spec["cost"],
                                rng_factory.stream(f"cost-{name}"))
         else:
@@ -143,7 +158,7 @@ def build_topology(
         )
         manager.add_nf(nf, core_id=int(nf_spec.get("core", 0)))
 
-    for chain_spec in spec.get("chains", []):
+    for chain_spec in _objects(spec, "chains"):
         name = chain_spec.get("name")
         members = chain_spec.get("nfs")
         if not name or not members:
@@ -155,7 +170,7 @@ def build_topology(
                                 f"{exc.args[0]!r}") from exc
         manager.add_chain(name, nfs)
 
-    for flow_spec in spec.get("flows", []):
+    for flow_spec in _objects(spec, "flows"):
         flow_id = flow_spec.get("id")
         chain_name = flow_spec.get("chain")
         if not flow_id or chain_name not in manager.chains:

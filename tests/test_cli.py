@@ -137,6 +137,53 @@ def test_topology_rejects_nonpositive_duration(tmp_path, capsys, duration):
     assert "--duration must be a positive number" in captured.err
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"hosts": 2}', "topology needs at least one NF"),
+    ("{nope", "Expecting property name"),
+    ('{"nfs": [{"name": "a", "cost": -5}]}',
+     "nfs[0].cost: expected a JSON object, got -5"),
+    ('{"nfs": [5]}', "nfs[0]: expected a JSON object, got 5"),
+    ('{"nfs": [{"name": "a", "cycles": 100}], "chains": [3]}',
+     "chains[0]: expected a JSON object, got 3"),
+    ('{"nfs": [{"name": "a", "cycles": 100}], "flows": ["f"]}',
+     "flows[0]: expected a JSON object, got 'f'"),
+    ("[]", "topology spec must be a mapping"),
+], ids=["no-nfs", "bad-json", "scalar-cost", "scalar-nf", "scalar-chain",
+        "scalar-flow", "not-a-mapping"])
+def test_topology_rejects_hostile_spec(tmp_path, capsys, text, message):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    assert main(["topology", str(path), "--duration", "0.01"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"topology: {path}: ")
+    assert message in captured.err
+
+
+def test_topology_missing_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert main(["topology", str(path)]) == 2
+    assert f"topology: {path}: " in capsys.readouterr().err
+
+
+def test_check_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert main(["check", "src", "-o", str(target)]) == 2
+    assert "check: cannot write" in capsys.readouterr().err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("option", [
+    ["--cache", "c.json"], ["--no-cache"], ["--jobs", "2"],
+    ["--baseline", "b.json"], ["--update-baseline"],
+])
+def test_check_removed_options_are_unknown(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--deep", "src"] + option)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_run_rejects_empty_stream_out(capsys):
     assert main(["run", "tab05", "--stream-out", "  "]) == 2
     assert "--stream-out" in capsys.readouterr().err

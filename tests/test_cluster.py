@@ -498,6 +498,26 @@ class TestClusterScenario:
 
 
 # ----------------------------------------------------------------------
+# ClusterTopology.connect: host-to-host edges
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("upstream,downstream,match", [
+    (0, -1, r"downstream -1 outside the cluster \(0\.\.1\)"),
+    (0, 9, r"downstream 9 outside the cluster \(0\.\.1\)"),
+    (-1, 1, r"upstream -1 outside the cluster \(0\.\.1\)"),
+    (2, 0, r"upstream 2 outside the cluster \(0\.\.1\)"),
+    (1, 1, r"upstream and downstream are both h1"),
+])
+def test_connect_rejects_bad_host_indices(loop, config, upstream,
+                                          downstream, match):
+    topology = ClusterTopology(loop, 2, config=config)
+    with pytest.raises(ValueError, match=match):
+        topology.connect(upstream, downstream)
+    assert len(topology.links) == 2             # ingress star only
+    assert all(host.manager.nic.on_transmit is None
+               for host in topology.hosts)
+
+
+# ----------------------------------------------------------------------
 # Monitor cluster snapshot
 # ----------------------------------------------------------------------
 def test_monitor_cluster_snapshot(loop, config):

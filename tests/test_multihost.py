@@ -1,26 +1,30 @@
-"""Tests for multi-host service chains and cross-host ECN."""
+"""Tests for multi-host service chains and cross-host ECN.
+
+Hosts are joined by :meth:`repro.cluster.topology.ClusterTopology.
+connect`, the one cross-host wire.
+"""
 
 import pytest
 
+from repro.cluster.topology import ClusterTopology
 from repro.core.nf import NFProcess
 from repro.nfs.cost_models import FixedCost
-from repro.platform.manager import NFManager
-from repro.platform.multihost import HostLink, connect_hosts
 from repro.platform.packet import Flow
-from repro.sim.clock import MSEC, SEC, USEC
-from repro.sim.engine import EventLoop
+from repro.sim.clock import MSEC, USEC
 
 
-def two_hosts(loop, config, cost_a=200, cost_b=200):
-    host_a = NFManager(loop, scheduler="BATCH", config=config)
-    host_b = NFManager(loop, scheduler="BATCH", config=config)
+def two_hosts(loop, config, cost_a=200, cost_b=200, n_hosts=2):
+    topology = ClusterTopology(loop, n_hosts, scheduler="BATCH",
+                               config=config)
+    host_a = topology.host(0).manager
+    host_b = topology.host(1).manager
     nf_a = NFProcess("nf-a", FixedCost(cost_a), config=config)
     nf_b = NFProcess("nf-b", FixedCost(cost_b), config=config)
     host_a.add_nf(nf_a)
     host_b.add_nf(nf_b)
     chain_a = host_a.add_chain("leg-a", [nf_a])
     chain_b = host_b.add_chain("leg-b", [nf_b])
-    return host_a, host_b, chain_a, chain_b
+    return topology, chain_a, chain_b
 
 
 class TestFlowTwins:
@@ -43,71 +47,71 @@ class TestFlowTwins:
 
 class TestHostLink:
     def test_packets_cross_the_link(self, loop, default_config):
-        host_a, host_b, chain_a, chain_b = two_hosts(loop, default_config)
+        topology, chain_a, chain_b = two_hosts(loop, default_config)
         flow_a = Flow("f")
-        host_a.install_flow(flow_a, chain_a)
-        link = connect_hosts(loop, host_a, host_b, latency_ns=5 * USEC)
+        topology.host(0).manager.install_flow(flow_a, chain_a)
+        link = topology.connect(0, 1, latency_ns=5 * USEC)
         flow_b = link.connect_flow(flow_a)
-        host_b.install_flow(flow_b, chain_b)
-        host_a.start()
-        host_b.start()
-        host_a.nic.receive(flow_a, 100, 0)
+        topology.host(1).manager.install_flow(flow_b, chain_b)
+        topology.start()
+        topology.host(0).manager.nic.receive(flow_a, 100, 0)
         loop.run_until(50 * MSEC)
         assert chain_a.completed == 100
         assert link.carried_packets == 100
         assert chain_b.completed == 100
 
     def test_unmapped_flows_stay_local(self, loop, default_config):
-        host_a, host_b, chain_a, chain_b = two_hosts(loop, default_config)
+        topology, chain_a, chain_b = two_hosts(loop, default_config)
         flow_a = Flow("f")
-        host_a.install_flow(flow_a, chain_a)
-        link = connect_hosts(loop, host_a, host_b)
-        host_a.start()
-        host_b.start()
-        host_a.nic.receive(flow_a, 50, 0)
+        topology.host(0).manager.install_flow(flow_a, chain_a)
+        link = topology.connect(0, 1)
+        topology.start()
+        topology.host(0).manager.nic.receive(flow_a, 50, 0)
         loop.run_until(50 * MSEC)
         assert chain_a.completed == 50
         assert link.carried_packets == 0
         assert chain_b.completed == 0
 
     def test_link_latency_delays_arrival(self, loop, default_config):
-        host_a, host_b, chain_a, chain_b = two_hosts(loop, default_config)
+        topology, chain_a, chain_b = two_hosts(loop, default_config)
         flow_a = Flow("f")
-        host_a.install_flow(flow_a, chain_a)
-        link = connect_hosts(loop, host_a, host_b, latency_ns=5 * MSEC)
-        host_b.install_flow(link.connect_flow(flow_a), chain_b)
-        host_a.start()
-        host_b.start()
-        host_a.nic.receive(flow_a, 10, 0)
+        topology.host(0).manager.install_flow(flow_a, chain_a)
+        link = topology.connect(0, 1, latency_ns=5 * MSEC)
+        topology.host(1).manager.install_flow(link.connect_flow(flow_a),
+                                              chain_b)
+        topology.start()
+        topology.host(0).manager.nic.receive(flow_a, 10, 0)
         loop.run_until(4 * MSEC)
         assert chain_b.completed == 0  # still on the wire
         loop.run_until(30 * MSEC)
         assert chain_b.completed == 10
 
     def test_origin_preserved_end_to_end(self, loop, default_config):
-        host_a, host_b, chain_a, chain_b = two_hosts(loop, default_config)
+        topology, chain_a, chain_b = two_hosts(loop, default_config)
         flow_a = Flow("f")
-        host_a.install_flow(flow_a, chain_a)
-        link = connect_hosts(loop, host_a, host_b, latency_ns=2 * MSEC)
-        host_b.install_flow(link.connect_flow(flow_a), chain_b)
-        host_a.start()
-        host_b.start()
-        host_a.nic.receive(flow_a, 10, 0)
+        topology.host(0).manager.install_flow(flow_a, chain_a)
+        link = topology.connect(0, 1, latency_ns=2 * MSEC)
+        topology.host(1).manager.install_flow(link.connect_flow(flow_a),
+                                              chain_b)
+        topology.start()
+        topology.host(0).manager.nic.receive(flow_a, 10, 0)
         loop.run_until(50 * MSEC)
         # End-to-end latency includes the 2 ms wire.
         assert chain_b.latency_hist.mean >= 2 * MSEC
 
     def test_same_host_rejected(self, loop, default_config):
-        host_a, _b, _ca, _cb = two_hosts(loop, default_config)
-        with pytest.raises(ValueError):
-            HostLink(loop, host_a, host_a)
+        topology, _ca, _cb = two_hosts(loop, default_config)
+        with pytest.raises(ValueError, match="distinct hosts"):
+            topology.connect(0, 0)
+        assert topology.host(0).manager.nic.on_transmit is None
 
     def test_double_tap_rejected(self, loop, default_config):
-        host_a, host_b, *_ = two_hosts(loop, default_config)
-        connect_hosts(loop, host_a, host_b)
-        host_c = NFManager(loop, scheduler="BATCH", config=default_config)
-        with pytest.raises(ValueError):
-            connect_hosts(loop, host_a, host_c)
+        topology, *_ = two_hosts(loop, default_config, n_hosts=3)
+        topology.connect(0, 1)
+        links = list(topology.links)
+        with pytest.raises(ValueError, match="egress tap"):
+            topology.connect(0, 2)
+        assert topology.links == links
 
 
 class TestCrossHostECN:
@@ -115,10 +119,13 @@ class TestCrossHostECN:
         from repro.experiments.cross_host_ecn import run_cross_host
 
         results = run_cross_host(duration_s=2.0)
-        assert results[True].marked_packets > 0
-        assert results[True].lost_packets < \
-            max(1, results[False].lost_packets) / 2
-        assert results[True].goodput_gbps > 0.2 * results[False].goodput_gbps
+        got = {ecn: (r.goodput_gbps, r.lost_packets,
+                     r.marked_packets, r.carried_packets)
+               for ecn, r in results.items()}
+        assert got == {
+            False: (2.957814, 6977, 0, 501993),
+            True: (2.366154, 676, 3355, 395046),
+        }
 
     def test_formatter(self):
         from repro.experiments.cross_host_ecn import (

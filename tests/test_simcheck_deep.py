@@ -1,15 +1,16 @@
-"""Whole-program ``repro check --deep``: flow passes, cache, baseline.
+"""Whole-program ``repro check --deep``: flow passes, witnesses, registry.
 
 The fixture battery under ``tests/fixtures/simcheck/deep/`` holds one
 bad/clean pair per cross-module rule; the bad member must fire exactly
 its rule (with a call-chain witness where the rule promises one) and
 the clean member must stay silent.  The repo's own ``src/`` tree is
-asserted deep-clean with zero suppressions — the acceptance bar for
-this PR.
+asserted deep-clean with zero suppressions — the bar CI holds it to.
+Every run is uncached and serial: each file is read and parsed once.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import io
 import json
@@ -22,15 +23,14 @@ import pytest
 from repro.check import registry
 from repro.check.flow import DEEP_RULES, EXPLAIN
 from repro.check.graph import ProjectGraph, extract_summary
-from repro.check.simcheck import RULES_VERSION, main, run_deep
+from repro.check.simcheck import main, run_deep
 
 REPO = Path(__file__).resolve().parents[1]
 DEEP = REPO / "tests" / "fixtures" / "simcheck" / "deep"
 
 
-def deep_findings(path, **kwargs):
-    result = run_deep([str(path)], cache_path=None, **kwargs)
-    return result.deep_findings
+def deep_findings(path):
+    return run_deep([str(path)]).deep_findings
 
 
 # ----------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_suppression_applies_to_deep_findings(tmp_path):
     dest = tmp_path / "repro" / "sim"
     dest.mkdir(parents=True)
     (dest / "state.py").write_text(src)
-    result = run_deep([str(tmp_path)], cache_path=None)
+    result = run_deep([str(tmp_path)])
     codes = Counter(f.code for f in result.deep_findings)
     assert "SIM702" not in codes
     assert codes["SIM701"] == 2
@@ -114,20 +114,9 @@ def test_missing_digest_safety_marker_is_flagged(tmp_path):
     assert deep_findings(tmp_path) == []
 
 
-def test_parallel_jobs_match_serial():
-    serial = deep_findings(DEEP / "pool" / "bad", jobs=1)
-    # jobs=2 still runs serially below the parallel threshold, so feed
-    # the whole fixture tree through both paths and compare.
-    a = run_deep([str(DEEP)], cache_path=None, jobs=1)
-    b = run_deep([str(DEEP)], cache_path=None, jobs=2)
-    assert [f.to_dict() for f in a.deep_findings] == \
-        [f.to_dict() for f in b.deep_findings]
-    assert serial  # sanity: the fixture fires at all
-
-
 def test_repo_src_tree_is_deep_clean_with_zero_suppressions():
     out = io.StringIO()
-    assert main([str(REPO / "src")], out=out, deep=True, no_cache=True) == 0
+    assert main([str(REPO / "src")], out=out, deep=True) == 0
     assert "0 finding(s), 0 suppression(s)" in out.getvalue()
 
 
@@ -143,95 +132,13 @@ def test_deep_parse_error_keeps_scanning_and_exits_two(tmp_path):
             tree / name)
     (tree / "broken.py").write_text("def f(:\n")
     out = io.StringIO()
-    assert main([str(tmp_path)], as_json=True, out=out, deep=True,
-                no_cache=True) == 2
+    assert main([str(tmp_path)], as_json=True, out=out, deep=True) == 2
     payload = json.loads(out.getvalue())
     assert len(payload["errors"]) == 1
     assert payload["errors"][0]["path"].endswith("broken.py")
     leak = [f for f in payload["findings"] if f["code"] == "SIM601"]
     assert len(leak) == 1  # the graph still linked the parseable files
     assert leak[0]["chain"]  # witness survives JSON
-
-
-# ----------------------------------------------------------------------
-# Incremental cache
-# ----------------------------------------------------------------------
-def _fixture_copy(tmp_path):
-    dest = tmp_path / "tree"
-    shutil.copytree(DEEP / "pool" / "bad", dest)
-    return dest
-
-
-def test_cache_hit_on_unchanged_content(tmp_path):
-    tree = _fixture_copy(tmp_path)
-    cache = str(tmp_path / "cache.json")
-    first = run_deep([str(tree)], cache_path=cache)
-    assert first.cache_misses == 1 and first.cache_hits == 0
-    second = run_deep([str(tree)], cache_path=cache)
-    assert second.cache_hits == 1 and second.cache_misses == 0
-    assert [f.to_dict() for f in first.deep_findings] == \
-        [f.to_dict() for f in second.deep_findings]
-
-
-def test_cache_invalidated_by_content_change(tmp_path):
-    tree = _fixture_copy(tmp_path)
-    cache = str(tmp_path / "cache.json")
-    run_deep([str(tree)], cache_path=cache)
-    state = tree / "repro" / "sim" / "state.py"
-    state.write_text(state.read_text() + "\n# touched\n")
-    result = run_deep([str(tree)], cache_path=cache)
-    assert result.cache_misses == 1 and result.cache_hits == 0
-
-
-def test_cache_invalidated_by_rule_version_bump(tmp_path, monkeypatch):
-    tree = _fixture_copy(tmp_path)
-    cache = str(tmp_path / "cache.json")
-    run_deep([str(tree)], cache_path=cache)
-    monkeypatch.setattr("repro.check.simcheck.RULES_VERSION",
-                        RULES_VERSION + "-test")
-    result = run_deep([str(tree)], cache_path=cache)
-    assert result.cache_misses == 1 and result.cache_hits == 0
-
-
-def test_corrupt_cache_is_ignored(tmp_path):
-    tree = _fixture_copy(tmp_path)
-    cache = tmp_path / "cache.json"
-    cache.write_text("{not json")
-    result = run_deep([str(tree)], cache_path=str(cache))
-    assert result.cache_misses == 1
-    assert result.deep_findings  # analysis unaffected
-
-
-# ----------------------------------------------------------------------
-# Baseline workflow
-# ----------------------------------------------------------------------
-def test_baseline_suppresses_known_findings_only(tmp_path):
-    baseline = str(tmp_path / "baseline.json")
-    out = io.StringIO()
-    assert main([str(DEEP / "pool" / "bad")], out=out, deep=True,
-                no_cache=True, baseline=baseline,
-                update_baseline=True) == 0
-    data = json.loads(Path(baseline).read_text())
-    assert data["format"] == "simcheck-baseline-v1"
-    assert sum(data["fingerprints"].values()) == 4
-
-    out = io.StringIO()
-    assert main([str(DEEP / "pool" / "bad")], as_json=True, out=out,
-                deep=True, no_cache=True, baseline=baseline) == 0
-    payload = json.loads(out.getvalue())
-    assert payload["findings"] == []
-    assert payload["baselined"] == 4
-
-    # A different tree's findings are NOT covered by this baseline.
-    out = io.StringIO()
-    assert main([str(DEEP / "transitive" / "bad")], out=out, deep=True,
-                no_cache=True, baseline=baseline) == 1
-
-
-def test_update_baseline_requires_baseline_path():
-    out = io.StringIO()
-    assert main([str(DEEP / "pool" / "bad")], out=out, deep=True,
-                no_cache=True, update_baseline=True) == 2
 
 
 # ----------------------------------------------------------------------
@@ -308,8 +215,8 @@ def test_graph_links_alias_self_and_nested_calls(tmp_path):
     (a / "sim" / "helper.py").write_text("def top():\n    return 1\n")
     summaries = {}
     for path in sorted((a / "sim").glob("*.py")):
-        summaries[str(path)] = extract_summary(str(path),
-                                               path.read_text())
+        summaries[str(path)] = extract_summary(
+            str(path), ast.parse(path.read_text()))
     graph = ProjectGraph(summaries)
     edges = graph.edges
     assert "repro.sim.mod.C.step" in edges["repro.sim.mod.C.run"]
