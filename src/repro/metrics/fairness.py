@@ -6,6 +6,7 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 
@@ -24,8 +25,12 @@ def jain_index(values: Sequence[float]) -> float:
     if total == 0.0:
         return 1.0
     sq = sum(float(v) * float(v) for v in values)
-    if sq == 0.0:
-        # Subnormal allocations whose squares underflow to zero: everyone
-        # got (effectively) nothing, equally.
-        return 1.0
+    if sq < sys.float_info.min:
+        # Tiny allocations whose squares underflow into the subnormal range
+        # lose precision (or vanish).  J is scale-invariant, so rescale by
+        # the largest allocation and compute on values in [0, 1].
+        top = float(max(values))
+        scaled = [float(v) / top for v in values]
+        total = sum(scaled)
+        sq = sum(v * v for v in scaled)
     return total * total / (len(values) * sq)

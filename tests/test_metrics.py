@@ -148,6 +148,11 @@ class TestJainIndex:
         assert jain_index([]) == 1.0
         assert jain_index([0, 0]) == 1.0
 
+    def test_subnormal_allocations(self):
+        """Squares that underflow into the subnormal range must not skew J."""
+        assert jain_index([6.044405193027181e-162] * 2) == pytest.approx(1.0)
+        assert jain_index([5e-324, 0.0]) == pytest.approx(0.5)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             jain_index([1, -1])
