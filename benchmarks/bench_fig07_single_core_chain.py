@@ -2,13 +2,15 @@
 
 from benchmarks.conftest import bench_duration
 from repro.experiments import fig07_single_core_chain as fig07
+from repro.experiments.common import run_cases
 
 _cache = {}
 
 
 def _grid(duration):
     if duration not in _cache:
-        _cache[duration] = fig07.run_grid(duration_s=duration)
+        _cache[duration] = run_cases(fig07.run_case,
+                                     fig07.campaign_cases(duration))
     return _cache[duration]
 
 

@@ -2,12 +2,13 @@
 
 from benchmarks.conftest import bench_duration
 from repro.experiments import fig09_shared_chains as fig09
+from repro.experiments.common import run_cases
 
 
 def test_figure9_table6_shared_chains(benchmark, report):
     duration = bench_duration()
     results = benchmark.pedantic(
-        lambda: fig09.run_fig9(duration_s=duration),
+        lambda: run_cases(fig09.run_case, fig09.campaign_cases(duration)),
         rounds=1, iterations=1,
     )
     report("\n".join([

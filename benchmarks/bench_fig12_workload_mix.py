@@ -3,12 +3,13 @@
 
 from benchmarks.conftest import bench_duration
 from repro.experiments import fig12_workload_mix as fig12
+from repro.experiments.common import run_cases
 
 
 def test_figure12_workload_mix(benchmark, report):
     duration = bench_duration()
     results = benchmark.pedantic(
-        lambda: fig12.run_grid(duration_s=duration),
+        lambda: run_cases(fig12.run_case, fig12.campaign_cases(duration)),
         rounds=1, iterations=1,
     )
     report(fig12.format_figure12(results))

@@ -2,12 +2,13 @@
 
 from benchmarks.conftest import bench_duration
 from repro.experiments import tab05_multicore_chain as tab05
+from repro.experiments.common import run_cases
 
 
 def test_table5_multicore_chain(benchmark, report):
     duration = bench_duration()
     results = benchmark.pedantic(
-        lambda: tab05.run_table5(duration_s=duration),
+        lambda: run_cases(tab05.run_case, tab05.campaign_cases(duration)),
         rounds=1, iterations=1,
     )
     report(tab05.format_table5(results))

@@ -42,17 +42,12 @@ from repro.experiments.cluster_scaling import (      # noqa: E402
     HOSTS, MODES, WORKLOADS, _tag, cluster_block, gold_p99_us,
 )
 from repro.runner.baseline import (                  # noqa: E402
-    SCHEMA_VERSION, check_campaign, load_baseline,
+    SCHEMA_VERSION, check_campaign, check_p99, load_baseline,
 )
 from repro.runner.campaign import run_campaign       # noqa: E402
 
 BASELINE = os.path.join(os.path.dirname(__file__), "BENCH_cluster.json")
 DEFAULT_DURATION = 0.3
-
-#: ``repro obs diff`` semantics: a regression needs BOTH a >10% relative
-#: increase AND at least 1 µs absolute movement (sub-µs jitter floor).
-REL_TOLERANCE = 0.10
-ABS_FLOOR_US = 1.0
 
 
 def cell_results(report) -> dict:
@@ -102,22 +97,6 @@ def structural_problems(results: dict, grid: dict) -> list:
             problems.append(
                 f"CROSSOVER LOST flash h{hosts}: auto p99 {auto:.1f}us "
                 f"is not below static {static:.1f}us")
-    return problems
-
-
-def check_p99(baseline_grid: dict, grid: dict) -> list:
-    problems = []
-    for cell, base in sorted(baseline_grid.items()):
-        cur = grid.get(cell)
-        if cur is None:
-            problems.append(f"{cell}: p99 cell missing from run")
-            continue
-        delta = cur - base
-        rel = delta / base if base > 0 else float("inf")
-        if rel > REL_TOLERANCE and delta >= ABS_FLOOR_US:
-            problems.append(
-                f"{cell}: gold p99 {cur:.3f}us vs baseline {base:.3f}us "
-                f"(+{rel:.1%}, +{delta:.3f}us)")
     return problems
 
 

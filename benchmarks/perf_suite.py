@@ -93,16 +93,16 @@ def run_experiment(exp_id: str, duration_s: float, passes: int) -> dict:
     """
     mod = importlib.import_module(GRIDS[exp_id])
     cases = mod.campaign_cases(duration_s=duration_s)
-    fns = [(case, getattr(mod, case.fn)) for case in cases]
+    run_case = mod.run_case
     walls = []
     results = None
     for _ in range(passes):
         gc.collect()
         t0 = time.perf_counter()
-        results = [fn(**case.kwargs) for case, fn in fns]
+        results = [run_case(**case.kwargs) for case in cases]
         walls.append(time.perf_counter() - t0)
     digests = {case.label: digest_of(result_to_dict(res))
-               for (case, _), res in zip(fns, results)}
+               for case, res in zip(cases, results)}
     events = 0
     peak_pending = 0
     for res in results:

@@ -41,17 +41,12 @@ from repro.experiments.slo_battery import (   # noqa: E402
 )
 from repro.obs.latency import percentile_row  # noqa: E402
 from repro.runner.baseline import (           # noqa: E402
-    SCHEMA_VERSION, check_campaign, load_baseline,
+    SCHEMA_VERSION, check_campaign, check_p99, load_baseline,
 )
 from repro.runner.campaign import run_campaign  # noqa: E402
 
 BASELINE = os.path.join(os.path.dirname(__file__), "BENCH_slo.json")
 DEFAULT_DURATION = 0.1
-
-#: ``repro obs diff`` semantics: a regression needs BOTH a >10% relative
-#: increase AND at least 1 µs absolute movement (sub-µs jitter floor).
-REL_TOLERANCE = 0.10
-ABS_FLOOR_US = 1.0
 
 
 def p99_grid(report) -> dict:
@@ -77,22 +72,6 @@ def crossover_wins(grid: dict) -> list:
         if edf is not None and normal is not None and edf < normal:
             wins.append(workload)
     return wins
-
-
-def check_p99(baseline_grid: dict, grid: dict) -> list:
-    problems = []
-    for flow_id, base in sorted(baseline_grid.items()):
-        cur = grid.get(flow_id)
-        if cur is None:
-            problems.append(f"{flow_id}: p99 cell missing from run")
-            continue
-        delta = cur - base
-        rel = delta / base if base > 0 else float("inf")
-        if rel > REL_TOLERANCE and delta >= ABS_FLOOR_US:
-            problems.append(
-                f"{flow_id}: p99 {cur:.3f}us vs baseline {base:.3f}us "
-                f"(+{rel:.1%}, +{delta:.3f}us)")
-    return problems
 
 
 def main() -> int:

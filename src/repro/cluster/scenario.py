@@ -36,7 +36,9 @@ from repro.experiments.common import (
     ChainSummary,
     NFSummary,
     ScenarioResult,
+    add_tput_probe,
     feature_config,
+    slo_budget_ns,
 )
 from repro.metrics.timeseries import IntervalSampler
 from repro.obs.latency import FlowLatencyTracker
@@ -99,9 +101,7 @@ class ClusterScenario:
     # ------------------------------------------------------------------
     def add_slo_class(self, name: str, slo_us: float) -> None:
         """Declare an end-to-end p99 sojourn budget (µs) for flows."""
-        if slo_us <= 0:
-            raise ValueError(f"SLO budget must be positive, got {slo_us!r}")
-        self._slo_classes[name] = int(slo_us * 1e3)
+        self._slo_classes[name] = slo_budget_ns(slo_us)
 
     def set_chain(
         self,
@@ -193,13 +193,8 @@ class ClusterScenario:
 
     def _on_scale_out(self, placement: Placement) -> None:
         """Give a freshly scaled-out chain its own throughput probe."""
-        sampler = self._sampler
-        if sampler is not None:
-            chain = placement.chain
-            sampler.add_probe(
-                f"tput:{chain.name}",
-                (lambda c: (lambda: c.completed))(chain),
-            )
+        if self._sampler is not None:
+            add_tput_probe(self._sampler, placement.chain)
 
     def run(self, duration_s: float = 1.0) -> ScenarioResult:
         """Run the cluster for ``duration_s`` simulated seconds."""
@@ -223,10 +218,7 @@ class ClusterScenario:
         self._sampler = sampler
         for host in self.topology.hosts:
             for chain in host.manager.chains.values():
-                sampler.add_probe(
-                    f"tput:{chain.name}",
-                    (lambda c: (lambda: c.completed))(chain),
-                )
+                add_tput_probe(sampler, chain)
         self.topology.start()
         self.generator.start()
         sampler.start()
@@ -275,42 +267,11 @@ class ClusterScenario:
             wasted += mgr.total_wasted_drops
             entry += mgr.total_entry_discards
             for chain in mgr.chains.values():
-                series = sampler[f"tput:{chain.name}"]
-                chains[chain.name] = ChainSummary(
-                    name=chain.name,
-                    completed=chain.completed,
-                    throughput_pps=chain.completed / duration_s,
-                    throughput_bps=chain.completed_bytes * 8 / duration_s,
-                    wasted_drop_pps=chain.wasted_drops / duration_s,
-                    entry_discard_pps=chain.entry_discards / duration_s,
-                    tput_series=series.summary(),
-                    latency_p50_us=chain.latency_hist.median() / 1e3,
-                    latency_p99_us=chain.latency_hist.percentile(99) / 1e3,
-                )
+                chains[chain.name] = ChainSummary.from_chain(
+                    chain, duration_s, sampler)
             for nf in mgr.nfs:
-                core = nf.core
-                assert core is not None
-                busy = core.stats.busy_ns + core.stats.overhead_ns
-                nfs[nf.name] = NFSummary(
-                    name=nf.name,
-                    core_id=host.index * HOST_CORE_STRIDE + core.core_id,
-                    processed=nf.processed_packets,
-                    processed_pps=nf.processed_packets / duration_s,
-                    wasted_pps=nf.wasted_processed / duration_s,
-                    rx_drop_pps=nf.rx_ring.dropped_total / duration_s,
-                    runtime_s=nf.stats.runtime_ns / SEC,
-                    cpu_share=(nf.stats.runtime_ns / busy)
-                    if busy > 0 else 0.0,
-                    cswch_per_s=nf.stats.voluntary_switches / duration_s,
-                    nvcswch_per_s=nf.stats.involuntary_switches / duration_s,
-                    avg_sched_delay_ms=nf.stats.avg_sched_delay_ns / 1e6,
-                    weight=nf.weight,
-                    rx_drops_by_reason={
-                        k: nf.rx_ring.drops_by_reason[k]
-                        for k in sorted(nf.rx_ring.drops_by_reason)
-                    },
-                    restarts=nf.restarts,
-                )
+                nfs[nf.name] = NFSummary.from_nf(
+                    nf, duration_s, core_base=host.index * HOST_CORE_STRIDE)
             for core_id, core in mgr.cores.items():
                 core_utilization[host.index * HOST_CORE_STRIDE + core_id] = \
                     core.stats.utilization(horizon_ns)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.sim.clock import SEC, USEC
-from repro.sim.engine import EventLoop
+from repro.sim.engine import EventHandle, EventLoop
 
 
 class DiskDevice:
@@ -104,15 +104,10 @@ class AsyncIOContext:
         self.flushes = 0
         self.requests = 0
         self.blocked_events = 0
+        self._flusher: Optional[EventHandle] = None
         if flush_interval_ns and flush_interval_ns > 0:
-            from repro.sim.process import PeriodicProcess
-
-            self._flusher = PeriodicProcess(
-                loop, int(flush_interval_ns), self._periodic_flush, "io-flush"
-            )
-            self._flusher.start()
-        else:
-            self._flusher = None
+            self._flusher = loop.call_every(int(flush_interval_ns),
+                                            self._periodic_flush)
 
     # ------------------------------------------------------------------
     @property
@@ -189,7 +184,7 @@ class AsyncIOContext:
 
     def stop(self) -> None:
         if self._flusher is not None:
-            self._flusher.stop()
+            self._flusher.cancel()
 
 
 class SyncIOContext:

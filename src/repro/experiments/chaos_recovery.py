@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.experiments.common import CaseSpec, Scenario, ScenarioResult, \
-    build_linear_chain
+    build_linear_chain, run_cases
 from repro.faults.metrics import throughput_dip
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.metrics.report import render_table
@@ -71,19 +71,9 @@ def run_case(kind: str, policy: str, detection_ms: float,
     return result
 
 
-def run_chaos(duration_s: float = 1.0
-              ) -> Dict[Tuple[str, str, float], ScenarioResult]:
-    return {
-        (kind, policy, det): run_case(kind, policy, det, duration_s)
-        for kind in KINDS
-        for policy in POLICIES
-        for det in DETECTION_MS
-    }
-
-
 def campaign_cases(duration_s: float = 1.0) -> List[CaseSpec]:
     return [
-        CaseSpec(key=(kind, policy, det), fn="run_case",
+        CaseSpec(key=(kind, policy, det),
                  kwargs={"kind": kind, "policy": policy,
                          "detection_ms": det, "duration_s": duration_s,
                          "seed": 0})
@@ -130,7 +120,7 @@ def format_chaos(results: Dict[Tuple[str, str, float], ScenarioResult]) -> str:
 
 
 def main(duration_s: float = 1.0) -> str:
-    return format_chaos(run_chaos(duration_s))
+    return render_cases(run_cases(run_case, campaign_cases(duration_s)))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual runs

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import ClusterScenario
-from repro.experiments.common import CaseSpec, ScenarioResult
+from repro.experiments.common import CaseSpec, ScenarioResult, run_cases
 from repro.metrics.histogram import CycleHistogram
 from repro.metrics.report import render_table
 
@@ -112,19 +112,9 @@ def cluster_block(result: ScenarioResult) -> Dict[str, object]:
     return block
 
 
-def run_battery(duration_s: float = 0.75
-                ) -> Dict[CaseKey, ScenarioResult]:
-    return {
-        (workload, hosts, mode): run_case(workload, hosts, mode, duration_s)
-        for workload in WORKLOADS
-        for hosts in HOSTS
-        for mode in MODES
-    }
-
-
 def campaign_cases(duration_s: float = 0.75) -> List[CaseSpec]:
     return [
-        CaseSpec(key=(workload, hosts, mode), fn="run_case",
+        CaseSpec(key=(workload, hosts, mode),
                  kwargs={"workload": workload, "hosts": hosts, "mode": mode,
                          "duration_s": duration_s, "seed": 0})
         for workload in WORKLOADS
@@ -176,7 +166,7 @@ def format_battery(results: Dict[CaseKey, ScenarioResult]) -> str:
 
 
 def main(duration_s: float = 0.75) -> str:
-    return format_battery(run_battery(duration_s))
+    return render_cases(run_cases(run_case, campaign_cases(duration_s)))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual runs

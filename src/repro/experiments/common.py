@@ -12,7 +12,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
+    Union
 
 from repro.core.nf import NFProcess
 from repro.metrics.timeseries import IntervalSampler, TimeSeries
@@ -55,21 +56,21 @@ def feature_config(features: str, base: Optional[PlatformConfig] = None,
 class CaseSpec:
     """One independently runnable configuration of a sweep experiment.
 
-    Sweep-style experiment modules expose ``campaign_cases(duration_s)``
-    returning a list of these, plus ``render_cases(results)`` rebuilding
-    the printed artifact from ``{key: ScenarioResult}``.  The campaign
-    runner (:mod:`repro.runner`) fans the cases across worker processes;
-    because every case carries its full configuration — including its RNG
-    seed — in ``kwargs``, a case computes the same result in any process,
-    any order.
+    Sweep-style experiment modules expose ``run_case(**kwargs)``
+    returning a :class:`ScenarioResult`, ``campaign_cases(duration_s)``
+    returning a list of these — the experiment's one grid definition —
+    and ``render_cases(results)`` rebuilding the printed artifact from
+    ``{key: ScenarioResult}``.  The campaign runner (:mod:`repro.runner`)
+    fans the cases across worker processes; ``main()`` runs them serially
+    through :func:`run_cases`.  Because every case carries its full
+    configuration — including its RNG seed — in ``kwargs``, a case
+    computes the same result in any process, any order.
 
     ``key`` is the grid key the module's format functions expect (a tuple
-    or scalar); ``fn`` names a module-level callable returning a
-    :class:`ScenarioResult`; ``kwargs`` must be picklable.
+    or scalar); ``kwargs`` must be picklable.
     """
 
     key: Any
-    fn: str
     kwargs: Dict[str, Any]
 
     @property
@@ -78,6 +79,15 @@ class CaseSpec:
         if isinstance(self.key, tuple):
             return "|".join(str(part) for part in self.key)
         return str(self.key)
+
+
+def run_cases(run_case: Callable[..., "ScenarioResult"],
+              cases: Sequence[CaseSpec]) -> Dict[Any, "ScenarioResult"]:
+    """``{key: run_case(**kwargs)}`` for ``cases``, serially in this process.
+
+    Every sweep experiment's ``main`` is ``render_cases`` over this.
+    """
+    return {case.key: run_case(**case.kwargs) for case in cases}
 
 
 @dataclass
@@ -102,6 +112,34 @@ class NFSummary:
     #: Times this NF was restarted by a recovery policy.
     restarts: int = 0
 
+    @classmethod
+    def from_nf(cls, nf: NFProcess, duration_s: float,
+                core_base: int = 0) -> "NFSummary":
+        """Summarise ``nf``; its ``core_id`` is ``core_base`` plus the id
+        of its core (a cluster offsets each host's cores)."""
+        core = nf.core
+        assert core is not None
+        busy = core.stats.busy_ns + core.stats.overhead_ns
+        return cls(
+            name=nf.name,
+            core_id=core_base + core.core_id,
+            processed=nf.processed_packets,
+            processed_pps=nf.processed_packets / duration_s,
+            wasted_pps=nf.wasted_processed / duration_s,
+            rx_drop_pps=nf.rx_ring.dropped_total / duration_s,
+            runtime_s=nf.stats.runtime_ns / SEC,
+            cpu_share=(nf.stats.runtime_ns / busy) if busy > 0 else 0.0,
+            cswch_per_s=nf.stats.voluntary_switches / duration_s,
+            nvcswch_per_s=nf.stats.involuntary_switches / duration_s,
+            avg_sched_delay_ms=nf.stats.avg_sched_delay_ns / 1e6,
+            weight=nf.weight,
+            rx_drops_by_reason={
+                k: nf.rx_ring.drops_by_reason[k]
+                for k in sorted(nf.rx_ring.drops_by_reason)
+            },
+            restarts=nf.restarts,
+        )
+
 
 @dataclass
 class ChainSummary:
@@ -116,6 +154,36 @@ class ChainSummary:
     tput_series: Tuple[float, float, float]  # mean/min/max of 1 s samples
     latency_p50_us: float                    # end-to-end, NIC to chain exit
     latency_p99_us: float
+
+    @classmethod
+    def from_chain(cls, chain: ServiceChain, duration_s: float,
+                   sampler: IntervalSampler) -> "ChainSummary":
+        """Summarise ``chain``; ``sampler`` carries its ``tput:`` probe
+        (see :func:`add_tput_probe`)."""
+        return cls(
+            name=chain.name,
+            completed=chain.completed,
+            throughput_pps=chain.completed / duration_s,
+            throughput_bps=chain.completed_bytes * 8 / duration_s,
+            wasted_drop_pps=chain.wasted_drops / duration_s,
+            entry_discard_pps=chain.entry_discards / duration_s,
+            tput_series=sampler[f"tput:{chain.name}"].summary(),
+            latency_p50_us=chain.latency_hist.median() / 1e3,
+            latency_p99_us=chain.latency_hist.percentile(99) / 1e3,
+        )
+
+
+def add_tput_probe(sampler: IntervalSampler, chain: ServiceChain) -> None:
+    """Sample ``chain``'s completions per second as ``tput:<chain name>``."""
+    sampler.add_probe(f"tput:{chain.name}", lambda: chain.completed)
+
+
+def slo_budget_ns(slo_us: float) -> int:
+    """An SLO class budget in ns; ``slo_us`` must be finite and positive."""
+    if not (math.isfinite(slo_us) and slo_us > 0):
+        raise ValueError(
+            f"slo_us must be finite and positive, got {slo_us!r}")
+    return int(slo_us * 1e3)
 
 
 @dataclass
@@ -209,7 +277,6 @@ class Scenario:
             self.loop, self.manager.nic,
             rng=self.rng_factory.stream("traffic"),
         )
-        self._nf_cores: Dict[str, int] = {}
         #: SLO class name -> end-to-end sojourn budget (ns).
         self._slo_classes: Dict[str, int] = {}
         #: chain name -> tightest SLO budget (ns) among its flows.
@@ -228,11 +295,14 @@ class Scenario:
         model = FixedCost(float(cost)) if isinstance(cost, (int, float)) else cost
         nf = NFProcess(name, model, config=self.config, **kwargs)
         self.manager.add_nf(nf, core_id=core)
-        self._nf_cores[name] = core
         return nf
 
     def add_chain(self, name: str, nf_names: Sequence[str]) -> ServiceChain:
-        nfs = [self.manager.nf_by_name(n) for n in nf_names]
+        try:
+            nfs = [self.manager.nf_by_name(n) for n in nf_names]
+        except KeyError as exc:
+            raise ValueError(
+                f"chain {name!r}: unknown NF {exc.args[0]!r}") from None
         return self.manager.add_chain(name, nfs)
 
     def add_slo_class(self, name: str, slo_us: float) -> None:
@@ -242,9 +312,7 @@ class Scenario:
         budget lands on :attr:`repro.platform.packet.Flow.slo_ns`, where
         deadline-aware schedulers and the SLO governor read it.
         """
-        if slo_us <= 0:
-            raise ValueError(f"SLO budget must be positive, got {slo_us!r}")
-        self._slo_classes[name] = int(slo_us * 1e3)
+        self._slo_classes[name] = slo_budget_ns(slo_us)
 
     def add_flow(
         self,
@@ -270,9 +338,12 @@ class Scenario:
                     f"undeclared SLO class {slo_class!r}; declare it with "
                     f"add_slo_class() first")
             slo_ns = self._slo_classes[slo_class]
+        chain = self.manager.chains.get(chain_name)
+        if chain is None:
+            raise ValueError(
+                f"flow {flow_id!r}: unknown chain {chain_name!r}")
         flow = Flow(flow_id, pkt_size=pkt_size, protocol=protocol,
                     slo_ns=slo_ns)
-        chain = self.manager.chains[chain_name]
         if slo_ns is not None:
             tightest = self._chain_slo_ns.get(chain_name)
             if tightest is None or slo_ns < tightest:
@@ -334,10 +405,7 @@ class Scenario:
                 mgr, self._chain_slo_ns, spare_cores=self.spare_cores))
         sampler = IntervalSampler(self.loop, SEC)
         for chain in mgr.chains.values():
-            sampler.add_probe(
-                f"tput:{chain.name}",
-                (lambda c: (lambda: c.completed))(chain),
-            )
+            add_tput_probe(sampler, chain)
         if extra_probes:
             for name, (fn, rate) in extra_probes.items():
                 sampler.add_probe(name, fn, rate=rate)
@@ -367,47 +435,12 @@ class Scenario:
     def _summarise(self, duration_s: float,
                    sampler: IntervalSampler) -> ScenarioResult:
         mgr = self.manager
-        chains: Dict[str, ChainSummary] = {}
-        for chain in mgr.chains.values():
-            series = sampler[f"tput:{chain.name}"]
-            chains[chain.name] = ChainSummary(
-                name=chain.name,
-                completed=chain.completed,
-                throughput_pps=chain.completed / duration_s,
-                throughput_bps=chain.completed_bytes * 8 / duration_s,
-                wasted_drop_pps=chain.wasted_drops / duration_s,
-                entry_discard_pps=chain.entry_discards / duration_s,
-                tput_series=series.summary(),
-                latency_p50_us=chain.latency_hist.median() / 1e3,
-                latency_p99_us=chain.latency_hist.percentile(99) / 1e3,
-            )
-
+        chains = {
+            chain.name: ChainSummary.from_chain(chain, duration_s, sampler)
+            for chain in mgr.chains.values()
+        }
+        nfs = {nf.name: NFSummary.from_nf(nf, duration_s) for nf in mgr.nfs}
         horizon_ns = duration_s * SEC
-        nfs: Dict[str, NFSummary] = {}
-        for nf in mgr.nfs:
-            core = nf.core
-            assert core is not None
-            busy = core.stats.busy_ns + core.stats.overhead_ns
-            nfs[nf.name] = NFSummary(
-                name=nf.name,
-                core_id=core.core_id,
-                processed=nf.processed_packets,
-                processed_pps=nf.processed_packets / duration_s,
-                wasted_pps=nf.wasted_processed / duration_s,
-                rx_drop_pps=nf.rx_ring.dropped_total / duration_s,
-                runtime_s=nf.stats.runtime_ns / SEC,
-                cpu_share=(nf.stats.runtime_ns / busy) if busy > 0 else 0.0,
-                cswch_per_s=nf.stats.voluntary_switches / duration_s,
-                nvcswch_per_s=nf.stats.involuntary_switches / duration_s,
-                avg_sched_delay_ms=nf.stats.avg_sched_delay_ns / 1e6,
-                weight=nf.weight,
-                rx_drops_by_reason={
-                    k: nf.rx_ring.drops_by_reason[k]
-                    for k in sorted(nf.rx_ring.drops_by_reason)
-                },
-                restarts=nf.restarts,
-            )
-
         utilization = {
             core_id: core.stats.utilization(horizon_ns)
             for core_id, core in mgr.cores.items()

@@ -12,10 +12,10 @@ BATCH, RR(1 ms) and RR(100 ms).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments.common import CaseSpec, FEATURE_SETS, Scenario, \
-    ScenarioResult, build_linear_chain
+    ScenarioResult, build_linear_chain, run_cases
 from repro.metrics.report import render_table
 
 CHAIN_COSTS = (120.0, 270.0, 550.0)
@@ -33,23 +33,10 @@ def run_case(scheduler: str, features: str, duration_s: float = 2.0,
     return scenario.run(duration_s)
 
 
-def run_grid(
-    schedulers: Iterable[str] = SCHEDULERS,
-    systems: Iterable[str] = SYSTEMS,
-    duration_s: float = 2.0,
-) -> Dict[Tuple[str, str], ScenarioResult]:
-    """The full (scheduler x system) grid behind Figure 7."""
-    return {
-        (sched, sys): run_case(sched, sys, duration_s)
-        for sched in schedulers
-        for sys in systems
-    }
-
-
 def campaign_cases(duration_s: float = 2.0) -> List[CaseSpec]:
     """The (scheduler x system) grid as independently runnable cases."""
     return [
-        CaseSpec(key=(sched, system), fn="run_case",
+        CaseSpec(key=(sched, system),
                  kwargs={"scheduler": sched, "features": system,
                          "duration_s": duration_s, "seed": 0})
         for sched in SCHEDULERS
@@ -174,7 +161,7 @@ def format_attribution(results: Dict[Tuple[str, str], ScenarioResult]) -> str:
 
 
 def main(duration_s: float = 2.0) -> str:
-    return render_cases(run_grid(duration_s=duration_s))
+    return render_cases(run_cases(run_case, campaign_cases(duration_s)))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual runs

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.common import CaseSpec, Scenario, ScenarioResult
+from repro.experiments.common import CaseSpec, Scenario, ScenarioResult, \
+    run_cases
 from repro.metrics.report import render_table
 
 NF_COSTS = {"nf1": 270.0, "nf2": 120.0, "nf3": 4500.0, "nf4": 300.0}
@@ -42,16 +43,9 @@ def run_case(features: str, duration_s: float = 2.0,
     return scenario.run(duration_s)
 
 
-def run_fig9(duration_s: float = 2.0) -> Dict[str, ScenarioResult]:
-    return {
-        "Default": run_case("Default", duration_s),
-        "NFVnice": run_case("NFVnice", duration_s),
-    }
-
-
 def campaign_cases(duration_s: float = 2.0) -> List[CaseSpec]:
     return [
-        CaseSpec(key=system, fn="run_case",
+        CaseSpec(key=system,
                  kwargs={"features": system, "duration_s": duration_s,
                          "seed": 0})
         for system in ("Default", "NFVnice")
@@ -142,7 +136,7 @@ def format_table6(results: Dict[str, ScenarioResult]) -> str:
 
 
 def main(duration_s: float = 2.0) -> str:
-    return render_cases(run_fig9(duration_s))
+    return render_cases(run_cases(run_case, campaign_cases(duration_s)))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual runs

@@ -11,10 +11,10 @@ throughput; NFVnice inherits that benefit.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments.common import CaseSpec, FEATURE_SETS, Scenario, \
-    ScenarioResult
+    ScenarioResult, run_cases
 from repro.metrics.report import render_table
 from repro.nfs.cost_models import ChoiceCost
 
@@ -36,19 +36,9 @@ def run_case(scheduler: str, features: str, duration_s: float = 2.0,
     return scenario.run(duration_s)
 
 
-def run_grid(schedulers: Iterable[str] = SCHEDULERS,
-             systems: Iterable[str] = SYSTEMS,
-             duration_s: float = 2.0) -> Dict[Tuple[str, str], ScenarioResult]:
-    return {
-        (sched, sys): run_case(sched, sys, duration_s)
-        for sched in schedulers
-        for sys in systems
-    }
-
-
 def campaign_cases(duration_s: float = 2.0) -> List[CaseSpec]:
     return [
-        CaseSpec(key=(sched, system), fn="run_case",
+        CaseSpec(key=(sched, system),
                  kwargs={"scheduler": sched, "features": system,
                          "duration_s": duration_s, "seed": 0})
         for sched in SCHEDULERS
@@ -77,7 +67,7 @@ def format_figure10(results: Dict[Tuple[str, str], ScenarioResult]) -> str:
 
 
 def main(duration_s: float = 2.0) -> str:
-    return format_figure10(run_grid(duration_s=duration_s))
+    return render_cases(run_cases(run_case, campaign_cases(duration_s)))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual runs

@@ -12,10 +12,10 @@ rate for every permutation and scheduler.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments.common import CaseSpec, Scenario, ScenarioResult, \
-    build_linear_chain
+    build_linear_chain, run_cases
 from repro.metrics.report import render_table
 
 COSTS = {"Low": 120.0, "Med": 270.0, "High": 550.0}
@@ -36,26 +36,10 @@ def run_case(order: Tuple[str, str, str], scheduler: str, features: str,
     return scenario.run(duration_s)
 
 
-def run_grid(
-    orders: Iterable[Tuple[str, str, str]] = ORDERS,
-    schedulers: Iterable[str] = SCHEDULERS,
-    systems: Iterable[str] = SYSTEMS,
-    duration_s: float = 1.0,
-) -> Dict[Tuple[str, str, str], ScenarioResult]:
-    """Keys are (order label, scheduler, system)."""
-    return {
-        (order_label(order), sched, system):
-            run_case(order, sched, system, duration_s)
-        for order in orders
-        for sched in schedulers
-        for system in systems
-    }
-
-
 def campaign_cases(duration_s: float = 1.0) -> List[CaseSpec]:
     """One case per (ordering, scheduler, system) cell of the figure."""
     return [
-        CaseSpec(key=(order_label(order), sched, system), fn="run_case",
+        CaseSpec(key=(order_label(order), sched, system),
                  kwargs={"order": order, "scheduler": sched,
                          "features": system, "duration_s": duration_s,
                          "seed": 0})
@@ -87,7 +71,7 @@ def format_figure11(results: Dict[Tuple[str, str, str], ScenarioResult]) -> str:
 
 
 def main(duration_s: float = 1.0) -> str:
-    return format_figure11(run_grid(duration_s=duration_s))
+    return render_cases(run_cases(run_case, campaign_cases(duration_s)))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual runs

@@ -10,9 +10,10 @@ per-chain backpressure sheds each flow at its own entry point.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
-from repro.experiments.common import CaseSpec, Scenario, ScenarioResult
+from repro.experiments.common import CaseSpec, Scenario, ScenarioResult, \
+    run_cases
 from repro.metrics.report import render_table
 from repro.platform.nic import line_rate_pps
 
@@ -38,23 +39,11 @@ def run_case(n_flows: int, scheduler: str, features: str,
     return scenario.run(duration_s)
 
 
-def run_grid(types: Iterable[int] = TYPES,
-             schedulers: Iterable[str] = SCHEDULERS,
-             systems: Iterable[str] = SYSTEMS,
-             duration_s: float = 1.0) -> Dict[Tuple[int, str, str], ScenarioResult]:
-    return {
-        (t, sched, system): run_case(t, sched, system, duration_s, seed=t)
-        for t in types
-        for sched in schedulers
-        for system in systems
-    }
-
-
 def campaign_cases(duration_s: float = 1.0) -> List[CaseSpec]:
-    """One case per (workload type, scheduler, system); ``seed=t`` matches
-    the serial :func:`run_grid` exactly."""
+    """One case per (workload type, scheduler, system).  Type ``t`` runs
+    with ``seed=t``, so each type draws its own random NF orders."""
     return [
-        CaseSpec(key=(t, sched, system), fn="run_case",
+        CaseSpec(key=(t, sched, system),
                  kwargs={"n_flows": t, "scheduler": sched,
                          "features": system, "duration_s": duration_s,
                          "seed": t})
@@ -86,7 +75,7 @@ def format_figure12(results: Dict[Tuple[int, str, str], ScenarioResult]) -> str:
 
 
 def main(duration_s: float = 1.0) -> str:
-    return format_figure12(run_grid(duration_s=duration_s))
+    return render_cases(run_cases(run_case, campaign_cases(duration_s)))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual runs

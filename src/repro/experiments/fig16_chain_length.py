@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.experiments.common import CaseSpec, Scenario, ScenarioResult, \
-    build_linear_chain
+    build_linear_chain, run_cases
 from repro.metrics.report import render_table
 
 BASE_COSTS = (120.0, 270.0, 550.0)
@@ -35,20 +35,9 @@ def run_case(length: int, placement: str, features: str,
     return scenario.run(duration_s)
 
 
-def run_fig16(duration_s: float = 1.0
-              ) -> Dict[Tuple[int, str, str], ScenarioResult]:
-    return {
-        (length, placement, system):
-            run_case(length, placement, system, duration_s)
-        for length in LENGTHS
-        for placement in ("SC", "MC")
-        for system in ("Default", "NFVnice")
-    }
-
-
 def campaign_cases(duration_s: float = 1.0) -> List[CaseSpec]:
     return [
-        CaseSpec(key=(length, placement, system), fn="run_case",
+        CaseSpec(key=(length, placement, system),
                  kwargs={"length": length, "placement": placement,
                          "features": system, "duration_s": duration_s,
                          "seed": 0})
@@ -79,7 +68,7 @@ def format_figure16(results: Dict[Tuple[int, str, str], ScenarioResult]) -> str:
 
 
 def main(duration_s: float = 1.0) -> str:
-    return format_figure16(run_fig16(duration_s))
+    return render_cases(run_cases(run_case, campaign_cases(duration_s)))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual runs

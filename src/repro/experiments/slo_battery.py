@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.common import CaseSpec, Scenario, ScenarioResult
+from repro.experiments.common import CaseSpec, Scenario, ScenarioResult, \
+    run_cases
 from repro.metrics.report import render_table
 from repro.obs.latency import percentile_row
 
@@ -105,18 +106,9 @@ def flow_p99_us(result: ScenarioResult, flow_id: str) -> Optional[float]:
     return percentile_row(hist)["p99_us"]
 
 
-def run_battery(duration_s: float = 1.0
-                ) -> Dict[Tuple[str, str], ScenarioResult]:
-    return {
-        (workload, scheduler): run_case(workload, scheduler, duration_s)
-        for workload in WORKLOADS
-        for scheduler in SCHEDULERS
-    }
-
-
 def campaign_cases(duration_s: float = 1.0) -> List[CaseSpec]:
     return [
-        CaseSpec(key=(workload, scheduler), fn="run_case",
+        CaseSpec(key=(workload, scheduler),
                  kwargs={"workload": workload, "scheduler": scheduler,
                          "duration_s": duration_s, "seed": 0})
         for workload in WORKLOADS
@@ -166,7 +158,7 @@ def format_battery(results: Dict[Tuple[str, str], ScenarioResult]) -> str:
 
 
 def main(duration_s: float = 1.0) -> str:
-    return format_battery(run_battery(duration_s))
+    return render_cases(run_cases(run_case, campaign_cases(duration_s)))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual runs

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.experiments.common import CaseSpec, Scenario, ScenarioResult, \
-    build_linear_chain
+    build_linear_chain, run_cases
 from repro.metrics.report import render_table
 
 CHAIN_COSTS = (550.0, 2200.0, 4500.0)
@@ -27,16 +27,9 @@ def run_case(features: str, duration_s: float = 2.0,
     return scenario.run(duration_s)
 
 
-def run_table5(duration_s: float = 2.0) -> Dict[str, ScenarioResult]:
-    return {
-        "Default": run_case("Default", duration_s),
-        "NFVnice": run_case("NFVnice", duration_s),
-    }
-
-
 def campaign_cases(duration_s: float = 2.0) -> List[CaseSpec]:
     return [
-        CaseSpec(key=system, fn="run_case",
+        CaseSpec(key=system,
                  kwargs={"features": system, "duration_s": duration_s,
                          "seed": 0})
         for system in ("Default", "NFVnice")
@@ -81,7 +74,7 @@ def format_table5(results: Dict[str, ScenarioResult]) -> str:
 
 
 def main(duration_s: float = 2.0) -> str:
-    return format_table5(run_table5(duration_s))
+    return render_cases(run_cases(run_case, campaign_cases(duration_s)))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual runs

@@ -31,8 +31,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.sched.base import TaskState
-from repro.sim.engine import EventLoop
-from repro.sim.process import PeriodicProcess
+from repro.sim.engine import EventHandle, EventLoop
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.nf import NFProcess
@@ -64,7 +63,7 @@ class Watchdog:
         self._last_offered: Dict[str, int] = {}
         #: Last time the NF looked alive (progress, no demand, or excused).
         self._alive_ns: Dict[str, int] = {}
-        self._proc: Optional[PeriodicProcess] = None
+        self._handle: Optional[EventHandle] = None
 
     # ------------------------------------------------------------------
     # Roster
@@ -93,16 +92,12 @@ class Watchdog:
     # Standalone operation (no Monitor thread to ride on)
     # ------------------------------------------------------------------
     def start_standalone(self, period_ns: int) -> None:
-        if self._proc is None:
-            self._proc = PeriodicProcess(
-                self.loop, int(period_ns),
-                lambda: self.tick(self.loop.now), "watchdog",
-            )
-        self._proc.start()
+        self._handle = self.loop.call_every(
+            int(period_ns), lambda: self.tick(self.loop.now))
 
     def stop(self) -> None:
-        if self._proc is not None:
-            self._proc.stop()
+        if self._handle is not None:
+            self._handle.cancel()
 
     # ------------------------------------------------------------------
     def tick(self, now_ns: int) -> None:

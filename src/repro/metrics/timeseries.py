@@ -8,11 +8,10 @@ snapshots a set of counters every interval and converts deltas to rates.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.clock import SEC
-from repro.sim.engine import EventLoop
-from repro.sim.process import PeriodicProcess
+from repro.sim.engine import EventHandle, EventLoop
 
 
 class TimeSeries:
@@ -81,7 +80,7 @@ class IntervalSampler:
         self._probes: List[Tuple[str, Callable[[], float], bool]] = []
         self._last: Dict[str, float] = {}
         self.series: Dict[str, TimeSeries] = {}
-        self._proc = PeriodicProcess(loop, self.period_ns, self._sample, "sampler")
+        self._handle: Optional[EventHandle] = None
 
     def add_probe(self, name: str, fn: Callable[[], float], rate: bool = True) -> None:
         """Register ``fn``; ``rate=True`` records d(fn)/dt per second."""
@@ -92,10 +91,11 @@ class IntervalSampler:
         self._last[name] = float(fn())
 
     def start(self) -> None:
-        self._proc.start()
+        self._handle = self.loop.call_every(self.period_ns, self._sample)
 
     def stop(self) -> None:
-        self._proc.stop()
+        if self._handle is not None:
+            self._handle.cancel()
 
     def _sample(self) -> None:
         now = self.loop.now

@@ -21,8 +21,7 @@ from repro.metrics.counters import Counter
 from repro.metrics.histogram import CycleHistogram
 from repro.metrics.timeseries import TimeSeries
 from repro.sim.clock import MSEC
-from repro.sim.engine import EventLoop
-from repro.sim.process import PeriodicProcess
+from repro.sim.engine import EventHandle, EventLoop
 
 #: A metric's identity: name plus sorted (label, value) pairs.
 MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -183,14 +182,14 @@ class RegistrySampler:
         #: scenario's sampler never appends out-of-order times to
         #: another scenario's series.
         self.label_filter = dict(label_filter) if label_filter else None
-        self._proc = PeriodicProcess(loop, self.period_ns, self.sample,
-                                     "obs-sampler")
+        self._handle: Optional[EventHandle] = None
 
     def start(self) -> None:
-        self._proc.start()
+        self._handle = self.loop.call_every(self.period_ns, self.sample)
 
     def stop(self) -> None:
-        self._proc.stop()
+        if self._handle is not None:
+            self._handle.cancel()
 
     def sample(self) -> None:
         now = self.loop.now

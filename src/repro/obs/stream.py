@@ -28,8 +28,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, List, Optional, Tuple
 
-from repro.sim.engine import EventLoop
-from repro.sim.process import PeriodicProcess
+from repro.sim.engine import EventHandle, EventLoop
 
 #: Percentile columns compared by :func:`diff_telemetry`.
 _DIFF_KEYS = ("p50_us", "p95_us", "p99_us", "p99_9_us")
@@ -39,7 +38,7 @@ class _ScenarioFeed:
     """Everything the streamer reads for one scenario's snapshots."""
 
     __slots__ = ("label", "loop", "registry", "latency", "causality",
-                 "_proc")
+                 "handle")
 
     def __init__(self, label: str, loop: EventLoop, registry,
                  latency, causality):
@@ -48,7 +47,7 @@ class _ScenarioFeed:
         self.registry = registry
         self.latency = latency
         self.causality = causality
-        self._proc: Optional[PeriodicProcess] = None
+        self.handle: Optional[EventHandle] = None
 
 
 class SnapshotStreamer:
@@ -68,10 +67,8 @@ class SnapshotStreamer:
                  latency=None, causality=None) -> None:
         """Attach a scenario: snapshots fire on *its* loop every interval."""
         feed = _ScenarioFeed(label, loop, registry, latency, causality)
-        feed._proc = PeriodicProcess(
-            loop, self.interval_ns, lambda f=feed: self._emit(f),
-            "obs-stream")
-        feed._proc.start()
+        feed.handle = loop.call_every(self.interval_ns,
+                                      lambda f=feed: self._emit(f))
         self._feeds.append(feed)
 
     # ------------------------------------------------------------------
@@ -111,8 +108,8 @@ class SnapshotStreamer:
     def finalize(self) -> str:
         """Emit one last snapshot per scenario, flush and close."""
         for feed in self._feeds:
-            if feed._proc is not None:
-                feed._proc.stop()
+            if feed.handle is not None:
+                feed.handle.cancel()
             self._emit(feed)
         if self._fh is not None:
             self._fh.close()

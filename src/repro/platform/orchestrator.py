@@ -31,6 +31,7 @@ Example specification::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -114,6 +115,18 @@ def _objects(spec: Dict[str, Any], key: str) -> List[Dict[str, Any]]:
     return entries
 
 
+def _flow_time_ns(flow_spec: Dict[str, Any], i: int,
+                  key: str) -> Optional[int]:
+    """``flows[i].<key>`` (seconds) in ns; None when absent."""
+    if key not in flow_spec:
+        return None
+    seconds = float(flow_spec[key])
+    if not math.isfinite(seconds):
+        raise TopologyError(
+            f"flows[{i}].{key}: expected a finite number, got {seconds!r}")
+    return int(seconds * SEC)
+
+
 def build_topology(
     spec: Dict[str, Any],
     config: Optional[PlatformConfig] = None,
@@ -170,7 +183,7 @@ def build_topology(
                                 f"{exc.args[0]!r}") from exc
         manager.add_chain(name, nfs)
 
-    for flow_spec in _objects(spec, "flows"):
+    for i, flow_spec in enumerate(_objects(spec, "flows")):
         flow_id = flow_spec.get("id")
         chain_name = flow_spec.get("chain")
         if not flow_id or chain_name not in manager.chains:
@@ -189,9 +202,8 @@ def build_topology(
                 f"flow {flow_id!r} needs 'rate_pps' or 'line_rate_fraction'")
         generator.add_flow(
             flow, rate,
-            start_ns=int(float(flow_spec.get("start_s", 0.0)) * SEC),
-            stop_ns=(int(float(flow_spec["stop_s"]) * SEC)
-                     if "stop_s" in flow_spec else None),
+            start_ns=_flow_time_ns(flow_spec, i, "start_s") or 0,
+            stop_ns=_flow_time_ns(flow_spec, i, "stop_s"),
             pattern=flow_spec.get("pattern", "cbr"),
         )
         topology.flows[flow_id] = flow

@@ -10,6 +10,7 @@ bit-identical to a serial one.  See ``docs/campaigns.md``.
 
 from repro.runner.baseline import (
     check_campaign,
+    check_p99,
     load_baseline,
     write_baseline,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "TaskSpec",
     "canonical_json",
     "check_campaign",
+    "check_p99",
     "combine_digests",
     "derive_task_seed",
     "digest_of",

@@ -14,6 +14,9 @@ the simulated seconds covered, and the derived simulated-time throughput.
 
 Writing (the default, without ``--check``) merges into an existing file:
 experiments not part of the current campaign keep their entries.
+
+Digest-invisible p99 grids (the SLO and cluster smokes pin one each)
+are compared by :func:`check_p99`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ from typing import Dict, List, Union
 from repro.runner.campaign import CampaignResult
 
 SCHEMA_VERSION = 1
+
+#: ``repro obs diff`` semantics: a p99 regression needs BOTH a >10%
+#: relative increase AND at least 1 µs absolute movement (sub-µs jitter
+#: floor).
+REL_TOLERANCE = 0.10
+ABS_FLOOR_US = 1.0
 
 
 def baseline_entry(report) -> Dict:
@@ -97,4 +106,26 @@ def check_campaign(baseline: Dict, campaign: CampaignResult,
                 f"{exp_id}: wall-clock regression "
                 f"({report.task_wall_s:.2f}s vs baseline {base_wall:.2f}s, "
                 f"> {100 * max_regression:.0f}% over)")
+    return problems
+
+
+def check_p99(baseline_grid: Dict[str, float],
+              grid: Dict[str, float]) -> List[str]:
+    """Problems comparing a ``{cell: p99_us}`` grid to its pinned
+    baseline (empty = pass): a baseline cell missing from ``grid``, or
+    one that grew by more than :data:`REL_TOLERANCE` relative and at
+    least :data:`ABS_FLOOR_US` absolute (any growth of at least the
+    floor counts as relative growth over a zero baseline)."""
+    problems: List[str] = []
+    for cell, base in sorted(baseline_grid.items()):
+        cur = grid.get(cell)
+        if cur is None:
+            problems.append(f"{cell}: p99 cell missing from run")
+            continue
+        delta = cur - base
+        rel = delta / base if base > 0 else float("inf")
+        if rel > REL_TOLERANCE and delta >= ABS_FLOOR_US:
+            problems.append(
+                f"{cell}: p99 {cur:.3f}us vs baseline {base:.3f}us "
+                f"(+{rel:.1%}, +{delta:.3f}us)")
     return problems

@@ -154,12 +154,13 @@ def _aggregate(exp_id: str, module_path: str,
         for o in outcomes:
             result = result_from_dict(o.payload["value"])
             # Digest-invisible telemetry rides next to "value"; reattach
-            # it so render_cases prints the same SLO/attribution tables a
-            # serial run would.
+            # it so render_cases prints the same SLO/attribution/governor
+            # tables a serial run would.
             extra = o.payload.get("telemetry")
             if extra:
                 result.flow_latency = extra.get("flow_latency", {})
                 result.causality = extra.get("causality", {})
+                result.slo = extra.get("slo", {})
             results[o.spec.key] = result
         artifact = module.render_cases(results)
     telemetry: Dict[str, object] = {}

@@ -4,15 +4,16 @@ A :class:`TaskSpec` is one unit of work a worker process can execute
 independently: import ``module``, call ``fn(**kwargs)``, serialise the
 result.  Experiments contribute tasks in one of two ways:
 
-* **sweep experiments** (fig07, fig09, fig10, fig11, fig12, fig16, tab05)
-  expose ``campaign_cases(duration_s)`` — every cell of their
-  configuration grid becomes its own task, so a single experiment's sweep
-  fans out across workers;
+* **sweep experiments** (fig07, fig09, fig10, fig11, fig12, fig16, tab05,
+  slo_battery, cluster_scaling, chaos_recovery) expose
+  ``campaign_cases(duration_s)`` — every cell of their configuration grid
+  becomes its own ``run_case`` task, so a single experiment's sweep fans
+  out across workers;
 * every other experiment contributes a single task running its ``main``.
 
 Seeding: each case carries its RNG seed explicitly in ``kwargs`` (the
-same seed its module's serial ``run_grid`` would use), so a task's result
-is a pure function of its spec.  A non-zero campaign seed derives a new
+same seed the module's own serial ``main`` runs it with), so a task's
+result is a pure function of its spec.  A non-zero campaign seed derives a new
 per-task seed from ``(experiment, case label, campaign seed)`` via CRC-32
 — deterministic, stable across processes and Python versions, and
 independent for every task.
@@ -83,7 +84,7 @@ def enumerate_tasks(experiment: str, module_path: str,
                 experiment=experiment,
                 label=case.label,
                 module=module_path,
-                fn=case.fn,
+                fn="run_case",
                 kwargs=kwargs,
                 key=case.key,
                 sim_seconds=kwargs.get("duration_s"),
@@ -92,8 +93,3 @@ def enumerate_tasks(experiment: str, module_path: str,
     kwargs = {"duration_s": duration_s} if duration_s is not None else {}
     return [TaskSpec(experiment=experiment, label="main", module=module_path,
                      fn="main", kwargs=kwargs)]
-
-
-def is_case_based(module_path: str) -> bool:
-    module = importlib.import_module(module_path)
-    return hasattr(module, "campaign_cases") and hasattr(module, "render_cases")

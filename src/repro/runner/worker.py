@@ -48,10 +48,11 @@ def _encode_result(value: Any) -> Dict[str, Any]:
         }
         # Telemetry travels in a sibling key: the campaign digest hashes
         # only payload["value"], so enabling telemetry cannot perturb it.
-        if value.flow_latency or value.causality:
+        if value.flow_latency or value.causality or value.slo:
             payload["telemetry"] = {
                 "flow_latency": value.flow_latency,
                 "causality": value.causality,
+                "slo": value.slo,
             }
         return payload
     if isinstance(value, str):

@@ -8,9 +8,8 @@ Public surface:
 
 * :class:`~repro.sim.engine.EventLoop` — the event queue and clock.
 * :class:`~repro.sim.engine.EventHandle` — cancellable handle returned by
-  ``schedule``/``call_at``.
-* :class:`~repro.sim.process.PeriodicProcess` — a callback invoked on a fixed
-  period (used for the manager's Rx/Tx/Wakeup/Monitor threads).
+  ``schedule``/``call_at``, and by ``call_every`` for a callback invoked
+  on a fixed period (the manager's Rx/Tx/Wakeup/Monitor threads).
 * :mod:`~repro.sim.clock` — time units and cycle conversions.
 * :class:`~repro.sim.rng.RngFactory` — deterministic per-component random
   streams.
@@ -26,7 +25,6 @@ from repro.sim.clock import (
     ns_to_cycles,
 )
 from repro.sim.engine import EventHandle, EventLoop
-from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RngFactory
 
 __all__ = [
@@ -39,6 +37,5 @@ __all__ = [
     "ns_to_cycles",
     "EventLoop",
     "EventHandle",
-    "PeriodicProcess",
     "RngFactory",
 ]

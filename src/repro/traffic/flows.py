@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Optional
 
 from repro.platform.packet import Flow
@@ -33,8 +34,9 @@ class FlowSpec:
         model: Optional[ArrivalModel] = None,
         model_params: Optional[dict] = None,
     ):
-        if rate_pps < 0:
-            raise ValueError("rate must be non-negative")
+        if not (math.isfinite(rate_pps) and rate_pps >= 0):
+            raise ValueError(
+                f"rate_pps must be finite and non-negative, got {rate_pps!r}")
         if model is not None:
             if model_params:
                 raise ValueError(

@@ -19,8 +19,7 @@ from typing import Optional
 
 from repro.platform.packet import Flow
 from repro.sim.clock import MSEC, SEC
-from repro.sim.engine import EventLoop
-from repro.sim.process import PeriodicProcess
+from repro.sim.engine import EventHandle, EventLoop
 from repro.traffic.flows import FlowSpec
 
 
@@ -51,13 +50,14 @@ class TCPFlow:
         self._pending_ecn = 0
         self.decreases = 0
         self._apply_rate()
-        self._proc = PeriodicProcess(loop, self.rtt_ns, self.tick, "tcp-rtt")
+        self._handle: Optional[EventHandle] = None
 
     def start(self) -> None:
-        self._proc.start()
+        self._handle = self.loop.call_every(self.rtt_ns, self.tick)
 
     def stop(self) -> None:
-        self._proc.stop()
+        if self._handle is not None:
+            self._handle.cancel()
 
     # ------------------------------------------------------------------
     def on_ecn_mark(self, count: int, now_ns: int) -> None:

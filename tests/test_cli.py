@@ -137,6 +137,13 @@ def test_topology_rejects_nonpositive_duration(tmp_path, capsys, duration):
     assert "--duration must be a positive number" in captured.err
 
 
+def _flow_json(flow_fields: str) -> str:
+    """A one-NF, one-chain topology whose single flow has ``flow_fields``."""
+    return ('{"nfs": [{"name": "a", "cycles": 100}], '
+            '"chains": [{"name": "c", "nfs": ["a"]}], '
+            '"flows": [{"id": "f", "chain": "c", ' + flow_fields + '}]}')
+
+
 @pytest.mark.parametrize("text,message", [
     ('{"hosts": 2}', "topology needs at least one NF"),
     ("{nope", "Expecting property name"),
@@ -148,8 +155,16 @@ def test_topology_rejects_nonpositive_duration(tmp_path, capsys, duration):
     ('{"nfs": [{"name": "a", "cycles": 100}], "flows": ["f"]}',
      "flows[0]: expected a JSON object, got 'f'"),
     ("[]", "topology spec must be a mapping"),
+    (_flow_json('"rate_pps": 1e999'), "rate_pps must be finite"),
+    (_flow_json('"rate_pps": NaN'), "rate_pps must be finite"),
+    (_flow_json('"line_rate_fraction": 1e999'), "rate_pps must be finite"),
+    (_flow_json('"rate_pps": 1e6, "start_s": 1e999'),
+     "flows[0].start_s: expected a finite number, got inf"),
+    (_flow_json('"rate_pps": 1e6, "stop_s": NaN'),
+     "flows[0].stop_s: expected a finite number, got nan"),
 ], ids=["no-nfs", "bad-json", "scalar-cost", "scalar-nf", "scalar-chain",
-        "scalar-flow", "not-a-mapping"])
+        "scalar-flow", "not-a-mapping", "inf-rate", "nan-rate",
+        "inf-line-rate", "inf-start", "nan-stop"])
 def test_topology_rejects_hostile_spec(tmp_path, capsys, text, message):
     path = tmp_path / "t.json"
     path.write_text(text)

@@ -483,6 +483,19 @@ class TestClusterScenario:
         with pytest.raises(ValueError, match="undeclared SLO class"):
             scenario.add_flow("f0", rate_pps=1000, slo_class="missing")
 
+    @pytest.mark.parametrize("slo_us", [0, -1.0, float("nan"),
+                                        float("inf")])
+    def test_add_slo_class_rejects_bad_budget(self, slo_us):
+        scenario = ClusterScenario(n_hosts=1)
+        with pytest.raises(ValueError, match="slo_us"):
+            scenario.add_slo_class("gold", slo_us)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
+    def test_add_flow_rejects_bad_rate(self, rate):
+        scenario = ClusterScenario(n_hosts=1)
+        with pytest.raises(ValueError, match="rate_pps"):
+            scenario.add_flow("f0", rate_pps=rate)
+
     @pytest.mark.parametrize("placement,match", [
         ((-1, 0), r"placements\[0\]: host -1 outside the cluster \(0\.\.1\)"),
         ((5, 0), r"placements\[0\]: host 5 outside the cluster \(0\.\.1\)"),

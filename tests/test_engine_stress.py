@@ -1,11 +1,10 @@
-"""Stress and edge-case tests for the event loop and periodic processes."""
+"""Stress and edge-case tests for the event loop and its periodic timers."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import EventLoop
-from repro.sim.process import PeriodicProcess
 
 
 class TestEventLoopStress:
@@ -59,24 +58,21 @@ class TestPeriodicEdgeCases:
     def test_two_processes_same_period_interleave_deterministically(
             self, loop):
         order = []
-        p1 = PeriodicProcess(loop, 100, lambda: order.append("a"))
-        p2 = PeriodicProcess(loop, 100, lambda: order.append("b"))
-        p1.start()
-        p2.start()
+        loop.call_every(100, lambda: order.append("a"))
+        loop.call_every(100, lambda: order.append("b"))
         loop.run_until(300)
         assert order == ["a", "b"] * 3
 
     def test_stop_inside_other_callback(self, loop):
         order = []
-        p2 = PeriodicProcess(loop, 100, lambda: order.append("b"))
 
         def killer():
             order.append("a")
-            p2.stop()
+            p2.cancel()
 
-        p1 = PeriodicProcess(loop, 100, killer)
-        p1.start()
-        p2.start()
+        loop.call_every(100, killer)
+        p2 = loop.call_every(100, lambda: order.append("b"))
         loop.run_until(250)
-        # p2's first tick is cancelled by p1's same-instant earlier tick.
+        # p2's first tick is cancelled by the killer's same-instant,
+        # earlier-armed tick.
         assert order == ["a", "a"]

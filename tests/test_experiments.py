@@ -20,9 +20,17 @@ from repro.experiments import fig15_fairness as fig15
 from repro.experiments import fig16_chain_length as fig16
 from repro.experiments import tab05_multicore_chain as tab05
 from repro.experiments import tuning_watermarks as tuning
-from repro.experiments.common import FEATURE_SETS, Scenario, feature_config
+from repro.experiments.common import FEATURE_SETS, Scenario, \
+    feature_config, run_cases
 
 DUR = 0.3  # seconds of simulated time per case
+
+
+def run_subgrid(module, keep=lambda key: True):
+    """Run the cases of ``module.campaign_cases(DUR)`` whose key passes
+    ``keep``."""
+    cases = [case for case in module.campaign_cases(DUR) if keep(case.key)]
+    return run_cases(module.run_case, cases)
 
 
 class TestCommon:
@@ -56,6 +64,33 @@ class TestCommon:
         scenario.add_flow("f", "c", rate_pps=1e6)
         with pytest.raises(ValueError, match="duration_s"):
             scenario.run(duration_s)
+
+    @pytest.mark.parametrize("slo_us", [0, -1.0, float("nan"),
+                                        float("inf")])
+    def test_add_slo_class_rejects_bad_budget(self, slo_us):
+        with pytest.raises(ValueError, match="slo_us"):
+            Scenario().add_slo_class("gold", slo_us)
+
+    def test_unknown_nf_in_chain_rejected(self):
+        scenario = Scenario()
+        scenario.add_nf("nf", 100)
+        with pytest.raises(ValueError, match="chain 'd': unknown NF 'zz'"):
+            scenario.add_chain("d", ["nf", "zz"])
+        assert "d" not in scenario.manager.chains
+
+    def test_unknown_chain_in_flow_rejected(self):
+        scenario = Scenario()
+        with pytest.raises(ValueError,
+                           match="flow 'f': unknown chain 'zz'"):
+            scenario.add_flow("f", "zz", rate_pps=1e6)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_add_flow_rejects_non_finite_rate(self, rate):
+        scenario = Scenario()
+        scenario.add_nf("nf", 100)
+        scenario.add_chain("c", ["nf"])
+        with pytest.raises(ValueError, match="rate_pps"):
+            scenario.add_flow("f", "c", rate_pps=rate)
 
     def test_result_accessors(self):
         scenario = Scenario(scheduler="BATCH", features="NFVnice")
@@ -109,7 +144,7 @@ class TestFig01:
 class TestFig07:
     @pytest.fixture(scope="class")
     def grid(self):
-        return fig07.run_grid(schedulers=("BATCH",), duration_s=DUR)
+        return run_subgrid(fig07, lambda key: key[0] == "BATCH")
 
     def test_nfvnice_beats_default(self, grid):
         assert grid[("BATCH", "NFVnice")].total_throughput_pps > \
@@ -129,7 +164,7 @@ class TestFig07:
 
 class TestTab05:
     def test_cpu_savings(self):
-        results = tab05.run_table5(duration_s=DUR)
+        results = run_subgrid(tab05)
         d, n = results["Default"], results["NFVnice"]
         assert n.core_utilization[0] < 0.4 * d.core_utilization[0]
         assert n.total_throughput_pps == pytest.approx(
@@ -139,7 +174,7 @@ class TestTab05:
 
 class TestFig09:
     def test_innocent_chain_gains(self):
-        results = fig09.run_fig9(duration_s=DUR)
+        results = run_subgrid(fig09)
         d, n = results["Default"], results["NFVnice"]
         assert n.chain("chain1").throughput_pps > \
             1.2 * d.chain("chain1").throughput_pps
@@ -151,7 +186,7 @@ class TestFig09:
 
 class TestFig10:
     def test_backpressure_resilient_to_variable_cost(self):
-        grid = fig10.run_grid(schedulers=("BATCH",), duration_s=DUR)
+        grid = run_subgrid(fig10, lambda key: key[0] == "BATCH")
         assert grid[("BATCH", "OnlyBKPR")].total_throughput_pps > \
             grid[("BATCH", "Default")].total_throughput_pps
         assert "Figure 10" in fig10.format_figure10(grid)
@@ -164,9 +199,9 @@ class TestFig11:
         assert res.total_throughput_pps < 60_000
 
     def test_nfvnice_consistent_across_orders(self):
-        grid = fig11.run_grid(
-            orders=(("Low", "Med", "High"), ("High", "Med", "Low")),
-            schedulers=("BATCH",), duration_s=DUR)
+        grid = run_subgrid(
+            fig11, lambda key: key[0] in ("Low-Med-High", "High-Med-Low")
+            and key[1] == "BATCH")
         lo = grid[("Low-Med-High", "BATCH", "NFVnice")].total_throughput_pps
         hi = grid[("High-Med-Low", "BATCH", "NFVnice")].total_throughput_pps
         assert lo == pytest.approx(hi, rel=0.15)
@@ -175,8 +210,8 @@ class TestFig11:
 
 class TestFig12:
     def test_nfvnice_robust_to_flow_mix(self):
-        grid = fig12.run_grid(types=(1, 3), schedulers=("BATCH",),
-                              duration_s=DUR)
+        grid = run_subgrid(fig12,
+                           lambda key: key[0] in (1, 3) and key[1] == "BATCH")
         nfv1 = grid[(1, "BATCH", "NFVnice")].total_throughput_pps
         nfv3 = grid[(3, "BATCH", "NFVnice")].total_throughput_pps
         assert nfv3 > 0.6 * nfv1

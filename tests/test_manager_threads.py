@@ -121,11 +121,8 @@ class TestDataPath:
         flow = Flow("f0")
         mgr.install_flow(flow, chain)
         mgr.start()
-        from repro.sim.process import PeriodicProcess
-
-        feeder = PeriodicProcess(
-            loop, 100 * USEC, lambda: mgr.nic.receive(flow, 100, loop.now))
-        feeder.start()
+        loop.call_every(
+            100 * USEC, lambda: mgr.nic.receive(flow, 100, loop.now))
         loop.run_until(200 * MSEC)
         assert nfs[0].wasted_processed > 0
         assert chain.wasted_drops == nfs[0].wasted_processed
@@ -143,12 +140,8 @@ class TestBackpressureIntegration:
         """A slow downstream NF triggers entry discard of fresh arrivals."""
         mgr, nfs, chain, flow = build(loop, config, costs=(100, 50000))
         mgr.start()
-        from repro.sim.process import PeriodicProcess
-
-        feeder = PeriodicProcess(
-            loop, 100 * USEC,
-            lambda: mgr.nic.receive(flow, 200, loop.now))
-        feeder.start()
+        loop.call_every(100 * USEC,
+                        lambda: mgr.nic.receive(flow, 200, loop.now))
         loop.run_until(300 * MSEC)
         assert chain.entry_discards > 0
         assert flow.stats.entry_discards == chain.entry_discards
@@ -158,12 +151,8 @@ class TestBackpressureIntegration:
         mgr, nfs, chain, flow = build(loop, default_config,
                                       costs=(100, 50000))
         mgr.start()
-        from repro.sim.process import PeriodicProcess
-
-        feeder = PeriodicProcess(
-            loop, 100 * USEC,
-            lambda: mgr.nic.receive(flow, 200, loop.now))
-        feeder.start()
+        loop.call_every(100 * USEC,
+                        lambda: mgr.nic.receive(flow, 200, loop.now))
         loop.run_until(100 * MSEC)
         assert chain.entry_discards == 0
 
@@ -176,11 +165,8 @@ class TestBackpressureIntegration:
             mgr, nfs, chain, flow = build(lp, cfg, costs=(100, 260, 50000),
                                           scheduler="BATCH")
             mgr.start()
-            from repro.sim.process import PeriodicProcess
-
-            feeder = PeriodicProcess(
-                lp, 100 * USEC, lambda: mgr.nic.receive(flow, 300, lp.now))
-            feeder.start()
+            lp.call_every(
+                100 * USEC, lambda: mgr.nic.receive(flow, 300, lp.now))
             lp.run_until(500 * MSEC)
             return chain
 

@@ -214,10 +214,7 @@ class TestIntervalSampler:
         sampler.add_probe("c", lambda: counter.value)
         sampler.start()
         # 1000 increments per simulated second via a periodic bump.
-        from repro.sim.process import PeriodicProcess
-
-        bump = PeriodicProcess(loop, MSEC, lambda: counter.add(1))
-        bump.start()
+        loop.call_every(MSEC, lambda: counter.add(1))
         loop.run_until(3 * SEC)
         series = sampler["c"]
         assert len(series) == 3

@@ -69,19 +69,13 @@ class TestMonitorThread:
     def test_arrival_rate_ewma_converges(self, loop, config):
         core, nfs, cgroups, monitor = self._setup(loop, config)
         monitor.start()
-        from repro.sim.process import PeriodicProcess
 
         # 1000 packets per ms into nf1 = 1 Mpps.
-        feeder = PeriodicProcess(
-            loop, MSEC, lambda: nfs[0].rx_ring.enqueue(
-                Flow("f"), 1000, loop.now) and None)
-
         def feed():
             nfs[0].rx_ring.enqueue(Flow("f"), 1000, loop.now)
             nfs[0].rx_ring.dequeue(1000)  # keep the ring from saturating
 
-        feeder.callback = feed
-        feeder.start()
+        loop.call_every(MSEC, feed)
         loop.run_until(200 * MSEC)
         assert monitor.arrival_rate_pps(nfs[0]) == pytest.approx(
             1.0e6, rel=0.05)
@@ -134,10 +128,7 @@ class TestDynamicMembership:
             late.rx_ring.enqueue(Flow("f"), 1000, loop.now)
             late.rx_ring.dequeue(1000)
 
-        from repro.sim.process import PeriodicProcess
-
-        feeder = PeriodicProcess(loop, MSEC, feed)
-        feeder.start()
+        loop.call_every(MSEC, feed)
         loop.run_until(200 * MSEC)
         assert monitor.arrival_rate_pps(late) == pytest.approx(
             1.0e6, rel=0.05)

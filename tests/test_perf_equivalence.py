@@ -198,8 +198,8 @@ def test_call_every_interleaves_like_reschedule():
 
         def on_tick():
             if not use_call_every:
-                # Reschedule-first, like PeriodicProcess did: the re-arm
-                # consumes its seq number before the callback body runs.
+                # Reschedule-first: the re-arm consumes its seq number
+                # before the callback body runs.
                 loop.call_at(loop.now + 10, on_tick)
             order.append(("tick", loop.now))
             # One-shot at the next tick's instant, scheduled after the

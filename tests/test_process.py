@@ -1,68 +1,63 @@
-"""Unit tests for periodic processes."""
+"""Unit tests for periodic timers (``EventLoop.call_every``)."""
 
 import pytest
 
-from repro.sim.process import PeriodicProcess
+from repro.metrics.timeseries import IntervalSampler
+from repro.obs.registry import MetricsRegistry, RegistrySampler
 
 
 def test_fires_on_period(loop):
+    """Without ``first``, the grid starts one period after arming."""
     ticks = []
-    proc = PeriodicProcess(loop, 100, lambda: ticks.append(loop.now))
-    proc.start()
-    loop.run_until(350)
-    assert ticks == [100, 200, 300]
-    assert proc.fired == 3
+    loop.run_until(50)
+    loop.call_every(100, lambda: ticks.append(loop.now))
+    loop.run_until(400)
+    assert ticks == [150, 250, 350]
 
 
 def test_stop_halts_firing(loop):
     ticks = []
-    proc = PeriodicProcess(loop, 100, lambda: ticks.append(loop.now))
-    proc.start()
+    handle = loop.call_every(100, lambda: ticks.append(loop.now))
     loop.run_until(250)
-    proc.stop()
+    handle.cancel()
+    handle.cancel()  # idempotent: the live count drops once
     loop.run_until(1000)
     assert ticks == [100, 200]
-    assert not proc.running
-
-
-def test_start_is_idempotent(loop):
-    ticks = []
-    proc = PeriodicProcess(loop, 100, lambda: ticks.append(loop.now))
-    proc.start()
-    proc.start()
-    loop.run_until(100)
-    assert ticks == [100]
+    assert loop.pending == 0
 
 
 def test_restart_after_stop(loop):
+    """A fresh recurrence after a cancel runs on its own grid."""
     ticks = []
-    proc = PeriodicProcess(loop, 100, lambda: ticks.append(loop.now))
-    proc.start()
+    handle = loop.call_every(100, lambda: ticks.append(loop.now))
     loop.run_until(150)
-    proc.stop()
+    handle.cancel()
     loop.run_until(400)
-    proc.start()
+    loop.call_every(100, lambda: ticks.append(loop.now))
     loop.run_until(600)
     assert ticks == [100, 500, 600]
 
 
 def test_explicit_start_time(loop):
+    """A fractional ``first`` rounds up to the next whole ns."""
     ticks = []
-    proc = PeriodicProcess(loop, 100, lambda: ticks.append(loop.now))
-    proc.start(start_at=5)
+    loop.call_every(100, lambda: ticks.append(loop.now), first=4.2)
     loop.run_until(210)
     assert ticks == [5, 105, 205]
 
 
 def test_callback_may_stop_process(loop):
     ticks = []
-    proc = PeriodicProcess(loop, 100, lambda: (ticks.append(loop.now),
-                                               proc.stop()))
-    proc.start()
+    handle = loop.call_every(100, lambda: (ticks.append(loop.now),
+                                           handle.cancel()))
     loop.run_until(1000)
     assert ticks == [100]
+    assert loop.pending == 0
 
 
 def test_zero_period_rejected(loop):
-    with pytest.raises(ValueError):
-        PeriodicProcess(loop, 0, lambda: None)
+    """Samplers reject a zero period when they arm their timer."""
+    with pytest.raises(ValueError, match="period"):
+        IntervalSampler(loop, 0).start()
+    with pytest.raises(ValueError, match="period"):
+        RegistrySampler(loop, MetricsRegistry(), period_ns=0).start()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import multiprocessing
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.runner.baseline import (
     check_campaign,
+    check_p99,
     load_baseline,
     write_baseline,
 )
@@ -22,9 +24,23 @@ HELPERS = "tests.runner_helpers"
 #: Small enough that a whole grid stays fast, large enough to schedule.
 FAST = 0.02
 
+#: Every experiment that fans out per case (``campaign_cases``).
+SWEEPS = ("fig07", "fig09", "fig10", "fig11", "fig12", "fig16", "tab05",
+          "slo_battery", "cluster_scaling", "chaos_recovery")
+
 #: The pool must work under both; spawn also proves the worker entry point
 #: is importable rather than inherited.
 START_METHODS = ("fork", "spawn")
+
+
+def assert_campaign_matches_serial_main(exp_id: str) -> None:
+    """The campaign renders from results round-tripped through
+    ``result_to_dict``/``result_from_dict`` plus reattached telemetry;
+    its artifact must equal the module's serial ``main``."""
+    module = importlib.import_module(experiment_registry()[exp_id])
+    campaign = run_campaign([exp_id], workers=2, duration_s=FAST)
+    assert campaign.experiments[exp_id].artifact == \
+        module.main(duration_s=FAST)
 
 
 def helper_task(fn, label="t", **kwargs) -> TaskSpec:
@@ -211,11 +227,11 @@ class TestCampaign:
             parallel.experiments["tab05"].artifact
 
     def test_campaign_artifact_matches_serial_main(self):
-        from repro.experiments import tab05_multicore_chain
+        assert_campaign_matches_serial_main("tab05")
 
-        campaign = run_campaign(["tab05"], workers=2, duration_s=FAST)
-        assert campaign.experiments["tab05"].artifact == \
-            tab05_multicore_chain.main(duration_s=FAST)
+    @pytest.mark.parametrize("exp_id", [s for s in SWEEPS if s != "tab05"])
+    def test_sweep_campaign_artifact_matches_serial_main(self, exp_id):
+        assert_campaign_matches_serial_main(exp_id)
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):
@@ -331,6 +347,26 @@ class TestBaseline:
         path.write_text(json.dumps({"version": 99, "experiments": {}}))
         with pytest.raises(ValueError, match="version"):
             load_baseline(path)
+
+    @pytest.mark.parametrize("base,cur,fails", [
+        (100.0, 110.0, False),   # exactly +10%: not more than 10%
+        (100.0, 110.5, True),    # > 10% and >= 1 us
+        (5.0, 5.9, False),       # +18% but under the 1 us floor
+        (5.0, 6.0, True),        # +20% and exactly 1 us
+        (100.0, 50.0, False),    # improvements never fail
+        (0.0, 0.5, False),       # zero baseline: still needs 1 us
+        (0.0, 1.0, True),        # zero baseline, 1 us growth
+    ])
+    def test_p99_rule(self, base, cur, fails):
+        problems = check_p99({"cell": base}, {"cell": cur})
+        assert bool(problems) is fails
+        if fails:
+            assert problems[0].startswith(
+                f"cell: p99 {cur:.3f}us vs baseline {base:.3f}us")
+
+    def test_p99_missing_cell_fails(self):
+        problems = check_p99({"a": 1.0, "b": 2.0}, {"b": 2.0, "c": 9.0})
+        assert problems == ["a: p99 cell missing from run"]
 
 
 # ----------------------------------------------------------------------

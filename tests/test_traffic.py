@@ -48,6 +48,12 @@ class TestFlowSpec:
         with pytest.raises(ValueError):
             FlowSpec(Flow("f"), 1, pattern="burst")
 
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_rate_must_be_finite_and_non_negative(self, rate):
+        with pytest.raises(ValueError, match="rate_pps"):
+            FlowSpec(Flow("f"), rate)
+
 
 class TestGenerator:
     def test_offers_to_nic(self, loop):
