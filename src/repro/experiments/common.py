@@ -106,8 +106,9 @@ class NFSummary:
     nvcswch_per_s: float
     avg_sched_delay_ms: float
     weight: int
-    #: Rx-ring drops keyed by reason (full / sealed / nf_dead / purged);
-    #: separates congestion loss from failure loss.
+    #: Rx-ring drops keyed by reason (full / sealed / nf_dead / purged,
+    #: the last being what a cold restart discarded); separates
+    #: congestion loss from failure loss.
     rx_drops_by_reason: Dict[str, int] = field(default_factory=dict)
     #: Times this NF was restarted by a recovery policy.
     restarts: int = 0

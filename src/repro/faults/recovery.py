@@ -6,7 +6,7 @@ flags an NF.  The shipped policies cover the paper-adjacent design space:
 
 =====================  ====================================================
 restart-cold           respawn the process with no state: queued packets
-                       are lost (``nf_dead`` drops) and the service-time
+                       are lost (``purged`` drops) and the service-time
                        estimator re-warms from the cost model's mean
 restart-warm           respawn against the surviving shared-memory ring
                        (OpenNetVM rings outlive the NF process): queued
@@ -108,14 +108,8 @@ class RestartPolicy(RecoveryPolicy):
             ring = nf.rx_ring
             if self.mode == "cold":
                 # No checkpoint: whatever sat in the ring dies with the
-                # old instance.  Account it like any other failure drop.
-                lost = ring.clear()
-                if lost:
-                    ring.dropped_total += lost
-                    ring.drops_by_reason["nf_dead"] = (
-                        ring.drops_by_reason.get("nf_dead", 0) + lost
-                    )
-                incident.packets_lost += lost
+                # old instance.
+                incident.packets_lost += ring.purge()
             else:
                 # Warm: the shared-memory ring survived; the replacement
                 # instance drains what queued up during the outage.

@@ -16,8 +16,9 @@ Drops are accounted *per reason* so experiments can tell congestion from
 failure: ``full`` (ring at capacity — the ordinary overload drop),
 ``sealed`` (a fault stalled the ring; nothing goes in or out), ``nf_dead``
 (the manager declared the owning NF dead and sheds its arrivals while
-recovery runs), and ``purged`` (a selective early-discard purge removed a
-throttled chain's packets).  ``dropped_total`` stays the sum of all four.
+recovery runs), and ``purged`` (a cold restart discarded what the old
+instance left queued, see :meth:`PacketRing.purge`).  ``dropped_total``
+stays the sum of all four.
 """
 
 from __future__ import annotations
@@ -315,43 +316,29 @@ class PacketRing:
         """The oldest segment without removing it (None when empty)."""
         return self._segments[0] if self._segments else None
 
-    def drop_chain(self, chain_name: str) -> int:
-        """Discard every queued packet belonging to ``chain_name``.
+    def purge(self) -> int:
+        """Discard every queued packet; returns the number discarded.
 
-        Supports the selective early-discard variant where the manager
-        purges a throttled chain's packets from an upstream queue.  Returns
-        the number of packets discarded.
+        A cold restart loses whatever the old instance left queued.  Each
+        packet is booked on its flow's ``queue_drops`` and under reason
+        ``purged``, so packet conservation and the ring identity
+        ``enqueued == dequeued + purged + depth`` keep holding.
         """
-        dropped = 0
-        kept: Deque[PacketSegment] = deque()
+        dropped = self._count
+        if not dropped:
+            return 0
         for seg in self._segments:
-            chain = seg.flow.chain
-            if chain is not None and chain.name == chain_name:
-                dropped += seg.count
-                seg.flow.stats.queue_drops += seg.count
-            else:
-                kept.append(seg)
-        if dropped:
-            self._segments = kept
-            self._count -= dropped
-            self.dropped_total += dropped
-            self.drops_by_reason["purged"] = (
-                self.drops_by_reason.get("purged", 0) + dropped
-            )
-            self._chain_counts[chain_name] = 0
-            if self.bus is not None and self.bus.active:
-                self.bus.publish("ring.drop", self.name,
-                                 count=dropped, depth=self._count,
-                                 chain=chain_name, reason="purged")
-        return dropped
-
-    def clear(self) -> int:
-        """Empty the ring (used by tests); returns packets removed."""
-        removed = self._count
-        self._segments.clear()
+            seg.flow.stats.queue_drops += seg.count
+        self._segments = deque()
         self._count = 0
-        self._chain_counts.clear()
-        return removed
+        self.dropped_total += dropped
+        self.drops_by_reason["purged"] = (
+            self.drops_by_reason.get("purged", 0) + dropped
+        )
+        if self.bus is not None and self.bus.active:
+            self.bus.publish("ring.drop", self.name, count=dropped,
+                             depth=0, reason="purged")
+        return dropped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -38,7 +38,7 @@ class TestThrottleState:
 
 
 class TestDropChainPurge:
-    """drop_chain is the in-queue purge variant of selective discard."""
+    """purge() discards every queued packet, whatever its chain."""
 
     def test_purge_updates_all_invariants(self, config):
         ring = PacketRing(capacity=100)
@@ -49,21 +49,21 @@ class TestDropChainPurge:
         ring.enqueue(f1, 30, 0)
         ring.enqueue(f2, 20, 1)
         ring.enqueue(f1, 10, 2)
-        assert ring.drop_chain("c1") == 40
-        assert len(ring) == 20
-        assert ring.chain_count("c1") == 0
-        assert ring.chain_count("c2") == 20
-        assert ring.dropped_total == 40
-        assert f1.stats.queue_drops == 40
+        ring.dequeue(5)
+        assert ring.purge() == 55
+        assert len(ring) == 0
+        assert ring.dropped_total == 55
+        assert ring.drops_by_reason == {"purged": 55}
+        assert (f1.stats.queue_drops, f2.stats.queue_drops) == (35, 20)
         # conservation: enq == deq + queued + purged
         assert ring.enqueued_total == \
-            ring.dequeued_total + len(ring) + 40
+            ring.dequeued_total + len(ring) + 55
 
     def test_purge_missing_chain_is_noop(self):
         ring = PacketRing(capacity=10)
-        ring.enqueue(Flow("f"), 5, 0)
-        assert ring.drop_chain("ghost") == 0
-        assert len(ring) == 5
+        assert ring.purge() == 0
+        assert ring.dropped_total == 0
+        assert ring.drops_by_reason == {}
 
     def test_head_wait_after_purge(self, config):
         ring = PacketRing(capacity=100)
@@ -71,6 +71,7 @@ class TestDropChainPurge:
         f1 = Flow("f1")
         f1.chain = c1
         ring.enqueue(f1, 10, now_ns=5)
+        ring.purge()
+        assert ring.head_wait_ns(100) == 0
         ring.enqueue(Flow("plain"), 10, now_ns=50)
-        ring.drop_chain("c1")
         assert ring.head_wait_ns(100) == 50

@@ -271,7 +271,7 @@ class TestAutoscaler:
         placement = steerer.placements[0]
         pressure(placement)
         scaler._tick()
-        placement.chain.nfs[0].rx_ring.clear()  # pressure vanishes
+        placement.chain.nfs[0].rx_ring.purge()  # pressure vanishes
         scaler._tick()
         pressure(placement)
         scaler._tick()

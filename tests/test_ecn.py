@@ -49,7 +49,7 @@ def test_ramp_monotone(ecn_config):
     ring = PacketRing(capacity=100, name="r")
     fractions = []
     for fill in (25, 35, 45, 55):
-        ring.clear()
+        ring.purge()
         ring.enqueue(Flow("f"), fill, 0)
         for _ in range(100):
             marker.observe(ring)

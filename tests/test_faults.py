@@ -13,6 +13,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.check.sanitizer import (
+    Sanitizer,
+    activate_sanitizer,
+    deactivate_sanitizer,
+)
+from repro.experiments import chaos_recovery
 from repro.experiments.common import Scenario, build_linear_chain
 from repro.faults.injector import FaultInjector
 from repro.faults.metrics import availability, latency_stats, throughput_dip
@@ -309,6 +315,25 @@ class TestCrashRecovery:
             warm.resilience["packets_lost"]
         # The post-restart service resumes either way.
         assert cold.nf("nf2").restarts == warm.nf("nf2").restarts == 1
+
+    def test_cold_restart_cases_are_sanitizer_clean(self):
+        # Every restart-cold cell of the chaos grid: the packets a cold
+        # restart discards must leave the ring identity and end-to-end
+        # packet conservation intact.
+        cases = [c for c in chaos_recovery.campaign_cases(0.1)
+                 if c.kwargs["policy"] == "restart-cold"]
+        assert len(cases) == 6
+        sanitizer = Sanitizer(per_tick=True)
+        activate_sanitizer(sanitizer)
+        try:
+            results = [chaos_recovery.run_case(**c.kwargs) for c in cases]
+        finally:
+            deactivate_sanitizer()
+        assert sanitizer.violations == []
+        for result in results:
+            lost = result.resilience["packets_lost"]
+            assert result.nf("nf2").rx_drops_by_reason.get("purged", 0) \
+                <= lost
 
     def test_crash_loses_at_most_one_inflight_batch_when_warm(self):
         scenario, result = chaos_case("crash", "restart-warm")

@@ -130,24 +130,6 @@ class TestChainAccounting:
         ring.enqueue(flow("f1", FakeChain("A")), 10, 0)
         assert ring.chains_present() == ["A"]
 
-    def test_drop_chain_selective(self):
-        ring = PacketRing(capacity=100)
-        ca, cb = FakeChain("A"), FakeChain("B")
-        ring.enqueue(flow("f1", ca), 10, 0)
-        ring.enqueue(flow("f2", cb), 20, 1)
-        ring.enqueue(flow("f3", ca), 5, 2)
-        dropped = ring.drop_chain("A")
-        assert dropped == 15
-        assert len(ring) == 20
-        assert ring.chain_count("A") == 0
-        # FIFO order of survivors preserved.
-        assert [s.flow.flow_id for s in ring.dequeue(100)] == ["f2"]
-
-    def test_clear(self):
-        ring = PacketRing(capacity=100)
-        ring.enqueue(flow(), 42, 0)
-        assert ring.clear() == 42
-        assert len(ring) == 0
 
 
 class TestDropReasons:
@@ -178,17 +160,19 @@ class TestDropReasons:
         assert ring.drops_by_reason == {"nf_dead": 7}
         assert f.stats.queue_drops == 7
         # Unlike sealed, a dead ring still drains: recovery policies read
-        # (warm) or clear (cold) what the old instance left behind.
+        # (warm) or purge (cold) what the old instance left behind.
         ring.dead = False
         ring.enqueue(f, 3, 1)
         assert sum(s.count for s in ring.dequeue(100)) == 3
 
     def test_purge_counted_as_purged(self):
         ring = PacketRing(capacity=100)
-        ring.enqueue(flow("f1", FakeChain("A")), 10, 0)
-        ring.enqueue(flow("f2", FakeChain("B")), 20, 1)
-        assert ring.drop_chain("A") == 10
-        assert ring.drops_by_reason == {"purged": 10}
+        f1, f2 = flow("f1", FakeChain("A")), flow("f2", FakeChain("B"))
+        ring.enqueue(f1, 10, 0)
+        ring.enqueue(f2, 20, 1)
+        assert ring.purge() == 30
+        assert ring.drops_by_reason == {"purged": 30}
+        assert (f1.stats.queue_drops, f2.stats.queue_drops) == (10, 20)
 
     def test_reasons_sum_to_dropped_total(self):
         ring = PacketRing(capacity=10)
@@ -200,10 +184,22 @@ class TestDropReasons:
         ring.dead = True
         ring.enqueue(f, 3, 2)             # 3 nf_dead drops
         ring.dead = False
-        ring.drop_chain("A")              # 10 purged
+        ring.purge()                      # 10 purged
         assert ring.drops_by_reason == {
             "full": 5, "sealed": 4, "nf_dead": 3, "purged": 10}
         assert sum(ring.drops_by_reason.values()) == ring.dropped_total
+
+
+
+class TestPurge:
+    def test_purge_empties_ring(self):
+        ring = PacketRing(capacity=100)
+        ring.enqueue(flow(), 42, 0)
+        assert ring.purge() == 42
+        assert len(ring) == 0
+        assert ring.peek_head() is None
+        assert ring.purge() == 0
+        assert ring.dropped_total == 42
 
 
 @given(st.lists(st.tuples(st.sampled_from(["enq", "deq"]),
