@@ -3,13 +3,10 @@
 * :mod:`~repro.analysis.export` — serialise :class:`ScenarioResult` to
   JSON-compatible dicts and back, so experiment outputs can be archived
   and diffed across code versions.
-* :mod:`~repro.analysis.compare` — side-by-side comparison tables
-  (speedups, deltas) between two results.
 * :mod:`~repro.analysis.sparkline` — compact ASCII rendering of time
   series for terminal reports (Figure 13's Gbps-over-time, 15a's shares).
 """
 
-from repro.analysis.compare import compare_results
 from repro.analysis.export import (
     load_result,
     load_result_dict,
@@ -20,7 +17,6 @@ from repro.analysis.export import (
 from repro.analysis.sparkline import sparkline, render_series
 
 __all__ = [
-    "compare_results",
     "result_to_dict",
     "result_from_dict",
     "save_result",

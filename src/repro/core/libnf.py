@@ -42,17 +42,6 @@ class LibnfAPI:
         accepted, _dropped, _hi = self.nf.tx_ring.enqueue(flow, count, now_ns)
         return accepted
 
-    # -- liveness --------------------------------------------------------
-    def keep_alive(self, now_ns: int) -> None:
-        """Refresh the NF's heartbeat without processing a packet.
-
-        Long-running handlers (a table rebuild, a slow storage callback)
-        call this so the Manager's watchdog does not mistake a busy NF for
-        a wedged one; :meth:`NFProcess.execute` stamps it automatically on
-        every scheduled run.
-        """
-        self.nf.heartbeat_ns = int(now_ns)
-
     # -- storage path (Figure 6 signatures, sans fd/buf plumbing) --------
     def read_data(self, size: int,
                   callback_fn: Callable[[object], None],
@@ -102,17 +91,10 @@ class CallbackNF(NFProcess):
         io_full = False
         latency = self.latency
         for flow, count, enqueue_ns, origin_ns in batch:
-            wait = now_ns - enqueue_ns
-            if wait >= 0:
-                self.latency_hist.add(wait)
             if latency is not None:
-                latency.record_hop(self.name, wait, svc_ns_per_pkt, count)
+                latency.record_hop(self.name, now_ns - enqueue_ns,
+                                   svc_ns_per_pkt, count)
             self.processed_packets += count
-            chain = flow.chain
-            if chain is not None:
-                self.processed_by_chain[chain.name] = (
-                    self.processed_by_chain.get(chain.name, 0) + count
-                )
             keep = self.handler(self.api, flow, count, now_ns)
             keep = max(0, min(int(keep), count))
             self.dropped_by_handler += count - keep

@@ -26,7 +26,7 @@ __digest_safety__ = "digest-checked: per-NF counters feed the result payload"
 import math
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.metrics.histogram import CycleHistogram, SlidingWindowEstimator
+from repro.metrics.histogram import SlidingWindowEstimator
 from repro.platform.config import PlatformConfig
 from repro.platform.packet import Flow
 from repro.platform.ring import PacketRing
@@ -96,10 +96,6 @@ class NFProcess(CoreTask):
         #: rings yet never responds to semaphore posts.
         self.failed = False
         self.hung = False
-        #: libnf heartbeat: stamped every time the NF actually runs.  The
-        #: watchdog combines this with ring-drain progress to tell a dead
-        #: or wedged NF from one that is merely parked without work.
-        self.heartbeat_ns = 0
         #: Crash/restart bookkeeping surfaced in experiment results.
         self.restarts = 0
         #: Set by the manager when any upstream chain hop is on the other
@@ -119,9 +115,7 @@ class NFProcess(CoreTask):
         #: stable objects (drained in place), fetched once per NF.
         self._lat_staging = None
         self.processed_packets = 0
-        self.processed_by_chain: Dict[str, int] = {}
         self.wasted_processed = 0  # my output later dropped downstream
-        self.latency_hist = CycleHistogram()  # queuing delay at my Rx (ns)
         self.service_estimator = SlidingWindowEstimator(
             cfg.service_window_ns, cfg.warmup_discard_samples
         )
@@ -197,7 +191,6 @@ class NFProcess(CoreTask):
 
     def execute(self, now_ns: int, granted_ns: float) -> ExecResult:
         """libnf's batch loop for ``granted_ns`` of CPU time."""
-        self.heartbeat_ns = now_ns
         if self.failed or self.hung or self.rx_ring.sealed:
             # Killed/wedged mid-grant (or the ring went away): no work is
             # performed; the task blocks immediately.
@@ -356,8 +349,6 @@ class NFProcess(CoreTask):
         from :meth:`PacketRing.dequeue_batch`.
         """
         io_full = False
-        hist_add = self.latency_hist.add
-        by_chain = self.processed_by_chain
         io = self.io
         tx_enqueue = self.tx_ring.enqueue
         latency = self.latency
@@ -373,24 +364,15 @@ class NFProcess(CoreTask):
             svc = svc_ns_per_pkt if svc_ns_per_pkt > 0 else 0.0
         processed = 0
         for flow, count, enqueue_ns, origin_ns in batch:
-            wait = now_ns - enqueue_ns
-            if wait >= 0:
-                hist_add(wait)
-                if lat_wait is not None:
-                    if wait in lat_wait:
-                        lat_wait[wait] += count
-                    else:
-                        lat_wait[wait] = count
-            elif lat_wait is not None:
-                lat_wait[0] = lat_wait.get(0, 0) + count
+            if lat_wait is not None:
+                wait = now_ns - enqueue_ns
+                if wait < 0:
+                    wait = 0
+                if wait in lat_wait:
+                    lat_wait[wait] += count
+                else:
+                    lat_wait[wait] = count
             processed += count
-            chain = flow.chain
-            if chain is not None:
-                key = chain.name
-                try:
-                    by_chain[key] += count
-                except KeyError:
-                    by_chain[key] = count
             if io is not None and self._needs_io(flow):
                 ok = io.submit(count, count * flow.pkt_size, now_ns)
                 if not ok:
@@ -406,14 +388,6 @@ class NFProcess(CoreTask):
                     or len(lat_svc) >= latency._PENDING_LIMIT):
                 latency.drain_hop(self.name)
         return io_full
-
-    def _maybe_sample(self, now_ns: int, cycles: float, packets: int) -> None:
-        """libnf's 1 ms rdtsc sampling of per-packet processing time."""
-        if now_ns - self._last_sample_ns < self.config.service_sample_period_ns:
-            return
-        self._last_sample_ns = now_ns
-        per_packet_ns = (cycles / packets) * self._ns_per_cycle
-        self.service_estimator.add(now_ns, per_packet_ns)
 
     # ------------------------------------------------------------------
     # Fault recovery
@@ -434,7 +408,6 @@ class NFProcess(CoreTask):
         self.rx_ring.dead = False
         self.tx_ring.sealed = False
         self.restarts += 1
-        self.heartbeat_ns = int(now_ns)
         self._cycle_credit = 0.0
         if cold:
             self.service_estimator = SlidingWindowEstimator(

@@ -2,9 +2,9 @@
 
 The watchdog flags NFs that have *observably* stopped serving their
 queue.  It deliberately sees only what a real NF manager could see —
-ring counters, offered arrivals, scheduler state, the libnf heartbeat —
-never the injector's ground-truth fault flags, so detection latency
-measured in experiments is honest.
+ring counters, offered arrivals, scheduler state — never the injector's
+ground-truth fault flags, so detection latency measured in experiments
+is honest.
 
 An NF is suspected when, for longer than the detection period:
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.nf import NFProcess
-from repro.nfs.cost_models import ExponentialCost, FixedCost
+from repro.nfs.cost_models import FixedCost
 from repro.platform.config import PlatformConfig
 from repro.platform.packet import Flow
 
@@ -85,13 +85,4 @@ def make_misbehaving(name: str = "spinner",
                      config: Optional[PlatformConfig] = None, **kwargs) -> NFProcess:
     """An NF stuck in a loop that never yields (§2.1's malicious case)."""
     return NFProcess(name, FixedCost(1000), config=config, busy_loop=True,
-                     **kwargs)
-
-
-def make_dns_proxy(name: str = "dns-proxy",
-                   config: Optional[PlatformConfig] = None,
-                   rng=None, **kwargs) -> NFProcess:
-    """A proxy with heavy-tailed cost: most packets are a cheap header
-    match, some trigger an expensive lookup (§1's example)."""
-    return NFProcess(name, ExponentialCost(800, rng=rng), config=config,
                      **kwargs)

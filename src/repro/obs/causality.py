@@ -389,34 +389,3 @@ def attribution_rows(causality: Dict[str, Any]) -> List[list]:
 #: The column headers matching :func:`attribution_rows`.
 ATTRIBUTION_HEADERS = ["culprit NF", "episodes", "throttle ms",
                        "induced pkt·ms", "shed pkts", "wasted drops"]
-
-
-def render_attribution_table(causality: Dict[str, Any], title: str) -> str:
-    """Per-NF throttle attribution table for experiment reports."""
-    from repro.metrics.report import render_table
-
-    rows = attribution_rows(causality)
-    if not rows:
-        rows = [["(no backpressure activity)", 0, 0.0, 0.0, 0, 0]]
-    return render_table(ATTRIBUTION_HEADERS, rows, title=title)
-
-
-def render_induced_by_flow(causality: Dict[str, Any], title: str) -> str:
-    """Flow-class view: induced delay each culprit added to each flow."""
-    from repro.metrics.report import render_table
-
-    induced = causality.get("induced_pkt_ns", {}) if causality else {}
-    shed = causality.get("shed_packets", {}) if causality else {}
-    keys = sorted(set(list(induced) + list(shed)))
-    rows: List[list] = []
-    for key in keys:
-        flow, culprit = key.rsplit("→", 1)
-        rows.append([flow, culprit,
-                     round(induced.get(key, 0) / 1e6, 3),
-                     shed.get(key, 0)])
-    if not rows:
-        rows.append(["(none)", "-", 0.0, 0])
-    return render_table(
-        ["flow", "culprit NF", "induced pkt·ms", "shed pkts"],
-        rows, title=title,
-    )

@@ -310,26 +310,3 @@ def render_hop_table(latency_dict: Dict[str, Any], title: str) -> str:
          "svc p99 us"],
         rows, title=title,
     )
-
-
-def render_slo_table(latency_dict: Dict[str, Any], title: str) -> str:
-    """The per-flow SLO percentile table experiments print."""
-    from repro.metrics.report import render_table
-
-    summary = summarize(latency_dict)
-    rows: List[list] = []
-    for section in ("flows", "chains"):
-        for name, row in summary.get(section, {}).items():
-            rows.append([
-                f"{section[:-1]}:{name}", row["count"], row["p50_us"],
-                row["p95_us"], row["p99_us"], row["p99_9_us"],
-                row["mean_us"], row["max_us"],
-            ])
-    if not rows:
-        rows.append(["(no telemetry recorded)", 0, "-", "-", "-", "-",
-                     "-", "-"])
-    return render_table(
-        ["flow class", "pkts", "p50 us", "p95 us", "p99 us", "p99.9 us",
-         "mean us", "max us"],
-        rows, title=title,
-    )

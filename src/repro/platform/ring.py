@@ -7,11 +7,6 @@ return value" (§3.5).  :meth:`PacketRing.enqueue` reproduces exactly that
 contract: it accepts what fits, drops the excess, and reports whether the
 ring is now above the high watermark.
 
-The ring also maintains per-chain occupancy counts so the backpressure
-subsystem can classify a congested queue by service chain in O(1) instead
-of walking the queue (§3.3 "examines all packets in the NF's queue to
-determine what service chain they are a part of").
-
 Drops are accounted *per reason* so experiments can tell congestion from
 failure: ``full`` (ring at capacity — the ordinary overload drop),
 ``sealed`` (a fault stalled the ring; nothing goes in or out), ``nf_dead``
@@ -59,7 +54,6 @@ class PacketRing:
         self.low_watermark = int(round(low_watermark * capacity))
         self._segments: Deque[PacketSegment] = deque()
         self._count = 0
-        self._chain_counts: Dict[str, int] = {}
         #: Fault states (set by the fault injector / recovery machinery).
         #: A *sealed* ring is stalled: enqueues drop and dequeues return
         #: nothing, as if the shared-memory segment went away.  A *dead*
@@ -111,14 +105,6 @@ class PacketRing:
         if not self._segments:
             return 0
         return max(0, int(now_ns) - self._segments[0].enqueue_ns)
-
-    def chain_count(self, chain_name: str) -> int:
-        """Packets currently queued that belong to ``chain_name``."""
-        return self._chain_counts.get(chain_name, 0)
-
-    def chains_present(self) -> List[str]:
-        """Names of chains with at least one queued packet."""
-        return [name for name, c in self._chain_counts.items() if c > 0]
 
     # ------------------------------------------------------------------
     # Mutation
@@ -183,14 +169,6 @@ class PacketRing:
             cur += accepted
             self._count = cur
             self.enqueued_total += accepted
-            chain = flow.chain
-            if chain is not None:
-                key = chain.name
-                counts = self._chain_counts
-                try:
-                    counts[key] += accepted
-                except KeyError:
-                    counts[key] = accepted
         if dropped > 0:
             self.dropped_total += dropped
             self.drops_by_reason["full"] = (
@@ -207,11 +185,6 @@ class PacketRing:
                                  reason="full")
         return accepted, dropped, cur >= self.high_watermark
 
-    def enqueue_segment(self, segment: PacketSegment, now_ns: int) -> Tuple[int, int, bool]:
-        """Enqueue an existing segment (re-stamps enqueue, keeps origin)."""
-        return self.enqueue(segment.flow, segment.count, now_ns,
-                            origin_ns=segment.origin_ns)
-
     def dequeue(self, max_packets: int) -> List[PacketSegment]:
         """Remove up to ``max_packets`` from the head, preserving FIFO order.
 
@@ -223,7 +196,6 @@ class PacketRing:
         out: List[PacketSegment] = []
         remaining = max_packets
         segments = self._segments
-        chain_counts = self._chain_counts
         taken_total = 0
         while remaining > 0 and segments:
             head = segments[0]
@@ -237,9 +209,6 @@ class PacketRing:
             out.append(taken)
             remaining -= n
             taken_total += n
-            chain = taken.flow.chain
-            if chain is not None:
-                chain_counts[chain.name] -= n
         if taken_total:
             self._count -= taken_total
             self.dequeued_total += taken_total
@@ -264,7 +233,6 @@ class PacketRing:
         out: List[Tuple] = []
         remaining = max_packets
         segments = self._segments
-        chain_counts = self._chain_counts
         taken_total = 0
         while remaining > 0 and segments:
             head = segments[0]
@@ -279,9 +247,6 @@ class PacketRing:
                 head.count -= n
             remaining -= n
             taken_total += n
-            chain = flow.chain
-            if chain is not None:
-                chain_counts[chain.name] -= n
         if taken_total:
             self._count -= taken_total
             self.dequeued_total += taken_total
@@ -294,9 +259,8 @@ class PacketRing:
         """Remove and return every queued segment in FIFO order.
 
         Equivalent to ``dequeue(len(ring))`` but O(1) in accounting: the
-        Tx ferry always takes everything, so the per-segment split/count
-        bookkeeping of :meth:`dequeue` collapses to zeroing the chain
-        counts wholesale.  Sealed rings yield nothing, like ``dequeue``.
+        Tx ferry always takes everything, so no segment is split or
+        counted one by one.  Sealed rings yield nothing, like ``dequeue``.
         """
         n = self._count
         if not n or self.sealed:
@@ -305,9 +269,6 @@ class PacketRing:
         self._segments = deque()
         self._count = 0
         self.dequeued_total += n
-        chain_counts = self._chain_counts
-        for key in chain_counts:
-            chain_counts[key] = 0
         if self.bus is not None and self.bus.active:
             self.bus.publish("ring.dequeue", self.name, count=n, depth=0)
         return segments

@@ -54,7 +54,10 @@ class TestCallbackNF:
         f.chain = chain
         nf.rx_ring.enqueue(f, 4, 0)
         nf.execute(0, SEC)
-        assert nf.processed_by_chain == {"c": 4}
+        assert nf.processed_packets == 4
+        assert nf.rx_ring.dequeued_total == 4
+        assert nf.tx_ring.enqueued_total == 4
+        assert nf.tx_ring.peek_head().flow.chain is chain
 
     def test_hops_reach_latency_tracker(self):
         from repro.experiments.common import Scenario

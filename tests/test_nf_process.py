@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.nf import NFProcess
 from repro.nfs.cost_models import FixedCost
-from repro.platform.chain import ServiceChain
+from repro.obs.latency import FlowLatencyTracker
 from repro.platform.packet import Flow
 from repro.sched.base import ExecOutcome
 from repro.sim.clock import SEC, USEC
@@ -114,24 +114,16 @@ class TestExecute:
 
 
 class TestAccounting:
-    def test_per_chain_counts(self, config):
-        nf = make_nf(config)
-        other = make_nf(config, name="nf2")
-        c1 = ServiceChain("c1", [nf])
-        c2 = ServiceChain("c2", [nf, other])
-        f1, f2 = Flow("f1"), Flow("f2")
-        f1.chain, f2.chain = c1, c2
-        nf.rx_ring.enqueue(f1, 7, 0)
-        nf.rx_ring.enqueue(f2, 5, 1)
-        nf.execute(0, SEC)
-        assert nf.processed_by_chain == {"c1": 7, "c2": 5}
-
     def test_latency_histogram_records_queue_wait(self, config):
         nf = make_nf(config)
+        tracker = FlowLatencyTracker()
+        nf.latency = tracker
         nf.rx_ring.enqueue(Flow("f"), 1, now_ns=100)
         nf.execute(600, SEC)
-        assert nf.latency_hist.count == 1
-        assert nf.latency_hist.mean == pytest.approx(500, rel=0.01)
+        tracker.drain_hop(nf.name)
+        wait, _service = tracker.hops[nf.name]
+        assert wait.count == 1
+        assert wait.mean == pytest.approx(500, rel=0.01)
 
     def test_service_time_sampling(self, config):
         nf = make_nf(config)

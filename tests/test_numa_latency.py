@@ -22,7 +22,7 @@ class TestOriginTimestamps:
         f = Flow("f")
         r1.enqueue(f, 8, now_ns=10)
         seg = r1.dequeue(8)[0]
-        r2.enqueue_segment(seg, now_ns=500)
+        r2.enqueue(seg.flow, seg.count, now_ns=500, origin_ns=seg.origin_ns)
         out = r2.dequeue(8)[0]
         assert out.origin_ns == 10
         assert out.enqueue_ns == 500

@@ -113,25 +113,6 @@ class TestWatermarks:
         assert ring.occupancy() == pytest.approx(0.25)
 
 
-class TestChainAccounting:
-    def test_chain_counts_tracked(self):
-        ring = PacketRing(capacity=100)
-        ca, cb = FakeChain("A"), FakeChain("B")
-        ring.enqueue(flow("f1", ca), 10, 0)
-        ring.enqueue(flow("f2", cb), 20, 1)
-        assert ring.chain_count("A") == 10
-        assert ring.chain_count("B") == 20
-        ring.dequeue(15)
-        assert ring.chain_count("A") == 0
-        assert ring.chain_count("B") == 15
-
-    def test_chains_present(self):
-        ring = PacketRing(capacity=100)
-        ring.enqueue(flow("f1", FakeChain("A")), 10, 0)
-        assert ring.chains_present() == ["A"]
-
-
-
 class TestDropReasons:
     def test_overflow_counted_as_full(self):
         ring = PacketRing(capacity=10)

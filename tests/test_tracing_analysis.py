@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.analysis.compare import compare_results
 from repro.analysis.export import (
     load_result,
     load_result_dict,
@@ -206,9 +205,6 @@ class TestExport:
         for name, ts in result.series.items():
             assert list(rebuilt.series[name].times) == list(ts.times)
             assert list(rebuilt.series[name].values) == list(ts.values)
-        # A rebuilt result feeds the same analysis paths as a live one.
-        assert "total throughput" in compare_results(
-            rebuilt, result, "loaded", "live")
 
     def test_load_result(self, tmp_path):
         result = small_result()
@@ -217,16 +213,6 @@ class TestExport:
         assert loaded.chain("chain").completed == \
             result.chain("chain").completed
         assert loaded.nf("nf1").processed == result.nf("nf1").processed
-
-
-class TestCompare:
-    def test_comparison_table(self):
-        base = small_result("Default")
-        cand = small_result("NFVnice")
-        table = compare_results(base, cand, "Default", "NFVnice")
-        assert "total throughput" in table
-        assert "NFVnice vs Default" in table
-        assert "x" in table  # ratios rendered
 
 
 class TestSparkline:
