@@ -404,6 +404,8 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.obs.stream import REL_TOLERANCE
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="NFVnice (SIGCOMM 2017) reproduction toolkit",
@@ -509,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
              "reports) and flag percentile regressions")
     diff.add_argument("baseline", help="baseline telemetry file (run A)")
     diff.add_argument("candidate", help="candidate telemetry file (run B)")
-    diff.add_argument("--max-regression", type=float, default=0.10,
+    diff.add_argument("--max-regression", type=float, default=REL_TOLERANCE,
                       metavar="FRAC",
                       help="allowed fractional percentile growth before a "
                            "row is flagged (default 0.10)")

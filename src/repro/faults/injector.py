@@ -127,6 +127,7 @@ class FaultInjector:
             return
         self._wired = True
         mgr = self.manager
+        self._check_targets()
         if self.bus is None and mgr.bus is not None:
             self.bus = mgr.bus
         self.watchdog = Watchdog(
@@ -142,6 +143,19 @@ class FaultInjector:
         else:
             self.watchdog.start_standalone(int(mgr.config.monitor_period_ns))
         self._schedule_onsets()
+
+    def _check_targets(self) -> None:
+        """Fail at start, not at onset, when a spec names no NF or core."""
+        nf_names = [nf.name for nf in self.manager.nfs]
+        for spec in self.plan.specs:
+            if spec.kind == "core_fail":
+                known = [str(core_id) for core_id in self.manager.cores]
+            else:
+                known = nf_names
+            if spec.target not in known:
+                raise ValueError(
+                    f"fault {spec.kind}: unknown target {spec.target!r}; "
+                    f"expected one of {sorted(known)}")
 
     def watch_nf(self, nf: "NFProcess") -> None:
         """Cover a post-start NF (called from NFManager.add_nf)."""
@@ -211,9 +225,7 @@ class FaultInjector:
     def _inject_core_fail(self, spec: FaultSpec, index: int,
                           now: int) -> Optional[Incident]:
         core_id = int(spec.target)
-        core = self.manager.cores.get(core_id)
-        if core is None:
-            raise KeyError(f"fault plan targets unknown core {core_id}")
+        core = self.manager.cores[core_id]
         alias = f"core:{core_id}"
         if alias in self._active:
             return None

@@ -33,8 +33,12 @@ built afterwards attaches it to its manager before starting.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
+
+from repro.faults.recovery import RECOVERY_POLICIES
+from repro.sim.clock import SEC
 
 #: The fault taxonomy (see the table above and docs/faults.md).
 FAULT_KINDS = ("crash", "hang", "slowdown", "ring_stall", "core_fail")
@@ -42,6 +46,27 @@ FAULT_KINDS = ("crash", "hang", "slowdown", "ring_stall", "core_fail")
 #: Kinds for which self-healing makes no sense: a dead process or core
 #: does not come back without a recovery action.
 _PERMANENT_KINDS = ("crash", "core_fail")
+
+
+def _check_number(where: str, name: str, value: Any) -> None:
+    """Reject a non-number, NaN or infinity in field ``name``, including a
+    value that only overflows once scaled to nanoseconds (``1e300``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: {name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(float(value) * SEC)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"{where}: {name} must be finite in seconds and in ns, "
+            f"got {value!r}")
+
+
+def _require_object(what: str, data: Any) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{what} must be a JSON object, got {type(data).__name__}")
 
 
 @dataclass
@@ -63,12 +88,25 @@ class FaultSpec:
     factor: float = 4.0
 
     def __post_init__(self) -> None:
-        self.target = str(self.target)
         if self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{FAULT_KINDS}"
             )
+        if isinstance(self.target, bool) or \
+                not isinstance(self.target, (str, int)):
+            raise ValueError(
+                f"fault {self.kind}: target must be an NF name or a core "
+                f"id, got {self.target!r}")
+        self.target = str(self.target)
+        where = f"fault {self.kind}@{self.target}"
+        for name in ("at_s", "rate_per_s", "duration_s"):
+            if getattr(self, name) is not None:
+                _check_number(where, name, getattr(self, name))
+        _check_number(where, "factor", self.factor)
+        if isinstance(self.count, bool) or not isinstance(self.count, int):
+            raise ValueError(
+                f"{where}: count must be an integer, got {self.count!r}")
         if (self.at_s is None) == (self.rate_per_s is None):
             raise ValueError(
                 f"fault {self.kind}@{self.target}: specify exactly one of "
@@ -76,8 +114,14 @@ class FaultSpec:
             )
         if self.at_s is not None and self.at_s < 0:
             raise ValueError(f"at_s must be >= 0, got {self.at_s}")
-        if self.rate_per_s is not None and self.rate_per_s <= 0:
-            raise ValueError(f"rate_per_s must be > 0, got {self.rate_per_s}")
+        if self.rate_per_s is not None:
+            if self.rate_per_s <= 0:
+                raise ValueError(
+                    f"rate_per_s must be > 0, got {self.rate_per_s}")
+            if not math.isfinite(SEC / self.rate_per_s):
+                raise ValueError(
+                    f"{where}: rate_per_s {self.rate_per_s!r} is so small "
+                    f"that its mean inter-arrival overflows in ns")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if self.duration_s is not None:
@@ -107,6 +151,7 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultSpec":
+        _require_object("a fault spec", data)
         known = {"kind", "target", "at_s", "rate_per_s", "count",
                  "duration_s", "factor"}
         unknown = set(data) - known
@@ -115,6 +160,10 @@ class FaultSpec:
                 f"unknown FaultSpec field(s) {sorted(unknown)}; "
                 f"expected a subset of {sorted(known)}"
             )
+        missing = {"kind", "target"} - set(data)
+        if missing:
+            raise ValueError(
+                f"FaultSpec is missing required field(s) {sorted(missing)}")
         return cls(**data)
 
 
@@ -133,6 +182,13 @@ class FaultPlan:
     restart_delay_s: float = 0.001
 
     def __post_init__(self) -> None:
+        if not isinstance(self.policy, str) or \
+                self.policy not in RECOVERY_POLICIES:
+            raise ValueError(
+                f"fault plan: unknown policy {self.policy!r}; expected one "
+                f"of {sorted(RECOVERY_POLICIES)}")
+        for name in ("detection_period_s", "restart_delay_s"):
+            _check_number("fault plan", name, getattr(self, name))
         if self.detection_period_s <= 0:
             raise ValueError(
                 f"detection_period_s must be > 0, got "
@@ -156,6 +212,7 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
+        _require_object("a fault plan", data)
         known = {"specs", "policy", "detection_period_s", "restart_delay_s"}
         unknown = set(data) - known
         if unknown:
@@ -163,7 +220,12 @@ class FaultPlan:
                 f"unknown FaultPlan field(s) {sorted(unknown)}; "
                 f"expected a subset of {sorted(known)}"
             )
-        specs = [FaultSpec.from_dict(s) for s in data.get("specs", [])]
+        specs = data.get("specs", [])
+        if not isinstance(specs, list):
+            raise ValueError(
+                f"fault plan: specs must be a list, got "
+                f"{type(specs).__name__}")
+        specs = [FaultSpec.from_dict(s) for s in specs]
         return cls(
             specs=specs,
             policy=data.get("policy", "restart-warm"),

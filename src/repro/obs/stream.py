@@ -26,6 +26,7 @@ JSON report) and flag percentile regressions beyond a threshold.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, IO, List, Optional, Tuple
 
 from repro.sim.engine import EventHandle, EventLoop
@@ -165,16 +166,39 @@ def _percentile_rows(entry: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
     return rows
 
 
+#: The percentile regression rule of ``repro obs diff`` and of the SLO
+#: and cluster smokes' pinned p99 grids: a value regressed when it grew
+#: by more than 10% relative AND by at least 1 µs absolute (the floor
+#: keeps sub-µs jitter on tiny runs from flagging).
+REL_TOLERANCE = 0.10
+ABS_FLOOR_US = 1.0
+
+
+def percentile_regression(base: float, cur: float,
+                          rel_tolerance: float = REL_TOLERANCE,
+                          abs_floor_us: float = ABS_FLOOR_US
+                          ) -> Optional[float]:
+    """The relative growth from ``base`` to ``cur`` (µs) if it is a
+    regression, else None.  Growth over a zero baseline is infinite."""
+    delta = cur - base
+    if base > 0:
+        rel = delta / base
+    elif cur > 0:
+        rel = math.inf
+    else:
+        rel = 0.0
+    if rel > rel_tolerance and delta >= abs_floor_us:
+        return rel
+    return None
+
+
 def diff_telemetry(a: Dict[str, Dict[str, Any]],
                    b: Dict[str, Dict[str, Any]],
-                   max_regression: float = 0.10,
-                   min_abs_us: float = 1.0) -> Tuple[str, int]:
-    """Compare run B against baseline A; flag percentile regressions.
-
-    A regression is a percentile that grew by more than ``max_regression``
-    (fractional) **and** by at least ``min_abs_us`` microseconds — the
-    absolute floor keeps sub-microsecond jitter on tiny runs from
-    flagging.  Returns (report text, regression count).
+                   max_regression: float = REL_TOLERANCE,
+                   min_abs_us: float = ABS_FLOOR_US) -> Tuple[str, int]:
+    """Compare run B against baseline A; flag percentile regressions
+    (see :func:`percentile_regression`).  Returns (report text,
+    regression count).
     """
     lines: List[str] = []
     regressions = 0
@@ -198,16 +222,11 @@ def diff_telemetry(a: Dict[str, Dict[str, Any]],
                 if va is None or vb is None:
                     continue
                 compared += 1
-                delta = vb - va
-                if va > 0:
-                    rel = delta / va
-                elif vb > 0:
-                    rel = float("inf")
-                else:
-                    rel = 0.0
-                if rel > max_regression and delta >= min_abs_us:
+                rel = percentile_regression(va, vb, max_regression,
+                                            min_abs_us)
+                if rel is not None:
                     regressions += 1
-                    rel_pct = ("inf" if rel == float("inf")
+                    rel_pct = ("inf" if rel == math.inf
                                else f"{rel * 100:.1f}%")
                     lines.append(
                         f"  REGRESSION {label} {key} {pk}: "

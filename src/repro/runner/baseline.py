@@ -25,15 +25,10 @@ import json
 from pathlib import Path
 from typing import Dict, List, Union
 
+from repro.obs.stream import percentile_regression
 from repro.runner.campaign import CampaignResult
 
 SCHEMA_VERSION = 1
-
-#: ``repro obs diff`` semantics: a p99 regression needs BOTH a >10%
-#: relative increase AND at least 1 µs absolute movement (sub-µs jitter
-#: floor).
-REL_TOLERANCE = 0.10
-ABS_FLOOR_US = 1.0
 
 
 def baseline_entry(report) -> Dict:
@@ -113,19 +108,17 @@ def check_p99(baseline_grid: Dict[str, float],
               grid: Dict[str, float]) -> List[str]:
     """Problems comparing a ``{cell: p99_us}`` grid to its pinned
     baseline (empty = pass): a baseline cell missing from ``grid``, or
-    one that grew by more than :data:`REL_TOLERANCE` relative and at
-    least :data:`ABS_FLOOR_US` absolute (any growth of at least the
-    floor counts as relative growth over a zero baseline)."""
+    one that regressed by ``repro obs diff``'s rule
+    (:func:`repro.obs.stream.percentile_regression`)."""
     problems: List[str] = []
     for cell, base in sorted(baseline_grid.items()):
         cur = grid.get(cell)
         if cur is None:
             problems.append(f"{cell}: p99 cell missing from run")
             continue
-        delta = cur - base
-        rel = delta / base if base > 0 else float("inf")
-        if rel > REL_TOLERANCE and delta >= ABS_FLOOR_US:
+        rel = percentile_regression(base, cur)
+        if rel is not None:
             problems.append(
                 f"{cell}: p99 {cur:.3f}us vs baseline {base:.3f}us "
-                f"(+{rel:.1%}, +{delta:.3f}us)")
+                f"(+{rel:.1%}, +{cur - base:.3f}us)")
     return problems

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
 
+from tests.test_faults import HOSTILE_PLAN_IDS, HOSTILE_PLANS
+
 
 def test_every_experiment_module_importable_with_main():
     import importlib
@@ -260,3 +262,27 @@ def test_obs_diff_bad_inputs(tmp_path, capsys):
     assert main(["obs", "diff", str(good), str(good),
                  "--max-regression", "-1"]) == 2
     assert "--max-regression" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,field", HOSTILE_PLANS, ids=HOSTILE_PLAN_IDS)
+@pytest.mark.parametrize("command", ["run", "topology"])
+def test_hostile_fault_plan_exits_2_at_load(tmp_path, capsys, command,
+                                            text, field):
+    plan = tmp_path / "plan.json"
+    plan.write_text(text)
+    if command == "run":
+        args = ["run", "fig07"]
+    else:
+        topo = tmp_path / "t.json"
+        topo.write_text(json.dumps({
+            "nfs": [{"name": "nf2", "cycles": 300, "core": 0}],
+            "chains": [{"name": "c", "nfs": ["nf2"]}],
+            "flows": [{"id": "f", "chain": "c", "rate_pps": 1e6}],
+        }))
+        args = ["topology", str(topo)]
+    assert main(args + ["--duration", "0.01",
+                        "--fault-plan", str(plan)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot load fault plan: ")
+    assert field in captured.err

@@ -94,6 +94,34 @@ class TestFaultSpec:
         assert FaultSpec(kind="core_fail", target=0, at_s=0.1).target == "0"
 
 
+#: Plans that must fail at load with a ValueError naming the field, as
+#: ``(JSON text, field)``; shared with the CLI tests.
+HOSTILE_PLANS = [
+    ('{"specs": [{"kind": "crash", "target": "nf2", "at_s": NaN}]}',
+     "at_s"),
+    ('{"specs": [{"kind": "crash", "target": "nf2", "at_s": 1e300}]}',
+     "at_s"),
+    ('{"detection_period_s": NaN}', "detection_period_s"),
+    ('{"specs": [{"kind": "hang", "target": "nf2", "at_s": 0.01, '
+     '"duration_s": Infinity}]}', "duration_s"),
+    ('{"restart_delay_s": Infinity}', "restart_delay_s"),
+    ('{"specs": [{"kind": "slowdown", "target": "nf2", "at_s": 0.01, '
+     '"factor": NaN}]}', "factor"),
+    ('{"specs": [{"kind": "hang", "target": "nf2", '
+     '"rate_per_s": Infinity}]}', "rate_per_s"),
+    ('{"specs": [{"kind": "hang", "target": "nf2", "rate_per_s": 5.0, '
+     '"count": 2.5}]}', "count"),
+    ('{"policy": "bogus"}', "policy"),
+    ('{"specs": [{"kind": "crash", "at_s": 0.01}]}', "target"),
+    ('[1, 2]', "fault plan must be a JSON object"),
+    ('{"specs": {"kind": "crash"}}', "specs must be a list"),
+]
+HOSTILE_PLAN_IDS = ["nan-at", "huge-at", "nan-detection", "inf-duration",
+                    "inf-restart-delay", "nan-factor", "inf-rate",
+                    "fractional-count", "bogus-policy", "no-target",
+                    "top-level-list", "specs-not-list"]
+
+
 class TestFaultPlan:
     def test_json_round_trip(self):
         plan = FaultPlan(
@@ -121,6 +149,12 @@ class TestFaultPlan:
                                           at_s=0.2)])
         path.write_text(plan.to_json())
         assert FaultPlan.from_file(str(path)) == plan
+
+    @pytest.mark.parametrize("text,field", HOSTILE_PLANS,
+                             ids=HOSTILE_PLAN_IDS)
+    def test_hostile_plan_rejected_at_load(self, text, field):
+        with pytest.raises(ValueError, match=field):
+            FaultPlan.from_json(text)
 
     def test_active_plan_lifecycle(self):
         assert current_plan() is None
@@ -334,6 +368,12 @@ class TestCrashRecovery:
             lost = result.resilience["packets_lost"]
             assert result.nf("nf2").rx_drops_by_reason.get("purged", 0) \
                 <= lost
+
+    @pytest.mark.parametrize("kind,target", [
+        ("crash", "ghost"), ("core_fail", "7"), ("core_fail", "abc")])
+    def test_unknown_target_rejected_at_start(self, kind, target):
+        with pytest.raises(ValueError, match=f"unknown target '{target}'"):
+            chaos_case(kind, "restart-warm", target=target)
 
     def test_crash_loses_at_most_one_inflight_batch_when_warm(self):
         scenario, result = chaos_case("crash", "restart-warm")

@@ -8,6 +8,7 @@ import multiprocessing
 
 import pytest
 
+from repro.obs.stream import diff_telemetry
 from repro.runner.baseline import (
     check_campaign,
     check_p99,
@@ -287,6 +288,19 @@ class TestDigest:
 # ----------------------------------------------------------------------
 # Baselines
 # ----------------------------------------------------------------------
+#: ``(baseline p99 us, current p99 us, regressed?)`` — the rule shared
+#: by check_p99 and ``repro obs diff``.
+P99_RULE_CASES = [
+    (100.0, 110.0, False),   # exactly +10%: not more than 10%
+    (100.0, 110.5, True),    # > 10% and >= 1 us
+    (5.0, 5.9, False),       # +18% but under the 1 us floor
+    (5.0, 6.0, True),        # +20% and exactly 1 us
+    (100.0, 50.0, False),    # improvements never fail
+    (0.0, 0.5, False),       # zero baseline: still needs 1 us
+    (0.0, 1.0, True),        # zero baseline, 1 us growth
+]
+
+
 class TestBaseline:
     def _campaign(self):
         return run_campaign(["tab05"], workers=2, duration_s=FAST)
@@ -348,21 +362,23 @@ class TestBaseline:
         with pytest.raises(ValueError, match="version"):
             load_baseline(path)
 
-    @pytest.mark.parametrize("base,cur,fails", [
-        (100.0, 110.0, False),   # exactly +10%: not more than 10%
-        (100.0, 110.5, True),    # > 10% and >= 1 us
-        (5.0, 5.9, False),       # +18% but under the 1 us floor
-        (5.0, 6.0, True),        # +20% and exactly 1 us
-        (100.0, 50.0, False),    # improvements never fail
-        (0.0, 0.5, False),       # zero baseline: still needs 1 us
-        (0.0, 1.0, True),        # zero baseline, 1 us growth
-    ])
+    @pytest.mark.parametrize("base,cur,fails", P99_RULE_CASES)
     def test_p99_rule(self, base, cur, fails):
         problems = check_p99({"cell": base}, {"cell": cur})
         assert bool(problems) is fails
         if fails:
             assert problems[0].startswith(
                 f"cell: p99 {cur:.3f}us vs baseline {base:.3f}us")
+
+    @pytest.mark.parametrize("base,cur,fails", P99_RULE_CASES)
+    def test_p99_rule_obs_diff(self, base, cur, fails):
+        # `repro obs diff` applies the same rule to every percentile.
+        def entry(p99):
+            return {"cell": {"latency": {"flows": {"f": {"p99_us": p99}}}}}
+
+        report, regressions = diff_telemetry(entry(base), entry(cur))
+        assert regressions == int(fails)
+        assert ("REGRESSION cell flow:f p99_us" in report) is fails
 
     def test_p99_missing_cell_fails(self):
         problems = check_p99({"a": 1.0, "b": 2.0}, {"b": 2.0, "c": 9.0})
