@@ -88,6 +88,12 @@ class Incident:
         }
 
 
+def _unknown_target(spec: FaultSpec, known) -> ValueError:
+    """Targets resolve at onset: NFs and cores may join after start."""
+    return ValueError(f"fault {spec.kind}: unknown target {spec.target!r}; "
+                      f"expected one of {sorted(known)}")
+
+
 class FaultInjector:
     """Applies a plan's faults to a live platform and logs incidents."""
 
@@ -127,7 +133,6 @@ class FaultInjector:
             return
         self._wired = True
         mgr = self.manager
-        self._check_targets()
         if self.bus is None and mgr.bus is not None:
             self.bus = mgr.bus
         self.watchdog = Watchdog(
@@ -143,19 +148,6 @@ class FaultInjector:
         else:
             self.watchdog.start_standalone(int(mgr.config.monitor_period_ns))
         self._schedule_onsets()
-
-    def _check_targets(self) -> None:
-        """Fail at start, not at onset, when a spec names no NF or core."""
-        nf_names = [nf.name for nf in self.manager.nfs]
-        for spec in self.plan.specs:
-            if spec.kind == "core_fail":
-                known = [str(core_id) for core_id in self.manager.cores]
-            else:
-                known = nf_names
-            if spec.target not in known:
-                raise ValueError(
-                    f"fault {spec.kind}: unknown target {spec.target!r}; "
-                    f"expected one of {sorted(known)}")
 
     def watch_nf(self, nf: "NFProcess") -> None:
         """Cover a post-start NF (called from NFManager.add_nf)."""
@@ -193,7 +185,11 @@ class FaultInjector:
         now = self.loop.now
         if spec.kind == "core_fail":
             return self._inject_core_fail(spec, index, now)
-        nf = self.manager.nf_by_name(spec.target)
+        try:
+            nf = self.manager.nf_by_name(spec.target)
+        except KeyError:
+            raise _unknown_target(
+                spec, [nf.name for nf in self.manager.nfs]) from None
         if nf.name in self._active:
             # Target already down; a second fault on a broken NF is a no-op.
             return None
@@ -224,8 +220,10 @@ class FaultInjector:
 
     def _inject_core_fail(self, spec: FaultSpec, index: int,
                           now: int) -> Optional[Incident]:
-        core_id = int(spec.target)
-        core = self.manager.cores[core_id]
+        core_id = int(spec.target) if spec.target.isdigit() else None
+        core = self.manager.cores.get(core_id)
+        if core is None:
+            raise _unknown_target(spec, map(str, self.manager.cores))
         alias = f"core:{core_id}"
         if alias in self._active:
             return None

@@ -109,6 +109,8 @@ HOSTILE_PLANS = [
      '"factor": NaN}]}', "factor"),
     ('{"specs": [{"kind": "hang", "target": "nf2", '
      '"rate_per_s": Infinity}]}', "rate_per_s"),
+    ('{"specs": [{"kind": "hang", "target": "nf2", '
+     '"rate_per_s": 1e-300}]}', "rate_per_s"),
     ('{"specs": [{"kind": "hang", "target": "nf2", "rate_per_s": 5.0, '
      '"count": 2.5}]}', "count"),
     ('{"policy": "bogus"}', "policy"),
@@ -118,8 +120,8 @@ HOSTILE_PLANS = [
 ]
 HOSTILE_PLAN_IDS = ["nan-at", "huge-at", "nan-detection", "inf-duration",
                     "inf-restart-delay", "nan-factor", "inf-rate",
-                    "fractional-count", "bogus-policy", "no-target",
-                    "top-level-list", "specs-not-list"]
+                    "tiny-rate", "fractional-count", "bogus-policy",
+                    "no-target", "top-level-list", "specs-not-list"]
 
 
 class TestFaultPlan:
@@ -371,7 +373,7 @@ class TestCrashRecovery:
 
     @pytest.mark.parametrize("kind,target", [
         ("crash", "ghost"), ("core_fail", "7"), ("core_fail", "abc")])
-    def test_unknown_target_rejected_at_start(self, kind, target):
+    def test_unknown_target_raises_value_error(self, kind, target):
         with pytest.raises(ValueError, match=f"unknown target '{target}'"):
             chaos_case(kind, "restart-warm", target=target)
 
