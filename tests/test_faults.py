@@ -366,10 +366,11 @@ class TestCrashRecovery:
         finally:
             deactivate_sanitizer()
         assert sanitizer.violations == []
-        for result in results:
-            lost = result.resilience["packets_lost"]
-            assert result.nf("nf2").rx_drops_by_reason.get("purged", 0) \
-                <= lost
+        purged = [r.nf("nf2").rx_drops_by_reason.get("purged", 0)
+                  for r in results]
+        assert any(purged)
+        for n, result in zip(purged, results):
+            assert n <= result.resilience["packets_lost"]
 
     @pytest.mark.parametrize("kind,target", [
         ("crash", "ghost"), ("core_fail", "7"), ("core_fail", "abc")])
