@@ -19,27 +19,27 @@ SPEC = pathlib.Path(__file__).parent / "topologies" / "edge_gateway.json"
 
 
 def main() -> None:
-    topology = load_topology(SPEC)
+    scenario = load_topology(SPEC)
     duration_s = 1.0
-    topology.run(duration_s)
+    result = scenario.run(duration_s)
 
     rows = []
-    for chain in topology.manager.chains.values():
+    for chain in result.chains.values():
         rows.append([
             chain.name,
-            round(chain.completed / duration_s / 1e6, 3),
-            round(chain.entry_discards / duration_s / 1e6, 3),
-            round(chain.latency_hist.median() / 1e3, 1),
+            round(chain.throughput_pps / 1e6, 3),
+            round(chain.entry_discard_pps / 1e6, 3),
+            round(chain.latency_p50_us, 1),
         ])
     print(render_table(
         ["chain", "tput Mpps", "entry-drop Mpps", "p50 latency us"],
         rows, title=f"topology {SPEC.name} after {duration_s:g} s",
     ))
+    flows = [spec.flow for spec in scenario.generator.specs]
     rows = [[f.flow_id, f.stats.offered, f.stats.delivered, f.stats.lost]
-            for f in topology.flows.values()]
+            for f in flows]
     print(render_table(["flow", "offered", "delivered", "lost"], rows,
                        title="per-flow accounting"))
-
 
 if __name__ == "__main__":
     main()

@@ -62,7 +62,6 @@ from repro.platform import (
     PacketRing,
     PlatformConfig,
     ServiceChain,
-    Topology,
     build_topology,
     line_rate_pps,
     load_topology,
@@ -97,7 +96,6 @@ __all__ = [
     "PacketRing",
     "NIC",
     "line_rate_pps",
-    "Topology",
     "build_topology",
     "load_topology",
     # schedulers

@@ -29,13 +29,7 @@ from repro.check.simcheck import (
     iter_rules,
     run_deep,
 )
-from repro.check.sanitizer import (
-    SanitizerViolation,
-    Sanitizer,
-    activate_sanitizer,
-    current_sanitizer,
-    deactivate_sanitizer,
-)
+from repro.check.sanitizer import SanitizerViolation, Sanitizer
 
 __all__ = [
     "Finding",
@@ -44,7 +38,4 @@ __all__ = [
     "run_deep",
     "SanitizerViolation",
     "Sanitizer",
-    "activate_sanitizer",
-    "current_sanitizer",
-    "deactivate_sanitizer",
 ]

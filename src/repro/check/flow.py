@@ -181,9 +181,8 @@ EXPLAIN: Dict[str, str] = {
     "SIM702": (
         "global-statement rebind from runtime code.  Rebinding a "
         "module global from a runtime path is the same cross-run "
-        "state hazard as SIM701 in assignment form.  The "
-        "activate/deactivate singleton pattern (obs session, fault "
-        "plan, sanitizer) is registered in "
+        "state hazard as SIM701 in assignment form.  The one "
+        "deliberate singleton, the CLI's run context, is registered in "
         "registry.PROCESS_LOCAL_STATE; anything else is a finding."),
     "SIM703": (
         "Class-level mutable default in a runtime module.  A mutable "

@@ -16,8 +16,8 @@ enforces is *declared* here rather than scattered through rule code:
   (rule SIM603), so the contract is visible at the definition site;
 * which functions are sanctioned RNG constructors (rule SIM612);
 * which module-level globals are *deliberately* process-local mutable
-  state (the activate/deactivate singleton pattern), exempting them from
-  the pool-safety rules SIM701/SIM702.
+  state (the CLI's run context), exempting them from the pool-safety
+  rules SIM701/SIM702.
 
 Adding a ``ScenarioResult`` field without declaring it in exactly one of
 the two field sets fails ``repro check --deep`` (SIM602) *and* the
@@ -156,16 +156,10 @@ RNG_SANCTIONED_PREFIXES: Tuple[str, ...] = (
 #: tasks never write them, so every task in every long-lived worker sees
 #: the same value and cross-worker invariance holds by construction.
 PROCESS_LOCAL_STATE: Dict[str, str] = {
-    "repro.obs.session._ACTIVE": (
-        "per-process ObsSession singleton; set and cleared only by the "
-        "CLI parent around a run, before pool workers fork, and never "
-        "written by a task"),
-    "repro.faults.plan._ACTIVE": (
-        "per-process FaultPlan singleton mirroring the obs session "
-        "pattern: set only by the CLI parent, never by a task"),
-    "repro.check.sanitizer._ACTIVE": (
-        "per-process Sanitizer singleton mirroring the obs session "
-        "pattern: set only by the CLI parent, never by a task"),
+    "repro.experiments.common._ACTIVE_RUN": (
+        "per-process RunContext (obs session, sanitizer, fault plan); "
+        "entered and exited only by the CLI parent around a run, before "
+        "pool workers fork, and never written by a task"),
 }
 
 #: Package-relative path prefixes of code that executes inside a

@@ -28,15 +28,15 @@ Violations are :class:`SanitizerViolation` records surfaced in
 :mod:`repro.analysis.export`, so a violating run changes its digest —
 and a clean ``--sanitize`` run digests identically to a normal run).
 
-Activation follows the observability-session pattern::
+A run context hands the sanitizer to every scenario a run builds::
 
     sanitizer = Sanitizer(per_tick=True)
-    activate_sanitizer(sanitizer)
-    try:
+    with RunContext(sanitizer=sanitizer):
         result = scenario.run(...)   # Scenario.run attaches automatically
-    finally:
-        deactivate_sanitizer()
     assert not result.sanitizer_violations
+
+(:class:`~repro.experiments.common.RunContext`; ``ClusterScenario.run``
+attaches the same way.)
 """
 
 from __future__ import annotations
@@ -44,13 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-__all__ = [
-    "SanitizerViolation",
-    "Sanitizer",
-    "activate_sanitizer",
-    "current_sanitizer",
-    "deactivate_sanitizer",
-]
+__all__ = ["SanitizerViolation", "Sanitizer"]
 
 
 @dataclass(frozen=True)
@@ -345,23 +339,3 @@ class Sanitizer:
                     "non-negative", subject,
                     f"{label} = {value} underflowed", now)
 
-
-# ----------------------------------------------------------------------
-# Context activation (mirrors repro.obs.session / repro.faults.plan)
-# ----------------------------------------------------------------------
-_ACTIVE: Optional[Sanitizer] = None
-
-
-def activate_sanitizer(sanitizer: Sanitizer) -> None:
-    """Make ``sanitizer`` the ambient sanitizer new scenario runs attach to."""
-    global _ACTIVE
-    _ACTIVE = sanitizer
-
-
-def current_sanitizer() -> Optional[Sanitizer]:
-    return _ACTIVE
-
-
-def deactivate_sanitizer() -> None:
-    global _ACTIVE
-    _ACTIVE = None

@@ -93,6 +93,28 @@ def _bad_duration(duration: Optional[float]) -> bool:
     return True
 
 
+#: ``repro run``/``repro topology`` flag (argparse dest) -> the
+#: :class:`~repro.experiments.common.RunContext` part that carries it.
+_RUN_FLAG_PARTS = (
+    ("trace", "session"),
+    ("metrics_out", "session"),
+    ("stream_out", "stream"),
+    ("sanitize", "sanitizer"),
+    ("fault_plan", "fault_plan"),
+)
+
+
+def _unaccepted_flags(args: argparse.Namespace, ctx, what: str) -> bool:
+    """Report (on stderr) each run flag given on the command line that no
+    run of ``what`` accepted."""
+    unaccepted = [dest for dest, part in _RUN_FLAG_PARTS
+                  if getattr(args, dest, None) and not ctx.attached[part]]
+    for dest in unaccepted:
+        print(f"--{dest.replace('_', '-')} was given but no run of {what} "
+              f"accepted it", file=sys.stderr)
+    return bool(unaccepted)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.experiment not in EXPERIMENTS:
         print(f"unknown experiment {args.experiment!r}; "
@@ -116,12 +138,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.stream_out is not None and not str(args.stream_out).strip():
         print("--stream-out needs a non-empty path", file=sys.stderr)
         return 2
+    if args.sanitize_tick and not args.sanitize:
+        print("--sanitize-tick needs --sanitize", file=sys.stderr)
+        return 2
+    plan = None
+    if args.fault_plan is not None:
+        from repro.faults.plan import FaultPlan
+
+        try:
+            plan = FaultPlan.from_file(args.fault_plan)
+        except (OSError, ValueError, RuntimeError) as exc:
+            print(f"cannot load fault plan: {exc}", file=sys.stderr)
+            return 2
     session = None
     if (args.trace is not None or args.metrics_out is not None
             or args.stream_out is not None):
-        from repro.obs.session import (
-            ObsSession, activate_session, deactivate_session,
-        )
+        from repro.obs.session import ObsSession
         from repro.sim.clock import MSEC
 
         session = ObsSession(
@@ -130,50 +162,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
             stream_path=args.stream_out,
             stream_interval_ns=int(args.stream_interval_ms * MSEC),
         )
-        activate_session(session)
     sanitizer = None
     if args.sanitize:
-        from repro.check.sanitizer import Sanitizer, activate_sanitizer
+        from repro.check.sanitizer import Sanitizer
 
         sanitizer = Sanitizer(per_tick=args.sanitize_tick)
-        activate_sanitizer(sanitizer)
-    plan_active = False
-    if args.fault_plan is not None:
-        from repro.faults.plan import FaultPlan, activate_plan
+    from repro.experiments.common import RunContext
 
-        try:
-            plan = FaultPlan.from_file(args.fault_plan)
-        except (OSError, ValueError, RuntimeError) as exc:
-            print(f"cannot load fault plan: {exc}", file=sys.stderr)
-            return 2
-        activate_plan(plan)
-        plan_active = True
+    ctx = RunContext(session=session, sanitizer=sanitizer, fault_plan=plan)
     profiler = None
     if args.profile:
         import cProfile
 
         profiler = cProfile.Profile()
     try:
-        if profiler is not None:
-            profiler.enable()
-            try:
-                out = module.main(**kwargs)
-            finally:
-                profiler.disable()
-            print(out)
-        else:
-            print(module.main(**kwargs))
+        with ctx:
+            if profiler is not None:
+                profiler.enable()
+                try:
+                    out = module.main(**kwargs)
+                finally:
+                    profiler.disable()
+                print(out)
+            else:
+                print(module.main(**kwargs))
     finally:
-        if sanitizer is not None:
-            from repro.check.sanitizer import deactivate_sanitizer
-
-            deactivate_sanitizer()
-        if plan_active:
-            from repro.faults.plan import deactivate_plan
-
-            deactivate_plan()
         if session is not None:
-            deactivate_session()
             summary = session.finalize()
             if summary:
                 print(summary)
@@ -182,8 +196,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(violation.render(), file=sys.stderr)
         print(f"[sanitize] {sanitizer.runs} run(s), "
               f"{len(sanitizer.violations)} violation(s)")
-        if sanitizer.violations:
-            return 1
+    if _unaccepted_flags(args, ctx, f"experiment {args.experiment}"):
+        return 2
+    if sanitizer is not None and sanitizer.violations:
+        return 1
     if profiler is not None:
         import io as _io
         import os
@@ -359,47 +375,44 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
+    from repro.experiments.common import RunContext
     from repro.platform.orchestrator import load_topology
 
     if _bad_duration(args.duration):
         return 2
     try:
-        topology = load_topology(args.path, seed=args.seed)
+        scenario = load_topology(args.path, seed=args.seed)
     except (OSError, ValueError) as exc:
         print(f"topology: {args.path}: {exc}", file=sys.stderr)
         return 2
-    if args.fault_plan is not None and topology.manager.faults is None:
+    plan = None
+    if args.fault_plan is not None:
         from repro.faults.plan import FaultPlan
-        from repro.sim.rng import RngFactory
 
         try:
             plan = FaultPlan.from_file(args.fault_plan)
         except (OSError, ValueError, RuntimeError) as exc:
             print(f"cannot load fault plan: {exc}", file=sys.stderr)
             return 2
-        topology.manager.attach_faults(
-            plan, rng=RngFactory(args.seed).stream("faults"))
-    duration = args.duration
-    topology.run(duration)
-    rows = []
-    for chain in topology.manager.chains.values():
-        rows.append([
-            chain.name,
-            round(chain.completed / duration / 1e6, 3),
-            round(chain.wasted_drops / duration / 1e6, 3),
-            round(chain.entry_discards / duration / 1e6, 3),
-        ])
+    with RunContext(fault_plan=plan) as ctx:
+        result = scenario.run(args.duration)
+    rows = [[chain.name,
+             round(chain.throughput_pps / 1e6, 3),
+             round(chain.wasted_drop_pps / 1e6, 3),
+             round(chain.entry_discard_pps / 1e6, 3)]
+            for chain in result.chains.values()]
     print(render_table(
         ["chain", "tput Mpps", "wasted Mpps", "entry-drop Mpps"], rows,
-        title=f"topology {args.path} ({duration:g}s simulated)",
+        title=f"topology {args.path} ({args.duration:g}s simulated)",
     ))
-    faults = topology.manager.faults
-    if faults is not None:
-        s = faults.summary(horizon_ns=int(duration * 1e9))
+    s = result.resilience
+    if s:
         print(f"[faults] injected={s['injected']} detected={s['detected']} "
               f"recovered={s['recovered']} gave_up={s['gave_up']} "
               f"lost={s['packets_lost']} requeued={s['packets_requeued']} "
               f"availability={s['availability']:.4f}")
+    if _unaccepted_flags(args, ctx, f"topology {args.path}"):
+        return 2
     return 0
 
 
@@ -548,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     topo.add_argument("--seed", type=int, default=0)
     topo.add_argument("--fault-plan", default=None, metavar="PATH",
                       help="inject faults from a JSON/YAML FaultPlan "
-                           "(ignored if the topology has its own "
+                           "(exit 2 if the topology has its own "
                            "'faults' section)")
     topo.set_defaults(func=_cmd_topology)
     return parser

@@ -37,6 +37,7 @@ from repro.experiments.common import (
     NFSummary,
     ScenarioResult,
     add_tput_probe,
+    current_run_context,
     feature_config,
     slo_budget_ns,
 )
@@ -201,19 +202,13 @@ class ClusterScenario:
         if not (math.isfinite(duration_s) and duration_s > 0):
             raise ValueError(
                 f"duration_s must be finite and positive, got {duration_s!r}")
-        from repro.check.sanitizer import current_sanitizer
-        from repro.obs.session import current_session
-
         if self.template is None:
             raise RuntimeError("set_chain before run()")
         if not self.steerer.placements:
             self._materialise_placements()
-        session = current_session()
-        if session is not None:
-            session.attach_cluster(self)
-        sanitizer = current_sanitizer()
-        if sanitizer is not None:
-            sanitizer.attach(self)
+        ctx = current_run_context()
+        if ctx is not None:
+            ctx.attach_cluster(self)
         sampler = IntervalSampler(self.loop, SEC)
         self._sampler = sampler
         for host in self.topology.hosts:
@@ -227,8 +222,8 @@ class ClusterScenario:
         self.loop.run_until(self.loop.now + int(duration_s * SEC))
         self.topology.finalize()
         result = self._summarise(duration_s, sampler)
-        if sanitizer is not None:
-            result.sanitizer_violations = sanitizer.finish_run(self)
+        if ctx is not None and ctx.sanitizer is not None:
+            result.sanitizer_violations = ctx.sanitizer.finish_run(self)
         return result
 
     # ------------------------------------------------------------------

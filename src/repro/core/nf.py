@@ -24,6 +24,7 @@ from __future__ import annotations
 __digest_safety__ = "digest-checked: per-NF counters feed the result payload"
 
 import math
+import numbers
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.metrics.histogram import SlidingWindowEstimator
@@ -58,6 +59,14 @@ class NFProcess(CoreTask):
         io_selector: Optional[Callable[[Flow], bool]] = None,
         busy_loop: bool = False,
     ):
+        if isinstance(priority, bool) \
+                or not isinstance(priority, numbers.Real) \
+                or not (math.isfinite(priority) and priority >= 0):
+            raise ValueError(f"priority must be a finite non-negative "
+                             f"number, got {priority!r}")
+        if not isinstance(busy_loop, bool):
+            raise ValueError(
+                f"busy_loop must be true or false, got {busy_loop!r}")
         super().__init__(name, weight)
         cfg = config if config is not None else PlatformConfig()
         self.config = cfg

@@ -12,8 +12,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
-    Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, \
+    Sequence, Tuple, Union
 
 from repro.core.nf import NFProcess
 from repro.metrics.timeseries import IntervalSampler, TimeSeries
@@ -27,6 +27,11 @@ from repro.sim.clock import SEC
 from repro.sim.engine import EventLoop
 from repro.sim.rng import RngFactory
 from repro.traffic.generator import TrafficGenerator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.check.sanitizer import Sanitizer
+    from repro.faults.plan import FaultPlan
+    from repro.obs.session import ObsSession
 
 #: The four system variants compared throughout §4.2/§4.3:
 #: (enable_cgroups, enable_backpressure).
@@ -244,6 +249,83 @@ class ScenarioResult:
         return self.chains[name]
 
 
+#: The run context the CLI entered, if any (see :class:`RunContext`).
+_ACTIVE_RUN: Optional["RunContext"] = None
+
+
+class RunContext:
+    """The run flags one CLI invocation hands every scenario it builds.
+
+    Experiment modules construct their scenarios internally, so the CLI
+    cannot pass ``--trace``, ``--sanitize`` or ``--fault-plan`` to each
+    one.  It enters one context around the whole run instead::
+
+        with RunContext(session=session, sanitizer=sanitizer,
+                        fault_plan=plan) as ctx:
+            print(module.main())
+
+    and :meth:`Scenario.run` and ``ClusterScenario.run`` attach its
+    parts (read through :func:`current_run_context`) before starting.
+    A :class:`Scenario` takes all three; a ``ClusterScenario`` takes the
+    session, without snapshot streaming, and the sanitizer.
+    :attr:`attached` counts the runs each part joined, so the CLI can
+    reject a flag that no run accepted.
+    """
+
+    def __init__(self, session: Optional["ObsSession"] = None,
+                 sanitizer: Optional["Sanitizer"] = None,
+                 fault_plan: Optional["FaultPlan"] = None):
+        self.session = session
+        self.sanitizer = sanitizer
+        self.fault_plan = fault_plan
+        #: part -> runs it attached to; ``stream`` is the session's
+        #: snapshot streamer, which only single-host scenarios feed.
+        self.attached: Dict[str, int] = dict.fromkeys(
+            ("session", "stream", "sanitizer", "fault_plan"), 0)
+
+    def __enter__(self) -> "RunContext":
+        global _ACTIVE_RUN
+        if _ACTIVE_RUN is not None:
+            raise RuntimeError("a run context is already active")
+        _ACTIVE_RUN = self
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        global _ACTIVE_RUN
+        _ACTIVE_RUN = None
+
+    def attach_session(self, scenario: "Scenario") -> None:
+        if self.session is not None:
+            self.session.attach(scenario)
+            self.attached["session"] += 1
+            if self.session.streamer is not None:
+                self.attached["stream"] += 1
+
+    def attach_sanitizer_and_plan(self, scenario: "Scenario") -> None:
+        """The sanitizer, then the fault plan unless ``scenario`` already
+        carries its own."""
+        if self.sanitizer is not None:
+            self.sanitizer.attach(scenario)
+            self.attached["sanitizer"] += 1
+        if self.fault_plan is not None and scenario.manager.faults is None:
+            scenario.attach_faults(self.fault_plan)
+            self.attached["fault_plan"] += 1
+
+    def attach_cluster(self, scenario: Any) -> None:
+        """The session and the sanitizer, for a ``ClusterScenario``."""
+        if self.session is not None:
+            self.session.attach_cluster(scenario)
+            self.attached["session"] += 1
+        if self.sanitizer is not None:
+            self.sanitizer.attach(scenario)
+            self.attached["sanitizer"] += 1
+
+
+def current_run_context() -> Optional[RunContext]:
+    """The context the CLI entered, or None outside one."""
+    return _ACTIVE_RUN
+
+
 class Scenario:
     """Builder + runner for one platform configuration."""
 
@@ -374,32 +456,24 @@ class Scenario:
         if not (math.isfinite(duration_s) and duration_s > 0):
             raise ValueError(
                 f"duration_s must be finite and positive, got {duration_s!r}")
-        from repro.obs.session import current_session
-
-        from repro.check.sanitizer import current_sanitizer
-        from repro.faults.plan import current_plan
-
+        ctx = current_run_context()
         mgr = self.manager
-        session = current_session()
-        if session is not None and not mgr._started:
-            session.attach(self)
+        fresh = not mgr._started
+        if ctx is not None and fresh:
+            ctx.attach_session(self)
         governor_on = self._governor_enabled()
         if governor_on:
             # The governor projects misses from live p99 snapshots; it
             # needs the tracker attached.
             self.telemetry = True
-        if self.telemetry and not mgr._started and mgr.latency is None:
+        if self.telemetry and fresh and mgr.latency is None:
             from repro.obs.causality import CausalityTracer
             from repro.obs.latency import FlowLatencyTracker
 
             mgr.attach_telemetry(FlowLatencyTracker(), CausalityTracer())
-        sanitizer = current_sanitizer()
-        if sanitizer is not None and not mgr._started:
-            sanitizer.attach(self)
-        fault_plan = current_plan()
-        if fault_plan is not None and mgr.faults is None and not mgr._started:
-            self.attach_faults(fault_plan)
-        if governor_on and mgr.slo_governor is None and not mgr._started:
+        if ctx is not None and fresh:
+            ctx.attach_sanitizer_and_plan(self)
+        if governor_on and mgr.slo_governor is None and fresh:
             from repro.core.monitor import SLOGovernor
 
             mgr.attach_slo_governor(SLOGovernor(
@@ -417,8 +491,8 @@ class Scenario:
         self.loop.run_until(self.loop.now + horizon)
         mgr.finalize()
         result = self._summarise(duration_s, sampler)
-        if sanitizer is not None:
-            result.sanitizer_violations = sanitizer.finish_run(self)
+        if ctx is not None and ctx.sanitizer is not None:
+            result.sanitizer_violations = ctx.sanitizer.finish_run(self)
         return result
 
     def _governor_enabled(self) -> bool:

@@ -6,8 +6,9 @@ the missing failure half of the story so chaos experiments can measure how
 the platform behaves when an NF crashes, wedges, or loses its ring:
 
 * :mod:`repro.faults.plan` — declarative :class:`FaultPlan` / `FaultSpec`
-  (what breaks, when, for how long), JSON/YAML loadable, activatable as a
-  process-wide plan the way :mod:`repro.obs.session` activates sessions.
+  (what breaks, when, for how long), JSON/YAML loadable; ``repro run
+  --fault-plan`` hands one to every scenario through the run context
+  (:class:`repro.experiments.common.RunContext`).
 * :mod:`repro.faults.injector` — executes a plan against a live
   :class:`~repro.platform.manager.NFManager` and keeps the incident log.
 * :mod:`repro.faults.watchdog` — detection: liveness checks from the
@@ -21,14 +22,7 @@ the platform behaves when an NF crashes, wedges, or loses its ring:
 
 from repro.faults.injector import FaultInjector, Incident
 from repro.faults.metrics import availability, throughput_dip
-from repro.faults.plan import (
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    activate_plan,
-    current_plan,
-    deactivate_plan,
-)
+from repro.faults.plan import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.faults.recovery import (
     RECOVERY_POLICIES,
     FailChainPolicy,
@@ -42,9 +36,6 @@ __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
-    "activate_plan",
-    "current_plan",
-    "deactivate_plan",
     "FaultInjector",
     "Incident",
     "Watchdog",

@@ -25,9 +25,9 @@ simulation's seeded ``faults`` stream).  Transient faults (``duration_s``)
 self-heal; crashes and core failures are permanent until a recovery
 policy intervenes.
 
-The module also keeps a process-wide *active plan* mirroring
-:mod:`repro.obs.session`: the CLI activates a plan, and every Scenario
-built afterwards attaches it to its manager before starting.
+``repro run --fault-plan`` hands a plan to every single-host Scenario
+the experiment builds through the run context
+(:class:`repro.experiments.common.RunContext`).
 """
 
 from __future__ import annotations
@@ -260,25 +260,3 @@ class FaultPlan:
                 ) from exc
             return cls.from_dict(yaml.safe_load(text))
         return cls.from_json(text)
-
-
-# ---------------------------------------------------------------------------
-# Process-wide active plan (mirrors repro.obs.session): the CLI activates a
-# plan, Scenario.run() picks it up for every platform it builds.
-# ---------------------------------------------------------------------------
-_ACTIVE: Optional[FaultPlan] = None
-
-
-def activate_plan(plan: FaultPlan) -> None:
-    """Make ``plan`` the one new scenarios attach to their managers."""
-    global _ACTIVE
-    _ACTIVE = plan
-
-
-def deactivate_plan() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def current_plan() -> Optional[FaultPlan]:
-    return _ACTIVE

@@ -47,9 +47,4 @@ from repro.obs.export import (  # noqa: F401
     write_prometheus,
 )
 from repro.obs.registry import Gauge, MetricsRegistry, RegistrySampler  # noqa: F401
-from repro.obs.session import (  # noqa: F401
-    ObsSession,
-    activate_session,
-    current_session,
-    deactivate_session,
-)
+from repro.obs.session import ObsSession  # noqa: F401

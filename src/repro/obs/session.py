@@ -2,9 +2,10 @@
 
 Experiment modules build their :class:`~repro.experiments.common.Scenario`
 objects internally (a fig07 run constructs sixteen), so the CLI cannot
-hand each one a bus directly.  Instead it *activates* an
-:class:`ObsSession`; every Scenario checks for an active session before
-starting its platform and attaches itself.  The session then owns:
+hand each one a bus directly.  Instead it enters a
+:class:`~repro.experiments.common.RunContext` holding an
+:class:`ObsSession`; every Scenario attaches the context's session before
+starting its platform.  The session then owns:
 
 * one :class:`~repro.obs.bus.EventBus` per scenario (distinct Perfetto
   process per scenario in the exported trace),
@@ -33,24 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.common import Scenario
     from repro.obs.latency import FlowLatencyTracker
     from repro.platform.manager import NFManager
-
-#: The module-level active session the Scenario runner consults.
-_ACTIVE: Optional["ObsSession"] = None
-
-
-def activate_session(session: "ObsSession") -> None:
-    """Make ``session`` the one new scenarios attach to."""
-    global _ACTIVE
-    _ACTIVE = session
-
-
-def deactivate_session() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def current_session() -> Optional["ObsSession"]:
-    return _ACTIVE
 
 
 class ObsSession:
@@ -97,8 +80,8 @@ class ObsSession:
         if self.trace_path is not None:
             bus = EventBus(scenario.loop, max_events=self.max_bus_events)
             self.buses.append((label, bus))
-        # Imported here so runs without a session never load the
-        # tracker modules (this module is imported by every Scenario.run).
+        # Imported here: the tracker modules load only once a session
+        # attaches to a run.
         from repro.obs.causality import CausalityTracer
         from repro.obs.latency import FlowLatencyTracker
 

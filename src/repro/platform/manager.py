@@ -21,6 +21,7 @@ Typical use::
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from typing import TYPE_CHECKING
@@ -127,9 +128,14 @@ class NFManager:
         bookkeeping key on them, so a duplicate would silently shadow the
         earlier instance.
         """
+        if isinstance(core_id, bool) \
+                or not isinstance(core_id, numbers.Integral) or core_id < 0:
+            raise ValueError(
+                f"core must be a non-negative integer, got {core_id!r}")
         for existing in self.nfs:
             if existing.name == nf.name:
-                raise ValueError(f"duplicate NF name {nf.name!r}")
+                raise ValueError(
+                    f"name must be unique: duplicate NF name {nf.name!r}")
         self.core(core_id).add_task(nf)
         self.nfs.append(nf)
         if self.bus is not None:

@@ -4,8 +4,10 @@
 configuration files or from an external orchestrator such as an SDN
 controller" (§3.1).  :func:`build_topology` accepts exactly such a
 description — a plain dict (or a JSON file via :func:`load_topology`) —
-and assembles the platform: NFs with cost models and core pinning,
-service chains, flows, and generator specs.
+and assembles it as a :class:`~repro.experiments.common.Scenario`: NFs
+with cost models and core pinning, service chains, flows, and an
+optional fault plan.  ``scenario.run(duration_s)`` runs it like any
+experiment's scenario, under the same CLI run context.
 
 Example specification::
 
@@ -32,40 +34,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.platform.config import PlatformConfig
-from repro.platform.manager import NFManager
-from repro.platform.nic import line_rate_pps
-from repro.platform.packet import Flow
 from repro.sim.clock import SEC
-from repro.sim.engine import EventLoop
-from repro.sim.rng import RngFactory
-from repro.traffic.generator import TrafficGenerator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.common import Scenario
 
 
 class TopologyError(ValueError):
     """A malformed topology specification."""
-
-
-@dataclass
-class Topology:
-    """A fully constructed platform, ready to run."""
-
-    loop: EventLoop
-    manager: NFManager
-    generator: TrafficGenerator
-    flows: Dict[str, Flow] = field(default_factory=dict)
-
-    def run(self, duration_s: float) -> None:
-        self.manager.start()
-        self.generator.start()
-        self.loop.run_until(self.loop.now + int(duration_s * SEC))
-        self.manager.finalize()
 
 
 def _build_cost(spec: Dict[str, Any],
@@ -131,21 +113,21 @@ def build_topology(
     spec: Dict[str, Any],
     config: Optional[PlatformConfig] = None,
     seed: int = 0,
-) -> Topology:
-    """Assemble a platform from a declarative specification."""
+) -> "Scenario":
+    """Assemble a :class:`~repro.experiments.common.Scenario` from a
+    declarative specification."""
+    # Imported here: repro.experiments depends on repro.platform.
+    from repro.experiments.common import FEATURE_SETS, Scenario
+    from repro.nfs.cost_models import FixedCost
+
     if not isinstance(spec, dict):
         raise TopologyError("topology spec must be a mapping")
-    loop = EventLoop()
-    rng_factory = RngFactory(seed)
     cfg = config if config is not None else PlatformConfig()
-    manager = NFManager(loop, scheduler=spec.get("scheduler", "BATCH"),
-                        config=cfg)
-    generator = TrafficGenerator(loop, manager.nic,
-                                 rng=rng_factory.stream("traffic"))
-    topology = Topology(loop=loop, manager=manager, generator=generator)
-    # Imported here: repro.core.nf itself depends on repro.platform.
-    from repro.core.nf import NFProcess
-    from repro.nfs.cost_models import FixedCost
+    features = next(
+        name for name, toggles in FEATURE_SETS.items()
+        if toggles == (cfg.enable_cgroups, cfg.enable_backpressure))
+    scenario = Scenario(scheduler=spec.get("scheduler", "BATCH"),
+                        features=features, config=cfg, seed=seed)
 
     nf_specs = _objects(spec, "nfs")
     if not nf_specs:
@@ -161,52 +143,52 @@ def build_topology(
                 raise TopologyError(f"nfs[{i}].cost: expected a JSON "
                                     f"object, got {nf_spec['cost']!r}")
             cost = _build_cost(nf_spec["cost"],
-                               rng_factory.stream(f"cost-{name}"))
+                               scenario.rng_factory.stream(f"cost-{name}"))
         else:
             raise TopologyError(f"NF {name!r} needs 'cycles' or 'cost'")
-        nf = NFProcess(
-            name, cost, config=cfg,
-            priority=float(nf_spec.get("priority", 1.0)),
-            busy_loop=bool(nf_spec.get("busy_loop", False)),
-        )
-        manager.add_nf(nf, core_id=int(nf_spec.get("core", 0)))
+        try:
+            scenario.add_nf(name, cost, core=nf_spec.get("core", 0),
+                            priority=nf_spec.get("priority", 1.0),
+                            busy_loop=nf_spec.get("busy_loop", False))
+        except ValueError as exc:
+            raise TopologyError(f"nfs[{i}].{exc}") from exc
 
+    known = {nf.name for nf in scenario.manager.nfs}
     for chain_spec in _objects(spec, "chains"):
         name = chain_spec.get("name")
         members = chain_spec.get("nfs")
         if not name or not members:
             raise TopologyError(f"bad chain spec: {chain_spec!r}")
-        try:
-            nfs = [manager.nf_by_name(m) for m in members]
-        except KeyError as exc:
-            raise TopologyError(f"chain {name!r} references unknown NF "
-                                f"{exc.args[0]!r}") from exc
-        manager.add_chain(name, nfs)
+        for member in members:
+            if member not in known:
+                raise TopologyError(f"chain {name!r} references unknown NF "
+                                    f"{member!r}")
+        scenario.add_chain(name, members)
 
     for i, flow_spec in enumerate(_objects(spec, "flows")):
         flow_id = flow_spec.get("id")
         chain_name = flow_spec.get("chain")
-        if not flow_id or chain_name not in manager.chains:
+        if not flow_id or chain_name not in scenario.manager.chains:
             raise TopologyError(f"bad flow spec: {flow_spec!r}")
-        pkt_size = int(flow_spec.get("pkt_size", 64))
-        flow = Flow(flow_id, pkt_size=pkt_size,
-                    protocol=flow_spec.get("protocol", "udp"))
-        manager.install_flow(flow, manager.chains[chain_name])
         if "rate_pps" in flow_spec:
-            rate = float(flow_spec["rate_pps"])
+            rate = {"rate_pps": float(flow_spec["rate_pps"])}
         elif "line_rate_fraction" in flow_spec:
-            rate = float(flow_spec["line_rate_fraction"]) * line_rate_pps(
-                pkt_size, manager.nic.link_bps)
+            rate = {"line_rate_fraction":
+                    float(flow_spec["line_rate_fraction"])}
         else:
             raise TopologyError(
                 f"flow {flow_id!r} needs 'rate_pps' or 'line_rate_fraction'")
-        generator.add_flow(
-            flow, rate,
-            start_ns=_flow_time_ns(flow_spec, i, "start_s") or 0,
-            stop_ns=_flow_time_ns(flow_spec, i, "stop_s"),
-            pattern=flow_spec.get("pattern", "cbr"),
-        )
-        topology.flows[flow_id] = flow
+        pkt_size = int(flow_spec.get("pkt_size", 64))
+        start_ns = _flow_time_ns(flow_spec, i, "start_s") or 0
+        stop_ns = _flow_time_ns(flow_spec, i, "stop_s")
+        try:
+            scenario.add_flow(flow_id, chain_name, pkt_size=pkt_size,
+                              protocol=flow_spec.get("protocol", "udp"),
+                              start_ns=start_ns, stop_ns=stop_ns,
+                              pattern=flow_spec.get("pattern", "cbr"),
+                              **rate)
+        except ValueError as exc:
+            raise TopologyError(f"flows[{i}].{exc}") from exc
 
     faults_spec = spec.get("faults")
     if faults_spec is not None:
@@ -216,15 +198,16 @@ def build_topology(
             plan = FaultPlan.from_dict(faults_spec)
         except (TypeError, ValueError) as exc:
             raise TopologyError(f"bad faults section: {exc}") from exc
-        manager.attach_faults(plan, rng=rng_factory.stream("faults"))
+        scenario.attach_faults(plan)
 
-    return topology
+    return scenario
 
 
 def load_topology(path: Union[str, Path],
                   config: Optional[PlatformConfig] = None,
-                  seed: int = 0) -> Topology:
-    """Build a topology from a JSON file."""
+                  seed: int = 0) -> "Scenario":
+    """Build a topology's :class:`~repro.experiments.common.Scenario`
+    from a JSON file."""
     with open(path) as fh:
         spec = json.load(fh)
     return build_topology(spec, config=config, seed=seed)

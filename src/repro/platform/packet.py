@@ -48,6 +48,9 @@ class Flow:
             raise ValueError(f"pkt_size must be positive, got {pkt_size!r}")
         if slo_ns is not None and slo_ns <= 0:
             raise ValueError(f"slo_ns must be positive, got {slo_ns!r}")
+        if protocol not in ("udp", "tcp"):
+            raise ValueError(
+                f"protocol must be 'udp' or 'tcp', got {protocol!r}")
         self.flow_id = flow_id
         self.chain = chain
         self.pkt_size = int(pkt_size)

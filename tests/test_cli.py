@@ -60,14 +60,14 @@ def test_parser_requires_command():
 
 def test_run_with_observability_artifacts(tmp_path, capsys):
     """--trace/--metrics-out produce valid artifacts plus the hop table."""
-    from repro.obs.session import current_session
+    from repro.experiments.common import current_run_context
 
     trace = tmp_path / "trace.json"
     prom = tmp_path / "metrics.prom"
     assert main(["run", "tab05", "--duration", "0.2",
                  "--trace", str(trace),
                  "--metrics-out", str(prom)]) == 0
-    assert current_session() is None  # deactivated even on success
+    assert current_run_context() is None  # exited even on success
     out = capsys.readouterr().out
     assert "per-hop latency breakdown" in out
     assert "[obs] wrote" in out
@@ -89,10 +89,10 @@ def test_run_with_observability_artifacts(tmp_path, capsys):
 
 
 def test_run_without_observability_attaches_nothing(capsys):
-    from repro.obs.session import current_session
+    from repro.experiments.common import current_run_context
 
     assert main(["run", "tab05", "--duration", "0.1"]) == 0
-    assert current_session() is None
+    assert current_run_context() is None
     out = capsys.readouterr().out
     assert "[obs]" not in out
 
@@ -146,6 +146,13 @@ def _flow_json(flow_fields: str) -> str:
             '"flows": [{"id": "f", "chain": "c", ' + flow_fields + '}]}')
 
 
+def _nf_json(nf_fields: str) -> str:
+    """A one-NF, one-chain, one-flow topology whose NF has ``nf_fields``."""
+    return ('{"nfs": [{"name": "a", "cycles": 100, ' + nf_fields + '}], '
+            '"chains": [{"name": "c", "nfs": ["a"]}], '
+            '"flows": [{"id": "f", "chain": "c", "rate_pps": 1e5}]}')
+
+
 @pytest.mark.parametrize("text,message", [
     ('{"hosts": 2}', "topology needs at least one NF"),
     ("{nope", "Expecting property name"),
@@ -164,9 +171,23 @@ def _flow_json(flow_fields: str) -> str:
      "flows[0].start_s: expected a finite number, got inf"),
     (_flow_json('"rate_pps": 1e6, "stop_s": NaN'),
      "flows[0].stop_s: expected a finite number, got nan"),
+    (_nf_json('"busy_loop": "false"'),
+     "nfs[0].busy_loop must be true or false, got 'false'"),
+    (_nf_json('"core": -1'),
+     "nfs[0].core must be a non-negative integer, got -1"),
+    (_nf_json('"core": "x"'),
+     "nfs[0].core must be a non-negative integer, got 'x'"),
+    (_nf_json('"priority": "NaN"'),
+     "nfs[0].priority must be a finite non-negative number, got 'NaN'"),
+    (_nf_json('"priority": -3'),
+     "nfs[0].priority must be a finite non-negative number, got -3"),
+    (_flow_json('"rate_pps": 1e6, "protocol": "sctp"'),
+     "flows[0].protocol must be 'udp' or 'tcp', got 'sctp'"),
 ], ids=["no-nfs", "bad-json", "scalar-cost", "scalar-nf", "scalar-chain",
         "scalar-flow", "not-a-mapping", "inf-rate", "nan-rate",
-        "inf-line-rate", "inf-start", "nan-stop"])
+        "inf-line-rate", "inf-start", "nan-stop", "string-busy-loop",
+        "negative-core", "string-core", "string-nan-priority",
+        "negative-priority", "sctp-protocol"])
 def test_topology_rejects_hostile_spec(tmp_path, capsys, text, message):
     path = tmp_path / "t.json"
     path.write_text(text)
@@ -204,6 +225,14 @@ def test_check_removed_options_are_unknown(capsys, option):
 def test_run_rejects_empty_stream_out(capsys):
     assert main(["run", "tab05", "--stream-out", "  "]) == 2
     assert "--stream-out" in capsys.readouterr().err
+
+
+def test_run_rejects_sanitize_tick_without_sanitize(capsys):
+    assert main(["run", "tab05", "--duration", "0.01",
+                 "--sanitize-tick"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--sanitize-tick needs --sanitize" in captured.err
 
 
 def test_run_streams_snapshots(tmp_path, capsys):
@@ -286,3 +315,108 @@ def test_hostile_fault_plan_exits_2_at_load(tmp_path, capsys, command,
     assert captured.out == ""
     assert captured.err.startswith("cannot load fault plan: ")
     assert field in captured.err
+
+
+#: A fault plan every single-host experiment's platform can take: core 0
+#: fails early and a warm restart recovers its NFs.
+CORE0_FAIL_PLAN = json.dumps({
+    "specs": [{"kind": "core_fail", "target": "0", "at_s": 0.005}],
+    "policy": "restart-warm",
+})
+
+
+@pytest.mark.parametrize("experiment,flag", [
+    ("crosshost", "--sanitize"),
+    ("crosshost", "--trace"),
+    ("crosshost", "--metrics-out"),
+    ("crosshost", "--stream-out"),
+    ("crosshost", "--fault-plan"),
+    ("cluster_scaling", "--fault-plan"),
+    ("cluster_scaling", "--stream-out"),
+    ("chaos_recovery", "--fault-plan"),
+])
+def test_run_flag_no_run_accepted_exits_2(tmp_path, capsys, experiment,
+                                          flag):
+    """A run flag that attached to no run of the experiment is an error,
+    not a silent no-op."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(CORE0_FAIL_PLAN)
+    value = {"--sanitize": [], "--fault-plan": [str(plan)]}.get(
+        flag, [str(tmp_path / "artifact")])
+    assert main(["run", experiment, "--duration", "0.01", flag]
+                + value) == 2
+    err = capsys.readouterr().err
+    assert (f"{flag} was given but no run of experiment {experiment} "
+            f"accepted it") in err
+    assert "Traceback" not in err
+
+
+def test_run_fault_plan_accepted_exits_0(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(CORE0_FAIL_PLAN)
+    assert main(["run", "fig07", "--duration", "0.01",
+                 "--fault-plan", str(plan)]) == 0
+    assert "accepted it" not in capsys.readouterr().err
+
+
+def test_topology_fault_plan_beside_spec_faults_exits_2(tmp_path, capsys):
+    """The spec's own ``faults`` section wins, so ``--fault-plan`` would
+    be ignored: that is an error."""
+    topo = tmp_path / "t.json"
+    topo.write_text(json.dumps({
+        "nfs": [{"name": "nf2", "cycles": 300, "core": 0}],
+        "chains": [{"name": "c", "nfs": ["nf2"]}],
+        "flows": [{"id": "f", "chain": "c", "rate_pps": 1e6}],
+        "faults": {"specs": [{"kind": "crash", "target": "nf2",
+                              "at_s": 0.005}]},
+    }))
+    plan = tmp_path / "plan.json"
+    plan.write_text(CORE0_FAIL_PLAN)
+    args = ["topology", str(topo), "--duration", "0.01"]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main(args + ["--fault-plan", str(plan)]) == 2
+    err = capsys.readouterr().err
+    assert (f"--fault-plan was given but no run of topology {topo} "
+            f"accepted it") in err
+
+
+EDGE_GATEWAY_TABLE = """
+=== topology examples/topologies/edge_gateway.json (0.2s simulated) ===
+    chain  tput Mpps  wasted Mpps  entry-drop Mpps
+---------  ---------  -----------  ---------------
+inspected       1.67            0             1.31
+  trusted      0.498            0            0.001
+"""
+
+EDGE_GATEWAY_CRASH_TABLE = """
+=== topology examples/topologies/edge_gateway.json (0.2s simulated) ===
+    chain  tput Mpps  wasted Mpps  entry-drop Mpps
+---------  ---------  -----------  ---------------
+inspected       1.65        0.045             1.29
+  trusted      0.499            0            0.001
+[faults] injected=1 detected=1 recovered=1 gave_up=0 lost=32 \
+requeued=2197 availability=0.9962
+"""
+
+
+@pytest.mark.parametrize("plan,expected", [
+    (None, EDGE_GATEWAY_TABLE),
+    ({"specs": [{"kind": "crash", "target": "dpi", "at_s": 0.05}],
+      "policy": "restart-warm", "detection_period_s": 0.002,
+      "restart_delay_s": 0.001}, EDGE_GATEWAY_CRASH_TABLE),
+], ids=["plain", "dpi-crash"])
+def test_topology_edge_gateway_stdout_pinned(tmp_path, monkeypatch, capsys,
+                                             plan, expected):
+    """``repro topology`` prints these exact bytes for the example spec."""
+    import pathlib
+
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
+    args = ["topology", "examples/topologies/edge_gateway.json",
+            "--duration", "0.2"]
+    if plan is not None:
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        args += ["--fault-plan", str(path)]
+    assert main(args) == 0
+    assert capsys.readouterr().out == expected

@@ -607,15 +607,14 @@ class TestLinkMetrics:
             assert line.startswith(("#", "repro_link_"))
 
     def test_attach_cluster_registers_hosts_and_links(self):
-        from repro.obs.session import activate_session, deactivate_session
+        from repro.experiments.common import RunContext
 
         scenario = small_scenario()
         session = ObsSession()
-        activate_session(session)
-        try:
-            scenario.run(0.02)     # run attaches the active session
-        finally:
-            deactivate_session()
+        with RunContext(session=session) as ctx:
+            scenario.run(0.02)     # run attaches the context's session
+        assert ctx.attached["session"] == 1
+        assert ctx.attached["stream"] == 0
         names = {name for name, _labels, _kind, _m
                  in session.registry.collect()}
         assert "repro_link_in_flight" in names

@@ -78,6 +78,30 @@ class TestCommon:
             scenario.add_chain("d", ["nf", "zz"])
         assert "d" not in scenario.manager.chains
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"core": -1}, "core"),
+        ({"core": 1.0}, "core"),
+        ({"core": True}, "core"),
+        ({"priority": float("nan")}, "priority"),
+        ({"priority": -3}, "priority"),
+        ({"priority": "2"}, "priority"),
+        ({"busy_loop": "false"}, "busy_loop"),
+        ({"busy_loop": 0}, "busy_loop"),
+    ])
+    def test_add_nf_rejects_hostile_fields(self, kwargs, field):
+        scenario = Scenario()
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            scenario.add_nf("nf", 100, **kwargs)
+        assert scenario.manager.nfs == []
+
+    def test_add_flow_rejects_unknown_protocol(self):
+        scenario = Scenario()
+        scenario.add_nf("nf", 100)
+        scenario.add_chain("c", ["nf"])
+        with pytest.raises(ValueError,
+                           match="protocol must be 'udp' or 'tcp'"):
+            scenario.add_flow("f", "c", rate_pps=1e6, protocol="sctp")
+
     def test_unknown_chain_in_flow_rejected(self):
         scenario = Scenario()
         with pytest.raises(ValueError,

@@ -13,22 +13,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check.sanitizer import (
-    Sanitizer,
-    activate_sanitizer,
-    deactivate_sanitizer,
-)
+from repro.check.sanitizer import Sanitizer
 from repro.experiments import chaos_recovery
-from repro.experiments.common import Scenario, build_linear_chain
+from repro.experiments.common import (
+    RunContext,
+    Scenario,
+    build_linear_chain,
+    current_run_context,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.metrics import availability, latency_stats, throughput_dip
-from repro.faults.plan import (
-    FaultPlan,
-    FaultSpec,
-    activate_plan,
-    current_plan,
-    deactivate_plan,
-)
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.recovery import RECOVERY_POLICIES, RestartPolicy, make_policy
 from repro.faults.watchdog import Watchdog
 from repro.nfs.cost_models import FixedCost, ScaledCost
@@ -159,14 +154,16 @@ class TestFaultPlan:
             FaultPlan.from_json(text)
 
     def test_active_plan_lifecycle(self):
-        assert current_plan() is None
+        assert current_run_context() is None
         plan = FaultPlan()
-        activate_plan(plan)
-        try:
-            assert current_plan() is plan
-        finally:
-            deactivate_plan()
-        assert current_plan() is None
+        with RunContext(fault_plan=plan) as ctx:
+            assert current_run_context() is ctx
+            assert ctx.fault_plan is plan
+            with pytest.raises(RuntimeError, match="already active"):
+                with RunContext():
+                    pass
+            assert current_run_context() is ctx
+        assert current_run_context() is None
 
     def test_unknown_policy_name_rejected(self):
         with pytest.raises(ValueError, match="unknown recovery policy"):
@@ -360,11 +357,8 @@ class TestCrashRecovery:
                  if c.kwargs["policy"] == "restart-cold"]
         assert len(cases) == 6
         sanitizer = Sanitizer(per_tick=True)
-        activate_sanitizer(sanitizer)
-        try:
+        with RunContext(sanitizer=sanitizer):
             results = [chaos_recovery.run_case(**c.kwargs) for c in cases]
-        finally:
-            deactivate_sanitizer()
         assert sanitizer.violations == []
         purged = [r.nf("nf2").rx_drops_by_reason.get("purged", 0)
                   for r in results]

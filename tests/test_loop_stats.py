@@ -14,10 +14,8 @@ import json
 import pytest
 
 from repro.analysis.export import result_to_dict
-from repro.check.sanitizer import (
-    Sanitizer, activate_sanitizer, deactivate_sanitizer,
-)
-from repro.experiments.common import Scenario
+from repro.check.sanitizer import Sanitizer
+from repro.experiments.common import RunContext, Scenario
 from repro.runner.digest import digest_of
 from repro.sim.engine import EventLoop
 from tests.conftest import (
@@ -50,11 +48,8 @@ def use_variant(variant, monkeypatch):
 
 
 def sanitized_run(scheduler="NORMAL"):
-    activate_sanitizer(Sanitizer(per_tick=True))
-    try:
+    with RunContext(sanitizer=Sanitizer(per_tick=True)):
         return small_run(scheduler=scheduler)
-    finally:
-        deactivate_sanitizer()
 
 
 @pytest.mark.parametrize("engine", LOOP_VARIANTS)

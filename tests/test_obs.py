@@ -11,7 +11,12 @@ import json
 
 import pytest
 
-from repro.experiments.common import Scenario, build_linear_chain
+from repro.experiments.common import (
+    RunContext,
+    Scenario,
+    build_linear_chain,
+    current_run_context,
+)
 from repro.obs.bus import EventBus
 from repro.obs.export import (
     chrome_trace_events,
@@ -19,12 +24,7 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.registry import MetricsRegistry, RegistrySampler
-from repro.obs.session import (
-    ObsSession,
-    activate_session,
-    current_session,
-    deactivate_session,
-)
+from repro.obs.session import ObsSession
 from repro.sim.clock import MSEC
 from repro.sim.engine import EventLoop
 
@@ -254,11 +254,8 @@ class TestExporters:
         from repro.platform.ring import DROP_REASONS
 
         session = ObsSession()
-        activate_session(session)
-        try:
+        with RunContext(session=session):
             build_scenario().run(0.05)
-        finally:
-            deactivate_session()
         text = render_prometheus(session.registry)
         assert "# TYPE repro_nf_rx_ring_drops_total counter" in text
         assert ("# TYPE repro_nf_rx_ring_drops_by_reason_total counter"
@@ -274,24 +271,23 @@ class TestExporters:
 
 class TestObsSession:
     def test_session_activation_lifecycle(self):
-        assert current_session() is None
+        assert current_run_context() is None
         session = ObsSession()
-        activate_session(session)
-        try:
-            assert current_session() is session
-        finally:
-            deactivate_session()
-        assert current_session() is None
+        with RunContext(session=session) as ctx:
+            assert current_run_context() is ctx
+            assert ctx.session is session
+        assert current_run_context() is None
+        with pytest.raises(RuntimeError, match="boom"):
+            with RunContext(session=session):
+                raise RuntimeError("boom")
+        assert current_run_context() is None
 
     def test_scenario_attaches_to_active_session(self, tmp_path):
         trace = tmp_path / "t.json"
         prom = tmp_path / "m.prom"
         session = ObsSession(trace_path=str(trace), metrics_path=str(prom))
-        activate_session(session)
-        try:
+        with RunContext(session=session):
             build_scenario().run(0.05)
-        finally:
-            deactivate_session()
         summary = session.finalize()
         assert trace.exists() and prom.exists()
         assert "per-hop latency breakdown" in summary
@@ -305,11 +301,8 @@ class TestObsSession:
         path = tmp_path / "snaps.jsonl"
         session = ObsSession(stream_path=str(path),
                              stream_interval_ns=10 * _MSEC)
-        activate_session(session)
-        try:
+        with RunContext(session=session):
             build_scenario().run(0.05)
-        finally:
-            deactivate_session()
         summary = session.finalize()
         assert "streamed" in summary
         lines = [json.loads(l) for l in path.read_text().splitlines()]
@@ -330,11 +323,8 @@ class TestObsSession:
 
     def test_session_hop_table_lists_nfs_in_chain_order(self):
         session = ObsSession()
-        activate_session(session)
-        try:
+        with RunContext(session=session):
             build_scenario().run(0.05)
-        finally:
-            deactivate_session()
         summary = session.finalize()
         assert "per-hop latency breakdown" in summary
         words = summary.split()
@@ -346,11 +336,8 @@ class TestObsSession:
     def test_session_hop_table_deterministic(self):
         def run():
             session = ObsSession()
-            activate_session(session)
-            try:
+            with RunContext(session=session):
                 build_scenario(seed=7).run(0.05)
-            finally:
-                deactivate_session()
             return session.finalize()
 
         assert run() == run()
@@ -372,10 +359,7 @@ class TestObsSession:
         session = ObsSession(trace_path=str(tmp_path / "t.json"),
                              metrics_path=str(tmp_path / "m.prom"),
                              stream_path=str(tmp_path / "s.jsonl"))
-        activate_session(session)
-        try:
+        with RunContext(session=session):
             observed = run()
-        finally:
-            deactivate_session()
         session.finalize()
         assert observed == plain

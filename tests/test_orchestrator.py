@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from repro.nfs.cost_models import ChoiceCost, FixedCost
+from repro.experiments.common import Scenario
 from repro.platform.orchestrator import (
-    Topology,
     TopologyError,
     build_topology,
     load_topology,
@@ -28,31 +27,31 @@ def minimal_spec():
 
 class TestBuild:
     def test_builds_and_runs(self):
-        topo = build_topology(minimal_spec())
-        topo.run(0.2)
-        chain = topo.manager.chains["edge"]
-        assert chain.completed > 100_000
-        assert topo.flows["f0"].stats.offered > 0
+        scenario = build_topology(minimal_spec())
+        result = scenario.run(0.2)
+        assert result.chains["edge"].completed > 100_000
+        [spec] = scenario.generator.specs
+        assert spec.flow.flow_id == "f0" and spec.flow.stats.offered > 0
 
     def test_nf_attributes(self):
         spec = minimal_spec()
         spec["nfs"][0]["priority"] = 2.5
-        topo = build_topology(spec)
-        nf = topo.manager.nf_by_name("fw")
+        scenario = build_topology(spec)
+        nf = scenario.manager.nf_by_name("fw")
         assert nf.priority == 2.5
         # FixedCost folded with framework overhead.
         assert nf.cost_model.mean_cycles == pytest.approx(
-            550 + topo.manager.config.nf_overhead_cycles)
+            550 + scenario.manager.config.nf_overhead_cycles)
 
     def test_stochastic_cost_spec(self):
         spec = minimal_spec()
         spec["nfs"][1] = {"name": "nat", "core": 0,
                           "cost": {"kind": "choice",
                                    "values": [120, 270, 550]}}
-        topo = build_topology(spec)
-        nf = topo.manager.nf_by_name("nat")
+        scenario = build_topology(spec)
+        nf = scenario.manager.nf_by_name("nat")
         assert nf.cost_model.mean_cycles == pytest.approx(
-            (120 + 270 + 550) / 3 + topo.manager.config.nf_overhead_cycles)
+            (120 + 270 + 550) / 3 + scenario.manager.config.nf_overhead_cycles)
 
     def test_all_cost_kinds(self):
         for cost in (
@@ -68,28 +67,25 @@ class TestBuild:
         spec = minimal_spec()
         spec["flows"][0] = {"id": "f0", "chain": "edge",
                             "line_rate_fraction": 0.5}
-        topo = build_topology(spec)
-        assert topo.generator.specs[0].rate_pps == pytest.approx(
+        scenario = build_topology(spec)
+        assert scenario.generator.specs[0].rate_pps == pytest.approx(
             14.88e6 / 2, rel=0.01)
 
     def test_flow_window(self):
         spec = minimal_spec()
         spec["flows"][0]["start_s"] = 1.0
         spec["flows"][0]["stop_s"] = 2.0
-        topo = build_topology(spec)
-        fs = topo.generator.specs[0]
+        scenario = build_topology(spec)
+        fs = scenario.generator.specs[0]
         assert fs.start_ns == SEC and fs.stop_ns == 2 * SEC
 
     def test_deterministic_given_seed(self):
         spec = minimal_spec()
         spec["nfs"][1] = {"name": "nat", "core": 0,
                           "cost": {"kind": "exponential", "mean": 300}}
-        t1 = build_topology(spec, seed=3)
-        t2 = build_topology(spec, seed=3)
-        t1.run(0.1)
-        t2.run(0.1)
-        assert t1.manager.chains["edge"].completed == \
-            t2.manager.chains["edge"].completed
+        r1 = build_topology(spec, seed=3).run(0.1)
+        r2 = build_topology(spec, seed=3).run(0.1)
+        assert r1.chains["edge"].completed == r2.chains["edge"].completed
 
 
 class TestValidation:
@@ -136,6 +132,6 @@ class TestValidation:
 def test_load_topology_json(tmp_path):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(minimal_spec()))
-    topo = load_topology(path)
-    assert isinstance(topo, Topology)
-    assert "edge" in topo.manager.chains
+    scenario = load_topology(path)
+    assert isinstance(scenario, Scenario)
+    assert "edge" in scenario.manager.chains

@@ -11,14 +11,8 @@ from __future__ import annotations
 import json
 
 from repro.analysis.export import result_from_dict, result_to_dict
-from repro.check.sanitizer import (
-    Sanitizer,
-    SanitizerViolation,
-    activate_sanitizer,
-    current_sanitizer,
-    deactivate_sanitizer,
-)
-from repro.experiments.common import Scenario
+from repro.check.sanitizer import Sanitizer, SanitizerViolation
+from repro.experiments.common import RunContext, Scenario, current_run_context
 
 
 def small_run(scheduler="NORMAL", seed=1, duration_s=0.02):
@@ -40,36 +34,27 @@ def checks_of(violations):
 # ----------------------------------------------------------------------
 def test_clean_run_reports_zero_violations():
     sanitizer = Sanitizer(per_tick=True)
-    activate_sanitizer(sanitizer)
-    try:
+    with RunContext(sanitizer=sanitizer):
         _scenario, result = small_run()
-    finally:
-        deactivate_sanitizer()
     assert result.sanitizer_violations == []
     assert sanitizer.violations == []
     assert sanitizer.runs == 1
-    assert current_sanitizer() is None
+    assert current_run_context() is None
 
 
 def test_clean_run_all_schedulers():
     for scheduler in ("NORMAL", "BATCH", "RR_1MS", "COOP", "EDF",
                       "DEADLINE"):
         sanitizer = Sanitizer()
-        activate_sanitizer(sanitizer)
-        try:
+        with RunContext(sanitizer=sanitizer):
             _scenario, result = small_run(scheduler=scheduler)
-        finally:
-            deactivate_sanitizer()
         assert result.sanitizer_violations == [], scheduler
 
 
 def test_sanitized_run_digests_identically_to_plain_run():
     _s1, plain = small_run()
-    activate_sanitizer(Sanitizer(per_tick=True))
-    try:
+    with RunContext(sanitizer=Sanitizer(per_tick=True)):
         _s2, sanitized = small_run()
-    finally:
-        deactivate_sanitizer()
     assert json.dumps(result_to_dict(plain), sort_keys=True) \
         == json.dumps(result_to_dict(sanitized), sort_keys=True)
 
@@ -161,11 +146,8 @@ def cluster_run(duration_s=0.02):
 
 def test_cluster_clean_run_reports_zero_violations():
     sanitizer = Sanitizer(per_tick=True)
-    activate_sanitizer(sanitizer)
-    try:
+    with RunContext(sanitizer=sanitizer):
         _scenario, result = cluster_run()
-    finally:
-        deactivate_sanitizer()
     assert result.sanitizer_violations == []
     assert sanitizer.violations == []
 
@@ -194,8 +176,7 @@ def test_migrate_across_core_fail_is_sanitizer_clean():
     from repro.faults.plan import FaultPlan, FaultSpec
 
     sanitizer = Sanitizer(per_tick=True)
-    activate_sanitizer(sanitizer)
-    try:
+    with RunContext(sanitizer=sanitizer):
         scenario = Scenario(scheduler="NORMAL", features="NFVnice", seed=7)
         scenario.add_nf("nf0", 120, core=0)
         scenario.add_nf("nf1", 270, core=0)
@@ -209,8 +190,6 @@ def test_migrate_across_core_fail_is_sanitizer_clean():
         nf1 = mgr.nf_by_name("nf1")
         mgr.loop.call_at(5_000_000, lambda: mgr.migrate_nf(nf1, 2))
         result = scenario.run(0.05)
-    finally:
-        deactivate_sanitizer()
     assert result.sanitizer_violations == []
     assert not nf1.failed
     assert nf1.core is not None and not nf1.core.failed
@@ -236,11 +215,8 @@ def test_result_export_roundtrip_carries_violations():
 
 def test_sanitizer_accumulates_across_runs():
     sanitizer = Sanitizer()
-    activate_sanitizer(sanitizer)
-    try:
+    with RunContext(sanitizer=sanitizer):
         _s1, r1 = small_run(seed=1)
         _s2, r2 = small_run(seed=2)
-    finally:
-        deactivate_sanitizer()
     assert sanitizer.runs == 2
     assert r1.sanitizer_violations == [] and r2.sanitizer_violations == []
