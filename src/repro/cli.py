@@ -104,6 +104,41 @@ _RUN_FLAG_PARTS = (
 )
 
 
+def _run_context(args: argparse.Namespace):
+    """The :class:`~repro.experiments.common.RunContext` for the run flags
+    in ``args``; None after reporting (on stderr) a fault plan that cannot
+    be loaded."""
+    from repro.experiments.common import RunContext
+
+    plan = None
+    if args.fault_plan is not None:
+        from repro.faults.plan import FaultPlan
+
+        try:
+            plan = FaultPlan.from_file(args.fault_plan)
+        except (OSError, ValueError, RuntimeError) as exc:
+            print(f"cannot load fault plan: {exc}", file=sys.stderr)
+            return None
+    session = None
+    if any(getattr(args, dest, None) is not None
+           for dest in ("trace", "metrics_out", "stream_out")):
+        from repro.obs.session import ObsSession
+        from repro.sim.clock import MSEC
+
+        session = ObsSession(
+            trace_path=args.trace,
+            metrics_path=args.metrics_out,
+            stream_path=args.stream_out,
+            stream_interval_ns=int(args.stream_interval_ms * MSEC),
+        )
+    sanitizer = None
+    if getattr(args, "sanitize", False):
+        from repro.check.sanitizer import Sanitizer
+
+        sanitizer = Sanitizer(per_tick=args.sanitize_tick)
+    return RunContext(session=session, sanitizer=sanitizer, fault_plan=plan)
+
+
 def _unaccepted_flags(args: argparse.Namespace, ctx, what: str) -> bool:
     """Report (on stderr) each run flag given on the command line that no
     run of ``what`` accepted."""
@@ -141,35 +176,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.sanitize_tick and not args.sanitize:
         print("--sanitize-tick needs --sanitize", file=sys.stderr)
         return 2
-    plan = None
-    if args.fault_plan is not None:
-        from repro.faults.plan import FaultPlan
-
-        try:
-            plan = FaultPlan.from_file(args.fault_plan)
-        except (OSError, ValueError, RuntimeError) as exc:
-            print(f"cannot load fault plan: {exc}", file=sys.stderr)
-            return 2
-    session = None
-    if (args.trace is not None or args.metrics_out is not None
-            or args.stream_out is not None):
-        from repro.obs.session import ObsSession
-        from repro.sim.clock import MSEC
-
-        session = ObsSession(
-            trace_path=args.trace,
-            metrics_path=args.metrics_out,
-            stream_path=args.stream_out,
-            stream_interval_ns=int(args.stream_interval_ms * MSEC),
-        )
-    sanitizer = None
-    if args.sanitize:
-        from repro.check.sanitizer import Sanitizer
-
-        sanitizer = Sanitizer(per_tick=args.sanitize_tick)
-    from repro.experiments.common import RunContext
-
-    ctx = RunContext(session=session, sanitizer=sanitizer, fault_plan=plan)
+    ctx = _run_context(args)
+    if ctx is None:
+        return 2
+    session, sanitizer = ctx.session, ctx.sanitizer
     profiler = None
     if args.profile:
         import cProfile
@@ -375,7 +385,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
-    from repro.experiments.common import RunContext
     from repro.platform.orchestrator import load_topology
 
     if _bad_duration(args.duration):
@@ -385,16 +394,10 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"topology: {args.path}: {exc}", file=sys.stderr)
         return 2
-    plan = None
-    if args.fault_plan is not None:
-        from repro.faults.plan import FaultPlan
-
-        try:
-            plan = FaultPlan.from_file(args.fault_plan)
-        except (OSError, ValueError, RuntimeError) as exc:
-            print(f"cannot load fault plan: {exc}", file=sys.stderr)
-            return 2
-    with RunContext(fault_plan=plan) as ctx:
+    ctx = _run_context(args)
+    if ctx is None:
+        return 2
+    with ctx:
         result = scenario.run(args.duration)
     rows = [[chain.name,
              round(chain.throughput_pps / 1e6, 3),
