@@ -12,10 +12,12 @@ checks three things against the committed ``benchmarks/BENCH_cluster.json``:
   the digest alone would not catch it): each recorded p99 may not regress
   by more than 10% relative *and* at least 1 µs absolute — the same
   tolerance semantics as ``repro obs diff``;
-* the battery's reason to exist, asserted **structurally** so a change
-  that silently erases it fails CI even inside the drift tolerance: the
-  2-host flash-crowd cell must scale out at least once, and elastic
-  provisioning must beat static on gold p99 in every flash cell::
+* the battery's reason to exist — the 2-host flash-crowd cell scales out
+  at least once, and elastic provisioning beats static on gold p99 in
+  every flash cell — taken from the ``cluster_scaling`` rows of the
+  paper-claims table (:mod:`repro.experiments.claims`) and evaluated on
+  this campaign's own cells, so a change that silently erases it fails
+  CI even inside the drift tolerance::
 
     PYTHONPATH=src python benchmarks/cluster_smoke.py            # check
     PYTHONPATH=src python benchmarks/cluster_smoke.py --write    # regen
@@ -37,28 +39,19 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.analysis.export import result_from_dict   # noqa: E402
+from repro.experiments.claims import (               # noqa: E402
+    campaign_results, claims_of, evaluate, render_claims,
+)
 from repro.experiments.cluster_scaling import (      # noqa: E402
-    HOSTS, MODES, WORKLOADS, _tag, cluster_block, gold_p99_us,
+    HOSTS, MODES, WORKLOADS, _tag, gold_p99_us,
 )
 from repro.runner.baseline import (                  # noqa: E402
     SCHEMA_VERSION, check_campaign, check_p99, load_baseline,
 )
-from repro.runner.campaign import run_campaign       # noqa: E402
+from repro.runner.campaign import outcome_result, run_campaign  # noqa: E402
 
 BASELINE = os.path.join(os.path.dirname(__file__), "BENCH_cluster.json")
 DEFAULT_DURATION = 0.3
-
-
-def cell_results(report) -> dict:
-    """``{(workload, hosts, mode): ScenarioResult}`` with telemetry."""
-    results = {}
-    for outcome in report.tasks:
-        result = result_from_dict(outcome.payload["value"])
-        extra = outcome.payload.get("telemetry") or {}
-        result.flow_latency = extra.get("flow_latency", {})
-        results[tuple(outcome.spec.key)] = result
-    return results
 
 
 def p99_grid(results: dict) -> dict:
@@ -76,30 +69,6 @@ def p99_grid(results: dict) -> dict:
     return grid
 
 
-def structural_problems(results: dict, grid: dict) -> list:
-    problems = []
-    flash_auto = results.get(("flash", 2, "auto"))
-    if flash_auto is None:
-        problems.append("flash.h2.auto cell missing from campaign")
-    else:
-        scaler = cluster_block(flash_auto).get("autoscaler", {})
-        scale_outs = scaler.get("scale_outs", 0)
-        if not isinstance(scale_outs, int) or scale_outs < 1:
-            problems.append(
-                f"flash.h2.auto scaled out {scale_outs} times; the flash "
-                f"crowd must force at least one scale-out")
-    for hosts in HOSTS:
-        auto = grid.get(_tag("flash", hosts, "auto"))
-        static = grid.get(_tag("flash", hosts, "static"))
-        if auto is None or static is None:
-            problems.append(f"flash h{hosts}: p99 cell missing")
-        elif auto >= static:
-            problems.append(
-                f"CROSSOVER LOST flash h{hosts}: auto p99 {auto:.1f}us "
-                f"is not below static {static:.1f}us")
-    return problems
-
-
 def main() -> int:
     write = "--write" in sys.argv[1:]
     duration = float(os.environ.get("REPRO_CLUSTER_DURATION",
@@ -114,22 +83,21 @@ def main() -> int:
         for failure in report.failures:
             print(f"[cluster-smoke] FAIL {failure}")
         return 1
-    results = cell_results(report)
-    grid = p99_grid(results)
+    grid = p99_grid({tuple(o.spec.key): outcome_result(o)
+                     for o in report.tasks})
     print(f"[cluster-smoke] {len(report.tasks)} cases ok, "
           f"digest {report.digest[:12]}…, {len(grid)} p99 cells")
 
-    problems = structural_problems(results, grid)
-    for problem in problems:
-        print(f"[cluster-smoke] STRUCTURAL {problem}")
-    if problems:
+    try:
+        verdicts = evaluate(claims_of("cluster_scaling"),
+                            campaign_results(report))
+    except ValueError as exc:
+        print(f"[cluster-smoke] {exc}")
         return 1
-    flash = cluster_block(results[("flash", 2, "auto")])
-    scaler = flash.get("autoscaler", {})
-    print(f"[cluster-smoke] flash.h2.auto: {scaler.get('scale_outs', 0)} "
-          f"scale-out(s), {scaler.get('replicas', 0)} replica(s), gold "
-          f"p99 {grid['flash.h2.auto']:.1f}us vs static "
-          f"{grid['flash.h2.static']:.1f}us")
+    print(render_claims(verdicts))
+    if not all(v.ok for v in verdicts):
+        print("[cluster-smoke] CLAIM FAILED: see the table above")
+        return 1
 
     if write:
         data = {

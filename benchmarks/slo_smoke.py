@@ -12,9 +12,10 @@ checks two things against the committed ``benchmarks/BENCH_slo.json``:
   regress by more than 10% relative *and* at least 1 µs absolute — the
   same tolerance semantics as ``repro obs diff``.
 
-The EDF-vs-CFS crossover is asserted structurally: EDF must beat NORMAL
-on gold-class p99 in at least one workload (the battery's reason to
-exist), so a change that silently erases the win fails CI even inside
+The battery's shape — EDF beats NORMAL on gold-class p99 in at least one
+workload — is the ``slo_battery`` row of the paper-claims table
+(:mod:`repro.experiments.claims`), evaluated on this campaign's own
+cells, so a change that silently erases the win fails CI even inside
 the drift tolerance::
 
     PYTHONPATH=src python benchmarks/slo_smoke.py            # check
@@ -36,6 +37,9 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.experiments.claims import (        # noqa: E402
+    campaign_results, claims_of, evaluate, render_claims,
+)
 from repro.experiments.slo_battery import (   # noqa: E402
     SCHEDULERS, WORKLOADS, _flow_id,
 )
@@ -63,17 +67,6 @@ def p99_grid(report) -> dict:
     return grid
 
 
-def crossover_wins(grid: dict) -> list:
-    """Workloads where EDF beats NORMAL on gold-class p99."""
-    wins = []
-    for workload in WORKLOADS:
-        edf = grid.get(_flow_id("gold", workload, "EDF"))
-        normal = grid.get(_flow_id("gold", workload, "NORMAL"))
-        if edf is not None and normal is not None and edf < normal:
-            wins.append(workload)
-    return wins
-
-
 def main() -> int:
     write = "--write" in sys.argv[1:]
     duration = float(os.environ.get("REPRO_SLO_DURATION",
@@ -91,12 +84,16 @@ def main() -> int:
     print(f"[slo-smoke] {len(report.tasks)} cases ok, "
           f"digest {report.digest[:12]}…, {len(grid)} p99 cells")
 
-    wins = crossover_wins(grid)
-    if not wins:
-        print("[slo-smoke] CROSSOVER LOST: EDF does not beat NORMAL on "
-              "gold p99 in any workload")
+    try:
+        verdicts = evaluate(claims_of("slo_battery"),
+                            campaign_results(report))
+    except ValueError as exc:
+        print(f"[slo-smoke] {exc}")
         return 1
-    print(f"[slo-smoke] EDF beats NORMAL on gold p99 in: {', '.join(wins)}")
+    print(render_claims(verdicts))
+    if not all(v.ok for v in verdicts):
+        print("[slo-smoke] CLAIM FAILED: see the table above")
+        return 1
 
     if write:
         data = {

@@ -3,8 +3,6 @@
 * :mod:`~repro.analysis.export` — serialise :class:`ScenarioResult` to
   JSON-compatible dicts and back, so experiment outputs can be archived
   and diffed across code versions.
-* :mod:`~repro.analysis.sparkline` — compact ASCII rendering of time
-  series for terminal reports (Figure 13's Gbps-over-time, 15a's shares).
 """
 
 from repro.analysis.export import (
@@ -14,7 +12,6 @@ from repro.analysis.export import (
     result_to_dict,
     save_result,
 )
-from repro.analysis.sparkline import sparkline, render_series
 
 __all__ = [
     "result_to_dict",
@@ -22,6 +19,4 @@ __all__ = [
     "save_result",
     "load_result",
     "load_result_dict",
-    "sparkline",
-    "render_series",
 ]

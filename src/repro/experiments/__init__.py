@@ -6,8 +6,8 @@ sweep experiment defines its grid once, in ``campaign_cases(duration_s)``
 (a list of :class:`~repro.experiments.common.CaseSpec`); its ``main`` runs
 those cases serially through :func:`~repro.experiments.common.run_cases`
 and ``render_cases``, and the campaign runner fans the same cases across
-workers.  The ``benchmarks/`` tree wraps these in pytest-benchmark
-targets; the mapping from paper artifact to module is in DESIGN.md §3.
+workers.  :mod:`repro.experiments.claims` asserts the paper's shapes;
+DESIGN.md §3 maps each paper artifact to its module and claim rows.
 """
 
 from repro.experiments.common import (

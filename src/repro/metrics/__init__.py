@@ -5,7 +5,7 @@ switch counts from ``sar``/``pidstat``, scheduling delay and runtime from
 ``perf sched``, CPU utilisation, Jain's fairness index and service-time
 percentiles.  This package provides the simulator-side equivalents:
 
-* :mod:`~repro.metrics.counters` — monotonic packet/byte/drop counters.
+* :mod:`~repro.metrics.counters` — monotonic counters.
 * :mod:`~repro.metrics.histogram` — cycle histograms with percentile
   estimation and the 100 ms sliding-window median used by the Monitor.
 * :mod:`~repro.metrics.timeseries` — time series and interval samplers.
@@ -13,7 +13,7 @@ percentiles.  This package provides the simulator-side equivalents:
 * :mod:`~repro.metrics.report` — plain-text table rendering for benches.
 """
 
-from repro.metrics.counters import Counter, PacketCounter
+from repro.metrics.counters import Counter
 from repro.metrics.fairness import jain_index
 from repro.metrics.histogram import CycleHistogram, SlidingWindowEstimator
 from repro.metrics.report import format_value, render_table
@@ -21,7 +21,6 @@ from repro.metrics.timeseries import IntervalSampler, TimeSeries
 
 __all__ = [
     "Counter",
-    "PacketCounter",
     "jain_index",
     "CycleHistogram",
     "SlidingWindowEstimator",

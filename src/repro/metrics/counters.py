@@ -30,34 +30,3 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name!r}, {self.value})"
-
-
-class PacketCounter:
-    """Packets and bytes together, since throughput is reported in both.
-
-    The paper quotes Mpps for 64-byte workloads and Gbps for iperf flows;
-    carrying bytes alongside packets lets any experiment report either.
-    """
-
-    __slots__ = ("name", "packets", "bytes")
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.packets = 0
-        self.bytes = 0
-
-    def add(self, packets: int, nbytes: int = 0) -> None:
-        if packets < 0 or nbytes < 0:
-            raise ValueError(
-                f"counter {self.name!r} cannot decrease "
-                f"(add packets={packets}, bytes={nbytes})"
-            )
-        self.packets += packets
-        self.bytes += nbytes
-
-    def reset(self) -> None:
-        self.packets = 0
-        self.bytes = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PacketCounter({self.name!r}, pkts={self.packets}, bytes={self.bytes})"

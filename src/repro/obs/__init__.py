@@ -11,8 +11,7 @@ reproduction the same visibility:
   queue-wait / service-time breakdown.
 * :mod:`repro.obs.causality` — backpressure attribution: which NF's
   throttling cost which flows how much delay.
-* :mod:`repro.obs.registry` — named, labelled counters/gauges/histograms
-  with a periodic snapshot sampler.
+* :mod:`repro.obs.registry` — named, labelled counters/gauges/histograms.
 * :mod:`repro.obs.export` — Chrome/Perfetto trace-event JSON and
   Prometheus text exposition.
 * :mod:`repro.obs.session` — ties the above together for CLI runs
@@ -46,5 +45,5 @@ from repro.obs.export import (  # noqa: F401
     write_chrome_trace,
     write_prometheus,
 )
-from repro.obs.registry import Gauge, MetricsRegistry, RegistrySampler  # noqa: F401
+from repro.obs.registry import Gauge, MetricsRegistry  # noqa: F401
 from repro.obs.session import ObsSession  # noqa: F401

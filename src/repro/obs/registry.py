@@ -1,16 +1,14 @@
 """A registry of named, labelled metrics.
 
 Builds on the existing :mod:`repro.metrics` primitives — ``Counter`` for
-monotonic totals, ``CycleHistogram`` for distributions, ``TimeSeries``
-for snapshots — and adds the two things they lack: a namespace (metrics
-are addressed by name + label set, Prometheus style) and a periodic
-snapshot sampler so any registered scalar becomes a time series without
-hand-wiring probes.
+monotonic totals, ``CycleHistogram`` for distributions — and adds the
+namespace they lack: metrics are addressed by name + label set,
+Prometheus style.
 
 Gauges may wrap a callable, which lets the platform expose live state
 (ring occupancy, throttle counts) with zero bookkeeping on the data
-path: the value is only computed when the sampler or an exporter reads
-it.
+path: the value is only computed when an exporter or the snapshot
+streamer reads it.
 """
 
 from __future__ import annotations
@@ -19,9 +17,6 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.metrics.counters import Counter
 from repro.metrics.histogram import CycleHistogram
-from repro.metrics.timeseries import TimeSeries
-from repro.sim.clock import MSEC
-from repro.sim.engine import EventHandle, EventLoop
 
 #: A metric's identity: name plus sorted (label, value) pairs.
 MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -84,9 +79,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[MetricKey, Tuple[str, object]] = {}
         self._help: Dict[str, str] = {}
-        #: Snapshot series recorded by :class:`RegistrySampler`, keyed like
-        #: the metrics themselves.
-        self.snapshots: Dict[MetricKey, TimeSeries] = {}
 
     # ------------------------------------------------------------------
     # Registration (idempotent: same name+labels returns the same object)
@@ -161,48 +153,3 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-
-class RegistrySampler:
-    """Periodically snapshots every scalar metric into a time series.
-
-    The paper samples its testbed counters once per second (§4.1); the
-    sampler defaults to the same cadence but accepts any period.
-    """
-
-    def __init__(self, loop: EventLoop, registry: MetricsRegistry,
-                 period_ns: int = 1000 * MSEC,
-                 label_filter: Optional[Dict[str, str]] = None):
-        self.loop = loop
-        self.registry = registry
-        self.period_ns = int(period_ns)
-        #: Only metrics whose labels include every (key, value) here are
-        #: sampled.  A shared registry spanning several scenarios (each
-        #: with its own loop starting at t=0) needs this so one
-        #: scenario's sampler never appends out-of-order times to
-        #: another scenario's series.
-        self.label_filter = dict(label_filter) if label_filter else None
-        self._handle: Optional[EventHandle] = None
-
-    def start(self) -> None:
-        self._handle = self.loop.call_every(self.period_ns, self.sample)
-
-    def stop(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-
-    def sample(self) -> None:
-        now = self.loop.now
-        reg = self.registry
-        flt = self.label_filter
-        for name, labels, kind, metric in reg.collect():
-            if kind == "histogram":
-                continue
-            if flt is not None and any(
-                    labels.get(k) != v for k, v in flt.items()):
-                continue
-            key = _key(name, labels)
-            series = reg.snapshots.get(key)
-            if series is None:
-                series = reg.snapshots[key] = TimeSeries(name)
-            series.append(now, float(metric.value))

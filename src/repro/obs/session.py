@@ -14,8 +14,7 @@ starting its platform.  The session then owns:
   wait/service histograms merge into one table at ``finalize()``; hop
   names are the NF names, so rows merge across scenarios,
 * one shared :class:`~repro.obs.registry.MetricsRegistry` where each
-  scenario registers its gauges under a ``scenario`` label, sampled
-  periodically by a per-scenario :class:`RegistrySampler`.
+  scenario registers its gauges under a ``scenario`` label.
 
 ``finalize()`` writes the requested artifacts and returns a printable
 summary.
@@ -27,7 +26,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.obs.bus import EventBus
 from repro.obs.export import write_chrome_trace, write_prometheus
-from repro.obs.registry import MetricsRegistry, RegistrySampler
+from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import MSEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,21 +43,18 @@ class ObsSession:
         trace_path: Optional[str] = None,
         metrics_path: Optional[str] = None,
         max_bus_events: int = 100_000,
-        sample_period_ns: int = 100 * MSEC,
         stream_path: Optional[str] = None,
         stream_interval_ns: int = 100 * MSEC,
     ):
         self.trace_path = trace_path
         self.metrics_path = metrics_path
         self.max_bus_events = int(max_bus_events)
-        self.sample_period_ns = int(sample_period_ns)
         #: One tracker per attached scenario (a cluster's is shared by
         #: its hosts), merged into the per-hop table by ``finalize()``.
         self.latencies: List["FlowLatencyTracker"] = []
         self.registry = MetricsRegistry()
         self.buses: List[Tuple[str, EventBus]] = []
         self._label_counts: Dict[str, int] = {}
-        self._samplers: List[RegistrySampler] = []
         self.streamer = None
         if stream_path is not None:
             from repro.obs.stream import SnapshotStreamer
@@ -94,11 +90,6 @@ class ObsSession:
             self.streamer.register(label, scenario.loop,
                                    registry=self.registry,
                                    latency=latency, causality=causality)
-        sampler = RegistrySampler(scenario.loop, self.registry,
-                                  period_ns=self.sample_period_ns,
-                                  label_filter={"scenario": label})
-        sampler.start()
-        self._samplers.append(sampler)
 
     def attach_cluster(self, scenario) -> None:
         """Wire this session into a ClusterScenario about to run.
@@ -126,21 +117,10 @@ class ObsSession:
             host.manager.attach_observability(bus=bus)
             self.register_platform_metrics(
                 host.manager, f"{label}/{host.name}")
-            sampler = RegistrySampler(
-                scenario.loop, self.registry,
-                period_ns=self.sample_period_ns,
-                label_filter={"scenario": f"{label}/{host.name}"})
-            sampler.start()
-            self._samplers.append(sampler)
         if bus is not None:
             for link in topology.links:
                 link.bus = bus
         self.register_link_metrics(topology.links, label)
-        sampler = RegistrySampler(scenario.loop, self.registry,
-                                  period_ns=self.sample_period_ns,
-                                  label_filter={"scenario": label})
-        sampler.start()
-        self._samplers.append(sampler)
 
     def register_link_metrics(self, links, scenario: str) -> None:
         """Expose fabric-link counters as labelled metrics.
@@ -177,7 +157,7 @@ class ObsSession:
         """Expose the platform's live counters as labelled gauges.
 
         Gauges wrap callables reading the live objects, so registration
-        costs nothing on the data path; the sampler and the Prometheus
+        costs nothing on the data path; the streamer and the Prometheus
         exporter pull values on demand.
         """
         reg = self.registry

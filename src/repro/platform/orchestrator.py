@@ -97,16 +97,18 @@ def _objects(spec: Dict[str, Any], key: str) -> List[Dict[str, Any]]:
     return entries
 
 
-def _flow_time_ns(flow_spec: Dict[str, Any], i: int,
-                  key: str) -> Optional[int]:
-    """``flows[i].<key>`` (seconds) in ns; None when absent."""
-    if key not in flow_spec:
-        return None
-    seconds = float(flow_spec[key])
-    if not math.isfinite(seconds):
-        raise TopologyError(
-            f"flows[{i}].{key}: expected a finite number, got {seconds!r}")
-    return int(seconds * SEC)
+def _number(spec: Dict[str, Any], key: str, where: str,
+            default: Optional[float] = None, finite: bool = True) -> Any:
+    """``spec[key]`` (``default`` when absent) as a JSON number — a bool
+    is not one — finite unless told not; errors name ``<where>.<key>``."""
+    value = spec.get(key, default)
+    if key in spec and (isinstance(value, bool)
+                        or not isinstance(value, (int, float))
+                        or (finite and not math.isfinite(value))):
+        raise TopologyError(f"{where}.{key}: expected a "
+                            f"{'finite' if finite else 'JSON'} number, "
+                            f"got {value!r}")
+    return value
 
 
 def build_topology(
@@ -137,7 +139,7 @@ def build_topology(
         if not name:
             raise TopologyError(f"NF without a name: {nf_spec!r}")
         if "cycles" in nf_spec:
-            cost = FixedCost(float(nf_spec["cycles"]))
+            cost = FixedCost(float(_number(nf_spec, "cycles", f"nfs[{i}]")))
         elif "cost" in nf_spec:
             if not isinstance(nf_spec["cost"], dict):
                 raise TopologyError(f"nfs[{i}].cost: expected a JSON "
@@ -153,38 +155,41 @@ def build_topology(
         except ValueError as exc:
             raise TopologyError(f"nfs[{i}].{exc}") from exc
 
-    known = {nf.name for nf in scenario.manager.nfs}
-    for chain_spec in _objects(spec, "chains"):
+    for i, chain_spec in enumerate(_objects(spec, "chains")):
         name = chain_spec.get("name")
         members = chain_spec.get("nfs")
-        if not name or not members:
+        if not name:
             raise TopologyError(f"bad chain spec: {chain_spec!r}")
-        for member in members:
-            if member not in known:
-                raise TopologyError(f"chain {name!r} references unknown NF "
-                                    f"{member!r}")
-        scenario.add_chain(name, members)
+        if (not isinstance(members, list) or not members
+                or not all(isinstance(m, str) for m in members)):
+            raise TopologyError(f"chains[{i}].nfs: expected a non-empty "
+                                f"list of NF names, got {members!r}")
+        try:
+            scenario.add_chain(name, members)
+        except ValueError as exc:
+            raise TopologyError(f"chains[{i}]: {exc}") from exc
 
     for i, flow_spec in enumerate(_objects(spec, "flows")):
         flow_id = flow_spec.get("id")
         chain_name = flow_spec.get("chain")
         if not flow_id or chain_name not in scenario.manager.chains:
             raise TopologyError(f"bad flow spec: {flow_spec!r}")
-        if "rate_pps" in flow_spec:
-            rate = {"rate_pps": float(flow_spec["rate_pps"])}
-        elif "line_rate_fraction" in flow_spec:
-            rate = {"line_rate_fraction":
-                    float(flow_spec["line_rate_fraction"])}
-        else:
+        where = f"flows[{i}]"
+        rate = {key: float(_number(flow_spec, key, where, finite=False))
+                for key in ("rate_pps", "line_rate_fraction")
+                if key in flow_spec}
+        if not rate:
             raise TopologyError(
                 f"flow {flow_id!r} needs 'rate_pps' or 'line_rate_fraction'")
-        pkt_size = int(flow_spec.get("pkt_size", 64))
-        start_ns = _flow_time_ns(flow_spec, i, "start_s") or 0
-        stop_ns = _flow_time_ns(flow_spec, i, "stop_s")
+        pkt_size = int(_number(flow_spec, "pkt_size", where, 64))
+        start_s = _number(flow_spec, "start_s", where, 0)
+        stop_s = _number(flow_spec, "stop_s", where)
         try:
             scenario.add_flow(flow_id, chain_name, pkt_size=pkt_size,
                               protocol=flow_spec.get("protocol", "udp"),
-                              start_ns=start_ns, stop_ns=stop_ns,
+                              start_ns=int(start_s * SEC),
+                              stop_ns=(None if stop_s is None
+                                       else int(stop_s * SEC)),
                               pattern=flow_spec.get("pattern", "cbr"),
                               **rate)
         except ValueError as exc:

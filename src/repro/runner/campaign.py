@@ -17,7 +17,7 @@ from __future__ import annotations
 import importlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.runner.digest import (
     combine_digests,
@@ -128,6 +128,20 @@ def run_campaign(
     )
 
 
+def outcome_result(outcome: TaskOutcome) -> Any:
+    """A case task's ScenarioResult with the digest-invisible telemetry
+    riding next to ``"value"`` reattached, as a serial run has it."""
+    from repro.analysis.export import result_from_dict
+
+    result = result_from_dict(outcome.payload["value"])
+    extra = outcome.payload.get("telemetry")
+    if extra:
+        result.flow_latency = extra.get("flow_latency", {})
+        result.causality = extra.get("causality", {})
+        result.slo = extra.get("slo", {})
+    return result
+
+
 def _aggregate(exp_id: str, module_path: str,
                outcomes: List[TaskOutcome]) -> ExperimentReport:
     task_wall_s = sum(o.wall_s for o in outcomes)
@@ -147,22 +161,8 @@ def _aggregate(exp_id: str, module_path: str,
     if len(outcomes) == 1 and outcomes[0].spec.fn == "main":
         artifact = outcomes[0].payload["value"]
     else:
-        from repro.analysis.export import result_from_dict
-
-        module = importlib.import_module(module_path)
-        results = {}
-        for o in outcomes:
-            result = result_from_dict(o.payload["value"])
-            # Digest-invisible telemetry rides next to "value"; reattach
-            # it so render_cases prints the same SLO/attribution/governor
-            # tables a serial run would.
-            extra = o.payload.get("telemetry")
-            if extra:
-                result.flow_latency = extra.get("flow_latency", {})
-                result.causality = extra.get("causality", {})
-                result.slo = extra.get("slo", {})
-            results[o.spec.key] = result
-        artifact = module.render_cases(results)
+        artifact = importlib.import_module(module_path).render_cases(
+            {o.spec.key: outcome_result(o) for o in outcomes})
     telemetry: Dict[str, object] = {}
     latency_dicts = [
         (o.payload.get("telemetry") or {}).get("flow_latency") or {}

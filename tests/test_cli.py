@@ -183,11 +183,30 @@ def _nf_json(nf_fields: str) -> str:
      "nfs[0].priority must be a finite non-negative number, got -3"),
     (_flow_json('"rate_pps": 1e6, "protocol": "sctp"'),
      "flows[0].protocol must be 'udp' or 'tcp', got 'sctp'"),
+    ('{"nfs": [{"name": "a", "cycles": "abc"}]}',
+     "nfs[0].cycles: expected a finite number, got 'abc'"),
+    ('{"nfs": [{"name": "a", "cycles": true}]}',
+     "nfs[0].cycles: expected a finite number, got True"),
+    (_flow_json('"rate_pps": "1e5"'),
+     "flows[0].rate_pps: expected a JSON number, got '1e5'"),
+    (_flow_json('"line_rate_fraction": "0.5"'),
+     "flows[0].line_rate_fraction: expected a JSON number, got '0.5'"),
+    (_flow_json('"rate_pps": 1e6, "pkt_size": "x"'),
+     "flows[0].pkt_size: expected a finite number, got 'x'"),
+    (_flow_json('"rate_pps": 1e6, "start_s": "soon"'),
+     "flows[0].start_s: expected a finite number, got 'soon'"),
+    (_flow_json('"rate_pps": 1e6, "stop_s": false'),
+     "flows[0].stop_s: expected a finite number, got False"),
+    ('{"nfs": [{"name": "a", "cycles": 100}, {"name": "b", "cycles": 100}],'
+     ' "chains": [{"name": "c", "nfs": "ab"}]}',
+     "chains[0].nfs: expected a non-empty list of NF names, got 'ab'"),
 ], ids=["no-nfs", "bad-json", "scalar-cost", "scalar-nf", "scalar-chain",
         "scalar-flow", "not-a-mapping", "inf-rate", "nan-rate",
         "inf-line-rate", "inf-start", "nan-stop", "string-busy-loop",
         "negative-core", "string-core", "string-nan-priority",
-        "negative-priority", "sctp-protocol"])
+        "negative-priority", "sctp-protocol", "string-cycles",
+        "bool-cycles", "string-rate", "string-line-rate", "string-pkt-size",
+        "string-start", "bool-stop", "string-chain-nfs"])
 def test_topology_rejects_hostile_spec(tmp_path, capsys, text, message):
     path = tmp_path / "t.json"
     path.write_text(text)

@@ -108,67 +108,3 @@ class TestSteadyStateProperties:
         assert r1.total_throughput_pps == r2.total_throughput_pps
         assert r1.total_wasted_pps == r2.total_wasted_pps
         assert r1.nf("nf1").nvcswch_per_s == r2.nf("nf1").nvcswch_per_s
-
-
-class TestHeadlineClaims:
-    """The paper's top-line results, asserted as shapes."""
-
-    def test_nfvnice_eliminates_wasted_work(self):
-        """Table 3: drops of processed packets fall by >=100x."""
-        results = {}
-        for features in ("Default", "NFVnice"):
-            scenario = Scenario(scheduler="BATCH", features=features)
-            build_linear_chain(scenario, (120, 270, 550), core=0)
-            scenario.add_flow("f", "chain", line_rate_fraction=1.0)
-            results[features] = scenario.run(0.5)
-        default_waste = results["Default"].total_wasted_pps
-        nfvnice_waste = results["NFVnice"].total_wasted_pps
-        assert default_waste > 1e6
-        assert nfvnice_waste < default_waste / 100
-
-    def test_nfvnice_improves_throughput_all_schedulers(self):
-        """Figure 7: NFVnice >= Default for every scheduler."""
-        for sched in ("NORMAL", "BATCH", "RR_1MS", "RR_100MS"):
-            tput = {}
-            for features in ("Default", "NFVnice"):
-                scenario = Scenario(scheduler=sched, features=features)
-                build_linear_chain(scenario, (120, 270, 550), core=0)
-                scenario.add_flow("f", "chain", line_rate_fraction=1.0)
-                tput[features] = scenario.run(0.4).total_throughput_pps
-            assert tput["NFVnice"] >= tput["Default"]
-
-    def test_rr100_hog_collapse_and_rescue(self):
-        """§4.3.2: heavy-upstream chain under RR(100 ms) collapses below
-        40 Kpps; NFVnice restores Mpps-scale throughput."""
-        tput = {}
-        for features in ("Default", "NFVnice"):
-            scenario = Scenario(scheduler="RR_100MS", features=features)
-            build_linear_chain(scenario, (550, 270, 120), core=0)
-            scenario.add_flow("f", "chain", line_rate_fraction=1.0)
-            tput[features] = scenario.run(0.5).total_throughput_pps
-        assert tput["Default"] < 60_000
-        assert tput["NFVnice"] > 1e6
-
-    def test_rate_cost_fair_shares_on_shared_core(self):
-        """§4.2.1/Table 4 direction: with NFVnice, runtime is apportioned
-        cost-proportionally (NF1 least, NF3 most)."""
-        scenario = Scenario(scheduler="BATCH", features="NFVnice")
-        build_linear_chain(scenario, (120, 270, 550), core=0)
-        scenario.add_flow("f", "chain", line_rate_fraction=1.0)
-        result = scenario.run(0.5)
-        runtimes = [result.nf(f"nf{i}").runtime_s for i in (1, 2, 3)]
-        assert runtimes[0] < runtimes[1] < runtimes[2]
-
-    def test_multicore_cpu_savings_at_equal_throughput(self):
-        """Table 5: same aggregate throughput, far less upstream CPU."""
-        results = {}
-        for features in ("Default", "NFVnice"):
-            scenario = Scenario(scheduler="NORMAL", features=features)
-            build_linear_chain(scenario, (550, 2200, 4500), core=(0, 1, 2))
-            scenario.add_flow("f", "chain", line_rate_fraction=1.0)
-            results[features] = scenario.run(0.5)
-        d, n = results["Default"], results["NFVnice"]
-        assert n.total_throughput_pps == pytest.approx(
-            d.total_throughput_pps, rel=0.1)
-        assert n.core_utilization[0] < 0.5 * d.core_utilization[0]
-        assert n.core_utilization[1] < 0.9 * d.core_utilization[1]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.counters import Counter, PacketCounter
+from repro.metrics.counters import Counter
 from repro.metrics.fairness import jain_index
 from repro.metrics.histogram import CycleHistogram, SlidingWindowEstimator
 from repro.metrics.report import format_value, render_table
@@ -24,17 +24,6 @@ class TestCounters:
     def test_counter_rejects_decrease(self):
         with pytest.raises(ValueError):
             Counter("x").add(-1)
-
-    def test_packet_counter(self):
-        c = PacketCounter("rx")
-        c.add(10, 640)
-        assert (c.packets, c.bytes) == (10, 640)
-        c.reset()
-        assert (c.packets, c.bytes) == (0, 0)
-
-    def test_packet_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            PacketCounter().add(-1, 0)
 
 
 class TestCycleHistogram:

@@ -23,9 +23,8 @@ from repro.obs.export import (
     render_prometheus,
     write_chrome_trace,
 )
-from repro.obs.registry import MetricsRegistry, RegistrySampler
+from repro.obs.registry import MetricsRegistry
 from repro.obs.session import ObsSession
-from repro.sim.clock import MSEC
 from repro.sim.engine import EventLoop
 
 
@@ -158,28 +157,6 @@ class TestRegistry:
         # Re-registration is idempotent and keeps the original callable.
         reg.counter("drops_total", nf="a")
         assert reg.scalar_value("drops_total", nf="a") == 8
-
-    def test_sampler_snapshots_scalars(self, loop):
-        reg = MetricsRegistry()
-        ticks = {"n": 0}
-        reg.gauge("g", fn=lambda: ticks["n"])
-        sampler = RegistrySampler(loop, reg, period_ns=MSEC)
-        sampler.start()
-        loop.schedule(int(1.5 * MSEC), lambda: ticks.update(n=10))
-        loop.run_until(3 * MSEC + 1)
-        series = reg.snapshots[("g", ())]
-        assert list(series.values)[:3] == [0.0, 10.0, 10.0]
-
-    def test_sampler_label_filter(self, loop):
-        reg = MetricsRegistry()
-        reg.gauge("g", scenario="one").set(1)
-        reg.gauge("g", scenario="two").set(2)
-        sampler = RegistrySampler(loop, reg, period_ns=MSEC,
-                                  label_filter={"scenario": "one"})
-        sampler.start()
-        loop.run_until(MSEC + 1)
-        assert ("g", (("scenario", "one"),)) in reg.snapshots
-        assert ("g", (("scenario", "two"),)) not in reg.snapshots
 
 
 class TestExporters:

@@ -12,7 +12,6 @@ from repro.analysis.export import (
     save_result,
     series_from_dict,
 )
-from repro.analysis.sparkline import render_series, sparkline
 from repro.experiments.common import Scenario, build_linear_chain
 from repro.metrics.timeseries import TimeSeries
 from repro.sched.tracing import DISPATCH, SWITCH_OUT, WAKE, SchedTracer
@@ -213,34 +212,6 @@ class TestExport:
         assert loaded.chain("chain").completed == \
             result.chain("chain").completed
         assert loaded.nf("nf1").processed == result.nf("nf1").processed
-
-
-class TestSparkline:
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_flat_series(self):
-        out = sparkline([5, 5, 5])
-        assert len(out) == 3
-        assert len(set(out)) == 1
-
-    def test_monotone_ramp(self):
-        out = sparkline(list(range(9)))
-        assert out[0] <= out[-1]
-        assert len(out) == 9
-
-    def test_shared_scale(self):
-        a = sparkline([0, 10], lo=0, hi=100)
-        b = sparkline([0, 100], lo=0, hi=100)
-        assert a[-1] < b[-1]
-
-    def test_render_series_resamples(self):
-        ts = TimeSeries("x")
-        for t in range(200):
-            ts.append(t, float(t % 17))
-        out = render_series(ts, "load", width=40)
-        assert out.startswith("load: [")
-        assert "min=" in out and "max=" in out
 
 
 class TestPriorityExperiment:
