@@ -129,7 +129,8 @@ def _run_context(args: argparse.Namespace):
             trace_path=args.trace,
             metrics_path=args.metrics_out,
             stream_path=args.stream_out,
-            stream_interval_ns=int(args.stream_interval_ms * MSEC),
+            stream_interval_ns=int(
+                (getattr(args, "stream_interval_ms", None) or 100.0) * MSEC),
         )
     sanitizer = None
     if getattr(args, "sanitize", False):
@@ -164,17 +165,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.duration is not None:
         kwargs["duration_s"] = args.duration
-    if not (math.isfinite(args.stream_interval_ms)
-            and args.stream_interval_ms > 0):
-        print("--stream-interval-ms must be a positive number of "
-              f"milliseconds (got {args.stream_interval_ms})",
-              file=sys.stderr)
-        return 2
+    if args.stream_interval_ms is not None:
+        if not (math.isfinite(args.stream_interval_ms)
+                and args.stream_interval_ms > 0):
+            print("--stream-interval-ms must be a positive number of "
+                  f"milliseconds (got {args.stream_interval_ms})",
+                  file=sys.stderr)
+            return 2
+        if args.stream_out is None:
+            print("--stream-interval-ms needs --stream-out", file=sys.stderr)
+            return 2
     if args.stream_out is not None and not str(args.stream_out).strip():
         print("--stream-out needs a non-empty path", file=sys.stderr)
         return 2
     if args.sanitize_tick and not args.sanitize:
         print("--sanitize-tick needs --sanitize", file=sys.stderr)
+        return 2
+    if args.profile_sort is not None and not args.profile:
+        print("--profile-sort needs --profile", file=sys.stderr)
         return 2
     ctx = _run_context(args)
     if ctx is None:
@@ -225,7 +233,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         profiler.dump_stats(prof_path)
         buf = _io.StringIO()
         stats = pstats.Stats(profiler, stream=buf)
-        stats.sort_stats(args.profile_sort).print_stats(15)
+        stats.sort_stats(args.profile_sort or "tottime").print_stats(15)
         print(f"[profile] wrote {prof_path} "
               f"(load with pstats or snakeviz); hottest functions:")
         # Skip the pstats header lines; show just the table.
@@ -447,10 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="stream periodic telemetry snapshots (gauges, "
                           "latency percentiles, backpressure attribution) "
                           "as JSONL to PATH while the run executes")
-    run.add_argument("--stream-interval-ms", type=float, default=100.0,
+    run.add_argument("--stream-interval-ms", type=float, default=None,
                      metavar="N",
                      help="simulated milliseconds between streamed "
-                          "snapshots (with --stream-out; default 100)")
+                          "snapshots (needs --stream-out; default 100)")
     run.add_argument("--fault-plan", default=None, metavar="PATH",
                      help="inject faults from a JSON/YAML FaultPlan into "
                           "every scenario the experiment builds (see "
@@ -468,12 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "to the --metrics-out/--trace file (or "
                           "<experiment>.pstats) and prints the hottest "
                           "functions")
-    run.add_argument("--profile-sort", default="tottime",
+    run.add_argument("--profile-sort", default=None,
                      choices=["tottime", "cumtime", "ncalls", "pcalls",
                               "filename", "name"],
                      metavar="KEY",
                      help="sort key for the --profile hot-function table "
-                          "(tottime, cumtime, ncalls, pcalls, filename, "
+                          "(needs --profile; tottime, cumtime, ncalls, "
+                          "pcalls, filename, "
                           "name; default tottime — use cumtime to see "
                           "callback cost inside run_until, see "
                           "docs/performance.md)")

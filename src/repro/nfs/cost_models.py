@@ -16,7 +16,10 @@ where the ``np.cumsum`` chunks break and which prefix is subtracted at
 compaction decide the low bits of every later prefix sum.  Fast paths
 here (``WithOverhead.consume_upto``'s windowed search) therefore call
 ``_ensure`` with exactly the arguments, at exactly the points, of the
-plain probe-per-step search they replace.
+plain probe-per-step search they replace.  The buffer itself holds only
+the un-consumed window: each refill drops the consumed prefix sums, and
+compaction counts *logical* (consumed) positions, so it fires after the
+same packet and subtracts the same prefix as a buffer that kept them.
 
 Every constructor rejects a non-finite or out-of-range parameter with a
 ``ValueError`` that names the field, so a bad topology spec fails when
@@ -44,7 +47,11 @@ _REFILL = 1024
 #: the same values as eight size-1024 draws — pinned by
 #: ``tests/test_perf_equivalence.py``.
 _RAW_REFILL = 8192
-#: Compact the consumed prefix when it exceeds this many entries.
+#: Rebase the prefix sums to 0 at the first refill after more than this
+#: many packets were consumed since the last rebase.  The count is of
+#: logical (consumed) positions, not of entries held: refills already
+#: drop the consumed entries, but the subtraction's timing fixes the low
+#: bits of every later prefix sum.
 _COMPACT = 65536
 
 
@@ -117,6 +124,7 @@ class BufferedCost(CostModel):
         self._rng = rng if rng is not None else fallback_generator()
         self._cum = np.zeros(1)  # _cum[i] = total cost of first i buffered pkts
         self._pos = 0            # packets already consumed from the buffer
+        self._off = 0            # consumed entries dropped since the last rebase
         self._raw = np.zeros(0)  # draw-ahead pool of un-summed RNG values
         self._raw_pos = 0
 
@@ -148,19 +156,29 @@ class BufferedCost(CostModel):
         return np.concatenate([raw[pos:], block[:need]])
 
     def _ensure(self, n: int) -> None:
-        """Grow the buffer until ``n`` un-consumed draws are available."""
-        have = len(self._cum) - 1 - self._pos
+        """Grow the buffer until ``n`` un-consumed draws are available.
+
+        A refill keeps only ``cum[pos:]`` (dropping an entry changes no
+        value that stays) and appends the new sums; ``_off`` carries the
+        dropped count, so ``_off + pos`` is the logical position the
+        rebase at ``_COMPACT`` is timed by.
+        """
+        cum = self._cum
+        pos = self._pos
+        have = len(cum) - 1 - pos
         if have >= n:
             return
         need = max(n - have, _REFILL)
         fresh = self._draw(need)
         fresh = np.maximum(fresh, 1.0)  # a packet always costs >= 1 cycle
-        ext = self._cum[-1] + np.cumsum(fresh)
-        self._cum = np.concatenate([self._cum, ext])
-        if self._pos > _COMPACT:
-            base = self._cum[self._pos]
-            self._cum = self._cum[self._pos:] - base
-            self._pos = 0
+        ext = cum[-1] + np.cumsum(fresh)
+        cum = np.concatenate([cum[pos:], ext])
+        self._pos = 0
+        self._off += pos
+        if self._off > _COMPACT:
+            cum = cum - cum[0]
+            self._off = 0
+        self._cum = cum
 
     def peek_sum(self, n: int) -> float:
         if n <= 0:
@@ -359,6 +377,15 @@ class WithOverhead(CostModel):
             pos = inner._pos
             w = inner._cum[pos:pos + max_packets + 1].tolist()
             top = len(w) - 1
+            if top >= max_packets:
+                # Most batches are full: probe k = max_packets first.  The
+                # total is monotone in k, so this is the search's answer,
+                # and every probe the search would make is <= top, so no
+                # refill is skipped.
+                used = (w[max_packets] - w[0]) + max_packets * overhead
+                if used <= budget_cycles:
+                    inner._pos = pos + max_packets
+                    return max_packets, used
             lo, hi = 0, max_packets
             while lo < hi:
                 mid = (lo + hi + 1) // 2

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 from typing import Any, Dict, IO, List, Optional, Tuple
 
 from repro.sim.engine import EventHandle, EventLoop
@@ -99,7 +100,9 @@ class SnapshotStreamer:
 
     def _emit(self, feed: _ScenarioFeed) -> None:
         if self._fh is None:
-            self._fh = open(self.path, "w")
+            path = Path(self.path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(path, "w")
         json.dump(self._snapshot(feed), self._fh,
                   sort_keys=True, separators=(",", ":"))
         self._fh.write("\n")

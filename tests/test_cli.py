@@ -254,6 +254,52 @@ def test_run_rejects_sanitize_tick_without_sanitize(capsys):
     assert "--sanitize-tick needs --sanitize" in captured.err
 
 
+def test_run_rejects_stream_interval_without_stream_out(capsys):
+    assert main(["run", "tab05", "--duration", "0.01",
+                 "--stream-interval-ms", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--stream-interval-ms needs --stream-out" in captured.err
+
+
+def test_run_rejects_profile_sort_without_profile(capsys):
+    assert main(["run", "tab05", "--duration", "0.01",
+                 "--profile-sort", "cumtime"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--profile-sort needs --profile" in captured.err
+
+
+@pytest.mark.parametrize("sort", [None, "cumtime"])
+def test_run_profile_sorts_hot_table(tmp_path, capsys, sort):
+    """--profile alone sorts by tottime; --profile-sort picks the key."""
+    argv = ["run", "tab05", "--duration", "0.01", "--profile",
+            "--metrics-out", str(tmp_path / "m.prom")]
+    if sort is not None:
+        argv += ["--profile-sort", sort]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert f"[profile] wrote {tmp_path / 'm.pstats'} " \
+        "(load with pstats or snakeviz); hottest functions:" in out
+    assert (tmp_path / "m.pstats").is_file()
+    header = next(i for i, ln in enumerate(out)
+                  if ln.lstrip().startswith("ncalls"))
+    rows = [ln.split() for ln in out[header + 1:] if ln.strip()]
+    column = 3 if sort == "cumtime" else 1   # cumtime / tottime
+    keys = [float(row[column]) for row in rows]
+    assert keys and keys == sorted(keys, reverse=True)
+
+
+def test_run_streams_into_missing_directory(tmp_path, capsys):
+    """--stream-out creates its parent directory, like --trace and
+    --metrics-out do, instead of failing mid-run."""
+    path = tmp_path / "missing" / "deeper" / "s.jsonl"
+    assert main(["run", "tab05", "--duration", "0.05",
+                 "--stream-out", str(path)]) == 0
+    assert "[obs] streamed" in capsys.readouterr().out
+    assert path.read_text().splitlines()
+
+
 def test_run_streams_snapshots(tmp_path, capsys):
     """--stream-out writes JSONL snapshots with latency + causality."""
     path = tmp_path / "snaps.jsonl"

@@ -5,9 +5,11 @@ segment coalescing must not change what a dequeue observes, the periodic
 fast path must fire at the same instants as a cancel+reschedule loop,
 batched arrival generation must emit the same counts as scalar draws,
 the widened RNG draw-ahead in the cost models must consume the same
-bit stream, and the windowed ``WithOverhead`` search must take the same
+bit stream, the windowed ``WithOverhead`` search must take the same
 packets, charge the same cycles and refill its buffer at the same points
-as the probe-per-step search it replaced.  These tests pin each claim
+as the probe-per-step search it replaced, and the prefix-sum buffer that
+keeps only its un-consumed window must hold the same logical prefix sums
+as one that kept every entry until compaction.  These tests pin each claim
 directly, so a future change that quietly breaks digest stability fails
 here first, with a readable diff, instead of as an opaque
 campaign-digest mismatch.
@@ -559,7 +561,19 @@ def test_windowed_overhead_search_matches_probe_search(inner, overhead,
     while consumed <= _COMPACT + 5 * _REFILL:
         consumed += _step(_random_op(r), top_fast, top_ref)
         _same_buffer(fast, ref)
-    assert fast.inner._pos < consumed  # the buffer was compacted
+    # Packets consumed since the last rebase: fewer than all of them, so
+    # the prefix sums were rebased (compacted) at least once.
+    assert fast.inner._off + fast.inner._pos < consumed
+
+
+def _holding(inner, held):
+    """A fast/reference pair with exactly ``held`` packets buffered."""
+    fast, ref, _, _ = _pair(inner, 100.0, False)
+    for model in (fast, ref):
+        model.consume(1)
+        model.consume(len(model.inner._cum) - 1 - model.inner._pos - held)
+    _same_buffer(fast, ref)
+    return fast, ref
 
 
 @pytest.mark.parametrize("inner", sorted(_INNERS))
@@ -567,16 +581,75 @@ def test_windowed_search_refills_only_where_probe_search_does(inner):
     """20 packets buffered, budget for 3: the probe search never looks
     past the buffer, so it must not refill — and the wide peek that
     follows must then split the prefix sums at the same draw."""
-    fast, ref, _, _ = _pair(inner, 100.0, False)
-    for model in (fast, ref):
-        model.consume(1)
-        model.consume(len(model.inner._cum) - 1 - model.inner._pos - 20)
-    _same_buffer(fast, ref)
+    fast, ref = _holding(inner, 20)
     budget = fast.peek_sum(3)
     assert fast.consume_upto(budget, 32) == ref.consume_upto(budget, 32)
     _same_buffer(fast, ref)
     assert fast.peek_sum(3000) == ref.peek_sum(3000)
     _same_buffer(fast, ref)
+
+
+@pytest.mark.parametrize("held", [20, 40])
+@pytest.mark.parametrize("inner", sorted(_INNERS))
+def test_full_batch_refills_only_where_probe_search_does(inner, held):
+    """32 packets asked for, a budget that covers them all.  With 20
+    held the search must refill where the probe search does; with 40 the
+    full-batch probe answers from the buffer, with no refill."""
+    fast, ref = _holding(inner, held)
+    buffered = len(fast.inner._cum)
+    got = fast.consume_upto(1e12, 32)
+    assert got == ref.consume_upto(1e12, 32)
+    assert got[0] == 32
+    _same_buffer(fast, ref)
+    assert (len(fast.inner._cum) == buffered) == (held >= 32)
+    assert fast.peek_sum(3000) == ref.peek_sum(3000)
+    _same_buffer(fast, ref)
+
+
+# ----------------------------------------------------------------------
+# The buffer keeps only its un-consumed window: against a buffer that
+# keeps every prefix sum since the last rebase, the logical windows
+# ``cum[pos:]`` (hence every result) stay bit-identical, and the rebase
+# happens after the same consumed packet.
+# ----------------------------------------------------------------------
+
+def _untrimmed_ensure(self, n):
+    """Reference: append each refill to the whole buffer and rebase once
+    more than ``_COMPACT`` entries are consumed, dropping nothing before."""
+    have = len(self._cum) - 1 - self._pos
+    if have >= n:
+        return
+    need = max(n - have, _REFILL)
+    fresh = self._draw(need)
+    fresh = np.maximum(fresh, 1.0)
+    ext = self._cum[-1] + np.cumsum(fresh)
+    self._cum = np.concatenate([self._cum, ext])
+    if self._pos > _COMPACT:
+        base = self._cum[self._pos]
+        self._cum = self._cum[self._pos:] - base
+        self._pos = 0
+
+
+@pytest.mark.parametrize("overhead", [100.0, 37.25])
+@pytest.mark.parametrize("inner", sorted(_INNERS))
+def test_trimmed_buffer_matches_untrimmed_buffer(inner, overhead):
+    """The windowed search on the trimmed buffer against the probe search
+    on the untrimmed one, over three rebases: same results, same logical
+    window and logical position after every step."""
+    fast = WithOverhead(_INNERS[inner](np.random.default_rng(9)), overhead)
+    old = _ProbeWithOverhead(_INNERS[inner](np.random.default_rng(9)),
+                             overhead)
+    old.inner._ensure = _untrimmed_ensure.__get__(old.inner)
+    r = np.random.default_rng(77)
+    rebases = 0
+    while rebases < 3:
+        before = old.inner._pos
+        taken = _step(_random_op(r), fast, old)
+        if old.inner._pos < before + taken:
+            rebases += 1
+        f, o = fast.inner, old.inner
+        assert f._off + f._pos == o._pos
+        assert np.array_equal(f._cum[f._pos:], o._cum[o._pos:])
 
 
 @settings(max_examples=60, deadline=None)
@@ -625,5 +698,9 @@ def test_noninteger_cost_scenario_digest_matches_probe_search(monkeypatch):
         return digest_of(result_to_dict(res))
 
     windowed = run()
+    # Pinned when the buffer still kept every consumed prefix sum: the
+    # trimmed buffer and the full-batch probe must not move it.
+    assert windowed == ("16d16a3bf04d6402d2f693954e08e5a4"
+                        "954ffdcec2993953890904856745defd")
     monkeypatch.setattr(WithOverhead, "consume_upto", _probe_consume_upto)
     assert run() == windowed
