@@ -15,13 +15,18 @@ tolerances — so a single lost packet or nanosecond is a violation:
 * **ring occupancy** — every ring's depth stays within ``[0, capacity]``
   and its flow identity holds: ``enqueued == dequeued + purged + len``,
   ``dropped_total == sum(drops_by_reason)``.
+* **ring-descriptor ownership** — every ring's depth equals the sum of
+  its segments' counts, every count is positive, and no
+  :class:`~repro.platform.packet.PacketSegment` object is queued in two
+  places: rings hand descriptors over by reference (zero-copy), so an
+  aliased descriptor would count its packets twice.
 * **non-negative counters** — no flow/ring/core/task counter underflows.
 
-End-of-run checks are free (one pass over the platform's counters).
-``per_tick=True`` additionally samples the monotonicity/occupancy checks
-on a fixed cadence (default 1 ms — the Monitor's tick), catching
-transients that a later compensating bug would mask; cost is one event
-per tick per run.
+End-of-run checks are cheap (one pass over the platform's counters and
+queued segments).  ``per_tick=True`` additionally samples the
+monotonicity, occupancy and ownership checks on a fixed cadence
+(default 1 ms — the Monitor's tick), catching transients that a later
+compensating bug would mask; cost is one event per tick per run.
 
 Violations are :class:`SanitizerViolation` records surfaced in
 ``ScenarioResult.sanitizer_violations`` (serialised by
@@ -149,6 +154,7 @@ class Sanitizer:
             self._check_time_accounting(mgr, now, prefix)
             self._check_vruntime(mgr, now, prefix)
             self._check_rings(mgr, now, prefix)
+        self._check_descriptors(scenario, now)
         self._check_non_negative(scenario, now)
         self.runs += 1
         out = self._run_violations
@@ -178,6 +184,7 @@ class Sanitizer:
                         "ring-occupancy", f"ring:{prefix}{name}",
                         f"depth {len(ring)} outside [0, {ring.capacity}]",
                         now)
+        self._check_descriptors(scenario, now)
 
     @staticmethod
     def _iter_rings(mgr: Any) -> Iterator[Tuple[str, Any]]:
@@ -275,6 +282,33 @@ class Sanitizer:
                     "ring-occupancy", subject,
                     f"dropped_total {ring.dropped_total} != "
                     f"sum(drops_by_reason) {by_reason}", now)
+
+    def _check_descriptors(self, scenario: Any, now: int) -> None:
+        owner: Dict[int, str] = {}
+        for prefix, mgr in self._iter_managers(scenario):
+            for name, ring in self._iter_rings(mgr):
+                subject = f"ring:{prefix}{name}"
+                total = 0
+                for seg in ring._segments:
+                    n = seg.count
+                    total += n
+                    if n <= 0:
+                        self._report(
+                            "ring-ownership", subject,
+                            f"segment count {n} is not positive", now)
+                    other = owner.get(id(seg))
+                    if other is not None:
+                        self._report(
+                            "ring-ownership", subject,
+                            f"segment {seg!r} is also queued in {other}",
+                            now)
+                    else:
+                        owner[id(seg)] = subject
+                if total != len(ring):
+                    self._report(
+                        "ring-ownership", subject,
+                        f"depth {len(ring)} != sum of segment counts "
+                        f"{total}", now)
 
     def _check_non_negative(self, scenario: Any, now: int) -> None:
         counters: List[Tuple[str, str, Any]] = []

@@ -84,15 +84,19 @@ class CallbackNF(NFProcess):
         self.api = LibnfAPI(self, disk)
         self.dropped_by_handler = 0
 
-    def _forward(self, batch, now_ns: int,
+    def _forward(self, segs, now_ns: int,
                  svc_ns_per_pkt: float = 0.0) -> bool:
-        # ``batch`` holds (flow, count, enqueue_ns, origin_ns) tuples from
-        # PacketRing.dequeue_batch (see NFProcess._forward).
+        # ``segs`` come from PacketRing.dequeue; the kept part of each is
+        # handed to the Tx ring by reference (see NFProcess._forward).
         io_full = False
         latency = self.latency
-        for flow, count, enqueue_ns, origin_ns in batch:
+        admit = self.tx_ring.admit
+        now = int(now_ns)
+        for seg in segs:
+            flow = seg.flow
+            count = seg.count
             if latency is not None:
-                latency.record_hop(self.name, now_ns - enqueue_ns,
+                latency.record_hop(self.name, now_ns - seg.enqueue_ns,
                                    svc_ns_per_pkt, count)
             self.processed_packets += count
             keep = self.handler(self.api, flow, count, now_ns)
@@ -103,5 +107,6 @@ class CallbackNF(NFProcess):
                 if not ok:
                     io_full = True
             if keep > 0:
-                self.tx_ring.enqueue(flow, keep, now_ns, origin_ns=origin_ns)
+                seg.count = keep
+                admit(seg, now)
         return io_full

@@ -25,18 +25,70 @@ __digest_safety__ = "digest-checked: per-NF counters feed the result payload"
 
 import math
 import numbers
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING,
+)
 
 from repro.metrics.histogram import SlidingWindowEstimator
 from repro.platform.config import PlatformConfig
-from repro.platform.packet import Flow
+from repro.platform.packet import Flow, PacketSegment
 from repro.platform.ring import PacketRing
 from repro.sched.base import CoreTask, ExecOutcome, ExecResult
 from repro.sim.clock import SEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nfs.cost_models import CostModel
+    from repro.obs.latency import FlowLatencyTracker
     from repro.platform.chain import ServiceChain
+
+
+#: Below this bound every integer is a float, so sums of integral batch
+#: costs are exact and ``m * cyc`` equals ``m`` repeated additions.
+_EXACT_FLOAT_INT = 2 ** 53
+
+
+def full_batches(cycles_avail: float, c: float, bs: int, cap: int) -> int:
+    """How many full batches libnf's loop runs, in closed form.
+
+    The loop, with ``consumed`` starting at ``0.0`` and ``cyc = bs * c``::
+
+        while m < cap:
+            b = cycles_avail - consumed
+            if b < c or b // c < bs:
+                break
+            consumed += cyc
+            m += 1
+
+    When ``cyc`` is integral and ``cap * cyc < 2**53`` every running sum
+    is exact, so after ``m`` iterations ``consumed == float(m * cyc)``
+    and the exit predicate can be evaluated at any ``m`` directly.  It is
+    monotone in ``m``, so the count is found from the estimate
+    ``cycles_avail // cyc`` and fixed up or down at the boundary.
+    Returns 0 — the caller runs every batch through its general loop,
+    which is always exact — when the closed form does not apply or the
+    grant is not finite.
+    """
+    cyc = bs * c
+    if cap <= 0 or cyc % 1 != 0 or cap * cyc >= _EXACT_FLOAT_INT \
+            or not math.isfinite(cycles_avail):
+        return 0
+    m = int(cycles_avail // cyc)
+    if m > cap:
+        m = cap
+    elif m < 0:
+        m = 0
+    while m > 0:
+        b = cycles_avail - (m - 1) * cyc
+        if b < c or b // c < bs:
+            m -= 1
+        else:
+            break
+    while m < cap:
+        b = cycles_avail - m * cyc
+        if b < c or b // c < bs:
+            break
+        m += 1
+    return m
 
 
 class NFProcess(CoreTask):
@@ -237,42 +289,41 @@ class NFProcess(CoreTask):
             # consecutive same-segment runs coalesce in the Tx ring anyway
             # (same flow/instant/origin), so deferring the forwarding to
             # one fused flush after the loop yields byte-identical ring
-            # contents while paying the dequeue/forward cost once per
-            # grant instead of once per batch.  The budget, credit and
-            # sampling arithmetic stays per-batch: float operation order
-            # is digest-load-bearing.
+            # contents while paying for one ring-to-ring move per grant
+            # instead of a dequeue and a forward per batch.  The budget,
+            # credit and sampling arithmetic stays per-batch: float
+            # operation order is digest-load-bearing.
             fuse = io is None and self._forward_exact
             pending = 0
             svc_ns = 0.0
-            # Full-batch fast loop.  While whole batches fit (queue, Tx
-            # space and cycle budget all cover ``batch_size``), each
-            # iteration of the general loop below performs exactly
+            # Full batches in closed form.  While whole batches fit
+            # (queue, Tx space and cycle budget all cover ``batch_size``),
+            # each iteration of the general loop below performs exactly
             # ``budget = cycles_avail - consumed`` and ``consumed += cyc``
-            # with ``cyc == batch_size * c`` — the same two float ops in
-            # the same order as here, so the fusion is bit-identical; the
-            # remainder (partial batch, budget exhaustion) falls through
-            # to the general loop.  Gated on a positive sample period so
-            # the once-per-grant sampling shortcut below stays faithful.
+            # with ``cyc == batch_size * c``; full_batches() counts those
+            # iterations without running them (see its docstring for when
+            # that is bit-identical).  The remainder (partial batch, budget
+            # exhaustion) and every case the closed form declines run in
+            # the general loop.  Gated on a positive sample period so the
+            # once-per-grant sampling shortcut below stays faithful.
             cm = self.cost_model
             if fuse and sample_period > 0 and type(cm) is FixedCost:
                 bs = batch_size
-                c = cm.cycles
-                cyc = bs * c
-                sampled = False
-                while qlen >= bs and free >= bs:
-                    budget = cycles_avail - consumed
-                    if budget < c or budget // c < bs:
-                        break
-                    consumed += cyc
-                    qlen -= bs
-                    free -= bs
-                    pending += bs
-                    if not sampled:
-                        sampled = True
-                        svc_ns = (cyc / bs) * self._ns_per_cycle
-                        if now_ns - self._last_sample_ns >= sample_period:
-                            self._last_sample_ns = now_ns
-                            self.service_estimator.add(now_ns, svc_ns)
+                cyc = bs * cm.cycles
+                cap = qlen // bs
+                if free // bs < cap:
+                    cap = free // bs
+                m = full_batches(cycles_avail, cm.cycles, bs, cap)
+                if m > 0:
+                    consumed = float(m * cyc)
+                    took = m * bs
+                    qlen -= took
+                    free -= took
+                    pending = took
+                    svc_ns = (cyc / bs) * self._ns_per_cycle
+                    if now_ns - self._last_sample_ns >= sample_period:
+                        self._last_sample_ns = now_ns
+                        self.service_estimator.add(now_ns, svc_ns)
             while True:
                 if io is not None and io.blocked:
                     outcome = ExecOutcome.IO_BLOCKED
@@ -318,8 +369,8 @@ class NFProcess(CoreTask):
                     free -= k
                     io_full = False
                 else:
-                    io_full = self._forward(rx_ring.dequeue_batch(k),
-                                            now_ns, svc_ns)
+                    io_full = self._forward(rx_ring.dequeue(k), now_ns,
+                                            svc_ns)
                     if self._forward_exact:
                         free -= k
                     else:
@@ -331,8 +382,13 @@ class NFProcess(CoreTask):
                     outcome = ExecOutcome.IO_BLOCKED
                     break
             if pending:
-                self._forward(rx_ring.dequeue_batch(pending), now_ns,
-                              svc_ns)
+                latency = self.latency
+                if latency is not None:
+                    # Before the move restamps the descriptors.
+                    self._stage_hop(latency, rx_ring._segments, pending,
+                                    now_ns, svc_ns)
+                rx_ring.move_to(tx_ring, pending, int(now_ns))
+                self.processed_packets += pending
 
         if outcome is ExecOutcome.USED_ALL:
             self._cycle_credit = cycles_avail - consumed
@@ -349,54 +405,71 @@ class NFProcess(CoreTask):
     def _needs_io(self, flow: Flow) -> bool:
         return self.io_selector is None or self.io_selector(flow)
 
-    def _forward(self, batch: List[Tuple], now_ns: int,
+    def _forward(self, segs: List[PacketSegment], now_ns: int,
                  svc_ns_per_pkt: float = 0.0) -> bool:
-        """Emit processed packet runs to the Tx ring; returns True if the
-        I/O context became full (NF must yield).
+        """Hand processed segments to the Tx ring; returns True if the I/O
+        context became full (NF must yield).
 
-        ``batch`` holds ``(flow, count, enqueue_ns, origin_ns)`` tuples
-        from :meth:`PacketRing.dequeue_batch`.
+        ``segs`` come from :meth:`PacketRing.dequeue`; the Tx ring adopts
+        each one (zero-copy), restamping ``enqueue_ns``, so the per-hop
+        telemetry is staged before the hand-off.
         """
+        processed = 0
+        for seg in segs:
+            processed += seg.count
+        latency = self.latency
+        if latency is not None and processed:
+            self._stage_hop(latency, segs, processed, now_ns, svc_ns_per_pkt)
         io_full = False
         io = self.io
-        tx_enqueue = self.tx_ring.enqueue
-        latency = self.latency
-        lat_wait = lat_svc = None
-        if latency is not None:
-            # Exact (unsampled) wait/service decomposition: stage straight
-            # into the tracker's value->weight dicts; every packet in a
-            # dequeued run shares the same wait and modelled service.
-            staging = self._lat_staging
-            if staging is None:
-                staging = self._lat_staging = latency.hop_staging(self.name)
-            lat_wait, lat_svc = staging
-            svc = svc_ns_per_pkt if svc_ns_per_pkt > 0 else 0.0
-        processed = 0
-        for flow, count, enqueue_ns, origin_ns in batch:
-            if lat_wait is not None:
-                wait = now_ns - enqueue_ns
-                if wait < 0:
-                    wait = 0
-                if wait in lat_wait:
-                    lat_wait[wait] += count
-                else:
-                    lat_wait[wait] = count
-            processed += count
-            if io is not None and self._needs_io(flow):
-                ok = io.submit(count, count * flow.pkt_size, now_ns)
-                if not ok:
+        admit = self.tx_ring.admit
+        now = int(now_ns)
+        for seg in segs:
+            if io is not None and self._needs_io(seg.flow):
+                count = seg.count
+                if not io.submit(count, count * seg.flow.pkt_size, now_ns):
                     io_full = True
             # Space was reserved (batch <= tx free), so this cannot drop.
-            tx_enqueue(flow, count, now_ns, origin_ns=origin_ns)
+            admit(seg, now)
         self.processed_packets += processed
-        if lat_wait is not None and processed:
-            # The modelled per-packet service time is constant across a
-            # dequeued batch: one staged update covers every run.
-            lat_svc[svc] = lat_svc.get(svc, 0) + processed
-            if (len(lat_wait) >= latency._PENDING_LIMIT
-                    or len(lat_svc) >= latency._PENDING_LIMIT):
-                latency.drain_hop(self.name)
         return io_full
+
+    def _stage_hop(self, latency: "FlowLatencyTracker",
+                   segs: Iterable[PacketSegment], n: int, now_ns: int,
+                   svc_ns_per_pkt: float) -> None:
+        """Stage the exact (unsampled) wait/service of the first ``n``
+        packets of ``segs`` into ``latency`` (this NF's tracker).
+
+        Waits are read from each segment's ``enqueue_ns``, so this runs
+        before a ring adopts the segments and restamps them.  Every packet
+        of a run shares one wait, and the modelled per-packet service time
+        is constant across a grant: one staged update per run, one for the
+        service.
+        """
+        staging = self._lat_staging
+        if staging is None:
+            staging = self._lat_staging = latency.hop_staging(self.name)
+        lat_wait, lat_svc = staging
+        left = n
+        for seg in segs:
+            count = seg.count
+            if count > left:
+                count = left
+            wait = now_ns - seg.enqueue_ns
+            if wait < 0:
+                wait = 0
+            if wait in lat_wait:
+                lat_wait[wait] += count
+            else:
+                lat_wait[wait] = count
+            left -= count
+            if not left:
+                break
+        svc = svc_ns_per_pkt if svc_ns_per_pkt > 0 else 0.0
+        lat_svc[svc] = lat_svc.get(svc, 0) + n
+        if (len(lat_wait) >= latency._PENDING_LIMIT
+                or len(lat_svc) >= latency._PENDING_LIMIT):
+            latency.drain_hop(self.name)
 
     # ------------------------------------------------------------------
     # Fault recovery

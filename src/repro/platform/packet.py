@@ -127,14 +127,6 @@ class PacketSegment:
         self.enqueue_ns = int(enqueue_ns)
         self.origin_ns = int(enqueue_ns) if origin_ns is None else int(origin_ns)
 
-    def split(self, n: int) -> "PacketSegment":
-        """Remove and return the first ``n`` packets as a new segment."""
-        if not 0 < n < self.count:
-            raise ValueError(f"cannot split {n} of {self.count}")
-        head = PacketSegment(self.flow, n, self.enqueue_ns, self.origin_ns)
-        self.count -= n
-        return head
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PacketSegment({self.flow.flow_id!r} x{self.count} "

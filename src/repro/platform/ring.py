@@ -30,6 +30,20 @@ DROP_REASONS = ("full", "sealed", "nf_dead", "purged")
 _EMPTY_DEQUE: Deque[PacketSegment] = deque()
 
 
+def _run_of(head: PacketSegment, n: int) -> PacketSegment:
+    """A new ``n``-packet descriptor with ``head``'s flow and stamps.
+
+    Bypasses ``__init__``: callers pass ``n > 0`` and integer stamps, so
+    validation would be pure overhead on a data-path allocation site.
+    """
+    seg = PacketSegment.__new__(PacketSegment)
+    seg.flow = head.flow
+    seg.count = n
+    seg.enqueue_ns = head.enqueue_ns
+    seg.origin_ns = head.origin_ns
+    return seg
+
+
 class PacketRing:
     """FIFO ring of :class:`PacketSegment` with a hard capacity."""
 
@@ -117,11 +131,33 @@ class PacketRing:
         chain (defaults to ``now_ns`` for fresh arrivals).  Returns
         ``(accepted, dropped, above_high)`` — the watermark flag is
         evaluated *after* the enqueue, which is the feedback the Tx thread
-        uses for overload detection.
+        uses for overload detection.  A thin wrapper that builds the
+        descriptor and hands it to :meth:`admit`.
+        """
+        if count <= 0:
+            return 0, 0, self._count >= self.high_watermark
+        now = int(now_ns)
+        # Bypass __init__: count > 0 here and the stamps are integers.
+        seg = PacketSegment.__new__(PacketSegment)
+        seg.flow = flow
+        seg.count = count
+        seg.enqueue_ns = now
+        seg.origin_ns = now if origin_ns is None else int(origin_ns)
+        return self.admit(seg, now)
+
+    def admit(self, seg: PacketSegment, now: int) -> Tuple[int, int, bool]:
+        """Admit the descriptor ``seg`` (positive count) at integer ``now``.
+
+        Zero-copy hand-off: when the run cannot merge into the tail, the
+        ring adopts ``seg`` itself — restamped ``enqueue_ns = now`` and its
+        count cut to what fit — instead of allocating a copy.  The caller
+        gives up the descriptor: read anything it needs (``enqueue_ns``,
+        ``count``) before this call.  Drops, coalescing, counters and bus
+        events are exactly those of :meth:`enqueue`, which wraps this.
         """
         cur = self._count
-        if count <= 0:
-            return 0, 0, cur >= self.high_watermark
+        count = seg.count
+        flow = seg.flow
         if self.sealed or self.dead:
             reason = "sealed" if self.sealed else "nf_dead"
             self.dropped_total += count
@@ -133,8 +169,6 @@ class PacketRing:
                 self.bus.publish("ring.drop", self.name, count=count,
                                  depth=cur, reason=reason)
             return 0, count, cur >= self.high_watermark
-        now = int(now_ns)
-        origin = now if origin_ns is None else int(origin_ns)
         free = self.capacity - cur
         if count <= free:
             accepted = count
@@ -150,20 +184,14 @@ class PacketRing:
                 and self.coalesce
                 and tail.flow is flow
                 and tail.enqueue_ns == now
-                and tail.origin_ns == origin
+                and tail.origin_ns == seg.origin_ns
             ):
                 # Merge back-to-back same-flow arrivals into one segment.
                 tail.count += accepted
                 self.coalesce_hits += 1
             else:
-                # Bypass __init__: accepted > 0 here and now/origin are
-                # already integers, so validation would be pure overhead
-                # on the hottest allocation site in the simulator.
-                seg = PacketSegment.__new__(PacketSegment)
-                seg.flow = flow
                 seg.count = accepted
                 seg.enqueue_ns = now
-                seg.origin_ns = origin
                 segments.append(seg)
                 self.coalesce_misses += 1
             cur += accepted
@@ -189,7 +217,9 @@ class PacketRing:
         """Remove up to ``max_packets`` from the head, preserving FIFO order.
 
         The returned segments keep their original ``enqueue_ns`` so the
-        caller can account queuing latency.
+        caller can account queuing latency.  Whole head segments are
+        handed out as they are; a partial take leaves the head in place
+        with its count reduced and allocates only the split-off run.
         """
         if max_packets <= 0 or self.sealed:
             return []
@@ -202,49 +232,11 @@ class PacketRing:
             n = head.count
             if n <= remaining:
                 segments.popleft()
-                taken = head
-            else:
-                taken = head.split(remaining)
-                n = taken.count
-            out.append(taken)
-            remaining -= n
-            taken_total += n
-        if taken_total:
-            self._count -= taken_total
-            self.dequeued_total += taken_total
-            if self.bus is not None and self.bus.active:
-                self.bus.publish("ring.dequeue", self.name,
-                                 count=taken_total, depth=self._count)
-        return out
-
-    def dequeue_batch(self, max_packets: int) -> List[Tuple]:
-        """Like :meth:`dequeue` but yields ``(flow, count, enqueue_ns,
-        origin_ns)`` tuples instead of segments.
-
-        A partial take decrements the head segment in place — no
-        :class:`PacketSegment` is allocated for the split-off run.  This is
-        the NF execute path: batch-bounded dequeues chop large coalesced
-        arrival segments dozens of times, and the segment objects would be
-        torn apart immediately anyway.  Accounting is identical to
-        ``dequeue`` + ``PacketSegment.split``.
-        """
-        if max_packets <= 0 or self.sealed:
-            return []
-        out: List[Tuple] = []
-        remaining = max_packets
-        segments = self._segments
-        taken_total = 0
-        while remaining > 0 and segments:
-            head = segments[0]
-            n = head.count
-            flow = head.flow
-            if n <= remaining:
-                segments.popleft()
-                out.append((flow, n, head.enqueue_ns, head.origin_ns))
+                out.append(head)
             else:
                 n = remaining
-                out.append((flow, n, head.enqueue_ns, head.origin_ns))
                 head.count -= n
+                out.append(_run_of(head, n))
             remaining -= n
             taken_total += n
         if taken_total:
@@ -254,6 +246,65 @@ class PacketRing:
                 self.bus.publish("ring.dequeue", self.name,
                                  count=taken_total, depth=self._count)
         return out
+
+    def move_to(self, dst: "PacketRing", n: int, now: int) -> None:
+        """Move the oldest ``n`` packets into ``dst`` at integer ``now``.
+
+        Equal to admitting each segment of ``dequeue(n)`` into ``dst`` —
+        same ring contents, counters and coalescing — for a caller that
+        reserved the space (``n <= len(self)`` and ``n <= dst.free``): the
+        NF's fused end-of-grant flush.  Head segments are moved, only a
+        partial head is split.  A sealed, dead or actively observed ring
+        on either side takes the per-segment path, which owns the fault
+        drops and the event publishing (an inert bus publishes nothing).
+        """
+        if (self.sealed or dst.sealed or dst.dead
+                or (self.bus is not None and self.bus.active)
+                or (dst.bus is not None and dst.bus.active)):
+            admit = dst.admit
+            for seg in self.dequeue(n):
+                admit(seg, now)
+            return
+        src = self._segments
+        out = dst._segments
+        tail = out[-1] if out else None
+        coalesce = dst.coalesce
+        hits = misses = 0
+        remaining = n
+        seg: Optional[PacketSegment]
+        while remaining:
+            head = src[0]
+            k = head.count
+            if k <= remaining:
+                src.popleft()
+                seg = head
+            else:
+                k = remaining
+                head.count -= k
+                seg = None
+            remaining -= k
+            if (
+                tail is not None
+                and coalesce
+                and tail.flow is head.flow
+                and tail.enqueue_ns == now
+                and tail.origin_ns == head.origin_ns
+            ):
+                tail.count += k
+                hits += 1
+            else:
+                if seg is None:
+                    seg = _run_of(head, k)
+                seg.enqueue_ns = now
+                out.append(seg)
+                tail = seg
+                misses += 1
+        self._count -= n
+        self.dequeued_total += n
+        dst._count += n
+        dst.enqueued_total += n
+        dst.coalesce_hits += hits
+        dst.coalesce_misses += misses
 
     def drain(self) -> "Deque[PacketSegment]":
         """Remove and return every queued segment in FIFO order.

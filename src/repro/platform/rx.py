@@ -130,9 +130,8 @@ class RxThread:
                                      count=seg.count, flow=flow.flow_id)
                 continue
             first = chain.nfs[0]
-            accepted, _dropped, above_high = first.rx_ring.enqueue(
-                flow, seg.count, now, origin_ns=seg.origin_ns
-            )
+            # Zero-copy: the NF's Rx ring adopts the NIC descriptor.
+            accepted, _dropped, above_high = first.rx_ring.admit(seg, now)
             # Drops here waste nothing: no NF has touched these packets yet.
             if above_high and self.backpressure is not None:
                 self.backpressure.mark_overloaded(first)

@@ -156,8 +156,8 @@ class TxThread:
                         if len(pend) >= cause._PENDING_LIMIT:
                             cause.drain_deliveries()
             return
-        accepted, dropped, above_high = nxt.rx_ring.enqueue(
-            flow, seg.count, now, origin_ns=seg.origin_ns)
+        # Zero-copy: the next NF's Rx ring adopts the descriptor.
+        accepted, dropped, above_high = nxt.rx_ring.admit(seg, now)
         self.forwarded += accepted
         if dropped:
             # Work already performed upstream is lost with these packets.

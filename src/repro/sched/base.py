@@ -49,12 +49,21 @@ VOLUNTARY_OUTCOMES = frozenset(
 )
 
 
-@dataclass
 class ExecResult:
-    """Result of :meth:`CoreTask.execute`."""
+    """Result of :meth:`CoreTask.execute`.
 
-    used_ns: float
-    outcome: ExecOutcome
+    A plain ``__slots__`` class: one is built per run segment, and a
+    dataclass ``__init__`` costs more (``slots=True`` needs Python 3.10).
+    """
+
+    __slots__ = ("used_ns", "outcome")
+
+    def __init__(self, used_ns: float, outcome: ExecOutcome):
+        self.used_ns = used_ns
+        self.outcome = outcome
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"ExecResult({self.used_ns!r}, {self.outcome})"
 
 
 @dataclass

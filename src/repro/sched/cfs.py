@@ -76,7 +76,7 @@ class CFSScheduler(Scheduler):
         self._seq += 1
         entry = task.sched_node = (task.vruntime, self._seq, task)
         rq_insert(self._rq, entry)
-        self._ready_weight += task.weight
+        self._ready_weight += task._weight
 
     def dequeue(self, task: CoreTask, now_ns: int) -> None:
         entry = task.sched_node
@@ -88,7 +88,7 @@ class CFSScheduler(Scheduler):
             raise RuntimeError(f"{task.name} is not in this runqueue")
         del q[i]
         task.sched_node = None
-        self._ready_weight -= task.weight
+        self._ready_weight -= task._weight
 
     def pick_next(self, now_ns: int) -> Optional[CoreTask]:
         q = self._rq
@@ -96,7 +96,7 @@ class CFSScheduler(Scheduler):
             return None
         task = q.pop(0)[2]
         task.sched_node = None
-        self._ready_weight -= task.weight
+        self._ready_weight -= task._weight
         self._advance_min_vruntime(task.vruntime)
         return task
 
@@ -105,14 +105,20 @@ class CFSScheduler(Scheduler):
     # ------------------------------------------------------------------
     def time_slice(self, task: CoreTask, now_ns: int) -> float:
         """The kernel's ``sched_slice()``: weight share of the period."""
+        # Comparisons instead of max(): same operand on ties (int vs float
+        # matters to call_at's integer fast path), without the call.
         nr_running = len(self._rq) + 1  # queued plus the task dispatching
-        period = max(self.sched_latency_ns, nr_running * self.min_granularity_ns)
-        total_weight = self._ready_weight + task.weight
-        slice_ns = period * task.weight / total_weight
-        return max(slice_ns, self.min_granularity_ns)
+        period = self.sched_latency_ns
+        stretched = nr_running * self.min_granularity_ns
+        if stretched > period:
+            period = stretched
+        weight = task._weight
+        slice_ns = period * weight / (self._ready_weight + weight)
+        floor = self.min_granularity_ns
+        return floor if floor > slice_ns else slice_ns
 
     def charge(self, task: CoreTask, delta_ns: float) -> None:
-        task.vruntime += delta_ns * NICE_0_WEIGHT / task.weight
+        task.vruntime += delta_ns * NICE_0_WEIGHT / task._weight
         self._advance_min_vruntime(task.vruntime)
 
     def _advance_min_vruntime(self, running_vruntime: float) -> None:
@@ -137,10 +143,10 @@ class CFSScheduler(Scheduler):
         if not self.wakeup_preemption:
             return False
         # The runner's vruntime is charged lazily at segment end; project it.
-        projected = current.vruntime + current_ran_ns * NICE_0_WEIGHT / current.weight
+        projected = current.vruntime + current_ran_ns * NICE_0_WEIGHT / current._weight
         # wakeup_granularity is wall time; convert to the woken task's
         # virtual time, as the kernel's wakeup_gran() does.
-        gran_virtual = self.wakeup_granularity_ns * NICE_0_WEIGHT / woken.weight
+        gran_virtual = self.wakeup_granularity_ns * NICE_0_WEIGHT / woken._weight
         return projected - woken.vruntime > gran_virtual
 
     @property

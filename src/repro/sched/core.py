@@ -291,7 +291,13 @@ class Core:
         if self._run_end is not None:
             self._run_end.cancel()
             self._run_end = None
-        elapsed = min(max(0.0, now - self._segment_start), self._segment_plan)
+        # Comparisons in place of min(max(0.0, ...), plan): they return
+        # the same operand on ties (int vs float matters downstream).
+        elapsed: float = now - self._segment_start
+        if not elapsed > 0.0:
+            elapsed = 0.0
+        if self._segment_plan < elapsed:
+            elapsed = self._segment_plan
         outcome = ExecOutcome.FLAG_YIELD if voluntary else ExecOutcome.USED_ALL
         if elapsed > 0:
             result = task.execute(now, elapsed)
@@ -364,7 +370,13 @@ class Core:
                 # between segments): block again.
                 self._switch_out(ExecOutcome.RAN_OUT)
                 return
-        plan = min(estimate, self._budget_left, self.max_segment_ns)
+        # min() without the call; ties keep the earlier operand, as min()
+        # does — int vs float matters to call_at's integer fast path.
+        plan = estimate
+        if self._budget_left < plan:
+            plan = self._budget_left
+        if self.max_segment_ns < plan:
+            plan = self.max_segment_ns
         self._segment_start = start_ns
         self._segment_plan = plan
         self._run_end = self.loop.call_at(start_ns + plan, self._on_segment_end)
@@ -376,7 +388,14 @@ class Core:
         now = self.loop.now
         work = self._segment_plan
         result = task.execute(now, work)
-        self._charge(task, min(result.used_ns, work))
+        # _charge inlined (one call per segment on the hottest event).
+        used = result.used_ns
+        if work < used:
+            used = work
+        if used > 0:
+            task.stats.runtime_ns += used
+            self.scheduler.charge(task, used)
+            self._charged_this_run += used
         self._budget_left -= work
 
         if result.outcome is not ExecOutcome.USED_ALL:

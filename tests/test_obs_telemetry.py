@@ -547,3 +547,49 @@ class TestScenarioTelemetry:
         delivered = sum(c.completed for c in res.chains.values())
         assert res.flow_latency["flows"]["f"]["count"] == delivered
         assert res.flow_latency["chains"]["chain"]["count"] == delivered
+
+
+class TestTelemetryPinned:
+    """Per-hop wait histograms and causality ride outside the result
+    digest, so digest gates cannot see them change.  Rings hand
+    descriptors over by reference and restamp ``enqueue_ns`` on
+    admission; an NF that read the stamp after handing a segment on
+    would record zero waits.  These literals were taken from the copy
+    path the hand-off replaced."""
+
+    def _case(self):
+        from repro.experiments.slo_battery import run_case
+
+        return run_case("mixed", "NORMAL", duration_s=0.02, seed=0)
+
+    def test_slo_battery_hop_waits_and_causality_are_pinned(self):
+        import hashlib
+
+        result = self._case()
+        waits = {hop: (h["wait"]["count"], h["wait"]["total"])
+                 for hop, h in result.flow_latency["hops"].items()}
+        assert waits == {
+            "b1.mixed.NORMAL": (42183, 5077019602.0),
+            "b2.mixed.NORMAL": (40109, 45143655051.0),
+            "g1.mixed.NORMAL": (12994, 4328728473.0),
+            "g2.mixed.NORMAL": (12730, 2234235586.0),
+        }
+        assert result.causality == {
+            "culprits": {"b2.mixed.NORMAL": {
+                "episodes": 7, "open_episodes": 0, "throttle_ns": 2500000}},
+            "induced_pkt_ns": {
+                "bulk.mixed.NORMAL→b2.mixed.NORMAL": 6967700000},
+            "shed_packets": {
+                "bulk.mixed.NORMAL→b2.mixed.NORMAL": 5988},
+            "wasted_drops": {},
+            "relinquish": {"b1.mixed.NORMAL": {
+                "stalls": 7, "stalled_ns": 2500000}},
+            "resume": {"b1.mixed.NORMAL": {
+                "resumes": 7, "delay_ns": 595733}},
+            "pruned_episodes": 0,
+        }
+        # Everything else in flow_latency (every bucket of every
+        # histogram, per flow, chain and hop) through one hash.
+        canon = json.dumps(result.flow_latency, sort_keys=True).encode()
+        assert hashlib.sha256(canon).hexdigest() == (
+            "375afe6ca047b534bd0bec88e96c6483a743b2f159dbff121b62530719c5f01d")

@@ -7,13 +7,17 @@ batched arrival generation must emit the same counts as scalar draws,
 the widened RNG draw-ahead in the cost models must consume the same
 bit stream, the windowed ``WithOverhead`` search must take the same
 packets, charge the same cycles and refill its buffer at the same points
-as the probe-per-step search it replaced, and the prefix-sum buffer that
+as the probe-per-step search it replaced, the prefix-sum buffer that
 keeps only its un-consumed window must hold the same logical prefix sums
-as one that kept every entry until compaction.  These tests pin each claim
-directly, so a future change that quietly breaks digest stability fails
+as one that kept every entry until compaction, rings that adopt the
+caller's descriptor must end exactly as the copy path did, and the
+closed-form full-batch count must equal the loop it replaced.  These
+tests pin each claim directly, so a future change that quietly breaks digest stability fails
 here first, with a readable diff, instead of as an opaque
 campaign-digest mismatch.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -26,11 +30,16 @@ from repro.nfs.cost_models import (
     _REFILL,
     ChoiceCost,
     ExponentialCost,
+    FixedCost,
     NormalCost,
     ScaledCost,
     UniformCost,
     WithOverhead,
 )
+from repro.core.libnf import CallbackNF
+from repro.core.nf import full_batches
+from repro.obs.bus import EventBus
+from repro.platform.config import PlatformConfig
 from repro.platform.packet import Flow, PacketSegment
 from repro.platform.ring import PacketRing
 from repro.sim.engine import EventLoop
@@ -59,14 +68,6 @@ def _packet_stream(segments):
     for seg in segments:
         out.extend([(seg.flow.flow_id, seg.enqueue_ns, seg.origin_ns)]
                    * seg.count)
-    return out
-
-
-def _batch_stream(batch):
-    """Flatten dequeue_batch tuples the same way."""
-    out = []
-    for fl, count, enq, origin in batch:
-        out.extend([(fl.flow_id, enq, origin)] * count)
     return out
 
 
@@ -114,31 +115,6 @@ def test_coalescing_preserves_fifo_counts_timestamps(ops):
         assert fa.stats.queue_drops == fb.stats.queue_drops
 
 
-@settings(max_examples=200, deadline=None)
-@given(ops=ops_strategy)
-def test_dequeue_batch_matches_dequeue(ops):
-    """The tuple-yielding fast path is packet-for-packet identical to
-    dequeue(), including partial takes from coalesced segments."""
-    chain = FakeChain("A")
-    flows_a = [flow(f"f{i}", chain) for i in range(3)]
-    flows_b = [flow(f"f{i}", chain) for i in range(3)]
-    ring_a = PacketRing(capacity=64)
-    ring_b = PacketRing(capacity=64)
-    now = 0
-    for op in ops:
-        if op[0] == "enq":
-            _, fi, count, dt = op
-            now += dt
-            ring_a.enqueue(flows_a[fi], count, now)
-            ring_b.enqueue(flows_b[fi], count, now)
-        else:
-            _, n = op
-            assert _packet_stream(ring_a.dequeue(n)) == \
-                _batch_stream(ring_b.dequeue_batch(n))
-        assert len(ring_a) == len(ring_b)
-    assert ring_a.dequeued_total == ring_b.dequeued_total
-
-
 def test_coalescing_counts_hits_and_misses():
     ring = PacketRing(capacity=100)
     f = flow("f")
@@ -164,6 +140,407 @@ def test_forwarded_segment_coalesces_into_tail():
     segs = ring.dequeue(100)
     assert [(s.count, s.enqueue_ns, s.origin_ns) for s in segs] == \
         [(10, 10, 3)]
+
+
+# ----------------------------------------------------------------------
+# Zero-copy descriptor hand-off: rings that adopt the caller's segment
+# (PacketRing.admit, PacketRing.move_to, NFProcess._forward) must be
+# observationally identical to the copy path they replaced, kept here as
+# the reference: dequeue (flow, count, enqueue_ns, origin_ns) tuples and
+# re-enqueue each run into a freshly allocated segment.
+# ----------------------------------------------------------------------
+
+class _CopyRing(PacketRing):
+    """The ring before descriptor hand-off: every enqueue allocates its
+    own segment, and the NF path reads tuples from ``dequeue_batch``."""
+
+    def enqueue(self, flow, count, now_ns, origin_ns=None):
+        cur = self._count
+        if count <= 0:
+            return 0, 0, cur >= self.high_watermark
+        if self.sealed or self.dead:
+            reason = "sealed" if self.sealed else "nf_dead"
+            self.dropped_total += count
+            self.drops_by_reason[reason] = (
+                self.drops_by_reason.get(reason, 0) + count)
+            flow.stats.queue_drops += count
+            if self.bus is not None and self.bus.active:
+                self.bus.publish("ring.drop", self.name, count=count,
+                                 depth=cur, reason=reason)
+            return 0, count, cur >= self.high_watermark
+        now = int(now_ns)
+        origin = now if origin_ns is None else int(origin_ns)
+        free = self.capacity - cur
+        accepted = count if count <= free else free
+        dropped = count - accepted
+        if accepted > 0:
+            tail = self._segments[-1] if self._segments else None
+            if (tail is not None and self.coalesce and tail.flow is flow
+                    and tail.enqueue_ns == now and tail.origin_ns == origin):
+                tail.count += accepted
+                self.coalesce_hits += 1
+            else:
+                self._segments.append(
+                    PacketSegment(flow, accepted, now, origin))
+                self.coalesce_misses += 1
+            cur += accepted
+            self._count = cur
+            self.enqueued_total += accepted
+        if dropped > 0:
+            self.dropped_total += dropped
+            self.drops_by_reason["full"] = (
+                self.drops_by_reason.get("full", 0) + dropped)
+            flow.stats.queue_drops += dropped
+        if self.bus is not None and self.bus.active:
+            if accepted > 0:
+                self.bus.publish("ring.enqueue", self.name,
+                                 count=accepted, depth=cur)
+            if dropped > 0:
+                self.bus.publish("ring.drop", self.name, count=dropped,
+                                 depth=cur, reason="full")
+        return accepted, dropped, cur >= self.high_watermark
+
+    def dequeue_batch(self, max_packets):
+        if max_packets <= 0 or self.sealed:
+            return []
+        out = []
+        remaining = max_packets
+        taken_total = 0
+        while remaining > 0 and self._segments:
+            head = self._segments[0]
+            n = head.count
+            if n <= remaining:
+                self._segments.popleft()
+            else:
+                n = remaining
+                head.count -= n
+            out.append((head.flow, n, head.enqueue_ns, head.origin_ns))
+            remaining -= n
+            taken_total += n
+        if taken_total:
+            self._count -= taken_total
+            self.dequeued_total += taken_total
+            if self.bus is not None and self.bus.active:
+                self.bus.publish("ring.dequeue", self.name,
+                                 count=taken_total, depth=self._count)
+        return out
+
+    def copy_hop(self, dst, n, now):
+        """The old hop: tuples out, one fresh enqueue per run."""
+        return [dst.enqueue(fl, count, now, origin_ns=origin)
+                for fl, count, _enq, origin in self.dequeue_batch(n)]
+
+
+def _ring_state(ring):
+    """Everything observable about a ring: contents and every counter."""
+    return (
+        [(s.flow.flow_id, s.count, s.enqueue_ns, s.origin_ns)
+         for s in ring._segments],
+        len(ring), ring.enqueued_total, ring.dropped_total,
+        ring.dequeued_total, ring.coalesce_hits, ring.coalesce_misses,
+        dict(ring.drops_by_reason),
+    )
+
+
+def _bus_log(bus):
+    return [(ev.time_ns, ev.kind, ev.source, ev.args) for ev in bus.events]
+
+
+#: A fault state held for the duration of one hop or move (None mostly,
+#: so the bulk move's own path runs often).
+faults = st.sampled_from([None, None, None, "src.sealed", "dst.sealed",
+                          "dst.dead"])
+
+handoff_ops = st.lists(
+    st.one_of(
+        # Arrivals carry a shared origin now and then, as forwarded runs
+        # do, so runs of different instants can merge downstream.
+        st.tuples(st.just("arrive"), st.integers(0, 2), st.integers(1, 30),
+                  st.sampled_from([None, 0, 1]), st.integers(0, 2)),
+        st.tuples(st.just("hop"), st.integers(1, 40), faults,
+                  st.integers(0, 2)),
+        st.tuples(st.just("move"), st.integers(1, 40), faults,
+                  st.integers(0, 2)),
+        st.tuples(st.just("drain"), st.integers(1, 40)),
+    ),
+    min_size=5, max_size=60,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ops=handoff_ops, coalesce=st.booleans(), with_bus=st.booleans())
+def test_handoff_matches_copy_reference(ops, coalesce, with_bus):
+    """admit() and move_to() leave both rings, every counter, every
+    drop reason, every flow's drop count and every bus event exactly as
+    the copy path did — across partial accepts (the destination is
+    smaller than the source), sealed and dead rings, an active bus and
+    ``coalesce=False``."""
+    loop = EventLoop()
+    systems = []
+    for ring_cls in (PacketRing, _CopyRing):
+        flows = [flow(f"f{i}") for i in range(3)]
+        src = ring_cls(capacity=64, name="src")
+        dst = ring_cls(capacity=24, name="dst", coalesce=coalesce)
+        bus = None
+        if with_bus:
+            bus = EventBus(loop)
+            src.bus = dst.bus = bus
+        systems.append((flows, src, dst, bus))
+    now = 0
+    for op in ops:
+        outs = []
+        if op[0] != "drain":
+            now += op[-1]
+        for flows, src, dst, bus in systems:
+            copy = isinstance(src, _CopyRing)
+            if op[0] == "arrive":
+                outs.append(src.enqueue(flows[op[1]], op[2], now,
+                                        origin_ns=op[3]))
+                continue
+            if op[0] == "drain":
+                outs.append(_packet_stream(dst.dequeue(op[1])))
+                continue
+            fault = op[2]
+            if fault is not None:
+                ring_name, attr = fault.split(".")
+                setattr(src if ring_name == "src" else dst, attr, True)
+            if op[0] == "hop":
+                if copy:
+                    outs.append(src.copy_hop(dst, op[1], now))
+                else:
+                    outs.append([dst.admit(seg, now)
+                                 for seg in src.dequeue(op[1])])
+            else:
+                # The caller reserves the space (the NF's fused flush).
+                n = min(op[1], len(src), dst.free)
+                if n and copy:
+                    src.copy_hop(dst, n, now)
+                elif n:
+                    src.move_to(dst, n, now)
+            src.sealed = dst.sealed = dst.dead = False
+        if outs:
+            assert outs[0] == outs[1]
+        (fa, sa, da, ba), (fb, sb, db, bb) = systems
+        assert _ring_state(sa) == _ring_state(sb)
+        assert _ring_state(da) == _ring_state(db)
+        assert [f.stats.queue_drops for f in fa] == \
+            [f.stats.queue_drops for f in fb]
+        if with_bus:
+            assert _bus_log(ba) == _bus_log(bb)
+
+
+def test_move_to_merges_and_splits_like_the_copy_path():
+    """Runs of one flow and origin from different instants merge into
+    the destination's tail, and a partial head is split, exactly as the
+    copy path does it."""
+    states = []
+    for ring_cls in (PacketRing, _CopyRing):
+        f, g = flow("f"), flow("g")
+        src = ring_cls(capacity=64)
+        dst = ring_cls(capacity=64)
+        dst.enqueue(f, 4, 10, origin_ns=0)
+        src.enqueue(f, 5, 1, origin_ns=0)
+        src.enqueue(f, 5, 2, origin_ns=0)
+        src.enqueue(g, 3, 2)
+        if ring_cls is _CopyRing:
+            src.copy_hop(dst, 12, 10)
+        else:
+            src.move_to(dst, 12, 10)
+        states.append((_ring_state(src), _ring_state(dst)))
+    assert states[0] == states[1]
+    assert states[0][1][0] == [("f", 14, 10, 0), ("g", 2, 10, 2)]
+    assert states[0][1][5:7] == (2, 2)      # coalesce hits, misses
+
+
+def test_admit_adopts_the_descriptor():
+    """The ring stores the caller's segment itself, restamped and cut to
+    what fit; a coalesced admission stores nothing new."""
+    ring = PacketRing(capacity=10)
+    f = flow("f")
+    seg = PacketSegment(f, 15, enqueue_ns=3, origin_ns=1)
+    assert ring.admit(seg, 50) == (10, 5, True)
+    assert ring.peek_head() is seg
+    assert (seg.count, seg.enqueue_ns, seg.origin_ns) == (10, 50, 1)
+    ring.dequeue(4)
+    again = PacketSegment(f, 2, enqueue_ns=9, origin_ns=1)
+    ring.admit(again, 50)
+    assert list(ring._segments) == [seg] and seg.count == 8
+
+
+handoff_keeps = st.lists(
+    st.one_of(
+        st.tuples(st.just("arrive"), st.integers(0, 2),
+                  st.integers(1, 30), st.integers(0, 2)),
+        st.tuples(st.just("forward"), st.integers(1, 40), st.integers(0, 2)),
+        st.tuples(st.just("ferry"), st.integers(1, 40)),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=handoff_keeps, num=st.integers(0, 4))
+def test_callback_nf_partial_keep_matches_copy_reference(ops, num):
+    """CallbackNF hands the kept part of each segment to its Tx ring by
+    reference; rings, counters and handler drops equal the copy path."""
+    def keep(api, fl, count, now_ns):
+        return count * num // 4    # 0, a fraction, or everything
+
+    cfg = PlatformConfig(ring_capacity=64)
+    nf = CallbackNF("cb", FixedCost(100.0), keep, config=cfg)
+    nf.tx_ring = PacketRing(capacity=24, name="cb.tx")  # partial accepts
+    ref_rx = _CopyRing(capacity=64, name="cb.rx")
+    ref_tx = _CopyRing(capacity=24, name="cb.tx")
+    flows = [flow(f"f{i}") for i in range(3)]
+    ref_flows = [flow(f"f{i}") for i in range(3)]
+    ref_kept_out = 0
+    now = 0
+    for op in ops:
+        if op[0] == "arrive":
+            now += op[3]
+            nf.rx_ring.enqueue(flows[op[1]], op[2], now)
+            ref_rx.enqueue(ref_flows[op[1]], op[2], now)
+        elif op[0] == "forward":
+            now += op[2]
+            nf._forward(nf.rx_ring.dequeue(op[1]), now)
+            for fl, count, _enq, origin in ref_rx.dequeue_batch(op[1]):
+                kept = keep(None, fl, count, now)
+                ref_kept_out += count - kept
+                if kept > 0:
+                    ref_tx.enqueue(fl, kept, now, origin_ns=origin)
+        else:
+            nf.tx_ring.dequeue(op[1])
+            ref_tx.dequeue(op[1])
+        assert _ring_state(nf.rx_ring) == _ring_state(ref_rx)
+        assert _ring_state(nf.tx_ring) == _ring_state(ref_tx)
+        assert nf.dropped_by_handler == ref_kept_out
+        assert [f.stats.queue_drops for f in flows] == \
+            [f.stats.queue_drops for f in ref_flows]
+
+
+# ----------------------------------------------------------------------
+# Closed-form full batches: full_batches() must count exactly the
+# iterations of the full-batch loop it replaced, and the running sum it
+# implies (m * cyc) must be that loop's float sum bit for bit.
+# ----------------------------------------------------------------------
+
+def _loop_full_batches(avail, c, bs, cap):
+    """Reference: the full-batch loop, one batch per iteration."""
+    consumed = 0.0
+    cyc = bs * c
+    m = 0
+    while m < cap:
+        b = avail - consumed
+        if b < c or b // c < bs:
+            break
+        consumed += cyc
+        m += 1
+    return m, consumed
+
+
+def _closed_applies(c, bs, cap):
+    cyc = bs * c
+    return cap > 0 and cyc % 1 == 0 and cap * cyc < 2 ** 53
+
+
+costs = st.one_of(
+    st.integers(1, 5000).map(float),                 # integral
+    st.integers(1, 20000).map(lambda k: k / 4),      # quarter cycles
+    st.integers(1, 3000).map(lambda k: k / 3),       # non-dyadic
+    st.floats(0.01, 5000.0),                         # anything finite
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(c=costs, bs=st.sampled_from([1, 2, 3, 8, 32]),
+       cap=st.integers(0, 64), data=st.data())
+def test_full_batches_matches_loop(c, bs, cap, data):
+    cyc = bs * c
+    boundary = data.draw(st.integers(0, cap + 2)) * cyc
+    delta = data.draw(st.sampled_from(
+        [0.0, 1.0, -1.0, 0.5, -0.5, 1e-9, -1e-9, c, -c, c / 2, cyc - 1]))
+    avail = data.draw(st.one_of(
+        st.just(boundary + delta), st.just(boundary),
+        st.floats(-10.0, 1e7)))
+    ref_m, ref_consumed = _loop_full_batches(avail, c, bs, cap)
+    m = full_batches(avail, c, bs, cap)
+    if _closed_applies(c, bs, cap):
+        assert m == ref_m
+        assert float(m * cyc).hex() == ref_consumed.hex()
+    else:
+        assert m == 0       # declined: the general loop runs every batch
+
+
+@pytest.mark.parametrize("c, bs", [(100.0, 32), (37.25, 32), (0.5, 2),
+                                   (5 / 3, 3), (2.0 ** 47 + 1, 32),
+                                   (3.0, 1)])
+def test_full_batches_at_every_boundary(c, bs):
+    """Budgets exactly at, one ulp around and one cycle around each batch
+    boundary, with 0 and 1 full batches and the 2**53 fallback.  At
+    5/3 cycles a 3-packet batch sums to exactly 5.0, yet 5.0 // (5/3)
+    is 2.0: the estimate overshoots and the boundary fix-up must step
+    back."""
+    cyc = bs * c
+    for cap in (0, 1, 2, 5):
+        for j in range(cap + 2):
+            edge = j * cyc
+            for avail in (edge, math.nextafter(edge, -math.inf),
+                          math.nextafter(edge, math.inf), edge - c,
+                          edge + c, edge - 1, edge + 1):
+                ref_m, ref_consumed = _loop_full_batches(avail, c, bs, cap)
+                m = full_batches(avail, c, bs, cap)
+                if _closed_applies(c, bs, cap):
+                    assert (m, float(m * cyc)) == (ref_m, ref_consumed)
+                else:
+                    assert m == 0
+
+
+def test_full_batches_declines_sums_past_2_53():
+    """2**47 + 1 cycles: one 32-packet batch sums to 2**52 + 32, two
+    would pass 2**53, so the closed form takes cap 1 and declines cap 2."""
+    c = 2.0 ** 47 + 1
+    avail = 10.0 * 32 * c
+    assert full_batches(avail, c, 32, 1) == 1
+    assert full_batches(avail, c, 32, 2) == 0
+
+
+def test_full_batches_declines_non_finite_grant():
+    for avail in (math.inf, -math.inf, math.nan):
+        assert full_batches(avail, 100.0, 32, 4) == 0
+
+
+@pytest.mark.parametrize("cycles", [100.0, 37.25, 33.3])
+def test_closed_form_execute_matches_general_loop(cycles, monkeypatch):
+    """execute() with the closed form and with every batch run through
+    the general loop (full_batches declining) agree on grant use, outcome,
+    cycle credit, rings and service samples — at grants exactly on batch
+    boundaries and just off them."""
+    import repro.core.nf as nf_mod
+
+    def run(closed):
+        if not closed:
+            monkeypatch.setattr(nf_mod, "full_batches", lambda *a: 0)
+        cfg = PlatformConfig(nf_overhead_cycles=0.0, cpu_freq_hz=1e9,
+                             ring_capacity=512)
+        nf = nf_mod.NFProcess("nf", FixedCost(cycles), config=cfg)
+        f = flow("f")
+        cyc = nf.batch_size * cycles
+        trace = []
+        now = 0
+        for grant in (cyc, 3 * cyc, 3 * cyc + 1, 2 * cyc - 1, cycles,
+                      0.5, 10 * cyc, 7 * cyc + cycles / 2):
+            now += 1000
+            nf.rx_ring.enqueue(f, 200, now)
+            res = nf.execute(now, grant)
+            nf.tx_ring.dequeue(150)
+            trace.append((res.used_ns, res.outcome, nf._cycle_credit,
+                          nf.processed_packets, _ring_state(nf.rx_ring),
+                          _ring_state(nf.tx_ring)))
+        trace.append(nf.service_estimator.median(now))
+        monkeypatch.undo()
+        return trace
+
+    assert run(closed=True) == run(closed=False)
 
 
 # ----------------------------------------------------------------------

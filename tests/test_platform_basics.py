@@ -18,20 +18,6 @@ def make_nf(name, config):
 
 
 class TestPacketSegment:
-    def test_split(self):
-        seg = PacketSegment(Flow("f"), 10, enqueue_ns=5)
-        head = seg.split(4)
-        assert head.count == 4 and seg.count == 6
-        assert head.enqueue_ns == seg.enqueue_ns == 5
-        assert head.flow is seg.flow
-
-    def test_split_bounds(self):
-        seg = PacketSegment(Flow("f"), 10)
-        with pytest.raises(ValueError):
-            seg.split(0)
-        with pytest.raises(ValueError):
-            seg.split(10)
-
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
             PacketSegment(Flow("f"), 0)

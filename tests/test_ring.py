@@ -56,6 +56,17 @@ class TestEnqueueDequeue:
             [("f1", 10), ("f2", 5)]
         assert len(ring) == 5
 
+    def test_partial_dequeue_splits_head(self):
+        ring = PacketRing(capacity=100)
+        f = flow()
+        ring.enqueue(f, 10, now_ns=5)
+        rest = ring.peek_head()
+        head = ring.dequeue(4)[0]
+        assert head is not rest and ring.peek_head() is rest
+        assert head.count == 4 and rest.count == 6
+        assert head.enqueue_ns == rest.enqueue_ns == 5
+        assert head.flow is rest.flow is f
+
     def test_dequeue_preserves_enqueue_timestamp(self):
         ring = PacketRing(capacity=100)
         ring.enqueue(flow(), 10, now_ns=42)

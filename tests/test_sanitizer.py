@@ -127,6 +127,57 @@ def test_detects_capacity_bound_violation():
                for v in violations)
 
 
+def _plant(ring, seg):
+    """Queue ``seg`` in ``ring`` behind the ring's back (depth kept)."""
+    ring._segments.append(seg)
+    ring._count += seg.count
+
+
+def test_detects_aliased_descriptor():
+    """Rings hand descriptors over by reference, so one segment object
+    queued in two rings would count its packets twice."""
+    from repro.platform.packet import PacketSegment
+
+    scenario, _result = small_run()
+    nf0, nf1 = scenario.manager.nfs
+    seg = PacketSegment(scenario.generator.specs[0].flow, 3, 10)
+    _plant(nf0.rx_ring, seg)
+    _plant(nf1.rx_ring, seg)
+    violations = [v for v in Sanitizer().finish_run(scenario)
+                  if v.check == "ring-ownership"]
+    assert [(v.subject, "also queued in ring:nf0.rx" in v.message)
+            for v in violations] == [("ring:nf1.rx", True)]
+
+
+def test_detects_aliased_descriptor_on_tick():
+    from repro.platform.packet import PacketSegment
+
+    scenario, _result = small_run()
+    seg = PacketSegment(scenario.generator.specs[0].flow, 2, 10)
+    ring = scenario.manager.nfs[1].tx_ring
+    _plant(ring, seg)
+    _plant(ring, seg)
+    sanitizer = Sanitizer(per_tick=True)
+    sanitizer.attach(scenario)
+    sanitizer._tick()
+    assert any(v.check == "ring-ownership" and v.subject == "ring:nf1.tx"
+               for v in sanitizer._run_violations)
+
+
+def test_detects_descriptor_count_mismatch():
+    from repro.platform.packet import PacketSegment
+
+    scenario, _result = small_run()
+    ring = scenario.manager.nfs[0].rx_ring
+    seg = PacketSegment(scenario.generator.specs[0].flow, 4, 10)
+    _plant(ring, seg)
+    seg.count = 0                 # depth now exceeds the segments' sum
+    messages = [v.message for v in Sanitizer().finish_run(scenario)
+                if v.check == "ring-ownership"]
+    assert any("not positive" in m for m in messages)
+    assert any("sum of segment counts" in m for m in messages)
+
+
 # ----------------------------------------------------------------------
 # Multi-host scenarios: every check walks all hosts and the fabric
 # ----------------------------------------------------------------------
