@@ -121,6 +121,17 @@ EXPLAIN: Dict[str, str] = {
         "every hot-path priority queue; ad-hoc heaps re-introduce "
         "per-event O(log n) cost and tie-ordering hazards.  Schedule "
         "through the EventLoop (call_at/call_after/call_every)."),
+    "SIM502": (
+        "Hot-path enum member loaded inside a function body in the "
+        "simulation layers (sim, sched, platform, core, nfs, cluster, "
+        "traffic, faults).  On CPython 3.11 TaskState.BLOCKED inside a "
+        "function goes through the Enum metaclass's Python-level "
+        "attribute lookup on every execution (~150 ns, against ~20 ns "
+        "for a global), and the event path makes several such loads per "
+        "event.  Bind the member once at module level (repro.sched.base "
+        "exports BLOCKED, READY, RUNNING and the ExecOutcome members) "
+        "and load that name; identity, .value and pickling are "
+        "unchanged."),
     "SIM601": (
         "Digest taint: a digest-invisible value reaches the digest "
         "payload.  The campaign digest hashes only the digest-checked "

@@ -35,6 +35,15 @@ enforces them statically (stdlib ``ast`` only, no third-party deps):
   ad-hoc heaps re-introduce the O(log n)-per-event cost (and subtle
   tie-ordering hazards) the engine exists to centralise.  Schedule
   through the EventLoop instead.
+* **SIM502** — a member of a hot-path enum (``TaskState``,
+  ``ExecOutcome``, ``BackpressureState``) loaded inside a function body
+  in ``repro/sim``, ``sched``, ``platform``, ``core``, ``nfs``,
+  ``cluster``, ``traffic`` or ``faults``.  On CPython 3.11 such a load
+  goes through the Enum metaclass's Python-level attribute lookup on
+  every execution (~150 ns, against ~20 ns for a global), and the event
+  path makes several per event.  Bind the member once at module level
+  (``BLOCKED = TaskState.BLOCKED``, as ``repro.sched.base`` does) and
+  load that name; module-level and class-body loads are allowed.
 
 Suppression: append ``# simcheck: ignore[CODE]`` (comma-separate several
 codes) to the offending line.  Suppressions are counted and reported —
@@ -59,7 +68,7 @@ __all__ = ["Finding", "FileReport", "check_file", "check_paths",
 
 #: Bump when any rule's behaviour changes — reported as the SARIF tool
 #: version.
-RULES_VERSION = "2"
+RULES_VERSION = "3"
 
 
 # ----------------------------------------------------------------------
@@ -580,6 +589,69 @@ class HeapqOutsideEngineRule(Rule):
                 target = ctx.resolve_call(node.func)
                 if target is not None and target.startswith("heapq."):
                     yield self.finding(ctx, node, self._MSG)
+
+
+#: Enums whose members the event path tests and sets on nearly every
+#: event, under every dotted name they are importable by.
+_HOT_ENUMS = frozenset({
+    "repro.sched.base.TaskState", "repro.sched.TaskState",
+    "repro.sched.base.ExecOutcome", "repro.sched.ExecOutcome",
+    "repro.core.backpressure.BackpressureState",
+    "repro.core.BackpressureState",
+})
+
+#: The layers that run per simulated event.
+_HOT_ENUM_SCOPED_PREFIXES = (
+    "repro/sim/", "repro/sched/", "repro/platform/", "repro/core/",
+    "repro/nfs/", "repro/cluster/", "repro/traffic/", "repro/faults/",
+)
+
+
+def _per_call_code(tree: ast.AST) -> Iterator[ast.AST]:
+    """The outermost function and lambda bodies: code that runs per call.
+
+    Decorators, defaults and annotations are evaluated once, where the
+    function is defined, so they stay with the enclosing scope; nested
+    functions are inside their outer body already.
+    """
+    stack: List[ast.AST] = [tree]
+    while stack:
+        for child in ast.iter_child_nodes(stack.pop()):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from child.body
+            elif isinstance(child, ast.Lambda):
+                yield child.body
+            else:
+                stack.append(child)
+
+
+@register
+class EnumMemberInFunctionRule(Rule):
+    code = "SIM502"
+    summary = ("hot-path enum member (TaskState/ExecOutcome/"
+               "BackpressureState) loaded inside a function in the "
+               "simulation layers (bind it at module level)")
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if not ctx.rel.startswith(_HOT_ENUM_SCOPED_PREFIXES):
+            return
+        module = ctx.rel[:-len(".py")].replace("/", ".")
+        for code in _per_call_code(ctx.tree):
+            for node in ast.walk(code):
+                if not (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    continue
+                target = ctx.resolve_call(node.value)
+                if target is not None and "." not in target:
+                    target = f"{module}.{target}"  # defined in this file
+                if target in _HOT_ENUMS:
+                    enum_name = target.rsplit(".", 1)[1]
+                    yield self.finding(
+                        ctx, node,
+                        f"{enum_name}.{node.attr} loaded inside a "
+                        f"function pays an Enum metaclass lookup per "
+                        f"execution on CPython 3.11; bind it once at "
+                        f"module level and load that name")
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.nf import NFProcess
 from repro.platform.config import PlatformConfig
-from repro.sched.base import TaskState
+from repro.sched.base import READY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.platform.chain import ServiceChain
@@ -39,6 +39,13 @@ class BackpressureState(enum.Enum):
     OFF = "off"
     WATCH = "watch"          # above high watermark, awaiting the time gate
     THROTTLE = "throttle"    # chains through this NF are being shed at entry
+
+
+# Bound once: member loads inside functions are slow on CPython 3.11 (see
+# repro.sched.base, SIM502).
+_OFF = BackpressureState.OFF
+_WATCH = BackpressureState.WATCH
+_THROTTLE = BackpressureState.THROTTLE
 
 
 class BackpressureController:
@@ -68,15 +75,15 @@ class BackpressureController:
     # ------------------------------------------------------------------
     def mark_overloaded(self, nf: NFProcess) -> None:
         """Enqueue feedback crossed the high watermark: add to watch list."""
-        if self.state_of(nf) is BackpressureState.OFF:
-            self._state[nf.name] = BackpressureState.WATCH
+        if self.state_of(nf) is _OFF:
+            self._state[nf.name] = _WATCH
             self._watch[nf.name] = nf
             if self.bus is not None and self.bus.active:
                 self.bus.publish("bp.watch", nf.name,
                                  depth=len(nf.rx_ring))
 
     def state_of(self, nf: NFProcess) -> BackpressureState:
-        return self._state.get(nf.name, BackpressureState.OFF)
+        return self._state.get(nf.name, _OFF)
 
     # ------------------------------------------------------------------
     # Control path (called by the Wakeup thread scan)
@@ -88,9 +95,9 @@ class BackpressureController:
         for nf in list(self._watch.values()):
             state = self.state_of(nf)
             ring = nf.rx_ring
-            if state is BackpressureState.WATCH:
+            if state is _WATCH:
                 if ring.below_low:
-                    self._state[nf.name] = BackpressureState.OFF
+                    self._state[nf.name] = _OFF
                     self._watch.pop(nf.name, None)
                 elif (
                     ring.above_high
@@ -98,7 +105,7 @@ class BackpressureController:
                     > self.config.queuing_time_threshold_ns
                 ):
                     self._throttle(nf, now_ns)
-            elif state is BackpressureState.THROTTLE:
+            elif state is _THROTTLE:
                 if ring.below_low:
                     self._clear(nf, now_ns)
                 else:
@@ -108,7 +115,7 @@ class BackpressureController:
 
     def _throttle(self, nf: NFProcess, now_ns: int) -> None:
         """Enter packet-throttle: shed this NF's downstream chains at entry."""
-        self._state[nf.name] = BackpressureState.THROTTLE
+        self._state[nf.name] = _THROTTLE
         affected: List["ServiceChain"] = []
         selective = self.config.selective_chain_throttle
         for chain, position in nf.chain_positions.values():
@@ -165,7 +172,7 @@ class BackpressureController:
 
     def _clear(self, nf: NFProcess, now_ns: int) -> None:
         """Queue drained below the low watermark: lift the throttle."""
-        self._state[nf.name] = BackpressureState.OFF
+        self._state[nf.name] = _OFF
         self._watch.pop(nf.name, None)
         affected = self._throttling.pop(nf.name, [])
         for chain in affected:
@@ -208,7 +215,7 @@ class BackpressureController:
         if should:
             if core.current is nf:
                 core.interrupt_current(voluntary=True)
-            elif nf.state is TaskState.READY:
+            elif nf.state is READY:
                 core.block_ready(nf)
         # Un-flagged NFs are picked up by the Wakeup thread's next scan.
 

@@ -33,7 +33,10 @@ from repro.metrics.histogram import SlidingWindowEstimator
 from repro.platform.config import PlatformConfig
 from repro.platform.packet import Flow, PacketSegment
 from repro.platform.ring import PacketRing
-from repro.sched.base import CoreTask, ExecOutcome, ExecResult
+from repro.sched.base import (
+    FLAG_YIELD, IO_BLOCKED, RAN_OUT, TX_BLOCKED, USED_ALL, CoreTask,
+    ExecResult,
+)
 from repro.sim.clock import SEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -255,14 +258,14 @@ class NFProcess(CoreTask):
         if self.failed or self.hung or self.rx_ring.sealed:
             # Killed/wedged mid-grant (or the ring went away): no work is
             # performed; the task blocks immediately.
-            return ExecResult(0.0, ExecOutcome.RAN_OUT)
+            return ExecResult(0.0, RAN_OUT)
         if self.busy_loop:
-            return ExecResult(granted_ns, ExecOutcome.USED_ALL)
+            return ExecResult(granted_ns, USED_ALL)
 
         credit_in = self._cycle_credit
         cycles_avail = granted_ns * self._cycles_per_ns + credit_in
         consumed = 0.0
-        outcome = ExecOutcome.USED_ALL
+        outcome = USED_ALL
         # Hot-loop locals: the rings and I/O context are stable for the
         # whole grant; the cost model is re-read each batch because a fault
         # injector may swap it, but its *type* gates a no-dispatch inline
@@ -280,7 +283,7 @@ class NFProcess(CoreTask):
         # enqueues here (exactly k per batch, the reserved space cannot
         # drop), so they are tracked arithmetically instead of re-read.
         if self.relinquish:
-            outcome = ExecOutcome.FLAG_YIELD
+            outcome = FLAG_YIELD
         else:
             qlen = rx_ring._count
             free = tx_ring.capacity - tx_ring._count
@@ -326,13 +329,13 @@ class NFProcess(CoreTask):
                         self.service_estimator.add(now_ns, svc_ns)
             while True:
                 if io is not None and io.blocked:
-                    outcome = ExecOutcome.IO_BLOCKED
+                    outcome = IO_BLOCKED
                     break
                 if qlen == 0:
-                    outcome = ExecOutcome.RAN_OUT
+                    outcome = RAN_OUT
                     break
                 if free == 0:
-                    outcome = ExecOutcome.TX_BLOCKED
+                    outcome = TX_BLOCKED
                     break
 
                 batch = batch_size
@@ -359,7 +362,7 @@ class NFProcess(CoreTask):
                     k, cyc = cm.consume_upto(cycles_avail - consumed, batch)
                 if k == 0:
                     # Out of cycles for even one more packet.
-                    outcome = ExecOutcome.USED_ALL
+                    outcome = USED_ALL
                     break
                 consumed += cyc
                 qlen -= k
@@ -379,7 +382,7 @@ class NFProcess(CoreTask):
                     self._last_sample_ns = now_ns
                     self.service_estimator.add(now_ns, svc_ns)
                 if io_full:
-                    outcome = ExecOutcome.IO_BLOCKED
+                    outcome = IO_BLOCKED
                     break
             if pending:
                 latency = self.latency
@@ -390,7 +393,7 @@ class NFProcess(CoreTask):
                 rx_ring.move_to(tx_ring, pending, int(now_ns))
                 self.processed_packets += pending
 
-        if outcome is ExecOutcome.USED_ALL:
+        if outcome is USED_ALL:
             self._cycle_credit = cycles_avail - consumed
             used_ns = granted_ns
         else:

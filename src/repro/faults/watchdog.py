@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from repro.sched.base import TaskState
+from repro.sched.base import BLOCKED
 from repro.sim.engine import EventHandle, EventLoop
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -134,7 +134,7 @@ class Watchdog:
             self._alive_ns[name] = now
             return
         core_down = nf.core is not None and nf.core.failed
-        if nf.state is not TaskState.BLOCKED and not core_down:
+        if nf.state is not BLOCKED and not core_down:
             # Backlogged but READY/RUNNING: starved, not stuck.  Do not
             # refresh the clock — if it never gets the CPU *and* later
             # parks without draining, the stale window already ran.

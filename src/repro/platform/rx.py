@@ -18,11 +18,9 @@ from repro.platform.config import PlatformConfig
 from repro.platform.flow_table import FlowTable
 from repro.platform.nic import NIC
 from repro.platform.wakeup import WakeupSubsystem
-from repro.sched.base import TaskState
+from repro.sched.base import BLOCKED
 from repro.sim.clock import grid_after
 from repro.sim.engine import EventHandle, EventLoop
-
-_BLOCKED = TaskState.BLOCKED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.backpressure import BackpressureController
@@ -142,5 +140,5 @@ class RxThread:
                     if to_mark:
                         self.ecn.mark(flow, to_mark, now)
                 self.delivered += accepted
-                if first.state is _BLOCKED:
+                if first.state is BLOCKED:
                     self.wakeup.notify(first)

@@ -23,11 +23,9 @@ from typing import List, Optional, TYPE_CHECKING
 from repro.platform.config import PlatformConfig
 from repro.platform.nic import NIC
 from repro.platform.wakeup import WakeupSubsystem
-from repro.sched.base import TaskState
+from repro.sched.base import BLOCKED
 from repro.sim.clock import grid_after
 from repro.sim.engine import EventHandle, EventLoop
-
-_BLOCKED = TaskState.BLOCKED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.backpressure import BackpressureController
@@ -106,7 +104,7 @@ class TxThread:
             # again, so give it a chance to resume (local backpressure
             # release, §3.3).  notify() is a no-op unless the NF is
             # blocked, so the state check is pure fast-path.
-            if nf.state is _BLOCKED:
+            if nf.state is BLOCKED:
                 notify(nf)
         if self.ecn is not None:
             for nf in self.nfs:
@@ -176,5 +174,5 @@ class TxThread:
                 to_mark = int(round(accepted * fraction))
                 if to_mark:
                     self.ecn.mark(flow, to_mark, now)
-            if nxt.state is _BLOCKED:
+            if nxt.state is BLOCKED:
                 self.wakeup.notify(nxt)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.platform.config import PlatformConfig
-from repro.sched.base import TaskState
+from repro.sched.base import BLOCKED
 from repro.sim.clock import grid_after
 from repro.sim.engine import EventHandle, EventLoop
 
@@ -84,7 +84,7 @@ class WakeupSubsystem:
     # ------------------------------------------------------------------
     def eligible(self, nf: "NFProcess") -> bool:
         """May this blocked NF usefully run right now?"""
-        if nf.state is not TaskState.BLOCKED:
+        if nf.state is not BLOCKED:
             return False
         if nf.failed or nf.hung or nf.rx_ring.sealed:
             # Crashed / wedged / ring gone: posting the semaphore cannot
@@ -107,12 +107,9 @@ class WakeupSubsystem:
 
     def notify(self, nf: "NFProcess") -> bool:
         """Fast-path wake attempt after an enqueue or a resource release."""
-        # Cheap reject first: eligibility starts with the same state test,
-        # so most data-path notifies (target already READY/RUNNING) return
-        # here without the full eligibility walk.
-        if nf.core is None or nf.state is not TaskState.BLOCKED:
-            return False
-        if not self.eligible(nf):
+        # eligible() starts with the BLOCKED test, which the data-path
+        # callers have already passed; it is not repeated here.
+        if nf.core is None or not self.eligible(nf):
             return False
         if nf.core.wake(nf):
             self.wakeups_posted += 1
@@ -128,5 +125,5 @@ class WakeupSubsystem:
             self.backpressure.evaluate(self.loop.now)
         notify = self.notify
         for nf in self.nfs:
-            if nf.state is TaskState.BLOCKED:
+            if nf.state is BLOCKED:
                 notify(nf)

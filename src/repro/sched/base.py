@@ -42,11 +42,19 @@ class ExecOutcome(enum.Enum):
     FLAG_YIELD = "flag_yield"    # NF Manager's relinquish flag -> yields
 
 
-#: Outcomes that are voluntary yields (the task blocks of its own accord).
-VOLUNTARY_OUTCOMES = frozenset(
-    {ExecOutcome.RAN_OUT, ExecOutcome.TX_BLOCKED, ExecOutcome.IO_BLOCKED,
-     ExecOutcome.FLAG_YIELD}
-)
+# The members, bound once as module globals for the event path to import.
+# On CPython 3.11 ``TaskState.BLOCKED`` inside a function is a Python-level
+# metaclass attribute lookup on every execution (~150 ns, unspecialisable);
+# a global load is ~20 ns.  ``repro check`` (SIM502) keeps member loads out
+# of function bodies in the simulation layers.
+BLOCKED = TaskState.BLOCKED
+READY = TaskState.READY
+RUNNING = TaskState.RUNNING
+USED_ALL = ExecOutcome.USED_ALL
+RAN_OUT = ExecOutcome.RAN_OUT
+TX_BLOCKED = ExecOutcome.TX_BLOCKED
+IO_BLOCKED = ExecOutcome.IO_BLOCKED
+FLAG_YIELD = ExecOutcome.FLAG_YIELD
 
 
 class ExecResult:
@@ -95,7 +103,7 @@ class CoreTask:
     def __init__(self, name: str, weight: int = 1024):
         self.name = name
         self._weight = int(weight)
-        self.state = TaskState.BLOCKED
+        self.state = BLOCKED
         self.vruntime = 0.0
         self.stats = TaskStats()
         self.core: Optional["Core"] = None  # set by Core.add_task

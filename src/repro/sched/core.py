@@ -45,10 +45,15 @@ from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from repro.sched.base import (
+    BLOCKED,
+    FLAG_YIELD,
+    RAN_OUT,
+    READY,
+    RUNNING,
+    USED_ALL,
     CoreTask,
     ExecOutcome,
     Scheduler,
-    TaskState,
 )
 from repro.sim.engine import EventHandle, EventLoop
 
@@ -199,10 +204,10 @@ class Core:
 
     def wake(self, task: CoreTask) -> bool:
         """Make a BLOCKED task runnable (semaphore post).  No-op otherwise."""
-        if self.failed or task.state is not TaskState.BLOCKED:
+        if self.failed or task.state is not BLOCKED:
             return False
         now = self.loop.now
-        task.state = TaskState.READY
+        task.state = READY
         task.last_ready_ns = now
         task.stats.wakeups += 1
         if self.bus is not None and self.bus.active:
@@ -222,10 +227,10 @@ class Core:
         Used by backpressure to keep a throttled NF off the CPU until its
         downstream drains.  Returns False unless the task was READY.
         """
-        if task.state is not TaskState.READY:
+        if task.state is not READY:
             return False
         self.scheduler.dequeue(task, self.loop.now)
-        task.state = TaskState.BLOCKED
+        task.state = BLOCKED
         return True
 
     # ------------------------------------------------------------------
@@ -247,16 +252,16 @@ class Core:
                 self._run_end = None
             self._close_run_span(self.loop.now)
             self.current = None
-            task.state = TaskState.BLOCKED
+            task.state = BLOCKED
             task.stats.involuntary_switches += 1
             if self.bus is not None and self.bus.active:
                 self.bus.publish("sched.switch_out", task.name,
                                  core=self.core_id, detail="killed")
             self._dispatch()
             return True
-        if task.state is TaskState.READY:
+        if task.state is READY:
             self.scheduler.dequeue(task, self.loop.now)
-            task.state = TaskState.BLOCKED
+            task.state = BLOCKED
             return True
         return False
 
@@ -298,12 +303,12 @@ class Core:
             elapsed = 0.0
         if self._segment_plan < elapsed:
             elapsed = self._segment_plan
-        outcome = ExecOutcome.FLAG_YIELD if voluntary else ExecOutcome.USED_ALL
+        outcome = FLAG_YIELD if voluntary else USED_ALL
         if elapsed > 0:
             result = task.execute(now, elapsed)
             self._charge(task, min(result.used_ns, elapsed))
             self._budget_left -= elapsed
-            if result.outcome is not ExecOutcome.USED_ALL:
+            if result.outcome is not USED_ALL:
                 # It was about to block anyway; honor the task's own reason.
                 outcome = result.outcome
         self._switch_out(outcome)
@@ -326,7 +331,7 @@ class Core:
             self.stats.idle_ns += now - self._idle_since
             self._idle_since = None
 
-        task.state = TaskState.RUNNING
+        task.state = RUNNING
         task.stats.sched_delay_ns += now - task.last_ready_ns
         task.stats.sched_delay_count += 1
         if self.bus is not None and self.bus.active:
@@ -350,7 +355,7 @@ class Core:
             # zero elapsed wall time would overshoot the horizon) and the
             # previous task remains "last on CPU".
             self._overhead_pending = 0
-            self._switch_out(ExecOutcome.RAN_OUT)
+            self._switch_out(RAN_OUT)
             return
 
         overhead = 0
@@ -368,7 +373,7 @@ class Core:
             if estimate <= 0:
                 # Went out of work mid-dispatch (e.g. output space vanished
                 # between segments): block again.
-                self._switch_out(ExecOutcome.RAN_OUT)
+                self._switch_out(RAN_OUT)
                 return
         # min() without the call; ties keep the earlier operand, as min()
         # does — int vs float matters to call_at's integer fast path.
@@ -398,7 +403,7 @@ class Core:
             self._charged_this_run += used
         self._budget_left -= work
 
-        if result.outcome is not ExecOutcome.USED_ALL:
+        if result.outcome is not USED_ALL:
             self._switch_out(result.outcome)
             return
         if self._budget_left >= _MIN_BUDGET_NS:
@@ -410,7 +415,7 @@ class Core:
             self._budget_left = self.scheduler.time_slice(task, now)
             self._begin_segment(now)
             return
-        self._switch_out(ExecOutcome.USED_ALL)
+        self._switch_out(USED_ALL)
 
     def _switch_out(self, outcome: ExecOutcome) -> None:
         task = self.current
@@ -421,14 +426,14 @@ class Core:
         if self.bus is not None and self.bus.active:
             self.bus.publish("sched.switch_out", task.name,
                              core=self.core_id, detail=outcome.value)
-        if outcome is ExecOutcome.USED_ALL:
+        if outcome is USED_ALL:
             task.stats.involuntary_switches += 1
-            task.state = TaskState.READY
+            task.state = READY
             task.last_ready_ns = now
             self.scheduler.enqueue(task, now, wakeup=False)
         else:
             task.stats.voluntary_switches += 1
-            task.state = TaskState.BLOCKED
+            task.state = BLOCKED
         self._dispatch()
 
     # ------------------------------------------------------------------

@@ -1081,3 +1081,29 @@ def test_noninteger_cost_scenario_digest_matches_probe_search(monkeypatch):
                         "954ffdcec2993953890904856745defd")
     monkeypatch.setattr(WithOverhead, "consume_upto", _probe_consume_upto)
     assert run() == windowed
+
+
+# ----------------------------------------------------------------------
+# The EDF and DEADLINE dispatch paths (slo_battery), pinned as result
+# digests: hot-path trims in sched/ must keep both bit-identical.
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("scheduler,duration_s,digest", [
+    ("EDF", 0.02, "f4cdc8d6e2b3fa821aab6df021dd9156"
+                  "b6c18a2576988d124374a05fab044a55"),
+    # 0.05 s: the SLO governor's first migration to the spare core
+    # happens between 20 and 50 ms.
+    ("DEADLINE", 0.05, "078d5ae5717c2346b7db3a41c8c7b95b"
+                       "bd9e15435badb28e789da9016fbda68d"),
+])
+def test_slo_battery_scheduler_paths_are_pinned(scheduler, duration_s,
+                                                digest):
+    from repro.analysis.export import result_to_dict
+    from repro.experiments.slo_battery import run_case
+    from repro.runner.digest import digest_of
+
+    result = run_case("mixed", scheduler, duration_s=duration_s, seed=0)
+    assert digest_of(result_to_dict(result)) == digest
+    if scheduler == "DEADLINE":
+        # ``slo`` is digest-invisible: pin the governor's action here.
+        assert result.slo["migrations"] == 1

@@ -32,6 +32,13 @@ EXPECTED = {
     "sim301_float_ns.py": ("SIM301", 7),
     "sim401_rng_construction.py": ("SIM401", 3),
     "sim501_heapq.py": ("SIM501", 5),
+    "sim502_enum_member.py": ("SIM502", 1),
+}
+
+#: fixture file -> inline ``# simcheck: ignore[...]`` lines it carries
+SUPPRESSED = {
+    "suppressed_sim101.py": 1,
+    "sim502_enum_member.py": 1,
 }
 
 
@@ -44,7 +51,7 @@ def test_bad_fixture_fires_exactly_its_rule(name, code, count):
     report = check_file(str(BAD / name))
     assert report.error is None
     assert Counter(f.code for f in report.findings) == {code: count}
-    assert report.suppressed == 0
+    assert report.suppressed == SUPPRESSED.get(name, 0)
 
 
 def test_clean_fixtures_are_silent():
@@ -76,8 +83,8 @@ def test_rule_registry_codes_unique_and_documented():
     rules = list(iter_rules())
     codes = [r.code for r in rules]
     assert len(codes) == len(set(codes))
-    assert {"SIM101", "SIM102", "SIM103",
-            "SIM201", "SIM301", "SIM401", "SIM501"} <= set(codes)
+    assert {"SIM101", "SIM102", "SIM103", "SIM201", "SIM301", "SIM401",
+            "SIM501", "SIM502"} <= set(codes)
     assert all(r.summary for r in rules)
 
 
@@ -92,7 +99,7 @@ def test_exit_code_one_and_json_payload_on_findings():
     assert main([str(FIXTURES / "bad")], as_json=True, out=out) == 1
     payload = json.loads(out.getvalue())
     assert payload["errors"] == []
-    assert payload["suppressed"] == 1
+    assert payload["suppressed"] == sum(SUPPRESSED.values())
     expected_total = sum(k for _c, k in EXPECTED.values()) + 1
     assert len(payload["findings"]) == expected_total
     assert set(payload["rules"]) >= set(c for c, _k in EXPECTED.values())
