@@ -2,12 +2,13 @@
 
 Runs the same Figure-7-style chain workload in three variants:
 
-* **disabled** — no bus attached (the default every experiment runs with);
-  each publish site pays exactly one ``is not None`` branch.
-* **enabled-inert** — an :class:`~repro.obs.bus.EventBus` attached with
-  ``record=False`` and no subscribers.  Such a bus is ``active=False``,
-  so publish sites must skip it with one extra attribute read — this
-  variant verifies the attached-but-inert path stays allocation-free.
+* **disabled** — no observer attached (the default every experiment runs
+  with); each event site pays exactly one ``is not None`` branch.
+* **enabled-inert** — an empty :class:`~repro.obs.observer.Observer` (no
+  bus, tracer or tracker) wired into every component instead of being
+  left out as unconsumed, so every event site makes its typed call and
+  the observer finds no sink — this variant measures the per-site
+  dispatch cost of the observation path.
 * **telemetry** — a :class:`~repro.obs.latency.FlowLatencyTracker` and
   :class:`~repro.obs.causality.CausalityTracer` attached: every delivered
   segment lands in latency histograms and every backpressure transition
@@ -16,7 +17,7 @@ Runs the same Figure-7-style chain workload in three variants:
 
 Fails (exit 1) if
 
-* the inert bus costs more than ``BUS_THRESHOLD`` (5%) over disabled,
+* the inert observer costs more than ``BUS_THRESHOLD`` (5%) over disabled,
 * full SLO telemetry costs more than ``TELEMETRY_THRESHOLD`` (10%) over
   disabled, or
 * the result digest is not bit-identical with telemetry on and off —
@@ -41,12 +42,19 @@ import sys
 import time
 
 from repro.experiments.common import Scenario, build_linear_chain
-from repro.obs.bus import EventBus
+from repro.obs.observer import Observer
 
 BUS_THRESHOLD = 0.05
 TELEMETRY_THRESHOLD = 0.10
 ROUNDS = 5
 DURATION_S = 0.05
+
+
+class InertObserver(Observer):
+    """An observer with no sinks that every component is wired with."""
+
+    def serving(self, *sinks):
+        return self
 
 
 def run_workload(variant: str):
@@ -56,8 +64,7 @@ def run_workload(variant: str):
     build_linear_chain(scenario, (120, 270, 550), core=0)
     scenario.add_flow("f", "chain", line_rate_fraction=1.0)
     if variant == "bus":
-        bus = EventBus(scenario.loop, record=False)
-        scenario.manager.attach_observability(bus=bus)
+        scenario.manager.attach_observability(InertObserver())
     t0 = time.process_time()
     result = scenario.run(DURATION_S)
     return time.process_time() - t0, result
@@ -87,14 +94,14 @@ def main() -> int:
     tel_overhead = min(ratios["telemetry"]) - 1.0
     print(f"observability disabled: best of {ROUNDS}  "
           f"{best['off'] * 1e3:8.1f} ms")
-    print(f"inert bus attached:     best of {ROUNDS}  "
+    print(f"inert observer:         best of {ROUNDS}  "
           f"{best['bus'] * 1e3:8.1f} ms  ({bus_overhead * 100:+.1f}%, "
           f"threshold {BUS_THRESHOLD * 100:.0f}%)")
     print(f"full SLO telemetry:     best of {ROUNDS}  "
           f"{best['telemetry'] * 1e3:8.1f} ms  ({tel_overhead * 100:+.1f}%, "
           f"threshold {TELEMETRY_THRESHOLD * 100:.0f}%)")
     if bus_overhead > BUS_THRESHOLD:
-        print("FAIL: enabling the event bus exceeds the overhead budget",
+        print("FAIL: an attached observer exceeds the overhead budget",
               file=sys.stderr)
         rc = 1
     if tel_overhead > TELEMETRY_THRESHOLD:

@@ -2,7 +2,8 @@
 """Tracing scheduler decisions: an ASCII `perf sched`-style timeline.
 
 Attaches a :class:`~repro.sched.tracing.SchedTracer` to the worker core
-of the Figure 7 chain and renders who held the CPU millisecond by
+of the Figure 7 chain, through the platform's one observation path (an
+:class:`~repro.obs.observer.Observer`), and renders who held the CPU millisecond by
 millisecond, Default vs NFVnice.  The Default CFS timeline shows the
 equal-time split the paper criticises; the NFVnice timeline shows the
 cost-proportional split (NF3, the 550-cycle NF, visibly owns most of the
@@ -13,6 +14,7 @@ Run:  python examples/scheduler_trace.py
 
 from repro import SEC, MSEC
 from repro.experiments.common import Scenario, build_linear_chain
+from repro.obs.observer import Observer
 from repro.sched.tracing import SchedTracer
 
 
@@ -21,7 +23,7 @@ def run(features: str, duration_s: float = 0.2):
     build_linear_chain(scenario, (120, 270, 550), core=0)
     scenario.add_flow("f", "chain", line_rate_fraction=1.0)
     tracer = SchedTracer()
-    scenario.manager.core(0).tracer = tracer
+    scenario.manager.attach_observability(Observer(tracers={0: tracer}))
     result = scenario.run(duration_s)
     return tracer, result
 

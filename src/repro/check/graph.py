@@ -26,11 +26,12 @@ rather than exhaustive.
 from __future__ import annotations
 
 import ast
-import os
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.check import registry
+from repro.check.simcheck import (collect_aliases, dotted_parts,
+                                  module_name_for_rel, package_rel)
 
 __all__ = ["extract_summary", "ProjectGraph", "module_name_for_rel",
            "package_rel"]
@@ -52,27 +53,6 @@ _MUTABLE_CTORS = frozenset({
 })
 
 
-def package_rel(path: str) -> str:
-    """Path relative to the package root (``repro/...``), or basename."""
-    norm = path.replace(os.sep, "/")
-    marker = "repro/"
-    idx = norm.rfind("/" + marker)
-    if idx >= 0:
-        return norm[idx + 1:]
-    if norm.startswith(marker):
-        return norm
-    return norm.rsplit("/", 1)[-1]
-
-
-def module_name_for_rel(rel: str) -> str:
-    """Dotted module name for a package-relative path."""
-    name = rel[:-3] if rel.endswith(".py") else rel
-    parts = [p for p in name.split("/") if p]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts) if parts else name
-
-
 def _is_mutable_value(node: ast.expr) -> bool:
     if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.ListComp,
                          ast.SetComp, ast.DictComp)):
@@ -83,51 +63,6 @@ def _is_mutable_value(node: ast.expr) -> bool:
         # collections.deque(...), collections.defaultdict(...)
         return node.func.attr in _MUTABLE_CTORS
     return False
-
-
-def _dotted_parts(node: ast.expr) -> Optional[List[str]]:
-    """``a.b.c`` as ``["a", "b", "c"]``, or None for other shapes."""
-    parts: List[str] = []
-    cur = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    parts.append(cur.id)
-    parts.reverse()
-    return parts
-
-
-def _collect_aliases(tree: ast.Module, module: str,
-                     is_package: bool) -> Dict[str, str]:
-    """local name -> fully qualified dotted name, relative imports
-    resolved against ``module``."""
-    aliases: Dict[str, str] = {}
-    pkg_parts = module.split(".")
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for a in node.names:
-                if a.asname:
-                    aliases[a.asname] = a.name
-                else:
-                    aliases[a.name.split(".")[0]] = a.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                # For module "a.b.c": level 1 anchors at "a.b", level 2
-                # at "a".  A package __init__ IS its own anchor at
-                # level 1 (module_name_for_rel already stripped
-                # "__init__"), so drop one fewer component.
-                drop = node.level - 1 if is_package else node.level
-                anchor = pkg_parts[:len(pkg_parts) - drop]
-                base = ".".join(
-                    anchor + ([node.module] if node.module else []))
-            if not base:
-                continue
-            for a in node.names:
-                aliases[a.asname or a.name] = f"{base}.{a.name}"
-    return aliases
 
 
 class _FuncRecord:
@@ -166,7 +101,7 @@ class _Extractor:
         self.rel = rel
         self.module = module_name_for_rel(rel)
         self.tree = tree
-        self.aliases = _collect_aliases(
+        self.aliases = collect_aliases(
             tree, self.module, is_package=rel.endswith("__init__.py"))
         self.functions: Dict[str, _FuncRecord] = {}
         self.top_funcs: Set[str] = set()
@@ -464,7 +399,7 @@ class _Extractor:
     def _call(self, node: ast.Call, rec: _FuncRecord,
               guards: Tuple[str, ...], in_test: bool,
               key: Optional[str]) -> None:
-        parts = _dotted_parts(node.func)
+        parts = dotted_parts(node.func)
         raw = ".".join(parts) if parts else None
         resolved: Optional[str] = None
         if parts:
@@ -520,7 +455,7 @@ class _Extractor:
             reads: List[str] = []
             for sub in ast.walk(kw.value):
                 if isinstance(sub, ast.Call):
-                    p = _dotted_parts(sub.func)
+                    p = dotted_parts(sub.func)
                     if p:
                         method = p[-1]
                         recv = p[-2] if len(p) >= 2 else None

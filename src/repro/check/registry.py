@@ -107,7 +107,7 @@ DIGEST_PAYLOAD_BUILDERS: FrozenSet[str] = frozenset({
 
 #: Call signatures whose return value is digest-invisible, as
 #: ``(receiver_attribute, method)`` pairs; a ``None`` receiver matches
-#: any receiver.  ``mgr.causality.summary()`` matches
+#: any receiver.  ``obs.causality.summary()`` matches
 #: ``("causality", "summary")``; ``loop.stats_dict()`` matches
 #: ``(None, "stats_dict")``.  Note ``("faults", "summary")`` is *not*
 #: here: the resilience summary is digest-checked by design.

@@ -68,7 +68,7 @@ __all__ = ["Finding", "FileReport", "check_file", "check_paths",
 
 #: Bump when any rule's behaviour changes — reported as the SARIF tool
 #: version.
-RULES_VERSION = "3"
+RULES_VERSION = "4"
 
 
 # ----------------------------------------------------------------------
@@ -127,9 +127,11 @@ class FileContext:
         self.tree = ast.parse(source, filename=path)
         #: Path relative to the package root ("repro/...") for allowlists,
         #: or the basename when the file is outside the package.
-        self.rel = _package_rel(path)
+        self.rel = package_rel(path)
         #: local name -> fully qualified dotted module/function name.
-        self.aliases = _collect_aliases(self.tree)
+        self.aliases = collect_aliases(
+            self.tree, module_name_for_rel(self.rel),
+            is_package=self.rel.endswith("__init__.py"))
         #: line -> rule codes an inline ``# simcheck: ignore[...]`` waives.
         self.suppress = _suppressions(source)
 
@@ -140,15 +142,9 @@ class FileContext:
         ``numpy.random.default_rng``; ``monotonic`` after ``from time
         import monotonic`` resolves to ``time.monotonic``.
         """
-        parts: List[str] = []
-        node = func
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
+        parts = dotted_parts(func)
+        if parts is None:
             return None
-        parts.append(node.id)
-        parts.reverse()
         head = self.aliases.get(parts[0])
         if head is None:
             # Unimported bare name: only builtins resolve (id, float, ...).
@@ -156,7 +152,8 @@ class FileContext:
         return ".".join([head] + parts[1:])
 
 
-def _package_rel(path: str) -> str:
+def package_rel(path: str) -> str:
+    """Path relative to the package root (``repro/...``), or basename."""
     norm = path.replace(os.sep, "/")
     marker = "repro/"
     idx = norm.rfind("/" + marker)
@@ -167,17 +164,57 @@ def _package_rel(path: str) -> str:
     return norm.rsplit("/", 1)[-1]
 
 
-def _collect_aliases(tree: ast.AST) -> Dict[str, str]:
+def module_name_for_rel(rel: str) -> str:
+    """Dotted module name for a package-relative path."""
+    name = rel[:-3] if rel.endswith(".py") else rel
+    parts = [p for p in name.split("/") if p]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts) if parts else name
+
+
+def dotted_parts(node: ast.expr) -> Optional[List[str]]:
+    """``a.b.c`` as ``["a", "b", "c"]``, or None for other shapes."""
+    parts: List[str] = []
+    cur = node
+    while isinstance(cur, ast.Attribute):
+        parts.append(cur.attr)
+        cur = cur.value
+    if not isinstance(cur, ast.Name):
+        return None
+    parts.append(cur.id)
+    parts.reverse()
+    return parts
+
+
+def collect_aliases(tree: ast.Module, module: str,
+                    is_package: bool) -> Dict[str, str]:
+    """local name -> fully qualified dotted name, relative imports
+    resolved against ``module``."""
     aliases: Dict[str, str] = {}
+    pkg_parts = module.split(".")
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
-                aliases[a.asname or a.name.split(".")[0]] = (
-                    a.name if a.asname else a.name.split(".")[0]
-                )
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                if a.asname:
+                    aliases[a.asname] = a.name
+                else:
+                    aliases[a.name.split(".")[0]] = a.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                # For module "a.b.c": level 1 anchors at "a.b", level 2
+                # at "a".  A package __init__ IS its own anchor at
+                # level 1 (module_name_for_rel already stripped
+                # "__init__"), so drop one fewer component.
+                drop = node.level - 1 if is_package else node.level
+                anchor = pkg_parts[:len(pkg_parts) - drop]
+                base = ".".join(
+                    anchor + ([node.module] if node.module else []))
+            if not base:
+                continue
             for a in node.names:
-                aliases[a.asname or a.name] = f"{node.module}.{a.name}"
+                aliases[a.asname or a.name] = f"{base}.{a.name}"
     return aliases
 
 
@@ -635,7 +672,7 @@ class EnumMemberInFunctionRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.rel.startswith(_HOT_ENUM_SCOPED_PREFIXES):
             return
-        module = ctx.rel[:-len(".py")].replace("/", ".")
+        module = module_name_for_rel(ctx.rel)
         for code in _per_call_code(ctx.tree):
             for node in ast.walk(code):
                 if not (isinstance(node, ast.Attribute)
@@ -789,7 +826,7 @@ def finding_fingerprint(finding: Finding) -> str:
     """Stable identity for SARIF ``partialFingerprints``: path
     (package-relative), code and message — deliberately line-number
     independent so unrelated edits don't churn code-scanning alerts."""
-    rel = _package_rel(finding.path)
+    rel = package_rel(finding.path)
     raw = f"{rel}|{finding.code}|{finding.message}"
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 

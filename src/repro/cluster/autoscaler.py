@@ -219,14 +219,11 @@ class Autoscaler:
             return load, True
         slo_us = self.template.slo_us
         if slo_us is not None and self.latency is not None:
-            hist = self.latency.chains.get(placement.chain.name)
-            if hist is not None:
-                self.latency._flush()
-                p99_us = hist.percentile(99.0) / 1e3
-                if project_slo_miss(p99_us, slo_us, occupancy,
-                                    self.occupancy_threshold,
-                                    self.headroom):
-                    return load, True
+            p99_us = self.latency.chain_p99_us(placement.chain.name)
+            if p99_us is not None and project_slo_miss(
+                    p99_us, slo_us, occupancy, self.occupancy_threshold,
+                    self.headroom):
+                return load, True
         return load, False
 
     def _cooldown_over(self, now_ns: int) -> bool:

@@ -21,8 +21,8 @@ ingress star and the host-to-host wires of paper §3.3
 Counters (``carried_packets``, ``carried_bytes``, ``dropped_packets``,
 ``ecn_marked``, ``in_flight``) are exported as labelled Prometheus
 gauges/counters by :meth:`repro.obs.session.ObsSession.
-register_link_metrics`; drop and mark events are published on an attached
-PR 1 event bus as ``link.drop`` / ``link.ecn``.
+register_link_metrics`; drop and mark events go to an attached
+observer as ``link.drop`` / ``link.ecn``.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ class FabricLink:
         self.carried_bytes: int = 0
         self.dropped_packets: int = 0
         self.ecn_marked: int = 0
-        #: Optional :class:`repro.obs.bus.EventBus` publishing
-        #: ``link.drop`` / ``link.ecn`` events.
-        self.bus: Optional[Any] = None
+        #: Optional :class:`repro.obs.observer.Observer` told of every
+        #: queue-cap drop and ECN mark.
+        self.obs: Optional[Any] = None
 
     # ------------------------------------------------------------------
     def send(self, flow: Flow, count: int, now_ns: int,
@@ -93,9 +93,8 @@ class FabricLink:
             dropped = count - accepted
             self.dropped_packets += dropped
             flow.stats.queue_drops += dropped
-            if self.bus is not None and self.bus.active:
-                self.bus.publish("link.drop", self.name, count=dropped,
-                                 in_flight=self.in_flight)
+            if self.obs is not None:
+                self.obs.on_link_drop(self, dropped, self.in_flight)
             if accepted == 0:
                 return 0
             count = accepted
@@ -126,9 +125,8 @@ class FabricLink:
             return
         flow.stats.ecn_marks += count
         self.ecn_marked += count
-        if self.bus is not None and self.bus.active:
-            self.bus.publish("link.ecn", self.name, count=count,
-                             flow=flow.flow_id)
+        if self.obs is not None:
+            self.obs.on_link_ecn(self, flow, count)
         if flow.tcp is not None:
             flow.tcp.on_ecn_mark(count, now_ns)
 

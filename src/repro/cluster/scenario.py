@@ -17,10 +17,10 @@ the existing machinery unchanged:
   (digest-covered, so a steering or scaling change cannot drift
   silently past a pinned baseline).
 
-One :class:`~repro.obs.latency.FlowLatencyTracker` is shared by every
-host, so a chain that completes on any machine lands in the same
-per-flow histograms the SLO grid and the autoscaler's projection
-trigger read.
+One :class:`~repro.obs.observer.Observer` holding one
+:class:`~repro.obs.latency.FlowLatencyTracker` is shared by every host,
+so a chain that completes on any machine lands in the same per-flow
+histograms the SLO grid and the autoscaler's projection trigger read.
 """
 
 from __future__ import annotations
@@ -87,10 +87,11 @@ class ClusterScenario:
             self.loop, cast(NIC, self.ingress),
             rng=self.rng_factory.stream("traffic"),
         )
+        from repro.obs.observer import Observer
         #: Shared across every host: cluster-wide flow/chain histograms.
-        self.latency = FlowLatencyTracker(max_flows=512)
+        self.observer = Observer(latency=FlowLatencyTracker(max_flows=512))
         for host in self.topology.hosts:
-            host.manager.attach_telemetry(latency=self.latency)
+            host.manager.attach_observability(self.observer)
         self.template: Optional[ChainTemplate] = None
         self.autoscaler: Optional[Autoscaler] = None
         self._slo_classes: Dict[str, int] = {}
@@ -143,8 +144,8 @@ class ClusterScenario:
             raise RuntimeError("autoscaler already enabled")
         self.autoscaler = Autoscaler(
             self.topology, self.steerer, self.template, slots,
-            latency=self.latency, period_ns=period_ns, up_load=up_load,
-            up_occupancy=up_occupancy, up_after=up_after,
+            latency=self.observer.latency, period_ns=period_ns,
+            up_load=up_load, up_occupancy=up_occupancy, up_after=up_after,
             down_load=down_load, down_after=down_after,
             cooldown_ns=cooldown_ns,
         )
@@ -283,5 +284,5 @@ class ClusterScenario:
             series=dict(sampler.series),
             resilience={"cluster": self._cluster_summary()},
             loop_stats=self.loop.stats_dict(),
-            flow_latency=self.latency.to_dict(),
+            flow_latency=self.observer.latency.to_dict(),
         )

@@ -63,12 +63,9 @@ class BackpressureController:
         # Counters
         self.throttle_events = 0
         self.clear_events = 0
-        #: Optional :class:`repro.obs.bus.EventBus` (wired by the manager).
-        self.bus = None
-        #: Optional :class:`repro.obs.causality.CausalityTracer` — receives
-        #: every throttle/clear/relinquish transition with its culprit so
-        #: throttle-induced delay can be attributed per flow class.
-        self.causality = None
+        #: Optional :class:`repro.obs.observer.Observer` told of every
+        #: state transition with its culprit NF (wired by the manager).
+        self.obs = None
 
     # ------------------------------------------------------------------
     # Detection path (called by Tx/Rx threads on watermark feedback)
@@ -78,9 +75,8 @@ class BackpressureController:
         if self.state_of(nf) is _OFF:
             self._state[nf.name] = _WATCH
             self._watch[nf.name] = nf
-            if self.bus is not None and self.bus.active:
-                self.bus.publish("bp.watch", nf.name,
-                                 depth=len(nf.rx_ring))
+            if self.obs is not None:
+                self.obs.on_watch(nf)
 
     def state_of(self, nf: NFProcess) -> BackpressureState:
         return self._state.get(nf.name, _OFF)
@@ -139,13 +135,8 @@ class BackpressureController:
                             affected.append(sibling)
         self._throttling[nf.name] = affected
         self.throttle_events += 1
-        if self.causality is not None:
-            for chain in affected:
-                self.causality.on_throttle(nf.name, chain.name, now_ns)
-        if self.bus is not None and self.bus.active:
-            self.bus.publish("bp.throttle", nf.name,
-                             chains=[c.name for c in affected],
-                             depth=len(nf.rx_ring))
+        if self.obs is not None:
+            self.obs.on_throttle(nf, affected, now_ns)
         if self.config.enable_relinquish:
             for chain in affected:
                 # Collateral (chain-agnostic) chains may not contain nf;
@@ -164,8 +155,8 @@ class BackpressureController:
             chain.throttled = True
             chain.throttle_cause = nf
             mine.append(chain)
-            if self.causality is not None:
-                self.causality.on_throttle(nf.name, chain.name, now_ns)
+            if self.obs is not None:
+                self.obs.on_reclaim(nf, chain, now_ns)
             if self.config.enable_relinquish:
                 for upstream in chain.upstream_of(nf):
                     self._update_relinquish(upstream, now_ns)
@@ -175,17 +166,13 @@ class BackpressureController:
         self._state[nf.name] = _OFF
         self._watch.pop(nf.name, None)
         affected = self._throttling.pop(nf.name, [])
+        if self.obs is not None:
+            self.obs.on_clear(nf, affected, now_ns)
         for chain in affected:
             if chain.throttle_cause is nf:
                 chain.throttled = False
                 chain.throttle_cause = None
-                if self.causality is not None:
-                    self.causality.on_clear(nf.name, chain.name, now_ns)
         self.clear_events += 1
-        if self.bus is not None and self.bus.active:
-            self.bus.publish("bp.clear", nf.name,
-                             chains=[c.name for c in affected],
-                             depth=len(nf.rx_ring))
         for chain in affected:
             if chain.name not in nf.chain_positions:
                 continue
@@ -205,10 +192,8 @@ class BackpressureController:
         if should == nf.relinquish:
             return
         nf.relinquish = should
-        if self.causality is not None:
-            self.causality.on_relinquish(nf.name, should, now_ns)
-        if self.bus is not None and self.bus.active:
-            self.bus.publish("bp.relinquish", nf.name, on=should)
+        if self.obs is not None:
+            self.obs.on_relinquish(nf, should, now_ns)
         core = nf.core
         if core is None:
             return

@@ -28,8 +28,8 @@ class ECNMarker:
         self.config = config if config is not None else PlatformConfig()
         self._ewma: Dict[str, float] = {}
         self.marked_packets = 0
-        #: Optional :class:`repro.obs.bus.EventBus` (wired by the manager).
-        self.bus = None
+        #: Optional :class:`repro.obs.observer.Observer`, wired by the manager.
+        self.obs = None
 
     def observe(self, ring: PacketRing) -> float:
         """Fold the ring's instantaneous length into its EWMA; returns it."""
@@ -66,8 +66,8 @@ class ECNMarker:
             return 0
         flow.stats.ecn_marks += count
         self.marked_packets += count
-        if self.bus is not None and self.bus.active:
-            self.bus.publish("ecn.mark", flow.flow_id, count=count)
+        if self.obs is not None:
+            self.obs.on_ecn_mark(flow, count)
         if flow.tcp is not None:
             flow.tcp.on_ecn_mark(count, now_ns)
         return count

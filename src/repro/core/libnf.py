@@ -88,16 +88,15 @@ class CallbackNF(NFProcess):
                  svc_ns_per_pkt: float = 0.0) -> bool:
         # ``segs`` come from PacketRing.dequeue; the kept part of each is
         # handed to the Tx ring by reference (see NFProcess._forward).
+        if self.obs is not None and segs:
+            self._stage_hop(self.obs, segs, sum(s.count for s in segs),
+                            now_ns, svc_ns_per_pkt)
         io_full = False
-        latency = self.latency
         admit = self.tx_ring.admit
         now = int(now_ns)
         for seg in segs:
             flow = seg.flow
             count = seg.count
-            if latency is not None:
-                latency.record_hop(self.name, now_ns - seg.enqueue_ns,
-                                   svc_ns_per_pkt, count)
             self.processed_packets += count
             keep = self.handler(self.api, flow, count, now_ns)
             keep = max(0, min(int(keep), count))

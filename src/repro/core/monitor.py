@@ -105,14 +105,11 @@ class SLOGovernor:
     def chain_p99_us(self, chain_name: str) -> float:
         """Live p99 sojourn (µs) of ``chain_name``, 0.0 before any
         delivery or when no tracker is attached."""
-        tracker = self.manager.latency
-        if tracker is None:
+        obs = self.manager.obs
+        if obs is None or obs.latency is None:
             return 0.0
-        hist = tracker.chains.get(chain_name)
-        if hist is None:
-            return 0.0
-        tracker._flush()
-        return hist.percentile(99.0) / 1e3
+        p99_us = obs.latency.chain_p99_us(chain_name)
+        return 0.0 if p99_us is None else p99_us
 
     def chain_occupancy(self, chain) -> float:
         """Worst Rx-ring fill fraction along ``chain`` (0..1)."""
@@ -254,8 +251,8 @@ class MonitorThread:
         }
         self._last_weight_update = 0
         self.record_series = record_series
-        #: Optional :class:`repro.obs.bus.EventBus` (wired by the manager).
-        self.bus = None
+        #: Optional :class:`repro.obs.observer.Observer`, wired by the manager.
+        self.obs = None
         #: Optional :class:`repro.faults.watchdog.Watchdog`; ticked every
         #: monitor period when attached (the paper's Monitor core has the
         #: spare cycles; the data path must not pay for liveness checks).
@@ -389,6 +386,5 @@ class MonitorThread:
                         series = self.share_series[nf.name] = \
                             TimeSeries(nf.name)
                     series.append(now_ns, value)
-                if self.bus is not None and self.bus.active:
-                    self.bus.publish("monitor.weights", nf.name,
-                                     core=_core_id, shares=value)
+                if self.obs is not None:
+                    self.obs.on_monitor_weights(nf, _core_id, value)

@@ -41,7 +41,7 @@ from repro.sim.clock import SEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nfs.cost_models import CostModel
-    from repro.obs.latency import FlowLatencyTracker
+    from repro.obs.observer import Observer
     from repro.platform.chain import ServiceChain
 
 
@@ -172,9 +172,9 @@ class NFProcess(CoreTask):
         self.io_selector = io_selector
 
         # Measurement state.
-        #: Optional :class:`repro.obs.latency.FlowLatencyTracker` (wired by
-        #: the manager); records exact per-hop wait/service histograms.
-        self.latency = None
+        #: Optional :class:`repro.obs.observer.Observer` (wired by the
+        #: manager); its tracker records exact per-hop wait/service.
+        self.obs = None
         #: Cached ``(wait, service)`` staging dicts from the tracker —
         #: stable objects (drained in place), fetched once per NF.
         self._lat_staging = None
@@ -385,10 +385,9 @@ class NFProcess(CoreTask):
                     outcome = IO_BLOCKED
                     break
             if pending:
-                latency = self.latency
-                if latency is not None:
+                if self.obs is not None:
                     # Before the move restamps the descriptors.
-                    self._stage_hop(latency, rx_ring._segments, pending,
+                    self._stage_hop(self.obs, rx_ring._segments, pending,
                                     now_ns, svc_ns)
                 rx_ring.move_to(tx_ring, pending, int(now_ns))
                 self.processed_packets += pending
@@ -420,9 +419,8 @@ class NFProcess(CoreTask):
         processed = 0
         for seg in segs:
             processed += seg.count
-        latency = self.latency
-        if latency is not None and processed:
-            self._stage_hop(latency, segs, processed, now_ns, svc_ns_per_pkt)
+        if self.obs is not None and processed:
+            self._stage_hop(self.obs, segs, processed, now_ns, svc_ns_per_pkt)
         io_full = False
         io = self.io
         admit = self.tx_ring.admit
@@ -437,11 +435,11 @@ class NFProcess(CoreTask):
         self.processed_packets += processed
         return io_full
 
-    def _stage_hop(self, latency: "FlowLatencyTracker",
+    def _stage_hop(self, obs: "Observer",
                    segs: Iterable[PacketSegment], n: int, now_ns: int,
                    svc_ns_per_pkt: float) -> None:
         """Stage the exact (unsampled) wait/service of the first ``n``
-        packets of ``segs`` into ``latency`` (this NF's tracker).
+        packets of ``segs`` into ``obs``'s latency tracker.
 
         Waits are read from each segment's ``enqueue_ns``, so this runs
         before a ring adopts the segments and restamps them.  Every packet
@@ -451,7 +449,9 @@ class NFProcess(CoreTask):
         """
         staging = self._lat_staging
         if staging is None:
-            staging = self._lat_staging = latency.hop_staging(self.name)
+            staging = self._lat_staging = obs.hop_staging(self.name)
+        if not staging:  # the observer has no latency tracker
+            return
         lat_wait, lat_svc = staging
         left = n
         for seg in segs:
@@ -470,9 +470,9 @@ class NFProcess(CoreTask):
                 break
         svc = svc_ns_per_pkt if svc_ns_per_pkt > 0 else 0.0
         lat_svc[svc] = lat_svc.get(svc, 0) + n
-        if (len(lat_wait) >= latency._PENDING_LIMIT
-                or len(lat_svc) >= latency._PENDING_LIMIT):
-            latency.drain_hop(self.name)
+        limit = obs.latency_staging_limit
+        if len(lat_wait) >= limit or len(lat_svc) >= limit:
+            obs.drain_hop(self.name)
 
     # ------------------------------------------------------------------
     # Fault recovery

@@ -466,11 +466,15 @@ class Scenario:
             # The governor projects misses from live p99 snapshots; it
             # needs the tracker attached.
             self.telemetry = True
-        if self.telemetry and fresh and mgr.latency is None:
+        if self.telemetry and fresh and (mgr.obs is None
+                                         or mgr.obs.latency is None):
             from repro.obs.causality import CausalityTracer
             from repro.obs.latency import FlowLatencyTracker
+            from repro.obs.observer import Observer
 
-            mgr.attach_telemetry(FlowLatencyTracker(), CausalityTracer())
+            obs = mgr.obs if mgr.obs is not None else Observer()
+            obs.latency, obs.causality = FlowLatencyTracker(), CausalityTracer()
+            mgr.attach_observability(obs)
         if ctx is not None and fresh:
             ctx.attach_sanitizer_and_plan(self)
         if governor_on and mgr.slo_governor is None and fresh:
@@ -520,10 +524,9 @@ class Scenario:
             core_id: core.stats.utilization(horizon_ns)
             for core_id, core in mgr.cores.items()
         }
-        trace_dropped = sum(
-            core.tracer.dropped for core in mgr.cores.values()
-            if core.tracer is not None
-        )
+        obs = mgr.obs
+        tracers = obs.tracers if obs is not None else None
+        trace_dropped = sum(t.dropped for t in (tracers or {}).values())
         return ScenarioResult(
             scheduler=self.scheduler,
             features=self.features,
@@ -541,10 +544,12 @@ class Scenario:
                 if mgr.faults is not None else {}
             ),
             loop_stats=self.loop.stats_dict(),
-            flow_latency=(mgr.latency.to_dict()
-                          if mgr.latency is not None else {}),
-            causality=(mgr.causality.summary(self.loop.now)
-                       if mgr.causality is not None else {}),
+            flow_latency=(obs.latency.to_dict()
+                          if obs is not None and obs.latency is not None
+                          else {}),
+            causality=(obs.causality.summary(self.loop.now)
+                       if obs is not None and obs.causality is not None
+                       else {}),
             slo=(mgr.slo_governor.summary()
                  if mgr.slo_governor is not None else {}),
         )

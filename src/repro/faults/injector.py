@@ -28,13 +28,6 @@ from repro.faults.metrics import availability, latency_stats
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.recovery import RecoveryPolicy, make_policy
 from repro.faults.watchdog import Watchdog
-from repro.obs.bus import (
-    FAULT_DETECT,
-    FAULT_GIVEUP,
-    FAULT_HEAL,
-    FAULT_INJECT,
-    FAULT_RECOVER,
-)
 from repro.sim.clock import SEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -111,8 +104,8 @@ class FaultInjector:
         #: plan has rate_per_s specs); Scenario passes its seeded
         #: ``faults`` stream here.
         self.rng = rng
-        #: Optional :class:`repro.obs.bus.EventBus`.
-        self.bus = None
+        #: Optional :class:`repro.obs.observer.Observer`, wired by the manager.
+        self.obs = None
         self.watchdog: Optional[Watchdog] = None
         self.policy: RecoveryPolicy = make_policy(
             policy if policy is not None else plan.policy)
@@ -133,8 +126,6 @@ class FaultInjector:
             return
         self._wired = True
         mgr = self.manager
-        if self.bus is None and mgr.bus is not None:
-            self.bus = mgr.bus
         self.watchdog = Watchdog(
             self.loop,
             int(self.plan.detection_period_s * SEC),
@@ -210,9 +201,9 @@ class FaultInjector:
         elif spec.kind == "ring_stall":
             nf.rx_ring.sealed = True
             self._park(nf)
-        if self.bus is not None and self.bus.active:
-            self.bus.publish(FAULT_INJECT, nf.name, kind=spec.kind,
-                             index=index, lost=inc.packets_lost)
+        if self.obs is not None:
+            self.obs.on_fault_inject(nf.name, spec.kind, index,
+                                     lost=inc.packets_lost)
         if spec.duration_s is not None:
             self.loop.schedule(int(spec.duration_s * SEC),
                                self._heal_cb(nf, inc, spec))
@@ -236,9 +227,9 @@ class FaultInjector:
             # Every resident NF maps back to this one incident so the
             # watchdog's per-NF suspicions aggregate correctly.
             self._active.setdefault(task.name, inc)
-        if self.bus is not None and self.bus.active:
-            self.bus.publish(FAULT_INJECT, alias, kind="core_fail",
-                             index=index, tasks=len(core.tasks))
+        if self.obs is not None:
+            self.obs.on_fault_inject(alias, "core_fail", index,
+                                     tasks=len(core.tasks))
         return inc
 
     def _apply_crash(self, nf: "NFProcess", inc: Incident, now: int) -> None:
@@ -286,9 +277,8 @@ class FaultInjector:
         self._active.pop(nf.name, None)
         if self.watchdog is not None:
             self.watchdog.forget(nf)
-        if self.bus is not None and self.bus.active:
-            self.bus.publish(FAULT_HEAL, nf.name, kind=spec.kind,
-                             after_ns=now - inc.injected_ns)
+        if self.obs is not None:
+            self.obs.on_fault_heal(nf, spec.kind, now - inc.injected_ns)
         if self.manager.wakeup is not None:
             self.manager.wakeup.notify(nf)
 
@@ -316,10 +306,9 @@ class FaultInjector:
             return
         if inc.detected_ns is None:
             inc.detected_ns = now_ns
-            if self.bus is not None and self.bus.active:
-                self.bus.publish(
-                    FAULT_DETECT, nf.name, kind=inc.kind,
-                    latency_ns=now_ns - inc.injected_ns)
+            if self.obs is not None:
+                self.obs.on_fault_detect(nf, inc.kind,
+                                         now_ns - inc.injected_ns)
         self.policy.on_detected(nf, inc, now_ns)
 
     def finish_recovery(self, nf: "NFProcess", incident: Incident,
@@ -337,12 +326,10 @@ class FaultInjector:
                 self._active.pop(incident.target, None)
         if self.watchdog is not None:
             self.watchdog.forget(nf)
-        if self.bus is not None and self.bus.active:
-            self.bus.publish(
-                FAULT_RECOVER, nf.name, kind=incident.kind,
-                outage_ns=now_ns - incident.injected_ns,
-                lost=incident.packets_lost,
-                requeued=incident.packets_requeued)
+        if self.obs is not None:
+            self.obs.on_fault_recover(
+                nf, incident.kind, now_ns - incident.injected_ns,
+                incident.packets_lost, incident.packets_requeued)
         if self.manager.wakeup is not None:
             self.manager.wakeup.notify(nf)
 
@@ -352,8 +339,8 @@ class FaultInjector:
         incident.gave_up = True
         # The incident stays open and the watchdog keeps it in the
         # suspected set, so nothing re-fires for this NF.
-        if self.bus is not None and self.bus.active:
-            self.bus.publish(FAULT_GIVEUP, nf.name, kind=incident.kind)
+        if self.obs is not None:
+            self.obs.on_fault_giveup(nf, incident.kind)
 
     # ------------------------------------------------------------------
     # Reporting

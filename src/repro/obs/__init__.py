@@ -1,11 +1,14 @@
-"""Unified observability: event bus, latency telemetry, metrics, exporters.
+"""Unified observability: one typed observer, its sinks, exporters.
 
 The paper diagnoses its scheduler with ``perf sched`` traces and
 per-second testbed counters (§4.1, Table 4); this package gives the
 reproduction the same visibility:
 
-* :mod:`repro.obs.bus` — a simulation-wide event bus every layer
-  publishes to (scheduler, rings, backpressure, ECN, wakeup, monitor).
+* :mod:`repro.obs.observer` — the one observation path: components
+  report typed events to the ``Observer`` attached with
+  ``NFManager.attach_observability``, which forwards them to the sinks.
+* :mod:`repro.obs.bus` — the recording event bus behind the Perfetto
+  trace.
 * :mod:`repro.obs.latency` — exact per-flow, per-chain and per-hop
   latency histograms over every packet, including the per-hop
   queue-wait / service-time breakdown.
@@ -17,28 +20,11 @@ reproduction the same visibility:
 * :mod:`repro.obs.session` — ties the above together for CLI runs
   (``python -m repro run fig07 --trace out.json``).
 
-Everything is opt-in: with no bus attached every publish site costs a
-single ``is not None`` branch and allocates nothing.
+Everything is opt-in: with no observer attached every event site costs
+a single ``is not None`` branch and allocates nothing.
 """
 
-from repro.obs.bus import (  # noqa: F401
-    BP_CLEAR,
-    BP_RELINQUISH,
-    BP_THROTTLE,
-    BP_WATCH,
-    BusEvent,
-    ECN_MARK,
-    EventBus,
-    MONITOR_WEIGHTS,
-    RING_DEQUEUE,
-    RING_DROP,
-    RING_ENQUEUE,
-    RX_DISCARD,
-    SCHED_DISPATCH,
-    SCHED_SWITCH_OUT,
-    SCHED_WAKE,
-    WAKEUP_POST,
-)
+from repro.obs.bus import BusEvent, EventBus  # noqa: F401
 from repro.obs.export import (  # noqa: F401
     chrome_trace_events,
     render_prometheus,

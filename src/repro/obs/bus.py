@@ -1,18 +1,15 @@
-"""The simulation-wide event bus.
+"""The recording event bus: the Perfetto trace's sink.
 
-One :class:`EventBus` per platform instance collects timestamped events
+One :class:`EventBus` per traced scenario records timestamped events
 from every layer — scheduler wake/dispatch/switch, ring enqueue/dequeue/
 drop, backpressure state transitions, ECN marks, wakeup posts, monitor
-weight writes.  Subscribers (the Perfetto exporter, a
-:class:`~repro.sched.tracing.SchedTracer` adapter, tests) receive each
-event synchronously in publish order, which the deterministic event loop
-makes fully reproducible run-over-run.
-
-The bus is opt-in.  Publish sites hold a ``bus`` reference that is
-``None`` by default, so the disabled fast path is a single branch::
-
-    if self.bus is not None:
-        self.bus.publish(RING_DROP, self.name, count=dropped)
+weight writes, fault transitions and fabric-link drops/marks.  Nothing
+publishes to it directly: components report typed events to their
+:class:`~repro.obs.observer.Observer`, which publishes them here when a
+bus is attached.  Kinds are dotted ``layer.action`` strings (the layer
+prefix groups events into Perfetto tracks).  Events are recorded in
+publish order, which the deterministic event loop makes fully
+reproducible run-over-run.
 
 Recording is bounded by ``max_events``; past the cap events still reach
 subscribers but are no longer retained, and ``dropped`` counts how many
@@ -21,39 +18,9 @@ were discarded so downstream reports cannot silently lie.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.sim.engine import EventLoop
-
-# ---------------------------------------------------------------------------
-# Event taxonomy.  Kinds are dotted ``layer.action`` strings; the layer
-# prefix groups events into Perfetto tracks and lets subscribers filter
-# with a single startswith().
-# ---------------------------------------------------------------------------
-SCHED_WAKE = "sched.wake"            # task became runnable (semaphore post)
-SCHED_DISPATCH = "sched.dispatch"    # task picked and granted a slice
-SCHED_SWITCH_OUT = "sched.switch_out"  # task left the CPU (detail=outcome)
-
-RING_ENQUEUE = "ring.enqueue"        # packets appended to a ring
-RING_DEQUEUE = "ring.dequeue"        # packets removed from a ring
-RING_DROP = "ring.drop"              # packets lost to a full ring
-
-BP_WATCH = "bp.watch"                # NF entered the watch list
-BP_THROTTLE = "bp.throttle"          # NF entered packet-throttle state
-BP_CLEAR = "bp.clear"                # throttle lifted (queue drained)
-BP_RELINQUISH = "bp.relinquish"      # relinquish flag toggled on an NF
-
-ECN_MARK = "ecn.mark"                # CE marks applied to a flow
-
-WAKEUP_POST = "wakeup.post"          # Wakeup subsystem posted a semaphore
-RX_DISCARD = "rx.discard"            # arrivals shed at entry (Figure 5)
-MONITOR_WEIGHTS = "monitor.weights"  # cgroup cpu.shares written
-
-FAULT_INJECT = "fault.inject"        # a planned fault fired (kind, target)
-FAULT_HEAL = "fault.heal"            # a transient fault's duration elapsed
-FAULT_DETECT = "fault.detect"        # the watchdog flagged a stuck NF
-FAULT_RECOVER = "fault.recover"      # a recovery policy restored service
-FAULT_GIVEUP = "fault.giveup"        # fail-the-chain: no recovery attempted
 
 
 class BusEvent:
@@ -77,18 +44,9 @@ class BusEvent:
 class EventBus:
     """Collects :class:`BusEvent` records and fans them out to subscribers."""
 
-    def __init__(self, loop: EventLoop, max_events: int = 500_000,
-                 record: bool = True):
+    def __init__(self, loop: EventLoop, max_events: int = 500_000):
         self.loop = loop
         self.max_events = int(max_events)
-        #: When False the bus only dispatches to subscribers (used by the
-        #: SchedTracer adapter, which keeps its own bounded store).
-        self.record = record
-        #: True when publishing can have any effect (recording or at least
-        #: one subscriber).  Hot publish sites check this before paying
-        #: for the call: ``if bus is not None and bus.active:`` — so an
-        #: attached-but-inert bus stays within the overhead budget.
-        self.active = record
         self.events: List[BusEvent] = []
         self.dropped = 0
         self.counts: Dict[str, int] = {}
@@ -99,34 +57,16 @@ class EventBus:
         """Record an event at the loop's current time and notify subscribers."""
         counts = self.counts
         counts[kind] = counts.get(kind, 0) + 1
-        if not self.active:
-            # Inert bus (counts only): skip event construction entirely.
-            return
         ev = BusEvent(self.loop.now, kind, source, args)
-        if self.record:
-            if len(self.events) < self.max_events:
-                self.events.append(ev)
-            else:
-                self.dropped += 1
+        if len(self.events) < self.max_events:
+            self.events.append(ev)
+        else:
+            self.dropped += 1
         for fn in self.subscribers:
             fn(ev)
 
     def subscribe(self, fn: Callable[[BusEvent], None]) -> None:
         self.subscribers.append(fn)
-        self.active = True
-
-    def adopt_subscribers(self, other: Optional["EventBus"]) -> None:
-        """Carry subscribers over from a bus this one replaces.
-
-        A core may have grown a private bus (via its ``tracer`` property)
-        before the manager attached the platform-wide one; the private
-        bus's subscribers keep working on the shared bus.
-        """
-        if other is None or other is self:
-            return
-        self.subscribers.extend(other.subscribers)
-        if self.subscribers:
-            self.active = True
 
     # ------------------------------------------------------------------
     def kinds(self) -> List[str]:

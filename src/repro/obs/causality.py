@@ -214,10 +214,10 @@ class CausalityTracer:
                          chain_name: str) -> List[Tuple[int, int, int]]:
         """The staged-delivery list for ``(chain, flow)``.
 
-        Hot callers (``TxThread._route``) fetch this once per flow and
-        append ``(origin_ns, delivery_ns, count)`` triples inline; they
-        should call :meth:`drain_deliveries` when the list reaches
-        ``_MAX_PENDING_DELIVERIES`` entries.  Deferred attribution is
+        Hot callers (``TxThread._route``, through the observer) fetch this
+        once per flow and append ``(origin_ns, delivery_ns, count)``
+        triples inline; they should call :meth:`drain_deliveries` when the
+        list reaches ``_MAX_PENDING_DELIVERIES`` entries.  Deferred attribution is
         bit-identical to immediate attribution: a sojourn's overlap with
         the episode history clipped at its own delivery time is
         unaffected by episodes that open afterwards.

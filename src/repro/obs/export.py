@@ -19,12 +19,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
-from repro.obs.bus import (
-    EventBus,
-    SCHED_DISPATCH,
-    SCHED_SWITCH_OUT,
-    SCHED_WAKE,
-)
+from repro.obs.bus import EventBus
 from repro.obs.registry import MetricsRegistry
 
 #: Synthetic thread ids for non-core tracks (cores use their own ids).
@@ -45,11 +40,11 @@ def chrome_trace_events(bus: EventBus, pid: int = 0,
     for ev in bus.events:
         kind = ev.kind
         ts = ev.time_ns / 1e3
-        if kind == SCHED_DISPATCH:
+        if kind == "sched.dispatch":
             core = ev.args["core"]
             cores_seen[core] = True
             open_runs[core] = (ev.source, ev.time_ns)
-        elif kind == SCHED_SWITCH_OUT:
+        elif kind == "sched.switch_out":
             core = ev.args["core"]
             cores_seen[core] = True
             opened = open_runs.pop(core, None)
@@ -64,7 +59,7 @@ def chrome_trace_events(bus: EventBus, pid: int = 0,
                              "switched_to" if ev.source != task else "task":
                                  ev.source},
                 })
-        elif kind == SCHED_WAKE:
+        elif kind == "sched.wake":
             core = ev.args["core"]
             cores_seen[core] = True
             out.append({

@@ -11,14 +11,14 @@ wait-vs-service decomposition (the per-hop latency view *Benchmarking
 NFV Software Dataplanes* shows is what localises dataplane bottlenecks;
 ``ObsSession`` prints it as the "per-hop latency breakdown" table).
 
-Recording sites (all wired by :class:`~repro.platform.manager.NFManager`
-when a tracker is attached; each costs one ``is not None`` branch when
-off):
+Recording sites (each reaches the tracker through the platform's
+:class:`~repro.obs.observer.Observer`; each costs one ``is not None``
+branch when off):
 
 * ``TxThread._route`` — chain completion: end-to-end sojourn (NIC
   arrival to chain exit) per flow and per chain, weighted by segment
   packet count, so the histograms cover 100% of delivered traffic.
-* ``NFProcess._forward`` / ``CallbackNF._forward`` — per hop: Rx-ring
+* ``NFProcess._stage_hop`` (every NF, ``CallbackNF`` too) — per hop: Rx-ring
   queue wait and modelled per-packet service time for every processed
   batch run.  There is no hop for the NIC Rx ring or the NF Tx rings;
   those waits stay inside the end-to-end sojourn.
@@ -35,7 +35,7 @@ from __future__ import annotations
 #: (SIM603) against ``repro.check.registry.MARKED_MODULES``.
 __digest_safety__ = "digest-invisible: per-flow sojourn telemetry"
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.metrics.histogram import CycleHistogram
 
@@ -105,10 +105,10 @@ class FlowLatencyTracker:
         and chain histograms (and resolving flow overflow) on first use.
         Staged weights fold into *both* histograms at flush.
 
-        Hot callers (``TxThread._route``) fetch this once per flow — the
-        returned dict is a stable object, drained in place — and
-        accumulate ``dict[latency] += count`` inline; they should call
-        :meth:`_flush` when it reaches ``_PENDING_LIMIT`` entries.
+        Hot callers (``TxThread._route``, through the observer) fetch this
+        once per flow — the returned dict is a stable object, drained in
+        place — and accumulate ``dict[latency] += count`` inline; they
+        should call :meth:`_flush` when it reaches ``_PENDING_LIMIT``.
         """
         flows = self.flows
         if flow_id not in flows and len(flows) >= self.max_flows:
@@ -128,8 +128,8 @@ class FlowLatencyTracker:
         """The ``(wait, service)`` staging dicts for ``hop``, creating its
         histograms on first use.
 
-        Hot callers (``NFProcess._forward``) fetch this once per dequeued
-        batch — the hop name is fixed per NF — and accumulate
+        Hot callers (``NFProcess._stage_hop``, through the observer) fetch
+        this once per NF — the hop name is fixed per NF — and accumulate
         ``dict[value] += count`` inline, which is the whole recording
         cost.  Callers should call :meth:`drain_hop` when a staging dict
         reaches ``_PENDING_LIMIT`` entries.
@@ -176,6 +176,14 @@ class FlowLatencyTracker:
             pair = self.hops[name]
             _drain(pair[0], wp)
             _drain(pair[1], sp)
+
+    def chain_p99_us(self, chain_name: str) -> Optional[float]:
+        """Live p99 sojourn (µs) of a chain; None before its first delivery."""
+        hist = self.chains.get(chain_name)
+        if hist is None:
+            return None
+        self._flush()
+        return hist.percentile(99.0) / 1e3
 
     # ------------------------------------------------------------------
     # Export

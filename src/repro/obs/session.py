@@ -2,10 +2,11 @@
 
 Experiment modules build their :class:`~repro.experiments.common.Scenario`
 objects internally (a fig07 run constructs sixteen), so the CLI cannot
-hand each one a bus directly.  Instead it enters a
+hand each one an observer directly.  Instead it enters a
 :class:`~repro.experiments.common.RunContext` holding an
 :class:`ObsSession`; every Scenario attaches the context's session before
-starting its platform.  The session then owns:
+starting its platform.  The session gives each scenario's
+:class:`~repro.obs.observer.Observer` its sinks and owns:
 
 * one :class:`~repro.obs.bus.EventBus` per scenario (distinct Perfetto
   process per scenario in the exported trace),
@@ -31,7 +32,6 @@ from repro.sim.clock import MSEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.common import Scenario
-    from repro.obs.latency import FlowLatencyTracker
     from repro.platform.manager import NFManager
 
 
@@ -76,15 +76,20 @@ class ObsSession:
         if self.trace_path is not None:
             bus = EventBus(scenario.loop, max_events=self.max_bus_events)
             self.buses.append((label, bus))
-        # Imported here: the tracker modules load only once a session
-        # attaches to a run.
+        # Imported here: the observer and tracker modules load only once
+        # a session attaches to a run.
         from repro.obs.causality import CausalityTracer
         from repro.obs.latency import FlowLatencyTracker
+        from repro.obs.observer import Observer
 
         latency, causality = FlowLatencyTracker(), CausalityTracer()
         self.latencies.append(latency)
-        scenario.manager.attach_observability(
-            bus=bus, latency=latency, causality=causality)
+        # Fill the session's sinks into an observer already attached (a
+        # hand-attached scheduler tracer keeps recording).
+        mgr = scenario.manager
+        obs = mgr.obs if mgr.obs is not None else Observer()
+        obs.bus, obs.latency, obs.causality = bus, latency, causality
+        mgr.attach_observability(obs)
         self.register_platform_metrics(scenario.manager, label)
         if self.streamer is not None:
             self.streamer.register(label, scenario.loop,
@@ -98,9 +103,9 @@ class ObsSession:
         ``cluster<N>/<sched>/<features>/<host>`` scenario label; the
         fabric links register under the bare cluster label.  One event
         bus spans the whole cluster (all hosts share one loop, so one
-        Perfetto process with every host's cores is the honest render);
-        link drop/ECN events ride the same bus.  The per-hop table reads
-        the tracker the cluster already shares across its hosts.
+        Perfetto process with every host's cores is the honest render):
+        it joins the observer the hosts share, which the fabric links'
+        drop/ECN events reach too; its tracker feeds the per-hop table.
         Snapshot streaming is not wired for clusters — the streamer's
         per-scenario registration assumes one manager per label.
         """
@@ -112,14 +117,13 @@ class ObsSession:
         if self.trace_path is not None:
             bus = EventBus(scenario.loop, max_events=self.max_bus_events)
             self.buses.append((label, bus))
-        self.latencies.append(scenario.latency)
+        self.latencies.append(scenario.observer.latency)
+        scenario.observer.bus = bus
         for host in topology.hosts:
-            host.manager.attach_observability(bus=bus)
             self.register_platform_metrics(
                 host.manager, f"{label}/{host.name}")
-        if bus is not None:
-            for link in topology.links:
-                link.bus = bus
+        for link in topology.links:
+            link.obs = scenario.observer.serving("bus")
         self.register_link_metrics(topology.links, label)
 
     def register_link_metrics(self, links, scenario: str) -> None:

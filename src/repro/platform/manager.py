@@ -69,11 +69,9 @@ class NFManager:
         #: The instant start() ran: the origin of every poll grid.
         self._epoch = 0
 
-        # Observability (attach_observability() before start()).
-        self.bus = None
-        # Flow-level telemetry (attach_telemetry() before start()).
-        self.latency = None
-        self.causality = None
+        #: The attached :class:`repro.obs.observer.Observer`
+        #: (attach_observability() before start()).
+        self.obs = None
 
         # NFVnice subsystems (wired at start()).
         self.cgroups = CgroupController()
@@ -109,11 +107,9 @@ class NFManager:
                 max_segment_ns=self.config.tx_poll_ns,
                 socket=core_id // max(1, self.config.cores_per_socket),
             )
-            if self.bus is not None:
-                core.attach_bus(self.bus)
-            if self.causality is not None:
-                core.causality = self.causality
             self.cores[core_id] = core
+            if self._started:
+                self._wire_observer()
         return self.cores[core_id]
 
     def add_nf(self, nf: "NFProcess", core_id: int = 0) -> "NFProcess":
@@ -138,11 +134,6 @@ class NFManager:
                     f"name must be unique: duplicate NF name {nf.name!r}")
         self.core(core_id).add_task(nf)
         self.nfs.append(nf)
-        if self.bus is not None:
-            nf.rx_ring.bus = self.bus
-            nf.tx_ring.bus = self.bus
-        if self.latency is not None:
-            nf.latency = self.latency
         if self._started:
             self._register_live_nf(nf)
         return nf
@@ -166,60 +157,45 @@ class NFManager:
             nf.io.on_unblock = self._io_unblock_callback(nf)
         if self.faults is not None:
             self.faults.watch_nf(nf)
+        self._wire_observer()
         if len(self.nfs) == 1:
             self._arm_threads()
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def attach_observability(self, bus=None,
-                             latency=None, causality=None) -> None:
-        """Attach an event bus and/or telemetry trackers to the platform.
-
-        Call before :meth:`start`.  ``bus`` (an
-        :class:`repro.obs.bus.EventBus`) receives scheduler, ring,
-        backpressure, ECN, wakeup and monitor events from every layer;
-        ``latency`` and ``causality`` delegate to :meth:`attach_telemetry`.
-        With nothing attached the data path pays one ``is not None``
-        branch per publish site.
-        """
+    def attach_observability(self, observer) -> None:
+        """Attach an :class:`repro.obs.observer.Observer` (``None``
+        detaches) before :meth:`start`, which wires it into the
+        components.  With nothing attached the data path pays one
+        ``is not None`` branch per event site."""
         if self._started:
             raise RuntimeError("attach observability before start()")
-        self.bus = bus
-        if latency is not None or causality is not None:
-            self.attach_telemetry(latency=latency, causality=causality)
-        if self.faults is not None:
-            self.faults.bus = bus
-        if bus is None:
+        self.obs = observer
+
+    def _wire_observer(self) -> None:
+        """Hand the observer to each component whose events one of its
+        sinks consumes; an unconsumed site (a telemetry-only run's rings)
+        keeps its ``None`` fast path.  The only place ``obs`` is wired:
+        :meth:`start` calls it, and so does a late core or NF."""
+        obs = self.obs
+        if obs is None:
             return
+        events = obs.serving("bus")
         for core in self.cores.values():
-            core.attach_bus(bus)
+            core.obs = obs.serving("bus", "tracers", "causality")
         for nf in self.nfs:
-            nf.rx_ring.bus = bus
-            nf.tx_ring.bus = bus
-        self.nic.rx_ring.bus = bus
-
-    def attach_telemetry(self, latency=None, causality=None) -> None:
-        """Attach flow-level telemetry trackers to the platform.
-
-        Call before :meth:`start`.  ``latency`` (a
-        :class:`repro.obs.latency.FlowLatencyTracker`) receives every
-        chain completion and every per-hop batch; ``causality`` (a
-        :class:`repro.obs.causality.CausalityTracer`) receives throttle
-        transitions, entry discards, wasted drops, deliveries and
-        dispatches.  Separate from :meth:`attach_observability` so a
-        telemetry attach never clobbers a hand-attached bus.
-        """
-        if self._started:
-            raise RuntimeError("attach telemetry before start()")
-        if latency is not None:
-            self.latency = latency
-            for nf in self.nfs:
-                nf.latency = latency
-        if causality is not None:
-            self.causality = causality
-            for core in self.cores.values():
-                core.causality = causality
+            nf.obs = obs.serving("latency")
+            nf.rx_ring.obs = nf.tx_ring.obs = events
+        self.nic.rx_ring.obs = events
+        for part in (self.wakeup, self.ecn, self.monitor, self.faults):
+            if part is not None:
+                part.obs = events
+        for part in (self.backpressure, self.rx_thread):
+            if part is not None:
+                part.obs = obs.serving("bus", "causality")
+        for tx in self.tx_threads:
+            tx.obs = obs.serving("latency", "causality")
 
     def attach_slo_governor(self, governor) -> None:
         """Attach an :class:`repro.core.monitor.SLOGovernor`.
@@ -289,8 +265,6 @@ class NFManager:
         from repro.faults.injector import FaultInjector
 
         self.faults = FaultInjector(self, plan, policy=policy, rng=rng)
-        if self.bus is not None:
-            self.faults.bus = self.bus
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -323,17 +297,6 @@ class NFManager:
             self.loop, self.nic, self.flow_table, self.wakeup,
             self.backpressure, cfg, ecn=self.ecn,
         )
-        if self.bus is not None:
-            if self.backpressure is not None:
-                self.backpressure.bus = self.bus
-            if self.ecn is not None:
-                self.ecn.bus = self.bus
-            self.wakeup.bus = self.bus
-            self.rx_thread.bus = self.bus
-        if self.causality is not None:
-            if self.backpressure is not None:
-                self.backpressure.causality = self.causality
-            self.rx_thread.causality = self.causality
         n_tx = max(1, cfg.num_tx_threads)
         partitions: List[List] = [self.nfs[i::n_tx] for i in range(n_tx)]
         self.tx_threads = [
@@ -346,19 +309,14 @@ class NFManager:
             # the NFs that register later.
             self.tx_threads = [TxThread(self.loop, [], self.nic, self.wakeup,
                                         self.backpressure, self.ecn, cfg)]
-        if self.latency is not None or self.causality is not None:
-            for tx in self.tx_threads:
-                tx.latency = self.latency
-                tx.causality = self.causality
         if cfg.enable_cgroups:
             self.monitor = MonitorThread(
                 self.loop, self.nfs, self.cgroups, cfg, record_series=True
             )
-            if self.bus is not None:
-                self.monitor.bus = self.bus
             if self.slo_governor is not None:
                 self.monitor.slo_governor = self.slo_governor
             self.monitor.start()
+        self._wire_observer()
         self._apply_numa_penalties()
         # Hook I/O completions into the wakeup path so an NF blocked on
         # full double-buffers resumes as soon as a flush lands.

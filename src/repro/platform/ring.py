@@ -88,9 +88,9 @@ class PacketRing:
         #: Drops keyed by reason (see :data:`DROP_REASONS`); values sum to
         #: ``dropped_total``.
         self.drops_by_reason: Dict[str, int] = {}
-        #: Optional :class:`repro.obs.bus.EventBus`; when attached the ring
-        #: publishes enqueue/dequeue/drop events with its current depth.
-        self.bus = None
+        #: Optional :class:`repro.obs.observer.Observer`, told of every
+        #: enqueue/dequeue/drop with the ring's depth after it.
+        self.obs = None
 
     # ------------------------------------------------------------------
     # State queries
@@ -152,8 +152,8 @@ class PacketRing:
         ring adopts ``seg`` itself — restamped ``enqueue_ns = now`` and its
         count cut to what fit — instead of allocating a copy.  The caller
         gives up the descriptor: read anything it needs (``enqueue_ns``,
-        ``count``) before this call.  Drops, coalescing, counters and bus
-        events are exactly those of :meth:`enqueue`, which wraps this.
+        ``count``) before this call.  Drops, coalescing, counters and
+        observer events are those of :meth:`enqueue`, which wraps this.
         """
         cur = self._count
         count = seg.count
@@ -165,9 +165,8 @@ class PacketRing:
                 self.drops_by_reason.get(reason, 0) + count
             )
             flow.stats.queue_drops += count
-            if self.bus is not None and self.bus.active:
-                self.bus.publish("ring.drop", self.name, count=count,
-                                 depth=cur, reason=reason)
+            if self.obs is not None:
+                self.obs.on_ring_drop(self, count, cur, reason)
             return 0, count, cur >= self.high_watermark
         free = self.capacity - cur
         if count <= free:
@@ -203,14 +202,11 @@ class PacketRing:
                 self.drops_by_reason.get("full", 0) + dropped
             )
             flow.stats.queue_drops += dropped
-        if self.bus is not None and self.bus.active:
+        if self.obs is not None:
             if accepted > 0:
-                self.bus.publish("ring.enqueue", self.name,
-                                 count=accepted, depth=cur)
+                self.obs.on_ring_enqueue(self, accepted, cur)
             if dropped > 0:
-                self.bus.publish("ring.drop", self.name,
-                                 count=dropped, depth=cur,
-                                 reason="full")
+                self.obs.on_ring_drop(self, dropped, cur, "full")
         return accepted, dropped, cur >= self.high_watermark
 
     def dequeue(self, max_packets: int) -> List[PacketSegment]:
@@ -242,9 +238,8 @@ class PacketRing:
         if taken_total:
             self._count -= taken_total
             self.dequeued_total += taken_total
-            if self.bus is not None and self.bus.active:
-                self.bus.publish("ring.dequeue", self.name,
-                                 count=taken_total, depth=self._count)
+            if self.obs is not None:
+                self.obs.on_ring_dequeue(self, taken_total, self._count)
         return out
 
     def move_to(self, dst: "PacketRing", n: int, now: int) -> None:
@@ -254,17 +249,19 @@ class PacketRing:
         same ring contents, counters and coalescing — for a caller that
         reserved the space (``n <= len(self)`` and ``n <= dst.free``): the
         NF's fused end-of-grant flush.  Head segments are moved, only a
-        partial head is split.  A sealed, dead or actively observed ring
-        on either side takes the per-segment path, which owns the fault
-        drops and the event publishing (an inert bus publishes nothing).
+        partial head is split.  A sealed or dead ring on either side takes
+        the per-segment path, which owns the fault drops; observers get
+        that path's events either way.
         """
-        if (self.sealed or dst.sealed or dst.dead
-                or (self.bus is not None and self.bus.active)
-                or (dst.bus is not None and dst.bus.active)):
+        if self.sealed or dst.sealed or dst.dead:
             admit = dst.admit
             for seg in self.dequeue(n):
                 admit(seg, now)
             return
+        if self.obs is not None and n:
+            self.obs.on_ring_dequeue(self, n, self._count - n)
+        dst_obs = dst.obs
+        depth = dst._count
         src = self._segments
         out = dst._segments
         tail = out[-1] if out else None
@@ -299,6 +296,9 @@ class PacketRing:
                 out.append(seg)
                 tail = seg
                 misses += 1
+            if dst_obs is not None:
+                depth += k
+                dst_obs.on_ring_enqueue(dst, k, depth)
         self._count -= n
         self.dequeued_total += n
         dst._count += n
@@ -320,8 +320,8 @@ class PacketRing:
         self._segments = deque()
         self._count = 0
         self.dequeued_total += n
-        if self.bus is not None and self.bus.active:
-            self.bus.publish("ring.dequeue", self.name, count=n, depth=0)
+        if self.obs is not None:
+            self.obs.on_ring_dequeue(self, n, 0)
         return segments
 
     def peek_head(self) -> Optional[PacketSegment]:
@@ -347,9 +347,8 @@ class PacketRing:
         self.drops_by_reason["purged"] = (
             self.drops_by_reason.get("purged", 0) + dropped
         )
-        if self.bus is not None and self.bus.active:
-            self.bus.publish("ring.drop", self.name, count=dropped,
-                             depth=0, reason="purged")
+        if self.obs is not None:
+            self.obs.on_ring_drop(self, dropped, 0, "purged")
         return dropped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

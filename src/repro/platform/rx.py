@@ -50,11 +50,8 @@ class RxThread:
         self.delivered = 0
         self.early_discards = 0
         self.unroutable = 0
-        #: Optional observability hooks (wired by NFManager.start()).
-        self.bus = None
-        #: Optional :class:`repro.obs.causality.CausalityTracer` charged
-        #: with every early discard's culprit attribution.
-        self.causality = None
+        #: Optional :class:`repro.obs.observer.Observer`, wired by the manager.
+        self.obs = None
         cap = self.config.rx_thread_max_pps
         if cap is None:
             self._budget_per_poll = None
@@ -120,12 +117,8 @@ class RxThread:
                 chain.entry_discards += seg.count
                 flow.stats.entry_discards += seg.count
                 self.early_discards += seg.count
-                if self.causality is not None:
-                    self.causality.on_entry_discard(
-                        chain.name, flow.flow_id, seg.count)
-                if self.bus is not None and self.bus.active:
-                    self.bus.publish("rx.discard", chain.name,
-                                     count=seg.count, flow=flow.flow_id)
+                if self.obs is not None:
+                    self.obs.on_entry_discard(chain, flow, seg.count)
                 continue
             first = chain.nfs[0]
             # Zero-copy: the NF's Rx ring adopts the NIC descriptor.

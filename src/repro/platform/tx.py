@@ -56,12 +56,9 @@ class TxThread:
         self.forwarded = 0
         self.egressed = 0
         self.wasted_drops = 0
-        #: Optional telemetry hooks (wired by NFManager.start()): a
-        #: :class:`repro.obs.latency.FlowLatencyTracker` fed on every chain
-        #: completion and a :class:`repro.obs.causality.CausalityTracer`
-        #: fed deliveries and wasted drops.  One branch each when off.
-        self.latency = None
-        self.causality = None
+        #: Optional :class:`repro.obs.observer.Observer` whose trackers get
+        #: every chain completion and wasted drop (wired by the manager).
+        self.obs = None
         # Per-flow staging caches: deliveries arrive in long same-flow
         # runs, so one identity check replaces the tracker lookups.  The
         # staged containers are stable objects (drained in place), so a
@@ -128,31 +125,26 @@ class TxThread:
             latency = now - seg.origin_ns
             if latency >= 0:
                 chain.latency_hist.add(latency, weight=seg.count)
-                lat = self.latency
-                cause = self.causality
-                if lat is not None or cause is not None:
+                obs = self.obs
+                if obs is not None:
                     if flow is not self._tel_flow:
                         self._tel_flow = flow
-                        if lat is not None:
-                            self._lat_pend = lat.delivery_staging(
-                                flow.flow_id, chain.name)
-                        if cause is not None:
-                            self._cause_pend = cause.delivery_staging(
-                                flow.flow_id, chain.name)
+                        self._lat_pend, self._cause_pend = \
+                            obs.delivery_staging(flow.flow_id, chain.name)
                     count = seg.count
-                    if lat is not None:
-                        fp = self._lat_pend
+                    fp = self._lat_pend
+                    if fp is not None:
                         if latency in fp:
                             fp[latency] += count
                         else:
                             fp[latency] = count
-                            if len(fp) >= lat._PENDING_LIMIT:
-                                lat._flush()
-                    if cause is not None:
-                        pend = self._cause_pend
+                            if len(fp) >= obs.latency_staging_limit:
+                                obs.flush_deliveries()
+                    pend = self._cause_pend
+                    if pend is not None:
                         pend.append((seg.origin_ns, now, count))
-                        if len(pend) >= cause._PENDING_LIMIT:
-                            cause.drain_deliveries()
+                        if len(pend) >= obs.delivery_staging_limit:
+                            obs.drain_deliveries()
             return
         # Zero-copy: the next NF's Rx ring adopts the descriptor.
         accepted, dropped, above_high = nxt.rx_ring.admit(seg, now)
@@ -162,10 +154,10 @@ class TxThread:
             chain.wasted_drops += dropped
             nf.wasted_processed += dropped
             self.wasted_drops += dropped
-            if self.causality is not None:
+            if self.obs is not None:
                 # The full ring that destroyed this upstream work belongs
                 # to the congested downstream NF.
-                self.causality.on_wasted_drop(nxt.name, dropped)
+                self.obs.on_wasted_drop(nxt, dropped)
         if above_high and self.backpressure is not None:
             self.backpressure.mark_overloaded(nxt)
         if accepted:

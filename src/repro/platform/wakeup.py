@@ -44,8 +44,8 @@ class WakeupSubsystem:
         self.backpressure = backpressure
         self.config = config if config is not None else PlatformConfig()
         self.wakeups_posted = 0
-        #: Optional :class:`repro.obs.bus.EventBus` (wired by the manager).
-        self.bus = None
+        #: Optional :class:`repro.obs.observer.Observer`, wired by the manager.
+        self.obs = None
         self._scan_ns = int(self.config.wakeup_scan_ns)
         self._tick: Optional[EventHandle] = None
 
@@ -113,9 +113,8 @@ class WakeupSubsystem:
             return False
         if nf.core.wake(nf):
             self.wakeups_posted += 1
-            if self.bus is not None and self.bus.active:
-                self.bus.publish("wakeup.post", nf.name,
-                                 queued=len(nf.rx_ring))
+            if self.obs is not None:
+                self.obs.on_wakeup_post(nf)
             return True
         return False
 

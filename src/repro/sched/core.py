@@ -115,13 +115,9 @@ class Core:
         )
         self.tasks: List[CoreTask] = []
         self.stats = CoreStats()
-        #: Optional :class:`repro.obs.bus.EventBus` all scheduler events are
-        #: published to.  ``None`` (the default) costs one branch per event.
-        self.bus = None
-        self._tracer = None
-        #: Optional :class:`repro.obs.causality.CausalityTracer` — told of
-        #: every dispatch so relinquish-release → resume delays close.
-        self.causality = None
+        #: Optional :class:`repro.obs.observer.Observer` told of every wake,
+        #: dispatch and switch-out; ``None`` costs one branch per event.
+        self.obs: Any = None
 
         #: A failed core dispatches nothing and refuses wakeups until
         #: :meth:`repair` (fault injection: the paper's schedulers assume
@@ -144,55 +140,6 @@ class Core:
         self._idle_since: Optional[int] = loop.now  # a core starts idle
 
     # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def attach_bus(self, bus: Any) -> None:
-        """Use ``bus`` for scheduler events (platform-wide attachment).
-
-        Subscribers of a previously attached (or tracer-private) bus are
-        carried over so a hand-attached tracer keeps receiving events.
-        """
-        if bus is self.bus:
-            return
-        if self.bus is not None and bus is not None:
-            bus.adopt_subscribers(self.bus)
-        self.bus = bus
-
-    @property
-    def tracer(self) -> Any:
-        """Back-compat: a :class:`~repro.sched.tracing.SchedTracer` fed from
-        the event bus.  Assigning a tracer subscribes it; the old
-        ``core.tracer = SchedTracer()`` idiom keeps working unchanged."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer: Any) -> None:
-        self._tracer = tracer
-        if tracer is None:
-            return
-        if self.bus is None:
-            from repro.obs.bus import EventBus
-
-            # Dispatch-only bus: the tracer keeps its own bounded store.
-            self.bus = EventBus(self.loop, record=False)
-        core_id = self.core_id
-
-        def forward(ev: Any, tracer: Any = tracer,
-                    core_id: int = core_id) -> None:
-            if ev.args.get("core") != core_id:
-                return
-            kind = ev.kind
-            if kind == "sched.wake":
-                tracer.record(ev.time_ns, core_id, "wake", ev.source)
-            elif kind == "sched.dispatch":
-                tracer.record(ev.time_ns, core_id, "dispatch", ev.source)
-            elif kind == "sched.switch_out":
-                tracer.record(ev.time_ns, core_id, "switch_out", ev.source,
-                              ev.args.get("detail", ""))
-
-        self.bus.subscribe(forward)
-
-    # ------------------------------------------------------------------
     # Task membership and wakeups
     # ------------------------------------------------------------------
     def add_task(self, task: CoreTask) -> None:
@@ -210,8 +157,8 @@ class Core:
         task.state = READY
         task.last_ready_ns = now
         task.stats.wakeups += 1
-        if self.bus is not None and self.bus.active:
-            self.bus.publish("sched.wake", task.name, core=self.core_id)
+        if self.obs is not None:
+            self.obs.on_wake(self, task, now)
         self.scheduler.enqueue(task, now, wakeup=True)
         if self.current is None:
             self._dispatch()
@@ -254,9 +201,8 @@ class Core:
             self.current = None
             task.state = BLOCKED
             task.stats.involuntary_switches += 1
-            if self.bus is not None and self.bus.active:
-                self.bus.publish("sched.switch_out", task.name,
-                                 core=self.core_id, detail="killed")
+            if self.obs is not None:
+                self.obs.on_switch_out(self, task, "killed", self.loop.now)
             self._dispatch()
             return True
         if task.state is READY:
@@ -334,12 +280,8 @@ class Core:
         task.state = RUNNING
         task.stats.sched_delay_ns += now - task.last_ready_ns
         task.stats.sched_delay_count += 1
-        if self.bus is not None and self.bus.active:
-            self.bus.publish("sched.dispatch", task.name, core=self.core_id)
-        if self.causality is not None:
-            # Cheap when no resume is pending: early-returns on an empty
-            # pending map inside the tracer.
-            self.causality.on_dispatch(task.name, now)
+        if self.obs is not None:
+            self.obs.on_dispatch(self, task, now)
 
         self.current = task
         self._charged_this_run = 0.0
@@ -423,9 +365,8 @@ class Core:
         now = self.loop.now
         self._close_run_span(now)
         self.current = None
-        if self.bus is not None and self.bus.active:
-            self.bus.publish("sched.switch_out", task.name,
-                             core=self.core_id, detail=outcome.value)
+        if self.obs is not None:
+            self.obs.on_switch_out(self, task, outcome, now)
         if outcome is USED_ALL:
             task.stats.involuntary_switches += 1
             task.state = READY

@@ -1,13 +1,13 @@
 """Scheduler event tracing — the simulator's ``perf sched record``.
 
-Attach a :class:`SchedTracer` to a core and every wakeup, dispatch and
-switch-out is recorded with its timestamp and reason.  The paper debugs
-scheduling behaviour with exactly this kind of trace (Table 4 is built
-from ``perf sched``); the tracer makes the reproduction's scheduling
-decisions equally inspectable:
+Attach a :class:`SchedTracer` to a core through the platform's observer
+and every wakeup, dispatch and switch-out is recorded with its timestamp
+and reason.  The paper debugs scheduling behaviour with exactly this kind
+of trace (Table 4 is built from ``perf sched``); the tracer makes the
+reproduction's scheduling decisions equally inspectable:
 
     tracer = SchedTracer()
-    core.tracer = tracer
+    manager.attach_observability(Observer(tracers={core_id: tracer}))
     ...run...
     print(tracer.render_timeline(t0, t1, bucket_ns=1_000_000))
 """
@@ -44,7 +44,7 @@ class SchedTracer:
         self.dropped = 0
 
     # ------------------------------------------------------------------
-    # Recording (called by Core)
+    # Recording (called by the Observer)
     # ------------------------------------------------------------------
     def record(self, time_ns: int, core_id: int, kind: str, task: str,
                detail: str = "") -> None:

@@ -62,6 +62,7 @@ class TestCallbackNF:
     def test_hops_reach_latency_tracker(self):
         from repro.experiments.common import Scenario
         from repro.obs.latency import FlowLatencyTracker
+        from repro.obs.observer import Observer
 
         scenario = Scenario(scheduler="BATCH", features="NFVnice")
         nfs = [CallbackNF(name, FixedCost(300), forward_all,
@@ -71,7 +72,7 @@ class TestCallbackNF:
         scenario.add_chain("c", ["fw", "mon"])
         scenario.add_flow("f", "c", line_rate_fraction=0.2)
         tracker = FlowLatencyTracker()
-        scenario.manager.attach_telemetry(latency=tracker)
+        scenario.manager.attach_observability(Observer(latency=tracker))
         scenario.run(0.02)
         raw = tracker.to_dict()
         assert raw["hop_order"] == ["fw", "mon"]

@@ -7,6 +7,7 @@ import pytest
 from repro.core.nf import NFProcess
 from repro.nfs.cost_models import FixedCost
 from repro.obs.latency import FlowLatencyTracker
+from repro.obs.observer import Observer
 from repro.platform.packet import Flow
 from repro.sched.base import ExecOutcome
 from repro.sim.clock import SEC, USEC
@@ -117,7 +118,7 @@ class TestAccounting:
     def test_latency_histogram_records_queue_wait(self, config):
         nf = make_nf(config)
         tracker = FlowLatencyTracker()
-        nf.latency = tracker
+        nf.obs = Observer(latency=tracker)
         nf.rx_ring.enqueue(Flow("f"), 1, now_ns=100)
         nf.execute(600, SEC)
         tracker.drain_hop(nf.name)

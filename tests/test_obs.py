@@ -23,6 +23,7 @@ from repro.obs.export import (
     render_prometheus,
     write_chrome_trace,
 )
+from repro.obs.observer import Observer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.session import ObsSession
 from repro.sim.engine import EventLoop
@@ -54,12 +55,6 @@ class TestEventBus:
         assert bus.dropped == 2
         assert bus.counts["k"] == 5  # counts keep running past the cap
 
-    def test_record_false_keeps_counts_only(self, loop):
-        bus = EventBus(loop, record=False)
-        bus.publish("k", "s")
-        assert not bus.events
-        assert bus.counts["k"] == 1
-
     def test_subscribers_fire_even_past_cap(self, loop):
         bus = EventBus(loop, max_events=1)
         seen = []
@@ -68,21 +63,13 @@ class TestEventBus:
         bus.publish("k", "b")
         assert [ev.source for ev in seen] == ["a", "b"]
 
-    def test_adopt_subscribers(self, loop):
-        old, new = EventBus(loop), EventBus(loop)
-        seen = []
-        old.subscribe(seen.append)
-        new.adopt_subscribers(old)
-        new.publish("k", "s")
-        assert len(seen) == 1
-
     def test_platform_events_deterministic(self):
         """Two identical seeded runs publish identical event streams."""
 
         def run():
             scenario = build_scenario(seed=3)
             bus = EventBus(scenario.loop)
-            scenario.manager.attach_observability(bus=bus)
+            scenario.manager.attach_observability(Observer(bus=bus))
             scenario.run(0.05)
             return [(ev.time_ns, ev.kind, ev.source) for ev in bus.events]
 
@@ -96,7 +83,7 @@ class TestEventBus:
     def test_backpressure_events_published(self):
         scenario = build_scenario()
         bus = EventBus(scenario.loop)
-        scenario.manager.attach_observability(bus=bus)
+        scenario.manager.attach_observability(Observer(bus=bus))
         scenario.run(0.1)
         kinds = bus.kinds()
         assert "bp.watch" in kinds
@@ -163,7 +150,7 @@ class TestExporters:
     def _traced_bus(self):
         scenario = build_scenario()
         bus = EventBus(scenario.loop)
-        scenario.manager.attach_observability(bus=bus)
+        scenario.manager.attach_observability(Observer(bus=bus))
         scenario.run(0.05)
         return bus
 
@@ -294,9 +281,9 @@ class TestObsSession:
     def test_no_session_means_no_bus(self):
         scenario = build_scenario()
         scenario.run(0.02)
-        assert scenario.manager.bus is None
+        assert scenario.manager.obs is None
         for core in scenario.manager.cores.values():
-            assert core.bus is None
+            assert core.obs is None
 
     def test_session_hop_table_lists_nfs_in_chain_order(self):
         session = ObsSession()

@@ -39,6 +39,7 @@ from repro.nfs.cost_models import (
 from repro.core.libnf import CallbackNF
 from repro.core.nf import full_batches
 from repro.obs.bus import EventBus
+from repro.obs.observer import Observer
 from repro.platform.config import PlatformConfig
 from repro.platform.packet import Flow, PacketSegment
 from repro.platform.ring import PacketRing
@@ -164,9 +165,8 @@ class _CopyRing(PacketRing):
             self.drops_by_reason[reason] = (
                 self.drops_by_reason.get(reason, 0) + count)
             flow.stats.queue_drops += count
-            if self.bus is not None and self.bus.active:
-                self.bus.publish("ring.drop", self.name, count=count,
-                                 depth=cur, reason=reason)
+            if self.obs is not None:
+                self.obs.on_ring_drop(self, count, cur, reason)
             return 0, count, cur >= self.high_watermark
         now = int(now_ns)
         origin = now if origin_ns is None else int(origin_ns)
@@ -191,13 +191,11 @@ class _CopyRing(PacketRing):
             self.drops_by_reason["full"] = (
                 self.drops_by_reason.get("full", 0) + dropped)
             flow.stats.queue_drops += dropped
-        if self.bus is not None and self.bus.active:
+        if self.obs is not None:
             if accepted > 0:
-                self.bus.publish("ring.enqueue", self.name,
-                                 count=accepted, depth=cur)
+                self.obs.on_ring_enqueue(self, accepted, cur)
             if dropped > 0:
-                self.bus.publish("ring.drop", self.name, count=dropped,
-                                 depth=cur, reason="full")
+                self.obs.on_ring_drop(self, dropped, cur, "full")
         return accepted, dropped, cur >= self.high_watermark
 
     def dequeue_batch(self, max_packets):
@@ -220,9 +218,8 @@ class _CopyRing(PacketRing):
         if taken_total:
             self._count -= taken_total
             self.dequeued_total += taken_total
-            if self.bus is not None and self.bus.active:
-                self.bus.publish("ring.dequeue", self.name,
-                                 count=taken_total, depth=self._count)
+            if self.obs is not None:
+                self.obs.on_ring_dequeue(self, taken_total, self._count)
         return out
 
     def copy_hop(self, dst, n, now):
@@ -284,7 +281,7 @@ def test_handoff_matches_copy_reference(ops, coalesce, with_bus):
         bus = None
         if with_bus:
             bus = EventBus(loop)
-            src.bus = dst.bus = bus
+            src.obs = dst.obs = Observer(bus=bus)
         systems.append((flows, src, dst, bus))
     now = 0
     for op in ops:

@@ -20,7 +20,7 @@ from repro.check.simcheck import check_file, check_paths, iter_rules, main
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "tests" / "fixtures" / "simcheck"
-BAD = FIXTURES / "bad" / "repro" / "sim"
+BAD = FIXTURES / "bad" / "repro"
 CLEAN = FIXTURES / "clean"
 
 #: fixture file -> (rule code, expected finding count)
@@ -33,6 +33,7 @@ EXPECTED = {
     "sim401_rng_construction.py": ("SIM401", 3),
     "sim501_heapq.py": ("SIM501", 5),
     "sim502_enum_member.py": ("SIM502", 1),
+    "sim502_relative_import.py": ("SIM502", 2),
 }
 
 #: fixture file -> inline ``# simcheck: ignore[...]`` lines it carries
@@ -42,13 +43,19 @@ SUPPRESSED = {
 }
 
 
+def _bad(name: str) -> Path:
+    """The one fixture called ``name`` under ``bad/repro/<layer>/``."""
+    path, = BAD.glob(f"*/{name}")
+    return path
+
+
 @pytest.mark.parametrize(
     "name,code,count",
     [(n, c, k) for n, (c, k) in sorted(EXPECTED.items())],
     ids=sorted(EXPECTED),
 )
 def test_bad_fixture_fires_exactly_its_rule(name, code, count):
-    report = check_file(str(BAD / name))
+    report = check_file(str(_bad(name)))
     assert report.error is None
     assert Counter(f.code for f in report.findings) == {code: count}
     assert report.suppressed == SUPPRESSED.get(name, 0)
@@ -64,13 +71,13 @@ def test_clean_fixtures_are_silent():
 
 
 def test_suppression_silences_its_line_only():
-    report = check_file(str(BAD / "suppressed_sim101.py"))
+    report = check_file(str(_bad("suppressed_sim101.py")))
     assert report.suppressed == 1
     assert [f.code for f in report.findings] == ["SIM101"]
 
 
 def test_findings_sorted_and_renderable():
-    report = check_file(str(BAD / "sim301_float_ns.py"))
+    report = check_file(str(_bad("sim301_float_ns.py")))
     positions = [(f.line, f.col, f.code) for f in report.findings]
     assert positions == sorted(positions)
     for f in report.findings:

@@ -14,6 +14,7 @@ from repro.analysis.export import (
 )
 from repro.experiments.common import Scenario, build_linear_chain
 from repro.metrics.timeseries import TimeSeries
+from repro.obs.observer import Observer
 from repro.sched.tracing import DISPATCH, SWITCH_OUT, WAKE, SchedTracer
 from repro.sim.clock import MSEC, SEC
 
@@ -31,7 +32,7 @@ class TestSchedTracer:
         build_linear_chain(scenario, (120, 550), core=0)
         scenario.add_flow("f", "chain", line_rate_fraction=0.5)
         tracer = SchedTracer()
-        scenario.manager.core(0).tracer = tracer
+        scenario.manager.attach_observability(Observer(tracers={0: tracer}))
         scenario.run(0.1)
         return tracer, scenario
 
@@ -124,10 +125,8 @@ class TestMultiCoreTracing:
         scenario = Scenario(scheduler="BATCH", features="NFVnice")
         build_linear_chain(scenario, (120, 300, 550), core=(0, 1, 1))
         scenario.add_flow("f", "chain", line_rate_fraction=0.5)
-        tracers = {}
-        for core_id in (0, 1):
-            tracers[core_id] = SchedTracer()
-            scenario.manager.core(core_id).tracer = tracers[core_id]
+        tracers = {core_id: SchedTracer() for core_id in (0, 1)}
+        scenario.manager.attach_observability(Observer(tracers=tracers))
         scenario.run(0.1)
         return tracers, scenario
 
@@ -159,7 +158,8 @@ class TestMultiCoreTracing:
         scenario = Scenario(scheduler="BATCH", features="NFVnice")
         build_linear_chain(scenario, (120, 550), core=0)
         scenario.add_flow("f", "chain", line_rate_fraction=0.5)
-        scenario.manager.core(0).tracer = SchedTracer(max_events=10)
+        scenario.manager.attach_observability(
+            Observer(tracers={0: SchedTracer(max_events=10)}))
         result = scenario.run(0.05)
         assert result.sched_trace_dropped > 0
         assert result_to_dict(result)["sched_trace_dropped"] == \
