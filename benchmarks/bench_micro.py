@@ -20,7 +20,7 @@ def test_event_loop_schedule_run(benchmark):
         loop = EventLoop()
         for i in range(10_000):
             loop.schedule(i + 1, _noop)
-        loop.run()
+        loop.run_until(10_000)
 
     benchmark(run)
 

@@ -107,7 +107,7 @@ class AsyncIOContext:
         self._flusher: Optional[EventHandle] = None
         if flush_interval_ns and flush_interval_ns > 0:
             self._flusher = loop.call_every(int(flush_interval_ns),
-                                            self._periodic_flush)
+                                            self._flush_trickle)
 
     # ------------------------------------------------------------------
     @property
@@ -155,9 +155,9 @@ class AsyncIOContext:
         self._pending_bytes = self._fill_bytes
         self._fill_requests = 0
         self._fill_bytes = 0
-        self._start_flush()
+        self._submit_pending()
 
-    def _start_flush(self) -> None:
+    def _submit_pending(self) -> None:
         if self._in_flight or self._pending_requests == 0:
             return
         self._in_flight = True
@@ -173,14 +173,10 @@ class AsyncIOContext:
         if self.on_unblock is not None:
             self.on_unblock()
 
-    def _periodic_flush(self) -> None:
+    def _flush_trickle(self) -> None:
         """Flush a partially filled buffer so trickle writes complete."""
         if self._fill_requests > 0 and self._pending_requests == 0:
-            self._pending_requests = self._fill_requests
-            self._pending_bytes = self._fill_bytes
-            self._fill_requests = 0
-            self._fill_bytes = 0
-            self._start_flush()
+            self._rotate()
 
     def stop(self) -> None:
         if self._flusher is not None:

@@ -89,8 +89,8 @@ class CallbackNF(NFProcess):
         # ``segs`` come from PacketRing.dequeue; the kept part of each is
         # handed to the Tx ring by reference (see NFProcess._forward).
         if self.obs is not None and segs:
-            self._stage_hop(self.obs, segs, sum(s.count for s in segs),
-                            now_ns, svc_ns_per_pkt)
+            self.obs.on_hop(self, segs, sum(s.count for s in segs), now_ns,
+                            svc_ns_per_pkt)
         io_full = False
         admit = self.tx_ring.admit
         now = int(now_ns)

@@ -25,9 +25,7 @@ __digest_safety__ = "digest-checked: per-NF counters feed the result payload"
 
 import math
 import numbers
-from typing import (
-    Callable, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING,
-)
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.metrics.histogram import SlidingWindowEstimator
 from repro.platform.config import PlatformConfig
@@ -41,7 +39,6 @@ from repro.sim.clock import SEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nfs.cost_models import CostModel
-    from repro.obs.observer import Observer
     from repro.platform.chain import ServiceChain
 
 
@@ -175,9 +172,6 @@ class NFProcess(CoreTask):
         #: Optional :class:`repro.obs.observer.Observer` (wired by the
         #: manager); its tracker records exact per-hop wait/service.
         self.obs = None
-        #: Cached ``(wait, service)`` staging dicts from the tracker —
-        #: stable objects (drained in place), fetched once per NF.
-        self._lat_staging = None
         self.processed_packets = 0
         self.wasted_processed = 0  # my output later dropped downstream
         self.service_estimator = SlidingWindowEstimator(
@@ -387,7 +381,7 @@ class NFProcess(CoreTask):
             if pending:
                 if self.obs is not None:
                     # Before the move restamps the descriptors.
-                    self._stage_hop(self.obs, rx_ring._segments, pending,
+                    self.obs.on_hop(self, rx_ring._segments, pending,
                                     now_ns, svc_ns)
                 rx_ring.move_to(tx_ring, pending, int(now_ns))
                 self.processed_packets += pending
@@ -414,13 +408,13 @@ class NFProcess(CoreTask):
 
         ``segs`` come from :meth:`PacketRing.dequeue`; the Tx ring adopts
         each one (zero-copy), restamping ``enqueue_ns``, so the per-hop
-        telemetry is staged before the hand-off.
+        telemetry is recorded before the hand-off.
         """
         processed = 0
         for seg in segs:
             processed += seg.count
         if self.obs is not None and processed:
-            self._stage_hop(self.obs, segs, processed, now_ns, svc_ns_per_pkt)
+            self.obs.on_hop(self, segs, processed, now_ns, svc_ns_per_pkt)
         io_full = False
         io = self.io
         admit = self.tx_ring.admit
@@ -434,45 +428,6 @@ class NFProcess(CoreTask):
             admit(seg, now)
         self.processed_packets += processed
         return io_full
-
-    def _stage_hop(self, obs: "Observer",
-                   segs: Iterable[PacketSegment], n: int, now_ns: int,
-                   svc_ns_per_pkt: float) -> None:
-        """Stage the exact (unsampled) wait/service of the first ``n``
-        packets of ``segs`` into ``obs``'s latency tracker.
-
-        Waits are read from each segment's ``enqueue_ns``, so this runs
-        before a ring adopts the segments and restamps them.  Every packet
-        of a run shares one wait, and the modelled per-packet service time
-        is constant across a grant: one staged update per run, one for the
-        service.
-        """
-        staging = self._lat_staging
-        if staging is None:
-            staging = self._lat_staging = obs.hop_staging(self.name)
-        if not staging:  # the observer has no latency tracker
-            return
-        lat_wait, lat_svc = staging
-        left = n
-        for seg in segs:
-            count = seg.count
-            if count > left:
-                count = left
-            wait = now_ns - seg.enqueue_ns
-            if wait < 0:
-                wait = 0
-            if wait in lat_wait:
-                lat_wait[wait] += count
-            else:
-                lat_wait[wait] = count
-            left -= count
-            if not left:
-                break
-        svc = svc_ns_per_pkt if svc_ns_per_pkt > 0 else 0.0
-        lat_svc[svc] = lat_svc.get(svc, 0) + n
-        limit = obs.latency_staging_limit
-        if len(lat_wait) >= limit or len(lat_svc) >= limit:
-            obs.drain_hop(self.name)
 
     # ------------------------------------------------------------------
     # Fault recovery

@@ -75,9 +75,6 @@ class _ChainLog:
 class CausalityTracer:
     """Accumulates backpressure cause → effect attribution."""
 
-    #: Per-(chain, flow) staged-delivery bound hot callers drain at.
-    _PENDING_LIMIT = _MAX_PENDING_DELIVERIES
-
     def __init__(self):
         #: chain name -> closed-episode log (time-ordered).
         self._closed: Dict[str, _ChainLog] = {}
@@ -100,12 +97,9 @@ class CausalityTracer:
         #: NF -> [resume count, total release->dispatch delay ns].
         self.resume: Dict[str, List[int]] = {}
         self._pending_resume: Dict[str, int] = {}
-        #: chain -> flow -> staged ``(origin_ns, delivery_ns, count)``
-        #: triples awaiting attribution.  Attribution only needs the
-        #: episode set *clipped at the delivery time*, and episodes that
-        #: open later cannot overlap an earlier sojourn, so charging can
-        #: be deferred without changing a single attributed nanosecond —
-        #: the hot path is one ``list.append``.
+        # chain -> flow -> staged ``(origin_ns, delivery_ns, count)``
+        # triples awaiting attribution (see on_delivery); private to the
+        # tracer, drained at ``_MAX_PENDING_DELIVERIES`` per list.
         self._pending_deliv: Dict[str, Dict[str, List[Tuple[int, int,
                                                             int]]]] = {}
         #: Episodes folded away by the per-chain cap (reporting only).
@@ -206,21 +200,13 @@ class CausalityTracer:
 
     def on_delivery(self, flow_id: str, chain_name: str, origin_ns: int,
                     now_ns: int, count: int) -> None:
-        """Attribute throttle overlap of a delivered segment's sojourn."""
-        self._charge(chain_name, flow_id,
-                     ((int(origin_ns), int(now_ns), int(count)),))
+        """Attribute throttle overlap of a delivered segment's sojourn.
 
-    def delivery_staging(self, flow_id: str,
-                         chain_name: str) -> List[Tuple[int, int, int]]:
-        """The staged-delivery list for ``(chain, flow)``.
-
-        Hot callers (``TxThread._route``, through the observer) fetch this
-        once per flow and append ``(origin_ns, delivery_ns, count)``
-        triples inline; they should call :meth:`drain_deliveries` when the
-        list reaches ``_MAX_PENDING_DELIVERIES`` entries.  Deferred attribution is
-        bit-identical to immediate attribution: a sojourn's overlap with
-        the episode history clipped at its own delivery time is
-        unaffected by episodes that open afterwards.
+        The hot path is one ``list.append``: attribution is deferred to
+        the next drain (the staging limit, an episode prune or
+        :meth:`summary`), which is bit-identical to charging now — a
+        sojourn's overlap with the episode history clipped at its own
+        delivery time is unaffected by episodes that open afterwards.
         """
         by_flow = self._pending_deliv.get(chain_name)
         if by_flow is None:
@@ -228,9 +214,11 @@ class CausalityTracer:
         lst = by_flow.get(flow_id)
         if lst is None:
             lst = by_flow[flow_id] = []
-        return lst
+        lst.append((origin_ns, now_ns, count))
+        if len(lst) >= _MAX_PENDING_DELIVERIES:
+            self._drain_deliveries()
 
-    def drain_deliveries(self) -> None:
+    def _drain_deliveries(self) -> None:
         """Fold all staged deliveries into :attr:`induced`."""
         for chain_name, by_flow in self._pending_deliv.items():
             self._drain_chain(chain_name, by_flow)
@@ -314,7 +302,7 @@ class CausalityTracer:
     def summary(self, now_ns: int) -> Dict[str, Any]:
         """JSON-safe attribution state; open episodes are measured to
         ``now_ns`` without being closed."""
-        self.drain_deliveries()
+        self._drain_deliveries()
         throttle_ns = dict(self.throttle_ns)
         open_by_culprit: Dict[str, int] = {}
         for chain_name, (start_ns, culprit) in sorted(self._open.items()):

@@ -11,17 +11,24 @@ wait-vs-service decomposition (the per-hop latency view *Benchmarking
 NFV Software Dataplanes* shows is what localises dataplane bottlenecks;
 ``ObsSession`` prints it as the "per-hop latency breakdown" table).
 
-Recording sites (each reaches the tracker through the platform's
-:class:`~repro.obs.observer.Observer`; each costs one ``is not None``
-branch when off):
+Recording has one public method per event, each reached from the data
+path through the platform's :class:`~repro.obs.observer.Observer` (one
+``is not None`` branch per site when off):
 
-* ``TxThread._route`` — chain completion: end-to-end sojourn (NIC
+* :meth:`FlowLatencyTracker.record_delivery`, from ``TxThread._route``
+  (``Observer.on_delivery``) — chain completion: end-to-end sojourn (NIC
   arrival to chain exit) per flow and per chain, weighted by segment
   packet count, so the histograms cover 100% of delivered traffic.
-* ``NFProcess._stage_hop`` (every NF, ``CallbackNF`` too) — per hop: Rx-ring
-  queue wait and modelled per-packet service time for every processed
-  batch run.  There is no hop for the NIC Rx ring or the NF Tx rings;
-  those waits stay inside the end-to-end sojourn.
+* :meth:`FlowLatencyTracker.record_hop`, from every NF grant
+  (``Observer.on_hop``; ``CallbackNF`` too) — per hop: Rx-ring queue wait
+  and modelled per-packet service time of every processed packet.  There
+  is no hop for the NIC Rx ring or the NF Tx rings; those waits stay
+  inside the end-to-end sojourn.
+
+Both stage into dicts private to the tracker, bounded by a private
+limit and folded into the histograms on every read
+(:meth:`~FlowLatencyTracker.chain_p99_us`,
+:meth:`~FlowLatencyTracker.to_dict`).
 
 Everything the tracker accumulates is observational — it never touches
 simulation state, timing or RNG streams, so results (and campaign
@@ -35,7 +42,7 @@ from __future__ import annotations
 #: (SIM603) against ``repro.check.registry.MARKED_MODULES``.
 __digest_safety__ = "digest-invisible: per-flow sojourn telemetry"
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.histogram import CycleHistogram
 
@@ -74,13 +81,13 @@ class FlowLatencyTracker:
         #: hop name -> (wait histogram, service histogram), ns.
         self.hops: Dict[str, Tuple[CycleHistogram, CycleHistogram]] = {}
         self._hop_order: List[str] = []
-        # Hot-path staging: value -> packet weight, folded into the
-        # histograms on export.  Simulated workloads emit long runs of
-        # repeated values (per-NF service time is constant, queue waits
-        # quantise to the service grid), so two dict ops here replace a
-        # log-bucket insertion per sample.  ``_PENDING_LIMIT`` bounds each
-        # staging dict, keeping memory O(1).  Deliveries stage once per
-        # ``(flow, chain)`` pair and fold into both histograms.
+        # Staging, private to the tracker: value -> packet weight, folded
+        # into the histograms on export.  Simulated workloads emit long
+        # runs of repeated values (per-NF service time is constant, queue
+        # waits quantise to the service grid), so a dict update here
+        # replaces a log-bucket insertion per sample.  ``_PENDING_LIMIT``
+        # bounds each staging dict, keeping memory O(1).  Deliveries stage
+        # once per ``(flow, chain)`` pair and fold into both histograms.
         self._pending_deliv: Dict[Tuple[str, str], Dict[float, int]] = {}
         self._pending_hops: Dict[
             str, Tuple[Dict[float, int], Dict[float, int]]] = {}
@@ -94,22 +101,60 @@ class FlowLatencyTracker:
                         latency_ns: int, count: int) -> None:
         """A segment of ``count`` packets completed its chain after
         ``latency_ns`` of sojourn (NIC arrival to chain exit)."""
-        pend = self.delivery_staging(flow_id, chain_name)
-        pend[latency_ns] = pend.get(latency_ns, 0) + count
-        if len(pend) >= self._PENDING_LIMIT:
-            self._flush()
+        pend = self._pending_deliv.get((flow_id, chain_name))
+        if pend is None:
+            pend = self._delivery_pending(flow_id, chain_name)
+        if latency_ns in pend:
+            pend[latency_ns] += count
+        else:
+            pend[latency_ns] = count
+            if len(pend) >= self._PENDING_LIMIT:
+                self._flush()
 
-    def delivery_staging(self, flow_id: str,
-                         chain_name: str) -> Dict[float, int]:
+    def record_hop(self, hop: str, segs: Iterable[Any], n: int, now_ns: int,
+                   service_ns: float) -> None:
+        """One grant of ``hop`` cleared the first ``n`` packets of ``segs``
+        at ``now_ns``, each taking ``service_ns`` of modelled service.
+
+        Each packet's queue wait is ``now_ns - seg.enqueue_ns`` (clamped
+        at 0), so the caller records before a ring adopts the segments
+        and restamps them.  Every packet of a segment shares one wait;
+        the whole grant is staged before the staging limit is checked.
+        """
+        pend = self._pending_hops.get(hop)
+        if pend is None:
+            self.hops[hop] = (_new_hist(), _new_hist())
+            self._hop_order.append(hop)
+            pend = self._pending_hops[hop] = ({}, {})
+        waits, services = pend
+        left = n
+        for seg in segs:
+            count = seg.count
+            if count > left:
+                count = left
+            wait = now_ns - seg.enqueue_ns
+            if wait < 0:
+                wait = 0
+            if wait in waits:
+                waits[wait] += count
+            else:
+                waits[wait] = count
+            left -= count
+            if not left:
+                break
+        svc = service_ns if service_ns > 0 else 0.0
+        services[svc] = services.get(svc, 0) + n
+        limit = self._PENDING_LIMIT
+        if len(waits) >= limit or len(services) >= limit:
+            pair = self.hops[hop]
+            _drain(pair[0], waits)
+            _drain(pair[1], services)
+
+    def _delivery_pending(self, flow_id: str,
+                          chain_name: str) -> Dict[float, int]:
         """The ``(flow, chain)`` sojourn staging dict, creating the flow
         and chain histograms (and resolving flow overflow) on first use.
-        Staged weights fold into *both* histograms at flush.
-
-        Hot callers (``TxThread._route``, through the observer) fetch this
-        once per flow — the returned dict is a stable object, drained in
-        place — and accumulate ``dict[latency] += count`` inline; they
-        should call :meth:`_flush` when it reaches ``_PENDING_LIMIT``.
-        """
+        Staged weights fold into *both* histograms at flush."""
         flows = self.flows
         if flow_id not in flows and len(flows) >= self.max_flows:
             flow_id = self.OVERFLOW
@@ -122,43 +167,6 @@ class FlowLatencyTracker:
                 self.chains[chain_name] = _new_hist()
             pend = self._pending_deliv[key] = {}
         return pend
-
-    def hop_staging(self, hop: str) -> Tuple[Dict[float, int],
-                                             Dict[float, int]]:
-        """The ``(wait, service)`` staging dicts for ``hop``, creating its
-        histograms on first use.
-
-        Hot callers (``NFProcess._stage_hop``, through the observer) fetch
-        this once per NF — the hop name is fixed per NF — and accumulate
-        ``dict[value] += count`` inline, which is the whole recording
-        cost.  Callers should call :meth:`drain_hop` when a staging dict
-        reaches ``_PENDING_LIMIT`` entries.
-        """
-        pend = self._pending_hops.get(hop)
-        if pend is None:
-            self.hops[hop] = (_new_hist(), _new_hist())
-            self._hop_order.append(hop)
-            pend = self._pending_hops[hop] = ({}, {})
-        return pend
-
-    def drain_hop(self, hop: str) -> None:
-        """Fold ``hop``'s staged samples into its histograms."""
-        wp, sp = self._pending_hops[hop]
-        pair = self.hops[hop]
-        _drain(pair[0], wp)
-        _drain(pair[1], sp)
-
-    def record_hop(self, hop: str, wait_ns: float, service_ns: float,
-                   count: int) -> None:
-        """``count`` packets cleared ``hop`` after ``wait_ns`` queued,
-        taking ``service_ns`` of modelled service time each."""
-        wp, sp = self.hop_staging(hop)
-        w = wait_ns if wait_ns > 0 else 0.0
-        wp[w] = wp.get(w, 0) + count
-        s = service_ns if service_ns > 0 else 0.0
-        sp[s] = sp.get(s, 0) + count
-        if len(wp) >= self._PENDING_LIMIT or len(sp) >= self._PENDING_LIMIT:
-            self.drain_hop(hop)
 
     def _flush(self) -> None:
         """Fold all staged samples into the histograms (sorted by value,

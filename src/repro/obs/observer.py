@@ -12,17 +12,19 @@ through one typed method, so a run with nothing attached pays one
 The observer forwards each event to the sinks it holds: a recording
 ``bus`` (:class:`~repro.obs.bus.EventBus`), per-core ``tracers``
 (:class:`~repro.sched.tracing.SchedTracer` by core id), a ``latency``
-tracker and a ``causality`` tracer.  A new event kind is one method here
-plus its call site.  Every sink is observational: digests are identical
-with any observer attached.
+tracker and a ``causality`` tracer.  It hands a tracker each event
+through the tracker's public recording method (``on_hop`` calls
+``record_hop``, ``on_delivery`` calls ``record_delivery`` and the
+tracer's ``on_delivery``); how a tracker stages and drains samples is
+its own business.  A new event kind is one method here plus its call
+site.  Every sink is observational: digests are identical with any
+observer attached.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.obs.causality import CausalityTracer
-from repro.obs.latency import FlowLatencyTracker
 from repro.sched.tracing import DISPATCH, SWITCH_OUT, WAKE
 
 
@@ -36,11 +38,6 @@ class Observer:
         self.tracers = tracers
         self.latency = latency
         self.causality = causality
-        #: Entries a hot caller's staging dict/list may reach before it
-        #: asks the observer to fold them into the trackers (bounds
-        #: memory).  Instance attributes: read per grant and per delivery.
-        self.latency_staging_limit = FlowLatencyTracker._PENDING_LIMIT
-        self.delivery_staging_limit = CausalityTracer._PENDING_LIMIT
 
     def serving(self, *sinks: str) -> Optional["Observer"]:
         """``self`` if any named sink is attached, else ``None``: what the
@@ -167,36 +164,24 @@ class Observer:
             self.bus.publish("bp.relinquish", nf.name, on=on)
 
     # ------------------------------------------------------------------
-    # Latency staging (NF hops, Tx deliveries)
+    # Telemetry: NF grants and chain completions
     # ------------------------------------------------------------------
-    def hop_staging(self, hop: str) -> Tuple[dict, ...]:
-        """The latency tracker's ``(wait, service)`` staging dicts for
-        ``hop``, or ``()`` without a tracker.  The caller caches them
-        (stable objects) and adds ``dict[value] += count`` inline."""
-        return () if self.latency is None else self.latency.hop_staging(hop)
+    def on_hop(self, nf, segs, n: int, now: int, service_ns: float) -> None:
+        """A grant of ``nf`` processed the first ``n`` packets of ``segs``
+        (before a ring restamps them), ``service_ns`` each."""
+        if self.latency is not None:
+            self.latency.record_hop(nf.name, segs, n, now, service_ns)
 
-    def drain_hop(self, hop: str) -> None:
-        """A hop staging dict reached ``latency_staging_limit``."""
-        self.latency.drain_hop(hop)
-
-    def delivery_staging(self, flow_id: str,
-                         chain_name: str) -> Tuple[Any, Any]:
-        """``(sojourn dict, causality triples)`` staging for one
-        ``(flow, chain)``; either is ``None`` without its tracker."""
-        lat, cause = self.latency, self.causality
-        if lat is not None:
-            lat = lat.delivery_staging(flow_id, chain_name)
-        if cause is not None:
-            cause = cause.delivery_staging(flow_id, chain_name)
-        return lat, cause
-
-    def flush_deliveries(self) -> None:
-        """A sojourn staging dict reached ``latency_staging_limit``."""
-        self.latency._flush()
-
-    def drain_deliveries(self) -> None:
-        """A triple list reached ``delivery_staging_limit``."""
-        self.causality.drain_deliveries()
+    def on_delivery(self, flow, chain, origin_ns: int, now: int,
+                    count: int) -> None:
+        """``count`` packets of ``flow`` that entered at ``origin_ns`` left
+        ``chain`` at ``now``."""
+        if self.latency is not None:
+            self.latency.record_delivery(flow.flow_id, chain.name,
+                                         now - origin_ns, count)
+        if self.causality is not None:
+            self.causality.on_delivery(flow.flow_id, chain.name, origin_ns,
+                                       now, count)
 
     # ------------------------------------------------------------------
     # Fault injection and fabric links

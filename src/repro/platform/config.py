@@ -83,9 +83,6 @@ class PlatformConfig:
     ecn_min_fraction: float = 0.15
     ecn_max_fraction: float = 0.50
 
-    # --- misc ---------------------------------------------------------------
-    seed: int = 0
-
     def with_features(self, cgroups: bool, backpressure: bool,
                       ecn: bool = False) -> "PlatformConfig":
         """Copy of this config with the NFVnice feature toggles replaced.

@@ -388,11 +388,6 @@ class NFManager:
 
         return _cb
 
-    def run(self, duration_ns: int) -> None:
-        """Run the platform for ``duration_ns`` of simulated time."""
-        self.start()
-        self.loop.run_until(self.loop.now + int(duration_ns))
-
     def finalize(self) -> None:
         """Close per-core idle accounting (call once, after the last run)."""
         for core in self.cores.values():
@@ -401,11 +396,6 @@ class NFManager:
     # ------------------------------------------------------------------
     # Aggregate accounting
     # ------------------------------------------------------------------
-    @property
-    def tx_thread(self) -> Optional[TxThread]:
-        """The first Tx thread (back-compat convenience)."""
-        return self.tx_threads[0] if self.tx_threads else None
-
     @property
     def total_completed(self) -> int:
         """Packets that traversed their full chain and left the NIC."""

@@ -59,13 +59,6 @@ class TxThread:
         #: Optional :class:`repro.obs.observer.Observer` whose trackers get
         #: every chain completion and wasted drop (wired by the manager).
         self.obs = None
-        # Per-flow staging caches: deliveries arrive in long same-flow
-        # runs, so one identity check replaces the tracker lookups.  The
-        # staged containers are stable objects (drained in place), so a
-        # cached reference never goes stale.
-        self._tel_flow = None
-        self._lat_pend = None
-        self._cause_pend = None
         self._poll_ns = int(self.config.tx_poll_ns)
         self._tick: Optional[EventHandle] = None
 
@@ -125,26 +118,9 @@ class TxThread:
             latency = now - seg.origin_ns
             if latency >= 0:
                 chain.latency_hist.add(latency, weight=seg.count)
-                obs = self.obs
-                if obs is not None:
-                    if flow is not self._tel_flow:
-                        self._tel_flow = flow
-                        self._lat_pend, self._cause_pend = \
-                            obs.delivery_staging(flow.flow_id, chain.name)
-                    count = seg.count
-                    fp = self._lat_pend
-                    if fp is not None:
-                        if latency in fp:
-                            fp[latency] += count
-                        else:
-                            fp[latency] = count
-                            if len(fp) >= obs.latency_staging_limit:
-                                obs.flush_deliveries()
-                    pend = self._cause_pend
-                    if pend is not None:
-                        pend.append((seg.origin_ns, now, count))
-                        if len(pend) >= obs.delivery_staging_limit:
-                            obs.drain_deliveries()
+                if self.obs is not None:
+                    self.obs.on_delivery(flow, chain, seg.origin_ns, now,
+                                         seg.count)
             return
         # Zero-copy: the next NF's Rx ring adopts the descriptor.
         accepted, dropped, above_high = nxt.rx_ring.admit(seg, now)

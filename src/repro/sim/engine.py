@@ -151,38 +151,6 @@ class EventLoop:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Run the next pending event.  Returns False when the queue is empty."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            handle = entry[2]
-            if handle.cancelled:
-                _heappop(heap)
-                self.lazy_cancel_skips += 1
-                continue
-            t = entry[0]
-            self.now = t
-            self.pops += 1
-            period = handle.period
-            if period:
-                # Re-arm in place: one sift replaces pop+push, and the
-                # sequence number is consumed before the callback exactly
-                # as the reschedule-first idiom did.
-                self._seq += 1
-                handle.time = t + period
-                _heapreplace(heap, (handle.time, self._seq, handle))
-                self.pushes += 1
-            else:
-                _heappop(heap)
-                # Mark fired so a late cancel() is a no-op instead of a
-                # double-decrement of the live counter.
-                handle.cancelled = True
-                self._live_events -= 1
-            handle.callback()
-            return True
-        return False
-
     def run_until(self, t_end: float) -> None:
         """Run events with ``time <= t_end``; the clock finishes at ``t_end``.
 
@@ -207,27 +175,22 @@ class EventLoop:
             pops += 1
             period = handle.period
             if period:
+                # Re-arm in place: one sift replaces pop+push, and the
+                # sequence number is taken before the callback runs.
                 self._seq += 1
                 handle.time = t + period
                 _heapreplace(heap, (handle.time, self._seq, handle))
                 self.pushes += 1
             else:
                 _heappop(heap)
-                handle.cancelled = True  # fired; see step()
+                # Mark fired so a late cancel() is a no-op instead of a
+                # double-decrement of the live counter.
+                handle.cancelled = True
                 self._live_events -= 1
             handle.callback()
         self.pops += pops
         if self.now < t_end:
             self.now = t_end
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Drain the queue (or at most ``max_events``); returns events run."""
-        count = 0
-        while self.step():
-            count += 1
-            if max_events is not None and count >= max_events:
-                break
-        return count
 
     # ------------------------------------------------------------------
     # Heap hygiene
@@ -251,7 +214,7 @@ class EventLoop:
     def _compact(self) -> None:
         """Drop every cancelled entry and restore the heap invariant.
 
-        Compacts *in place*: step()/run_until() hold a local alias to the
+        Compacts *in place*: run_until() holds a local alias to the
         heap list while draining it, and cancel() — hence compaction — runs
         from inside event callbacks.  ``(time, seq)`` keys are unique, so
         the firing order after a rebuild is unchanged.

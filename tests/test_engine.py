@@ -7,6 +7,9 @@ import pytest
 
 from repro.sim.engine import EventLoop, _noop
 
+#: Past every event these tests schedule.
+HORIZON = 10**12
+
 
 class TestScheduling:
     def test_starts_at_zero(self, loop):
@@ -17,7 +20,7 @@ class TestScheduling:
         fired = []
         loop.schedule(100, lambda: fired.append(loop.now))
         assert loop.pending == 1
-        assert loop.step()
+        loop.run_until(100)
         assert fired == [100]
         assert loop.now == 100
         assert loop.pending == 0
@@ -48,14 +51,14 @@ class TestScheduling:
         loop.schedule(300, lambda: order.append(3))
         loop.schedule(100, lambda: order.append(1))
         loop.schedule(200, lambda: order.append(2))
-        loop.run()
+        loop.run_until(HORIZON)
         assert order == [1, 2, 3]
 
     def test_same_time_fifo_order(self, loop):
         order = []
         for i in range(5):
             loop.schedule(100, (lambda v: lambda: order.append(v))(i))
-        loop.run()
+        loop.run_until(HORIZON)
         assert order == [0, 1, 2, 3, 4]
 
     def test_event_can_schedule_more_events(self, loop):
@@ -67,7 +70,7 @@ class TestScheduling:
                 loop.schedule(10, chain)
 
         loop.schedule(10, chain)
-        loop.run()
+        loop.run_until(HORIZON)
         assert fired == [10, 20, 30]
 
 
@@ -76,7 +79,7 @@ class TestCancellation:
         fired = []
         handle = loop.schedule(100, lambda: fired.append(1))
         handle.cancel()
-        loop.run()
+        loop.run_until(HORIZON)
         assert fired == []
 
     def test_cancel_is_idempotent(self, loop):
@@ -97,7 +100,7 @@ class TestCancellation:
         h1 = loop.schedule(100, lambda: fired.append(1))
         loop.schedule(100, lambda: fired.append(2))
         h1.cancel()
-        loop.run()
+        loop.run_until(HORIZON)
         assert fired == [2]
 
 
@@ -112,12 +115,12 @@ class TestLazyCancelAccounting:
             h.cancel()     # idempotent: second cancel must not re-decrement
             assert loop.pending >= 0
         assert loop.pending == 0
-        loop.run()
+        loop.run_until(HORIZON)
         assert loop.pending == 0
 
     def test_cancel_after_fire_is_noop(self, loop):
         handle = loop.schedule(100, lambda: None)
-        loop.run()
+        loop.run_until(HORIZON)
         assert loop.pending == 0
         handle.cancel()            # late cancel of a fired handle
         assert loop.pending == 0   # must not drive the counter negative
@@ -129,7 +132,7 @@ class TestLazyCancelAccounting:
         stale = loop.schedule(100, lambda: fired.append("stale"))
         stale.cancel()
         loop.schedule(100, lambda: fired.append("fresh"))
-        loop.run()
+        loop.run_until(100)
         assert fired == ["fresh"]
         assert loop.now == 100
 
@@ -144,7 +147,7 @@ class TestLazyCancelAccounting:
             second.cancel()
 
         loop.call_at(100, first)
-        loop.run()
+        loop.run_until(HORIZON)
         # `second` was scheduled before `first` so it fires first; FIFO
         # order at equal timestamps is by scheduling sequence.
         assert fired == [2, 1]
@@ -159,7 +162,7 @@ class TestLazyCancelAccounting:
 
         loop.schedule(100, first)
         hit.append(loop.schedule(100, lambda: fired.append("second")))
-        loop.run()
+        loop.run_until(HORIZON)
         assert fired == ["first"]
 
     def test_cancel_releases_callback_reference(self, loop):
@@ -199,7 +202,7 @@ class TestLazyCancelAccounting:
         cancels = [loop.schedule(5000 + i, lambda: None) for i in range(300)]
         for h in cancels:
             h.cancel()
-        loop.run()
+        loop.run_until(HORIZON)
         assert fired == list(range(200))
         assert loop.pending == 0
 
@@ -259,9 +262,3 @@ class TestRunUntil:
         assert fired == []
         loop.run_until(200)
         assert fired == [150]
-
-    def test_run_max_events(self, loop):
-        for i in range(10):
-            loop.schedule(i + 1, lambda: None)
-        assert loop.run(max_events=4) == 4
-        assert loop.pending == 6

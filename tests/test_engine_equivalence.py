@@ -63,8 +63,8 @@ class _Oracle:
     def call_every(self, period, callback):
         return self.call_at(self.now + period, callback, period)
 
-    def step(self, t_end=None):
-        if not self.queue or (t_end is not None and self.queue[0][0] > t_end):
+    def _step(self, t_end):
+        if not self.queue or self.queue[0][0] > t_end:
             return False
         t, _, handle = self.queue.pop(0)
         self.now = t
@@ -77,15 +77,10 @@ class _Oracle:
         return True
 
     def run_until(self, t_end):
-        while self.step(t_end):
+        while self._step(t_end):
             pass
         self.now = max(self.now, t_end)
 
-    def run(self, max_events=None):
-        count = 0
-        while (max_events is None or count < max_events) and self.step():
-            count += 1
-        return count
 
 
 # Round values recur across offsets and periods, so same-instant ties
@@ -108,7 +103,7 @@ _PERIODS = st.one_of(
     st.integers(1 << 27, 1 << 30),
 )
 
-# Ops runnable from inside a callback (no nested run_until/step — the
+# Ops runnable from inside a callback (no nested run_until — the
 # loop forbids re-entrant draining just like asyncio does).
 _NESTED_OP = st.one_of(
     st.tuples(st.just("at"), _OFFSETS),
@@ -123,12 +118,15 @@ _TOP_OP = st.one_of(
     st.tuples(st.just("every"), _PERIODS, st.lists(_NESTED_OP, max_size=2)),
     st.tuples(st.just("cancel"), st.integers(0, 63), st.just(())),
     st.tuples(st.just("run"), _OFFSETS, st.just(())),
-    st.tuples(st.just("step"), st.just(0), st.just(())),
 )
 
 #: A periodic handle auto-cancels after this many fires so run_until over
 #: a huge horizon stays bounded.  Deterministic, hence loop-invariant.
 _MAX_FIRES = 30
+
+#: Past every event a program can schedule (offsets stay below 2**54 per
+#: op), so a final ``run_until(_DRAIN)`` fires everything left.
+_DRAIN = 1 << 64
 
 
 def _interpret(loop, program):
@@ -171,13 +169,11 @@ def _interpret(loop, program):
                 handles[amount % len(handles)].cancel()
         elif kind == "run":
             loop.run_until(loop.now + amount)
-        elif kind == "step":
-            loop.step()
 
     for op in program:
         apply(op, ())
     # Drain what's left so late/far events are compared too.
-    loop.run(max_events=20_000)
+    loop.run_until(_DRAIN)
     state = (loop.now, loop.pending, loop.pushes, loop.pops)
     return trace, state
 
@@ -209,7 +205,7 @@ def test_one_shot_ordering_equivalence(offsets, horizon):
             loop.call_at(off, (lambda v: lambda: trace.append((v, loop.now)))(i))
         loop.run_until(horizon)
         trace.append(("now", loop.now, loop.pending))
-        loop.run()
+        loop.run_until(_DRAIN)
         return trace
 
     _both(run)
@@ -229,7 +225,7 @@ def test_far_future_event_interleaves_with_near_ones():
         for d, tag in ((far_t - 100, "before"), (far_t, "same_a"),
                        (far_t, "same_b"), (far_t + 50, "after")):
             loop.call_at(d, (lambda v: lambda: trace.append((v, loop.now)))(tag))
-        loop.run()
+        loop.run_until(far_t + 50)
         return trace
 
     out = _both(run)
@@ -290,7 +286,7 @@ def test_periodic_cancel_from_own_callback_matches():
 
 def test_periodic_rearm_takes_seq_before_its_callback():
     """A re-armed periodic event fires before anything its own callback
-    scheduled for the same next instant — in run_until and in step."""
+    scheduled for the same next instant, across run_until calls too."""
 
     def run(loop):
         trace = []
@@ -301,9 +297,10 @@ def test_periodic_rearm_takes_seq_before_its_callback():
 
         handle = loop.call_every(100, tick)
         loop.run_until(250)
-        loop.run(max_events=3)
+        loop.run_until(400)
         handle.cancel()
         return trace
 
     assert _both(run) == [("tick", 100), ("tick", 200), ("echo", 200),
-                          ("tick", 300), ("echo", 300), ("tick", 400)]
+                          ("tick", 300), ("echo", 300), ("tick", 400),
+                          ("echo", 400)]

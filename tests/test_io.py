@@ -20,7 +20,7 @@ class TestDiskDevice:
         disk = DiskDevice(loop, bandwidth_bps=8e9, op_latency_ns=0)
         done = []
         disk.submit(1000, lambda: done.append(loop.now))
-        loop.run()
+        loop.run_until(SEC)
         assert done == [1000]
 
     def test_requests_serialised(self, loop):
@@ -28,7 +28,7 @@ class TestDiskDevice:
         done = []
         disk.submit(1000, lambda: done.append(loop.now))
         disk.submit(1000, lambda: done.append(loop.now))
-        loop.run()
+        loop.run_until(SEC)
         assert done == [1000, 2000]
 
     def test_counters(self, loop):
@@ -64,7 +64,7 @@ class TestAsyncIO:
                             on_unblock=lambda: unblocked.append(loop.now))
         io.submit(20, 1280, 0)  # both buffers full
         assert io.blocked
-        loop.run()
+        loop.run_until(SEC)
         assert not io.blocked
         assert unblocked  # callback fired
 
@@ -84,7 +84,7 @@ class TestAsyncIO:
                             flush_interval_ns=0)
         for _ in range(256):
             io.submit(1, 64, 0)
-        loop.run()
+        loop.run_until(SEC)
         assert disk.ops == 1
 
     def test_invalid_buffer_size(self, loop):
@@ -98,7 +98,7 @@ class TestSyncIO:
         io = SyncIOContext(loop, disk)
         assert not io.submit(1, 64, 0)
         assert io.blocked
-        loop.run()
+        loop.run_until(SEC)
         assert not io.blocked
 
     def test_unblock_callback(self, loop):
@@ -106,7 +106,7 @@ class TestSyncIO:
         called = []
         io = SyncIOContext(loop, disk, on_unblock=lambda: called.append(1))
         io.submit(1, 64, 0)
-        loop.run()
+        loop.run_until(SEC)
         assert called == [1]
 
 

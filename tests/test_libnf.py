@@ -100,7 +100,7 @@ class TestLibnfAPI:
                         disk=disk)
         seen = []
         assert nf.api.write_data(64, seen.append, context="flow-ctx") == 0
-        loop.run()
+        loop.run_until(SEC)
         assert seen == ["flow-ctx"]
         assert nf.api.storage_writes == 1
 

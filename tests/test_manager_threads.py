@@ -231,11 +231,6 @@ class TestMultipleTxThreads:
         loop.run_until(50 * MSEC)
         assert chain.completed == 200
 
-    def test_back_compat_tx_thread_property(self, loop, config):
-        mgr, *_ = build(loop, config)
-        mgr.start()
-        assert mgr.tx_thread is mgr.tx_threads[0]
-
 
 class TestThreadArming:
     """Rx/Tx/wakeup threads arm on the start-time grid, and only once the

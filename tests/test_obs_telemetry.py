@@ -25,8 +25,15 @@ from repro.obs.latency import (
     summarize,
 )
 from repro.obs.stream import SnapshotStreamer, diff_telemetry, load_telemetry
+from repro.platform.packet import Flow, PacketSegment
 from repro.sim.clock import MSEC
 from repro.sim.engine import EventLoop
+
+
+def record_hop(tracker, hop, wait_ns, service_ns, count, now_ns=10**6):
+    """One grant of ``count`` packets that queued ``wait_ns`` at ``hop``."""
+    seg = PacketSegment(Flow("f"), count, enqueue_ns=now_ns - wait_ns)
+    tracker.record_hop(hop, [seg], count, now_ns, service_ns)
 
 
 def build_scenario(**kwargs):
@@ -155,11 +162,25 @@ class TestFlowLatencyTracker:
 
     def test_record_hop_clamps_negative_wait(self):
         t = FlowLatencyTracker()
-        t.record_hop("nf1", -5, 120, 4)
+        record_hop(t, "nf1", -5, 120, 4)
         d = t.to_dict()
         assert d["hops"]["nf1"]["wait"]["count"] == 4
         assert d["hops"]["nf1"]["wait"]["max"] == 0.0
         assert d["hops"]["nf1"]["service"]["count"] == 4
+
+    def test_record_hop_counts_first_n_packets_of_a_grant(self):
+        """Each segment's packets share its wait; packets past ``n`` (the
+        part of the grant's last segment left queued) are not counted."""
+        t = FlowLatencyTracker()
+        segs = [PacketSegment(Flow("f"), 3, enqueue_ns=100),
+                PacketSegment(Flow("f"), 5, enqueue_ns=300),
+                PacketSegment(Flow("f"), 2, enqueue_ns=400)]
+        t.record_hop("nf1", segs, 6, 1000, 50.0)
+        hop = t.to_dict()["hops"]["nf1"]
+        assert hop["wait"]["count"] == 6
+        assert hop["wait"]["total"] == 900 * 3 + 700 * 3
+        assert hop["service"]["count"] == 6
+        assert hop["service"]["total"] == 50.0 * 6
 
     def test_export_mid_run_then_keep_recording(self):
         """to_dict() drains the staging layer; later samples still land."""
@@ -178,10 +199,20 @@ class TestFlowLatencyTracker:
         assert len(t._pending_deliv[("f", "c")]) < limit
         assert t.to_dict()["flows"]["f"]["count"] == limit + 10
 
+    def test_hop_limit_drains_incrementally(self):
+        t = FlowLatencyTracker()
+        limit = FlowLatencyTracker._PENDING_LIMIT
+        for w in range(limit + 10):
+            record_hop(t, "nf1", w + 1, 50, 1)
+        assert len(t._pending_hops["nf1"][0]) < limit
+        wait = t.to_dict()["hops"]["nf1"]["wait"]
+        assert wait["count"] == limit + 10
+        assert wait["total"] == sum(range(1, limit + 11))
+
     def test_to_dict_shape_and_summary(self):
         t = FlowLatencyTracker()
         t.record_delivery("f", "c", 2000, 10)
-        t.record_hop("nf1", 100, 50, 10)
+        record_hop(t, "nf1", 100, 50, 10)
         d = t.to_dict()
         assert set(d) == {"flows", "chains", "hops", "hop_order"}
         assert d["hop_order"] == ["nf1"]
@@ -209,8 +240,8 @@ class TestFlowLatencyTracker:
         for i, s in enumerate(samples):
             whole.record_delivery(*s)
             (a if i % 2 == 0 else b).record_delivery(*s)
-        whole.record_hop("nf1", 10, 20, 3)
-        a.record_hop("nf1", 10, 20, 3)
+        record_hop(whole, "nf1", 10, 20, 3)
+        record_hop(a, "nf1", 10, 20, 3)
         merged = merge_latency_dicts([a.to_dict(), b.to_dict()])
         assert merged["flows"] == whole.to_dict()["flows"]
         assert merged["hops"] == whole.to_dict()["hops"]
@@ -220,9 +251,9 @@ class TestFlowLatencyTracker:
     def test_render_hop_table_order_and_percentiles(self):
         t = FlowLatencyTracker()
         # First-recorded order is chain order, whatever the names sort to.
-        t.record_hop("zeta", 100_000, 7_000, 1)
-        t.record_hop("zeta", 300_000, 7_000, 1)
-        t.record_hop("alpha", 10_000, 2_000, 4)
+        record_hop(t, "zeta", 100_000, 7_000, 1)
+        record_hop(t, "zeta", 300_000, 7_000, 1)
+        record_hop(t, "alpha", 10_000, 2_000, 4)
         text = render_hop_table(t.to_dict(), "hops")
         rows = [line.split() for line in text.splitlines()
                 if line.split() and line.split()[0] in ("zeta", "alpha")]
@@ -272,18 +303,20 @@ class TestCausalityTracer:
         tr.on_clear("nf2", "c", 300)
         # Sojourn [0, 500] overlaps [100, 300] for 200 ns; 3 packets.
         tr.on_delivery("f", "c", 0, 500, 3)
-        assert tr.induced[("f", "nf2")] == 200 * 3
+        assert tr.summary(500)["induced_pkt_ns"] == {"f→nf2": 200 * 3}
         # Sojourn entirely after the episode: no attribution.
         tr.on_delivery("f", "c", 400, 600, 1)
-        assert tr.induced[("f", "nf2")] == 600
+        assert tr.summary(600)["induced_pkt_ns"] == {"f→nf2": 600}
         # Overlap with an open episode runs to delivery time.
         tr.on_throttle("nf3", "c", 700)
         tr.on_delivery("f", "c", 650, 900, 1)
-        assert tr.induced[("f", "nf3")] == 200
+        assert tr.summary(900)["induced_pkt_ns"]["f→nf3"] == 200
 
     def test_delivery_attribution_matches_bruteforce(self):
         """The prefix-sum fast path must equal per-episode overlap math
-        across mixed culprits, partial overlaps and an open episode."""
+        across mixed culprits, partial overlaps and an open episode, with
+        every delivery held in staging until summary() charges it against
+        episodes that closed after it."""
         script = [("nf2", 100, 200), ("nf2", 300, 450), ("nf3", 500, 700),
                   ("nf3", 900, 950), ("nf2", 1000, 1300),
                   ("nf4", 1400, 1450), ("nf9", 1500, None)]  # last open
@@ -307,6 +340,8 @@ class TestCausalityTracer:
             else:
                 origin, now, count = args
                 tr.on_delivery("f", "c", origin, now, count)
+        assert tr.induced == {}  # still staged
+        tr.summary(now_ns=1700)
 
         expected = {}
         for origin, now, count in deliveries:
@@ -315,6 +350,49 @@ class TestCausalityTracer:
                 lo = max(start, origin)
                 if hi > lo:
                     key = ("f", culprit)
+                    expected[key] = expected.get(key, 0) + (hi - lo) * count
+        assert tr.induced == expected
+
+    @pytest.mark.parametrize("limit", [1, None],
+                             ids=["charged-at-limit", "staged"])
+    def test_staged_deliveries_across_episode_prune_match_bruteforce(
+            self, limit, monkeypatch):
+        """Deliveries staged while the episode log is pruned are charged
+        before the prune drops their episodes (``on_clear``'s drain), so
+        the attribution matches per-episode overlap math either way."""
+        from repro.obs import causality
+
+        if limit is not None:
+            monkeypatch.setattr(causality, "_MAX_PENDING_DELIVERIES", limit)
+        n = causality._MAX_EPISODES_PER_CHAIN + 1
+        # Episode i holds [10 i, 10 i + 5], alternating culprits in runs.
+        culprits = ("nf2", "nf3")
+        tr = CausalityTracer()
+        deliveries = []
+        for i in range(n):
+            start = i * 10
+            culprit = culprits[(i // 7) % 2]
+            tr.on_throttle(culprit, "c", start)
+            tr.on_clear(culprit, "c", start + 5)
+            if i % 9 == 0:
+                now = start + 7
+                delivery = (max(0, now - 300), now, 1 + i % 3)
+                deliveries.append(delivery)
+                tr.on_delivery("f", "c", *delivery)
+        assert tr.pruned_episodes > 0
+        assert tr.induced  # the prune charged what was staged
+        end = n * 10
+        tr.on_delivery("f", "c", end - 40, end, 2)
+        deliveries.append((end - 40, end, 2))
+        tr.summary(now_ns=end)
+
+        expected = {}
+        for origin, now, count in deliveries:
+            for i in range(origin // 10, now // 10 + 1):
+                lo = max(i * 10, origin)
+                hi = min(i * 10 + 5, now)
+                if hi > lo:
+                    key = ("f", culprits[(i // 7) % 2])
                     expected[key] = expected.get(key, 0) + (hi - lo) * count
         assert tr.induced == expected
 
@@ -593,3 +671,31 @@ class TestTelemetryPinned:
         canon = json.dumps(result.flow_latency, sort_keys=True).encode()
         assert hashlib.sha256(canon).hexdigest() == (
             "375afe6ca047b534bd0bec88e96c6483a743b2f159dbff121b62530719c5f01d")
+
+    @staticmethod
+    def _sha(data):
+        import hashlib
+
+        return hashlib.sha256(
+            json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+    def test_deadline_cell_with_live_reads_and_limit_drains_is_pinned(self):
+        """The SLO governor reads live p99 mid-run, and the causality
+        staging reaches its limit and drains twice; the 0.02 s cell above
+        reaches neither."""
+        from repro.experiments.slo_battery import run_case
+
+        result = run_case("mixed", "DEADLINE", duration_s=0.2, seed=0)
+        assert self._sha(result.flow_latency) == (
+            "c8e4455e3e41212f1c559584fc14ff3c6e2b8149007d454f7c36666f7c0e1596")
+        assert self._sha(result.causality) == (
+            "d60e64045c095c4fef0550014aa523ee37d3dd36893abcc8c6a275fdbde86a53")
+
+    def test_cluster_shared_tracker_is_pinned(self):
+        """One latency-only observer shared by two hosts, read by the
+        autoscaler mid-run."""
+        from repro.experiments.cluster_scaling import run_case
+
+        result = run_case("flash", 2, "auto", duration_s=0.2, seed=0)
+        assert self._sha(result.flow_latency) == (
+            "953173ae73c0de2cf68207710bc529bc8b9c9c5132ac4bc098cd263d59bdcbb0")
