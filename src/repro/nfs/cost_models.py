@@ -53,6 +53,9 @@ _RAW_REFILL = 8192
 #: drop the consumed entries, but the subtraction's timing fixes the low
 #: bits of every later prefix sum.
 _COMPACT = 65536
+#: ``Generator.choice`` rejects probabilities whose sum is further than
+#: this from 1: the square root of float64's machine epsilon (2**-52).
+_PROB_ATOL = 2.0 ** -26
 
 
 def _finite(field: str, value, low: float = 0.0,
@@ -213,7 +216,16 @@ class BufferedCost(CostModel):
 
 
 class ChoiceCost(BufferedCost):
-    """Each packet's cost drawn from a discrete set (§4.3.1: 120/270/550)."""
+    """Each packet's cost drawn from a discrete set (§4.3.1: 120/270/550).
+
+    Draws equal numpy's ``Generator.choice`` over ``values`` with
+    ``p=probabilities``, values and bit-stream state alike, without its
+    per-call ``searchsorted``: numpy draws ``u = random(n)`` and takes
+    the number of cdf entries ``<= u``.  The last entry is
+    ``cdf[-1] / cdf[-1] == 1.0 > u``, so counting the first ``k - 1``
+    cut points ``<= u`` gives the same index (pinned by
+    ``tests/test_perf_equivalence.py``).
+    """
 
     def __init__(self, values, probabilities=None,
                  rng: Optional[np.random.Generator] = None):
@@ -233,13 +245,21 @@ class ChoiceCost(BufferedCost):
                           & (self.probabilities >= 0)):
                 raise ValueError(f"probabilities must be finite and >= 0, "
                                  f"got {probabilities!r}")
-            total = self.probabilities.sum()
-            if not np.isclose(total, 1.0):
-                raise ValueError(f"probabilities must sum to 1, got {total}")
+            # numpy's own tolerance: choice() rejects a looser sum.
+            total = math.fsum(self.probabilities)
+            if abs(total - 1.0) > _PROB_ATOL:
+                raise ValueError(f"probabilities must sum to 1, got {total!r}")
         self.mean_cycles = float(np.dot(self.values, self.probabilities))
+        cdf = self.probabilities.cumsum()  # numpy's cdf, op for op
+        cdf /= cdf[-1]
+        self._cuts = cdf[:-1].tolist()
 
     def _draw_block(self, n: int) -> np.ndarray:
-        return self._rng.choice(self.values, size=n, p=self.probabilities)
+        u = self._rng.random(n)
+        idx = np.zeros(n, dtype=np.intp)
+        for cut in self._cuts:
+            idx += u >= cut
+        return self.values.take(idx)
 
 
 class NormalCost(BufferedCost):
@@ -367,25 +387,30 @@ class WithOverhead(CostModel):
         # search on the monotone total.
         inner = self._buffered
         if inner is not None:
-            # Same search over one list read of the un-consumed prefix
-            # sums instead of a peek_sum call chain per probe.  Each probe
-            # is peek_sum's own float expression, and a probe past the
+            # Same search over the un-consumed prefix sums read directly
+            # instead of a peek_sum call chain per probe.  Each probe is
+            # peek_sum's own float expression, and a probe past the
             # buffered window calls _ensure(mid) exactly where peek_sum
             # would, so refill/compaction timing (hence every later
-            # prefix sum) is unchanged; the window is re-read after it.
+            # prefix sum) is unchanged.  The window is read as a list
+            # only when the full-batch probe fails, and re-read after a
+            # refill.
             overhead = self.overhead
             pos = inner._pos
-            w = inner._cum[pos:pos + max_packets + 1].tolist()
-            top = len(w) - 1
-            if top >= max_packets:
-                # Most batches are full: probe k = max_packets first.  The
-                # total is monotone in k, so this is the search's answer,
-                # and every probe the search would make is <= top, so no
-                # refill is skipped.
-                used = (w[max_packets] - w[0]) + max_packets * overhead
+            cum = inner._cum
+            if len(cum) - 1 - pos >= max_packets:
+                # Most batches are full: probe k = max_packets first, from
+                # two scalars (the same float operations as on the list).
+                # The total is monotone in k, so this is the search's
+                # answer, and every probe the search would make is inside
+                # the window, so no refill is skipped.
+                used = ((cum.item(pos + max_packets) - cum.item(pos))
+                        + max_packets * overhead)
                 if used <= budget_cycles:
                     inner._pos = pos + max_packets
                     return max_packets, used
+            w = cum[pos:pos + max_packets + 1].tolist()
+            top = len(w) - 1
             lo, hi = 0, max_packets
             while lo < hi:
                 mid = (lo + hi + 1) // 2

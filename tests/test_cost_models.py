@@ -199,6 +199,9 @@ class TestParameterValidation:
         (lambda: ChoiceCost([]), "values"),
         (lambda: ChoiceCost([100, 200], [1.5, -0.5]), "probabilities"),
         (lambda: ChoiceCost([100, 200], [math.nan, 0.5]), "probabilities"),
+        # Inside np.isclose's tolerance, outside numpy's sampler's.
+        (lambda: ChoiceCost((120, 270, 550), (0.3, 0.3, 0.4000001)),
+         "probabilities"),
         (lambda: UniformCost(1, math.inf), "high"),
         (lambda: UniformCost(math.nan, 5), "low"),
         (lambda: WithOverhead(FixedCost(100), math.nan), "overhead_cycles"),
@@ -215,6 +218,9 @@ class TestParameterValidation:
         assert UniformCost(5, 5).mean_cycles == 5.0
         assert WithOverhead(FixedCost(100), 0).mean_cycles == 100.0
         assert ChoiceCost([100, 200], [1.0, 0.0]).mean_cycles == 100.0
+        # Off 1 by less than numpy's sampler tolerates: built and drawn.
+        near = ChoiceCost((120, 270, 550), (0.3, 0.3, 0.4 + 1e-9), rng=rng())
+        assert near.consume(5000) > 0
 
     def test_topology_nan_cost_spec_names_field(self):
         from repro.platform.orchestrator import build_topology

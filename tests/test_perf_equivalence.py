@@ -5,7 +5,8 @@ segment coalescing must not change what a dequeue observes, the periodic
 fast path must fire at the same instants as a cancel+reschedule loop,
 batched arrival generation must emit the same counts as scalar draws,
 the widened RNG draw-ahead in the cost models must consume the same
-bit stream, the windowed ``WithOverhead`` search must take the same
+bit stream, ``ChoiceCost``'s draw must equal ``Generator.choice``'s,
+the windowed ``WithOverhead`` search must take the same
 packets, charge the same cycles and refill its buffer at the same points
 as the probe-per-step search it replaced, the prefix-sum buffer that
 keeps only its un-consumed window must hold the same logical prefix sums
@@ -760,8 +761,8 @@ def test_poisson_shared_rng_falls_back_to_scalar():
     lambda r, n: r.normal(1000.0, 100.0, size=n),
     lambda r, n: r.uniform(50.0, 500.0, size=n),
     lambda r, n: r.exponential(250.0, size=n),
-    lambda r, n: r.choice(np.array([100.0, 200.0, 400.0]), size=n,
-                          p=np.array([0.5, 0.3, 0.2])),
+    lambda r, n: ChoiceCost([100.0, 200.0, 400.0], [0.5, 0.3, 0.2],
+                            rng=r)._draw_block(n),
 ])
 def test_numpy_samplers_consume_stream_per_value(sampler):
     """The raw draw-ahead pool assumes numpy samplers consume the bit
@@ -777,14 +778,42 @@ def test_numpy_samplers_consume_stream_per_value(sampler):
     assert np.array_equal(wide, narrow)
 
 
-class _Reference:
-    """Pre-draw-ahead BufferedCost semantics: each _ensure refill calls
-    the sampler directly for exactly max(n - have, _REFILL) values."""
-
-    def __init__(self, make):
-        self.model = make()
-        # Defeat the raw pool: serve _draw straight from the subclass.
-        self.model._draw = self.model._draw_block
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       k=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_choice_draws_match_generator_choice(data, k, seed):
+    """ChoiceCost's comparison-count draw against ``Generator.choice``
+    itself: the same values and the same bit-generator state after every
+    block, for 1-8 values, zero-probability entries, uniform defaults and
+    block sizes on both sides of the raw pool's width."""
+    values = data.draw(st.lists(
+        st.floats(0.5, 1e4, allow_nan=False), min_size=k, max_size=k))
+    weights = data.draw(st.lists(st.integers(0, 5), min_size=k, max_size=k)
+                        .filter(any))
+    uniform = data.draw(st.booleans())
+    probs = None if uniform else [w / sum(weights) for w in weights]
+    model = ChoiceCost(values, probs, rng=np.random.default_rng(seed))
+    ref = np.random.default_rng(seed)
+    p = model.probabilities
+    sizes = data.draw(st.lists(
+        st.sampled_from([0, 1, 7, _REFILL, _RAW_REFILL - 1, _RAW_REFILL,
+                         _RAW_REFILL + 1, 20_000]),
+        min_size=1, max_size=4))
+    for n in sizes:
+        got = model._draw_block(n)
+        want = ref.choice(np.asarray(values, dtype=float), size=n, p=p)
+        assert np.array_equal(got, want)
+        assert model._rng.bit_generator.state == ref.bit_generator.state
+    # Through the draw-ahead pool the stream is the same, one value at a
+    # time, across the pool's refill boundary.
+    pooled = ChoiceCost(values, probs, rng=np.random.default_rng(seed))
+    total = sum(sizes) + _RAW_REFILL + 3
+    stream = np.random.default_rng(seed).choice(
+        np.asarray(values, dtype=float), size=total, p=p)
+    got = np.concatenate([pooled._draw(n) for n in sizes]
+                         + [pooled._draw(_RAW_REFILL + 3)])
+    assert np.array_equal(got, stream)
 
 
 # ----------------------------------------------------------------------
@@ -980,6 +1009,30 @@ def test_full_batch_refills_only_where_probe_search_does(inner, held):
     _same_buffer(fast, ref)
 
 
+@pytest.mark.parametrize("held", [32, 40])
+@pytest.mark.parametrize("inner", sorted(_INNERS))
+def test_full_batch_probe_takes_exact_budget_without_window_read(inner,
+                                                                  held):
+    """A full batch whose total equals the budget exactly, with exactly
+    32 or more packets held, is the probe's to answer: the results match
+    the probe search and no window is read as a list.  (Had the probe
+    declined, the search would return the same answer, only slower.)"""
+    fast, ref = _holding(inner, held)
+    budget = fast.peek_sum(32)
+    reads = []
+
+    class CountingBuffer(np.ndarray):
+        def tolist(self):
+            reads.append(len(self))
+            return super().tolist()
+
+    fast.inner._cum = fast.inner._cum.view(CountingBuffer)
+    got = fast.consume_upto(budget, 32)
+    assert got == ref.consume_upto(budget, 32) == (32, budget)
+    assert reads == []
+    _same_buffer(fast, ref)
+
+
 # ----------------------------------------------------------------------
 # The buffer keeps only its un-consumed window: against a buffer that
 # keeps every prefix sum since the last rebase, the logical windows
@@ -1078,6 +1131,26 @@ def test_noninteger_cost_scenario_digest_matches_probe_search(monkeypatch):
                         "954ffdcec2993953890904856745defd")
     monkeypatch.setattr(WithOverhead, "consume_upto", _probe_consume_upto)
     assert run() == windowed
+
+
+# ----------------------------------------------------------------------
+# The stochastic cost path end to end (fig10, ChoiceCost draws behind
+# the full-batch probe), pinned as result digests.
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("scheduler,features,digest", [
+    ("NORMAL", "NFVnice", "a1464d9fdd3f77408bd3e64ddf4765cf"
+                          "be3cdb49791e99f9c8a408326337dd53"),
+    ("BATCH", "Default", "c96b2cc4230e2badf65ab13c344d565f"
+                         "da10384dd03052c772b2bad17d9cb8c3"),
+])
+def test_fig10_variable_cost_cases_are_pinned(scheduler, features, digest):
+    from repro.analysis.export import result_to_dict
+    from repro.experiments.fig10_variable_cost import run_case
+    from repro.runner.digest import digest_of
+
+    result = run_case(scheduler, features, duration_s=0.05)
+    assert digest_of(result_to_dict(result)) == digest
 
 
 # ----------------------------------------------------------------------
