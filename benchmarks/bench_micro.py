@@ -7,7 +7,9 @@ the operations the simulation spends its time in.
 
 import numpy as np
 
+from repro.core.nf import NFProcess
 from repro.nfs.cost_models import ChoiceCost
+from repro.platform.config import PlatformConfig
 from repro.platform.packet import Flow
 from repro.platform.ring import PacketRing
 from repro.sched.base import CoreTask
@@ -62,6 +64,30 @@ def test_cost_model_consume(benchmark):
                            rng=np.random.default_rng(0))
         for _ in range(1_000):
             model.consume_upto(10_000.0, 32)
+
+    benchmark(run)
+
+
+def test_nf_execute_grant(benchmark):
+    """One grant of about 11 batches (10 full, 1 partial) to an NF whose
+    ChoiceCost runs wrapped in the default per-packet overhead, holding
+    1,024 packets: variable_cost's per-grant cost-model bookkeeping.  The
+    packets taken are put back after each grant."""
+    cfg = PlatformConfig(cpu_freq_hz=1e9, ring_capacity=4096)
+    nf = NFProcess("nf", ChoiceCost((120.0, 270.0, 550.0),
+                                    rng=np.random.default_rng(0)),
+                   config=cfg)
+    flow = Flow("f")
+    nf.rx_ring.enqueue(flow, 1024, 0)
+    clock = [0]
+
+    def run():
+        clock[0] += 1_000_000
+        before = nf.processed_packets
+        nf.execute(clock[0], 145_000.0)
+        taken = nf.processed_packets - before
+        nf.tx_ring.dequeue(taken)
+        nf.rx_ring.enqueue(flow, taken, clock[0])
 
     benchmark(run)
 

@@ -42,55 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.platform.chain import ServiceChain
 
 
-#: Below this bound every integer is a float, so sums of integral batch
-#: costs are exact and ``m * cyc`` equals ``m`` repeated additions.
-_EXACT_FLOAT_INT = 2 ** 53
-
-
-def full_batches(cycles_avail: float, c: float, bs: int, cap: int) -> int:
-    """How many full batches libnf's loop runs, in closed form.
-
-    The loop, with ``consumed`` starting at ``0.0`` and ``cyc = bs * c``::
-
-        while m < cap:
-            b = cycles_avail - consumed
-            if b < c or b // c < bs:
-                break
-            consumed += cyc
-            m += 1
-
-    When ``cyc`` is integral and ``cap * cyc < 2**53`` every running sum
-    is exact, so after ``m`` iterations ``consumed == float(m * cyc)``
-    and the exit predicate can be evaluated at any ``m`` directly.  It is
-    monotone in ``m``, so the count is found from the estimate
-    ``cycles_avail // cyc`` and fixed up or down at the boundary.
-    Returns 0 — the caller runs every batch through its general loop,
-    which is always exact — when the closed form does not apply or the
-    grant is not finite.
-    """
-    cyc = bs * c
-    if cap <= 0 or cyc % 1 != 0 or cap * cyc >= _EXACT_FLOAT_INT \
-            or not math.isfinite(cycles_avail):
-        return 0
-    m = int(cycles_avail // cyc)
-    if m > cap:
-        m = cap
-    elif m < 0:
-        m = 0
-    while m > 0:
-        b = cycles_avail - (m - 1) * cyc
-        if b < c or b // c < bs:
-            m -= 1
-        else:
-            break
-    while m < cap:
-        b = cycles_avail - m * cyc
-        if b < c or b // c < bs:
-            break
-        m += 1
-    return m
-
-
 class NFProcess(CoreTask):
     """A network function running as its own scheduled process."""
 
@@ -293,34 +244,34 @@ class NFProcess(CoreTask):
             fuse = io is None and self._forward_exact
             pending = 0
             svc_ns = 0.0
-            # Full batches in closed form.  While whole batches fit
-            # (queue, Tx space and cycle budget all cover ``batch_size``),
-            # each iteration of the general loop below performs exactly
-            # ``budget = cycles_avail - consumed`` and ``consumed += cyc``
-            # with ``cyc == batch_size * c``; full_batches() counts those
-            # iterations without running them (see its docstring for when
-            # that is bit-identical).  The remainder (partial batch, budget
-            # exhaustion) and every case the closed form declines run in
-            # the general loop.  Gated on a positive sample period so the
-            # once-per-grant sampling shortcut below stays faithful.
-            cm = self.cost_model
-            if fuse and sample_period > 0 and type(cm) is FixedCost:
-                bs = batch_size
-                cyc = bs * cm.cycles
-                cap = qlen // bs
-                if free // bs < cap:
-                    cap = free // bs
-                m = full_batches(cycles_avail, cm.cycles, bs, cap)
+            # Full batches in one cost-model call.  While whole batches
+            # fit (queue, Tx space and cycle budget all cover
+            # ``batch_size``), each iteration of the general loop below
+            # only charges ``consume_upto``'s full batch and adds it to
+            # ``consumed``; full_batches() takes those batches with the
+            # same float operations (see CostModel.full_batches).  The
+            # remainder (partial batch, budget exhaustion) and every batch
+            # a model declines run in the general loop.  Gated on a
+            # positive sample period so the once-per-grant sampling
+            # shortcut below stays faithful.
+            if fuse and sample_period > 0:
+                cap = qlen // batch_size
+                if free // batch_size < cap:
+                    cap = free // batch_size
+                m = 0
+                if cap > 0:
+                    m, consumed, first, last = self.cost_model.full_batches(
+                        cycles_avail, batch_size, cap)
                 if m > 0:
-                    consumed = float(m * cyc)
-                    took = m * bs
+                    took = m * batch_size
                     qlen -= took
                     free -= took
                     pending = took
-                    svc_ns = (cyc / bs) * self._ns_per_cycle
+                    svc_ns = (last / batch_size) * self._ns_per_cycle
                     if now_ns - self._last_sample_ns >= sample_period:
                         self._last_sample_ns = now_ns
-                        self.service_estimator.add(now_ns, svc_ns)
+                        self.service_estimator.add(
+                            now_ns, (first / batch_size) * self._ns_per_cycle)
             while True:
                 if io is not None and io.blocked:
                     outcome = IO_BLOCKED

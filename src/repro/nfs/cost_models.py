@@ -6,9 +6,12 @@ whose *per-packet* cost varies (120/270/550 cycles drawn per packet).
 Cost models expose a **buffered draw** discipline: ``peek_sum(n)`` reveals
 the cost of the next ``n`` packets without consuming them, and
 ``consume_upto(budget, max_packets)`` consumes whole-packet costs in the
-same order.  The core's run planner needs estimates that are exact for the
-packets it later executes — pre-drawing into a buffer guarantees the cycles
-foreseen equal the cycles charged.
+same order.  ``full_batches(cycles, batch, cap)`` consumes a grant's
+leading full batches at once, as that many ``consume_upto`` calls would;
+models without a faster way decline and leave every batch to
+``consume_upto``.  The core's run planner needs estimates that are exact
+for the packets it later executes — pre-drawing into a buffer guarantees
+the cycles foreseen equal the cycles charged.
 
 For stochastic models the *timing* of every buffer refill and compaction
 (``BufferedCost._ensure``) is digest-load-bearing, not just the draws:
@@ -16,7 +19,9 @@ where the ``np.cumsum`` chunks break and which prefix is subtracted at
 compaction decide the low bits of every later prefix sum.  Fast paths
 here (``WithOverhead.consume_upto``'s windowed search) therefore call
 ``_ensure`` with exactly the arguments, at exactly the points, of the
-plain probe-per-step search they replace.  The buffer itself holds only
+plain probe-per-step search they replace, and the grant-level walk
+(``WithOverhead.full_batches``) never calls it: it stops where the
+buffered window ends.  The buffer itself holds only
 the un-consumed window: each refill drops the consumed prefix sums, and
 compaction counts *logical* (consumed) positions, so it fires after the
 same packet and subtracts the same prefix as a buffer that kept them.
@@ -56,6 +61,17 @@ _COMPACT = 65536
 #: ``Generator.choice`` rejects probabilities whose sum is further than
 #: this from 1: the square root of float64's machine epsilon (2**-52).
 _PROB_ATOL = 2.0 ** -26
+#: Below this bound every integer is a float, so sums of integral batch
+#: costs are exact and ``m * cyc`` equals ``m`` repeated additions.
+_EXACT_FLOAT_INT = 2 ** 53
+#: Batch boundaries ``WithOverhead.full_batches`` reads from the prefix
+#: sums at a time.  A grant rarely runs more than about a dozen batches;
+#: reading the boundaries of every buffered batch up front would mostly
+#: fetch sums the budget never reaches.
+_WALK = 12
+#: ``full_batches``' answer when it takes no batch: the caller runs every
+#: batch through ``consume_upto``.
+_DECLINE = (0, 0.0, 0.0, 0.0)
 
 
 def _finite(field: str, value, low: float = 0.0,
@@ -96,6 +112,26 @@ class CostModel:
         """Unconditionally consume ``n`` packets; returns cycles used."""
         raise NotImplementedError
 
+    def full_batches(self, cycles_avail: float, batch: int,
+                     cap: int) -> Tuple[int, float, float, float]:
+        """Consume a grant's leading full batches in one call.
+
+        Stands for libnf's loop over at most ``cap`` batches, with
+        ``consumed`` starting at ``0.0``::
+
+            k, used = consume_upto(cycles_avail - consumed, batch)
+            if k < batch: stop (and leave this batch unconsumed)
+            consumed += used
+
+        Returns ``(m, consumed, first, last)``: the ``m`` batches taken,
+        ``consumed`` built by the same additions in the same order, and
+        the cycles of the first and of the last batch.  An override must
+        give bit-identical results and consume exactly those packets.
+        This base declines (``m == 0``, nothing consumed): the caller then
+        runs every batch through ``consume_upto``, the exact reference.
+        """
+        return _DECLINE
+
 
 class FixedCost(CostModel):
     """Every packet costs exactly ``cycles`` — the common case, O(1)."""
@@ -115,6 +151,45 @@ class FixedCost(CostModel):
 
     def consume(self, n: int) -> float:
         return n * self.cycles
+
+    def full_batches(self, cycles_avail: float, batch: int,
+                     cap: int) -> Tuple[int, float, float, float]:
+        """The full batches in closed form.
+
+        Batch ``i`` is taken iff ``b = cycles_avail - consumed`` passes
+        ``consume_upto``'s test, ``not (b < c or b // c < batch)``, and
+        adds ``cyc = batch * c``.  When ``cyc`` is integral and
+        ``cap * cyc < 2**53`` every running sum is exact, so after ``m``
+        batches ``consumed == m * cyc`` and the test can be evaluated at
+        any ``m`` directly.  It is monotone in ``m``, so the count is
+        found from the estimate ``cycles_avail // cyc`` and fixed up or
+        down at the boundary.  Declines when the closed form does not
+        apply or the grant is not finite.
+        """
+        c = self.cycles
+        cyc = batch * c
+        if cap <= 0 or cyc % 1 != 0 or cap * cyc >= _EXACT_FLOAT_INT \
+                or not math.isfinite(cycles_avail):
+            return _DECLINE
+        m = int(cycles_avail // cyc)
+        if m > cap:
+            m = cap
+        elif m < 0:
+            m = 0
+        while m > 0:
+            b = cycles_avail - (m - 1) * cyc
+            if b < c or b // c < batch:
+                m -= 1
+            else:
+                break
+        while m < cap:
+            b = cycles_avail - m * cyc
+            if b < c or b // c < batch:
+                break
+            m += 1
+        if m == 0:
+            return _DECLINE
+        return m, m * cyc, cyc, cyc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FixedCost({self.cycles:g})"
@@ -187,7 +262,8 @@ class BufferedCost(CostModel):
         if n <= 0:
             return 0.0
         self._ensure(n)
-        return float(self._cum[self._pos + n] - self._cum[self._pos])
+        cum = self._cum
+        return cum.item(self._pos + n) - cum.item(self._pos)
 
     def consume_upto(self, budget_cycles: float, max_packets: int) -> Tuple[int, float]:
         if max_packets <= 0 or budget_cycles <= 0:
@@ -210,9 +286,10 @@ class BufferedCost(CostModel):
         if n <= 0:
             return 0.0
         self._ensure(n)
-        used = float(self._cum[self._pos + n] - self._cum[self._pos])
-        self._pos += n
-        return used
+        cum = self._cum
+        pos = self._pos
+        self._pos = pos + n
+        return cum.item(pos + n) - cum.item(pos)
 
 
 class ChoiceCost(BufferedCost):
@@ -443,6 +520,55 @@ class WithOverhead(CostModel):
         if n <= 0:
             return 0.0
         return self.inner.consume(n) + n * self.overhead
+
+    def full_batches(self, cycles_avail: float, batch: int,
+                     cap: int) -> Tuple[int, float, float, float]:
+        """Walk the buffered window's batch boundaries.
+
+        Each batch is charged ``consume_upto``'s full-batch probe,
+        ``(cum[p + batch] - cum[p]) + batch * overhead``, and taken iff
+        its budget test passes, the same IEEE operations on the same
+        floats.  The walk stops at the first batch that fails, or that
+        reaches past the buffered window: it never calls ``_ensure``, so
+        the ``consume_upto`` call the caller makes for that batch refills
+        exactly where it always did.
+        """
+        inner = self._buffered
+        if inner is None:
+            return _DECLINE
+        cum = inner._cum
+        pos = inner._pos
+        fit = (len(cum) - 1 - pos) // batch
+        if fit < cap:
+            cap = fit
+        per = batch * self.overhead
+        m = 0
+        consumed = first = used = 0.0
+        while m < cap:
+            nb = cap - m
+            if nb > _WALK:
+                nb = _WALK
+            start = pos + m * batch
+            w = cum[start:start + nb * batch + 1:batch].tolist()
+            lo = w[0]
+            for hi in w[1:]:
+                cyc = (hi - lo) + per
+                b = cycles_avail - consumed
+                # consume_upto's test; its ``budget <= 0`` guard is
+                # implied, as every batch costs at least ``batch`` cycles.
+                if not cyc <= b:
+                    cap = m  # ends the walk
+                    break
+                if m == 0:
+                    first = cyc
+                consumed += cyc
+                used = cyc
+                lo = hi
+                m += 1
+        if m == 0:
+            return _DECLINE
+        inner._pos = pos + m * batch
+        return m, consumed, first, used
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WithOverhead({self.inner!r}, +{self.overhead:g})"

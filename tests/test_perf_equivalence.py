@@ -11,11 +11,13 @@ packets, charge the same cycles and refill its buffer at the same points
 as the probe-per-step search it replaced, the prefix-sum buffer that
 keeps only its un-consumed window must hold the same logical prefix sums
 as one that kept every entry until compaction, rings that adopt the
-caller's descriptor must end exactly as the copy path did, and the
-closed-form full-batch count must equal the loop it replaced.  These
-tests pin each claim directly, so a future change that quietly breaks digest stability fails
-here first, with a readable diff, instead of as an opaque
-campaign-digest mismatch.
+caller's descriptor must end exactly as the copy path did, and every
+cost model's ``full_batches`` (the closed form for ``FixedCost``, the
+window walk for ``WithOverhead``) must take the same batches, with the
+same running sum, as one ``consume_upto`` per batch.  These tests pin
+each claim directly, so a future change that quietly breaks digest
+stability fails here first, with a readable diff, instead of as an
+opaque campaign-digest mismatch.
 """
 
 import math
@@ -30,6 +32,7 @@ from repro.nfs.cost_models import (
     _RAW_REFILL,
     _REFILL,
     ChoiceCost,
+    CostModel,
     ExponentialCost,
     FixedCost,
     NormalCost,
@@ -38,7 +41,6 @@ from repro.nfs.cost_models import (
     WithOverhead,
 )
 from repro.core.libnf import CallbackNF
-from repro.core.nf import full_batches
 from repro.obs.bus import EventBus
 from repro.obs.observer import Observer
 from repro.platform.config import PlatformConfig
@@ -417,10 +419,13 @@ def test_callback_nf_partial_keep_matches_copy_reference(ops, num):
 
 
 # ----------------------------------------------------------------------
-# Closed-form full batches: full_batches() must count exactly the
-# iterations of the full-batch loop it replaced, and the running sum it
-# implies (m * cyc) must be that loop's float sum bit for bit.
+# Closed-form full batches: FixedCost.full_batches() must count exactly
+# the iterations of the full-batch loop it replaced, and the running sum
+# it implies (m * cyc) must be that loop's float sum bit for bit.
 # ----------------------------------------------------------------------
+
+_DECLINED = (0, 0.0, 0.0, 0.0)
+
 
 def _loop_full_batches(avail, c, bs, cap):
     """Reference: the full-batch loop, one batch per iteration."""
@@ -439,6 +444,18 @@ def _loop_full_batches(avail, c, bs, cap):
 def _closed_applies(c, bs, cap):
     cyc = bs * c
     return cap > 0 and cyc % 1 == 0 and cap * cyc < 2 ** 53
+
+
+def _assert_closed_form(avail, c, bs, cap):
+    got = FixedCost(c).full_batches(avail, bs, cap)
+    ref_m, ref_consumed = _loop_full_batches(avail, c, bs, cap)
+    if _closed_applies(c, bs, cap) and ref_m > 0:
+        cyc = bs * c
+        assert got == (ref_m, ref_consumed, cyc, cyc)
+        assert got[1].hex() == ref_consumed.hex()
+    else:
+        # Declined: the general loop runs every batch.
+        assert got == _DECLINED
 
 
 costs = st.one_of(
@@ -460,13 +477,7 @@ def test_full_batches_matches_loop(c, bs, cap, data):
     avail = data.draw(st.one_of(
         st.just(boundary + delta), st.just(boundary),
         st.floats(-10.0, 1e7)))
-    ref_m, ref_consumed = _loop_full_batches(avail, c, bs, cap)
-    m = full_batches(avail, c, bs, cap)
-    if _closed_applies(c, bs, cap):
-        assert m == ref_m
-        assert float(m * cyc).hex() == ref_consumed.hex()
-    else:
-        assert m == 0       # declined: the general loop runs every batch
+    _assert_closed_form(avail, c, bs, cap)
 
 
 @pytest.mark.parametrize("c, bs", [(100.0, 32), (37.25, 32), (0.5, 2),
@@ -485,12 +496,7 @@ def test_full_batches_at_every_boundary(c, bs):
             for avail in (edge, math.nextafter(edge, -math.inf),
                           math.nextafter(edge, math.inf), edge - c,
                           edge + c, edge - 1, edge + 1):
-                ref_m, ref_consumed = _loop_full_batches(avail, c, bs, cap)
-                m = full_batches(avail, c, bs, cap)
-                if _closed_applies(c, bs, cap):
-                    assert (m, float(m * cyc)) == (ref_m, ref_consumed)
-                else:
-                    assert m == 0
+                _assert_closed_form(avail, c, bs, cap)
 
 
 def test_full_batches_declines_sums_past_2_53():
@@ -498,13 +504,43 @@ def test_full_batches_declines_sums_past_2_53():
     would pass 2**53, so the closed form takes cap 1 and declines cap 2."""
     c = 2.0 ** 47 + 1
     avail = 10.0 * 32 * c
-    assert full_batches(avail, c, 32, 1) == 1
-    assert full_batches(avail, c, 32, 2) == 0
+    assert FixedCost(c).full_batches(avail, 32, 1) == (1, 32 * c, 32 * c,
+                                                       32 * c)
+    assert FixedCost(c).full_batches(avail, 32, 2) == _DECLINED
 
 
 def test_full_batches_declines_non_finite_grant():
     for avail in (math.inf, -math.inf, math.nan):
-        assert full_batches(avail, 100.0, 32, 4) == 0
+        assert FixedCost(100.0).full_batches(avail, 32, 4) == _DECLINED
+
+
+def _execute_trace(make_model, grants, monkeypatch, per_batch):
+    """Grants to one NF, with its cost model's full_batches() as is or
+    declining (every batch through the general loop): grant use,
+    outcome, cycle credit, rings and service samples after each."""
+    import repro.core.nf as nf_mod
+
+    model = make_model()
+    if per_batch:
+        monkeypatch.setattr(type(model), "full_batches",
+                            CostModel.full_batches)
+    cfg = PlatformConfig(nf_overhead_cycles=0.0, cpu_freq_hz=1e9,
+                         ring_capacity=512)
+    nf = nf_mod.NFProcess("nf", model, config=cfg)
+    f = flow("f")
+    trace = []
+    now = 0
+    for grant in grants:
+        now += 1000
+        nf.rx_ring.enqueue(f, 200, now)
+        res = nf.execute(now, grant)
+        nf.tx_ring.dequeue(150)
+        trace.append((res.used_ns, res.outcome, nf._cycle_credit,
+                      nf.processed_packets, _ring_state(nf.rx_ring),
+                      _ring_state(nf.tx_ring)))
+    trace.append(nf.service_estimator.median(now))
+    monkeypatch.undo()
+    return trace
 
 
 @pytest.mark.parametrize("cycles", [100.0, 37.25, 33.3])
@@ -513,32 +549,12 @@ def test_closed_form_execute_matches_general_loop(cycles, monkeypatch):
     the general loop (full_batches declining) agree on grant use, outcome,
     cycle credit, rings and service samples — at grants exactly on batch
     boundaries and just off them."""
-    import repro.core.nf as nf_mod
-
-    def run(closed):
-        if not closed:
-            monkeypatch.setattr(nf_mod, "full_batches", lambda *a: 0)
-        cfg = PlatformConfig(nf_overhead_cycles=0.0, cpu_freq_hz=1e9,
-                             ring_capacity=512)
-        nf = nf_mod.NFProcess("nf", FixedCost(cycles), config=cfg)
-        f = flow("f")
-        cyc = nf.batch_size * cycles
-        trace = []
-        now = 0
-        for grant in (cyc, 3 * cyc, 3 * cyc + 1, 2 * cyc - 1, cycles,
-                      0.5, 10 * cyc, 7 * cyc + cycles / 2):
-            now += 1000
-            nf.rx_ring.enqueue(f, 200, now)
-            res = nf.execute(now, grant)
-            nf.tx_ring.dequeue(150)
-            trace.append((res.used_ns, res.outcome, nf._cycle_credit,
-                          nf.processed_packets, _ring_state(nf.rx_ring),
-                          _ring_state(nf.tx_ring)))
-        trace.append(nf.service_estimator.median(now))
-        monkeypatch.undo()
-        return trace
-
-    assert run(closed=True) == run(closed=False)
+    cyc = 32 * cycles
+    grants = (cyc, 3 * cyc, 3 * cyc + 1, 2 * cyc - 1, cycles, 0.5,
+              10 * cyc, 7 * cyc + cycles / 2)
+    runs = [_execute_trace(lambda: FixedCost(cycles), grants, monkeypatch,
+                           per_batch) for per_batch in (False, True)]
+    assert runs[0] == runs[1]
 
 
 # ----------------------------------------------------------------------
@@ -1094,6 +1110,201 @@ def test_windowed_overhead_search_property(seed, inner, overhead, scaled,
         _same_buffer(fast, ref)
 
 
+# ----------------------------------------------------------------------
+# Grant-level full batches: WithOverhead.full_batches() walks the buffered
+# window and must take exactly the leading full batches that one
+# consume_upto call per batch takes inside that window, with the same
+# running sum, and leave the buffer and the generator where they leave
+# them.  The batches after it run through consume_upto on both sides.
+# ----------------------------------------------------------------------
+
+class _PerBatchWithOverhead(WithOverhead):
+    full_batches = CostModel.full_batches
+
+
+def _grant(model, avail, batch, held):
+    """One grant over ``held`` packets as execute() runs it: full_batches()
+    first, then one consume_upto per batch until one takes nothing."""
+    took = model.full_batches(avail, batch, held // batch)
+    consumed = took[1]
+    held -= took[0] * batch
+    calls = []
+    while held > 0:
+        k, used = model.consume_upto(avail - consumed, min(batch, held))
+        calls.append((k, used))
+        if k == 0:
+            break
+        consumed += used
+        held -= k
+    return took, calls, consumed
+
+
+def _per_batch_grant(model, avail, batch, held):
+    """Reference: the same grant with one consume_upto per batch.  Its
+    leading full batches, each taken with a full batch buffered when it
+    started, are the ones full_batches() must take."""
+    inner = model.inner
+    cap = held // batch
+    m, consumed, first, last = 0, 0.0, 0.0, 0.0
+    lead = None
+    calls = []
+    while held > 0:
+        in_window = len(inner._cum) - 1 - inner._pos >= batch
+        k, used = model.consume_upto(avail - consumed, min(batch, held))
+        if lead is None and not (m < cap and in_window and k == batch):
+            lead = (m, consumed, first, last)
+        if lead is None:
+            if m == 0:
+                first = used
+            last = used
+            m += 1
+        else:
+            calls.append((k, used))
+        if k == 0:
+            break
+        consumed += used
+        held -= k
+    if lead is None:
+        lead = (m, consumed, first, last)
+    return lead, calls, consumed
+
+
+def _same_state(fast, ref):
+    """Same logical position, rebase count, window and generator state."""
+    f, r = fast.inner, ref.inner
+    assert (f._pos, f._off) == (r._pos, r._off)
+    assert np.array_equal(f._cum[f._pos:], r._cum[r._pos:])
+    assert f._raw_pos == r._raw_pos
+    assert f._rng.bit_generator.state == r._rng.bit_generator.state
+
+
+def _exact_budget(model, batch, j):
+    """The running sum of the next ``j`` full batches, as full_batches()
+    adds it, or None when the window holds fewer."""
+    cum, pos = model.inner._cum, model.inner._pos
+    if len(cum) - 1 - pos < j * batch:
+        return None
+    total = 0.0
+    for i in range(j):
+        p = pos + i * batch
+        total += (cum.item(p + batch) - cum.item(p)) + batch * model.overhead
+    return total
+
+
+def _grant_op(model, r, batch):
+    """A random grant: (avail, held)."""
+    held = int(r.integers(0, 700))
+    roll = r.random()
+    mean = model.mean_cycles
+    if roll < 0.3:
+        # Exactly the first j batches' total, or one ulp under it.
+        avail = _exact_budget(model, batch, int(r.integers(1, 13)))
+        if avail is not None and r.random() < 0.5:
+            avail = math.nextafter(avail, -math.inf)
+    elif roll < 0.4:
+        avail = float(r.choice([0.0, -1.0, -math.inf, math.inf, math.nan]))
+    else:
+        avail = float(r.uniform(0.0, 20 * batch * mean))
+    if avail is None:
+        avail = float(r.uniform(0.0, 4 * batch * mean))
+    return avail, held
+
+
+def _shift_op(model, r, batch):
+    """Move the window: a wide peek (refills ahead), a consume, or a drain
+    that leaves fewer than one batch buffered."""
+    roll = r.random()
+    if roll < 0.3:
+        return "peek", int(r.integers(1, 3000))
+    if roll < 0.6:
+        return "consume", int(r.integers(1, 200))
+    held = len(model.inner._cum) - 1 - model.inner._pos
+    return "consume", max(0, held - int(r.integers(0, batch)))
+
+
+def _run_grants(fast, ref, r, batch, n_ops):
+    consumed = 0
+    for _ in range(n_ops):
+        if r.random() < 0.15:
+            kind, n = _shift_op(fast, r, batch)
+            if kind == "peek":
+                assert fast.peek_sum(n) == ref.peek_sum(n)
+            else:
+                assert fast.consume(n) == ref.consume(n)
+                consumed += n
+        else:
+            avail, held = _grant_op(fast, r, batch)
+            got = _grant(fast, avail, batch, held)
+            want = _per_batch_grant(ref, avail, batch, held)
+            assert got == want
+            assert got[1] == want[1] and got[2] == want[2]
+            assert got[0][1].hex() == want[0][1].hex()
+            consumed += got[0][0] * batch + sum(k for k, _ in got[1])
+        _same_state(fast, ref)
+    return consumed
+
+
+def _grant_pair(inner, overhead, seed):
+    return (WithOverhead(_INNERS[inner](np.random.default_rng(seed)),
+                         overhead),
+            _PerBatchWithOverhead(_INNERS[inner](np.random.default_rng(seed)),
+                                  overhead))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       inner=st.sampled_from(sorted(_INNERS)),
+       overhead=st.sampled_from([0.0, 37.25, 100.0]),
+       batch=st.sampled_from([32, 1, 5]),
+       n_ops=st.integers(1, 120))
+def test_grant_level_full_batches_property(seed, inner, overhead, batch,
+                                           n_ops):
+    fast, ref = _grant_pair(inner, overhead, seed)
+    _run_grants(fast, ref, np.random.default_rng(seed), batch, n_ops)
+
+
+@pytest.mark.parametrize("overhead", [0.0, 100.0, 37.25])
+@pytest.mark.parametrize("inner", sorted(_INNERS))
+def test_grant_level_full_batches_across_rebase(inner, overhead):
+    """Grants that straddle 1024-draw refills and a _COMPACT rebase."""
+    fast, ref = _grant_pair(inner, overhead, 17)
+    r = np.random.default_rng(4)
+    consumed = 0
+    while consumed <= _COMPACT + 5 * _REFILL:
+        consumed += _run_grants(fast, ref, r, 32, 50)
+    assert fast.inner._off + fast.inner._pos < consumed
+
+
+@pytest.mark.parametrize("model", [
+    ChoiceCost([120.0, 270.0, 550.0], rng=np.random.default_rng(1)),
+    ScaledCost(WithOverhead(NormalCost(270.0, 90.0,
+                                       rng=np.random.default_rng(1)),
+                            100.0), 1.7),
+    ScaledCost(FixedCost(100.0), 2.0),
+    WithOverhead(FixedCost(100.0), 37.25),
+], ids=["bare-buffered", "scaled", "scaled-fixed", "overhead-on-fixed"])
+def test_full_batches_declines_outside_fast_paths(model):
+    """Models without a grant-level walk leave every batch to
+    consume_upto and consume nothing."""
+    before = model.peek_sum(3000)
+    assert model.full_batches(1e9, 32, 20) == _DECLINED
+    assert model.peek_sum(3000) == before
+
+
+@pytest.mark.parametrize("overhead", [0.0, 100.0, 37.25])
+@pytest.mark.parametrize("inner", sorted(_INNERS))
+def test_grant_level_execute_matches_per_batch_loop(inner, overhead,
+                                                    monkeypatch):
+    """The same for WithOverhead over each buffered model, over enough
+    grants (up to 16 batches each) to cross several refills."""
+    grants = [(j % 17) * 32 * 400.0 + (j % 5) * 97.5 for j in range(300)]
+    runs = [_execute_trace(
+        lambda: WithOverhead(_INNERS[inner](np.random.default_rng(3)),
+                             overhead),
+        grants, monkeypatch, per_batch) for per_batch in (False, True)]
+    assert runs[0] == runs[1]
+
+
 def test_noninteger_cost_scenario_digest_matches_probe_search(monkeypatch):
     """End to end, with cost models whose draws are not integers (so the
     prefix sums' float grouping is observable): the windowed search and
@@ -1129,7 +1340,9 @@ def test_noninteger_cost_scenario_digest_matches_probe_search(monkeypatch):
     # trimmed buffer and the full-batch probe must not move it.
     assert windowed == ("16d16a3bf04d6402d2f693954e08e5a4"
                         "954ffdcec2993953890904856745defd")
+    # Every batch through the probe search: no grant-level walk either.
     monkeypatch.setattr(WithOverhead, "consume_upto", _probe_consume_upto)
+    monkeypatch.setattr(WithOverhead, "full_batches", CostModel.full_batches)
     assert run() == windowed
 
 
