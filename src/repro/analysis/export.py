@@ -37,7 +37,9 @@ def result_to_dict(result: ScenarioResult,
         "scheduler": result.scheduler,
         "features": result.features,
         "duration_s": result.duration_s,
-        "sched_trace_dropped": result.sched_trace_dropped,
+        # No field feeds this key any more; it stays so that every digest
+        # is unchanged until a deliberate rebaseline.
+        "sched_trace_dropped": 0,
         "total_throughput_pps": result.total_throughput_pps,
         "total_wasted_pps": result.total_wasted_pps,
         "total_entry_discard_pps": result.total_entry_discard_pps,
@@ -116,7 +118,6 @@ def result_from_dict(data: Dict[str, Any]) -> ScenarioResult:
         core_utilization={int(k): v
                           for k, v in data.get("core_utilization", {}).items()},
         series=series,
-        sched_trace_dropped=int(data.get("sched_trace_dropped", 0)),
         resilience=data.get("resilience", {}),
         sanitizer_violations=[
             SanitizerViolation.from_dict(v)

@@ -61,7 +61,6 @@ DIGEST_CHECKED_FIELDS: FrozenSet[str] = frozenset({
     "nfs",
     "core_utilization",
     "series",
-    "sched_trace_dropped",
     "resilience",
     "sanitizer_violations",
 })

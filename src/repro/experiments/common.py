@@ -206,9 +206,6 @@ class ScenarioResult:
     nfs: Dict[str, NFSummary]
     core_utilization: Dict[int, float]
     series: Dict[str, TimeSeries] = field(default_factory=dict)
-    #: Scheduler-trace events lost past any attached tracer's cap (0 when
-    #: no tracer was attached; non-zero means timelines are incomplete).
-    sched_trace_dropped: int = 0
     #: Resilience summary from the fault injector (empty when the run had
     #: no fault plan): incident log, availability, detection/recovery
     #: latencies, packets lost vs requeued.  JSON-safe, digest-covered.
@@ -525,8 +522,6 @@ class Scenario:
             for core_id, core in mgr.cores.items()
         }
         obs = mgr.obs
-        tracers = obs.tracers if obs is not None else None
-        trace_dropped = sum(t.dropped for t in (tracers or {}).values())
         return ScenarioResult(
             scheduler=self.scheduler,
             features=self.features,
@@ -538,7 +533,6 @@ class Scenario:
             nfs=nfs,
             core_utilization=utilization,
             series=dict(sampler.series),
-            sched_trace_dropped=trace_dropped,
             resilience=(
                 mgr.faults.summary(horizon_ns=int(duration_s * SEC))
                 if mgr.faults is not None else {}

@@ -11,6 +11,12 @@ prefix groups events into Perfetto tracks).  Events are recorded in
 publish order, which the deterministic event loop makes fully
 reproducible run-over-run.
 
+The ``sched.wake`` / ``sched.dispatch`` / ``sched.switch_out`` events
+(each with the ``core`` id; a switch-out also carries the ExecOutcome
+``detail``) are the simulator's one scheduler timeline:
+:mod:`repro.obs.export` pairs them into on-CPU runs for the Perfetto
+slices and the ASCII Gantt of :func:`~repro.obs.export.render_timeline`.
+
 Recording is bounded by ``max_events``; past the cap events still reach
 subscribers but are no longer retained, and ``dropped`` counts how many
 were discarded so downstream reports cannot silently lie.

@@ -8,6 +8,11 @@ slices and wake instants, one *counter* track per packet ring carrying
 its depth, and a control track for backpressure / ECN / wakeup /
 monitor decisions.
 
+The bus's ``sched.*`` events are the one scheduler timeline, the
+simulator's ``perf sched record``.  The Chrome slices, :func:`sched_runs`
+and the ASCII Gantt of :func:`render_timeline` all read it through one
+dispatch→switch-out pairing.
+
 ``write_prometheus`` renders a :class:`~repro.obs.registry.MetricsRegistry`
 in the Prometheus text exposition format (counters, gauges, and
 histograms as quantile summaries).
@@ -17,13 +22,102 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.bus import EventBus
+from repro.obs.bus import BusEvent, EventBus
 from repro.obs.registry import MetricsRegistry
 
 #: Synthetic thread ids for non-core tracks (cores use their own ids).
 CONTROL_TID = 900
+
+
+def _pair_run(open_runs: Dict[int, Tuple[str, int]],
+              ev: BusEvent) -> Optional[Tuple[str, int, int, str]]:
+    """Feed one ``sched.dispatch``/``sched.switch_out`` event to the
+    per-core open runs; return the run it closes as (task, start, end,
+    reason), or ``None``.
+
+    A dispatch opens a run and the matching switch-out closes it with its
+    ``detail`` (the ExecOutcome value).  A switch-out naming another task,
+    or a second dispatch while a run is open, closes the open run at that
+    event with reason ``"mismatch:<other task>"`` instead of silently
+    discarding its on-CPU time.  A switch-out with no open run closes
+    nothing.
+    """
+    core = ev.args["core"]
+    if ev.kind == "sched.dispatch":
+        opened = open_runs.get(core)
+        open_runs[core] = (ev.source, ev.time_ns)
+        if opened is None:
+            return None
+        reason = f"mismatch:{ev.source}"
+    else:
+        opened = open_runs.pop(core, None)
+        if opened is None:
+            return None
+        reason = (ev.args.get("detail", "") if opened[0] == ev.source
+                  else f"mismatch:{ev.source}")
+    task, start = opened
+    return task, start, ev.time_ns, reason
+
+
+def sched_runs(bus: EventBus,
+               core_id: int) -> List[Tuple[str, int, int, str]]:
+    """Dispatch-to-switch-out intervals on one core: (task, start, end,
+    reason), paired as :func:`_pair_run` does.  A run still open at the
+    end of the recording is omitted."""
+    out: List[Tuple[str, int, int, str]] = []
+    open_runs: Dict[int, Tuple[str, int]] = {}
+    for ev in bus.events:
+        if (ev.kind in ("sched.dispatch", "sched.switch_out")
+                and ev.args["core"] == core_id):
+            run = _pair_run(open_runs, ev)
+            if run is not None:
+                out.append(run)
+    return out
+
+
+def render_timeline(bus: EventBus, t0_ns: int, t1_ns: int,
+                    bucket_ns: int = 1_000_000, core_id: int = 0) -> str:
+    """An ASCII Gantt of one core: one row per task, one column per time
+    bucket — the simulator's ``perf sched timehist``.
+
+    A cell shows ``#`` when the task ran for most of the bucket, ``+``
+    when it ran at all, ``.`` otherwise.  Events past the bus's cap are
+    missing from the picture; a last line then says how many.
+    """
+    if t1_ns <= t0_ns or bucket_ns <= 0:
+        raise ValueError("need t1 > t0 and a positive bucket")
+    n_buckets = (t1_ns - t0_ns + bucket_ns - 1) // bucket_ns
+    per_task: Dict[str, List[int]] = {}
+    for task, start, end, _reason in sched_runs(bus, core_id):
+        if end <= t0_ns or start >= t1_ns:
+            continue
+        row = per_task.setdefault(task, [0] * n_buckets)
+        lo = max(start, t0_ns)
+        hi = min(end, t1_ns)
+        b = (lo - t0_ns) // bucket_ns
+        while lo < hi:
+            bucket_end = t0_ns + (b + 1) * bucket_ns
+            row[b] += min(hi, bucket_end) - lo
+            lo = min(hi, bucket_end)
+            b += 1
+    lines = []
+    width = max((len(t) for t in per_task), default=4)
+    for task in sorted(per_task):
+        cells = []
+        for filled in per_task[task]:
+            if 2 * filled >= bucket_ns:
+                cells.append("#")
+            elif filled > 0:
+                cells.append("+")
+            else:
+                cells.append(".")
+        lines.append(f"{task.rjust(width)} |{''.join(cells)}|")
+    if bus.dropped:
+        lines.append(f"({bus.dropped} events dropped at the "
+                     f"{bus.max_events}-event bus cap)")
+    return "\n".join(lines)
 
 
 def chrome_trace_events(bus: EventBus, pid: int = 0,
@@ -40,24 +134,18 @@ def chrome_trace_events(bus: EventBus, pid: int = 0,
     for ev in bus.events:
         kind = ev.kind
         ts = ev.time_ns / 1e3
-        if kind == "sched.dispatch":
+        if kind in ("sched.dispatch", "sched.switch_out"):
             core = ev.args["core"]
             cores_seen[core] = True
-            open_runs[core] = (ev.source, ev.time_ns)
-        elif kind == "sched.switch_out":
-            core = ev.args["core"]
-            cores_seen[core] = True
-            opened = open_runs.pop(core, None)
-            if opened is not None:
-                task, start = opened
+            run = _pair_run(open_runs, ev)
+            if run is not None:
+                task, start, end, reason = run
                 out.append({
                     "ph": "X", "name": task, "cat": "sched",
                     "pid": pid, "tid": core,
                     "ts": start / 1e3,
-                    "dur": max(0.0, (ev.time_ns - start) / 1e3),
-                    "args": {"outcome": ev.args.get("detail", ""),
-                             "switched_to" if ev.source != task else "task":
-                                 ev.source},
+                    "dur": max(0.0, (end - start) / 1e3),
+                    "args": {"outcome": reason, "task": task},
                 })
         elif kind == "sched.wake":
             core = ev.args["core"]

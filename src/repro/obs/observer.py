@@ -10,32 +10,28 @@ through one typed method, so a run with nothing attached pays one
         self.obs.on_ring_drop(self, count, depth, "full")
 
 The observer forwards each event to the sinks it holds: a recording
-``bus`` (:class:`~repro.obs.bus.EventBus`), per-core ``tracers``
-(:class:`~repro.sched.tracing.SchedTracer` by core id), a ``latency``
-tracker and a ``causality`` tracer.  It hands a tracker each event
-through the tracker's public recording method (``on_hop`` calls
-``record_hop``, ``on_delivery`` calls ``record_delivery`` and the
-tracer's ``on_delivery``); how a tracker stages and drains samples is
-its own business.  A new event kind is one method here plus its call
-site.  Every sink is observational: digests are identical with any
-observer attached.
+``bus`` (:class:`~repro.obs.bus.EventBus`, whose ``sched.*`` events are
+the one scheduler timeline that :mod:`repro.obs.export` pairs into runs
+and renders), a ``latency`` tracker and a ``causality`` tracer.  It
+hands a tracker each event through the tracker's public recording method
+(``on_hop`` calls ``record_hop``, ``on_delivery`` calls
+``record_delivery`` and the tracer's ``on_delivery``); how a tracker
+stages and drains samples is its own business.  A new event kind is one
+method here plus its call site.  Every sink is observational: digests
+are identical with any observer attached.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
-
-from repro.sched.tracing import DISPATCH, SWITCH_OUT, WAKE
+from typing import Any, List, Optional
 
 
 class Observer:
-    """Typed event sink forwarding to a bus, tracers and trackers."""
+    """Typed event sink forwarding to a bus and trackers."""
 
-    def __init__(self, bus: Any = None,
-                 tracers: Optional[Dict[int, Any]] = None,
-                 latency: Any = None, causality: Any = None):
+    def __init__(self, bus: Any = None, latency: Any = None,
+                 causality: Any = None):
         self.bus = bus
-        self.tracers = tracers
         self.latency = latency
         self.causality = causality
 
@@ -52,9 +48,6 @@ class Observer:
         """``task`` became runnable on ``core`` (semaphore post)."""
         if self.bus is not None:
             self.bus.publish("sched.wake", task.name, core=core.core_id)
-        tracers = self.tracers
-        if tracers is not None and core.core_id in tracers:
-            tracers[core.core_id].record(now, core.core_id, WAKE, task.name)
 
     def on_dispatch(self, core, task, now: int) -> None:
         """``task`` was picked and granted a slice; closes a pending
@@ -63,24 +56,14 @@ class Observer:
             self.bus.publish("sched.dispatch", task.name, core=core.core_id)
         if self.causality is not None:
             self.causality.on_dispatch(task.name, now)
-        tracers = self.tracers
-        if tracers is not None and core.core_id in tracers:
-            tracers[core.core_id].record(now, core.core_id, DISPATCH,
-                                         task.name)
 
     def on_switch_out(self, core, task, outcome, now: int) -> None:
         """``task`` left the CPU with ``outcome`` (an ExecOutcome, or
-        ``"killed"``); its value is read only when a sink records it."""
-        if self.bus is None and self.tracers is None:
-            return
-        detail = outcome if isinstance(outcome, str) else outcome.value
+        ``"killed"``); its value is read only when a bus records it."""
         if self.bus is not None:
+            detail = outcome if isinstance(outcome, str) else outcome.value
             self.bus.publish("sched.switch_out", task.name, core=core.core_id,
                              detail=detail)
-        tracers = self.tracers
-        if tracers is not None and core.core_id in tracers:
-            tracers[core.core_id].record(now, core.core_id, SWITCH_OUT,
-                                         task.name, detail)
 
     # ------------------------------------------------------------------
     # Data path: rings, manager threads, ECN, monitor, backpressure

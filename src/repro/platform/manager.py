@@ -183,7 +183,7 @@ class NFManager:
             return
         events = obs.serving("bus")
         for core in self.cores.values():
-            core.obs = obs.serving("bus", "tracers", "causality")
+            core.obs = obs.serving("bus", "causality")
         for nf in self.nfs:
             nf.obs = obs.serving("latency")
             nf.rx_ring.obs = nf.tx_ring.obs = events

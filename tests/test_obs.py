@@ -308,7 +308,8 @@ class TestObsSession:
 
     def test_session_leaves_results_bit_identical(self, tmp_path):
         """Tracing, metrics and streaming are observers: a run under an
-        active session produces the same result digest as a plain run."""
+        active session produces the same result digest as a plain run,
+        and so does a traced run whose bus overflows its cap."""
         from repro.analysis.export import result_to_dict
         from repro.runner.digest import digest_of
 
@@ -326,4 +327,13 @@ class TestObsSession:
         with RunContext(session=session):
             observed = run()
         session.finalize()
+        assert observed == plain
+
+        capped = ObsSession(trace_path=str(tmp_path / "capped.json"),
+                            max_bus_events=10)
+        with RunContext(session=capped):
+            observed = run()
+        capped.finalize()
+        (_label, bus), = capped.buses
+        assert bus.dropped > 0
         assert observed == plain

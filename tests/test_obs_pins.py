@@ -8,7 +8,8 @@ here, not only in the exported trace:
   and a small fabric-congested cluster (the only one of the three with
   ``link.drop`` / ``link.ecn`` events; ``cluster_scaling`` sets no link
   queue cap or ECN threshold);
-* the :class:`~repro.sched.tracing.SchedTracer` records of a 2-core case;
+* the per-core ``sched.*`` events of a 2-core case (the scheduler
+  timeline);
 * the fault events of one ``chaos_recovery`` case, field by field.
 """
 
@@ -18,9 +19,9 @@ from repro.cluster.scenario import ClusterScenario
 from repro.experiments import chaos_recovery, cluster_scaling
 from repro.experiments import fig07_single_core_chain as fig07
 from repro.experiments.common import RunContext, Scenario, build_linear_chain
+from repro.obs.bus import EventBus
 from repro.obs.observer import Observer
 from repro.obs.session import ObsSession
-from repro.sched.tracing import SchedTracer
 
 
 def _sha(rows) -> str:
@@ -81,16 +82,21 @@ class TestEventStreamPins:
         assert _bus_digest(bus) == (
             "92a5f165cbfca572804f8d345d49f678d791654873c70cd0433b7ab36ed06616")
 
-    def test_two_core_sched_tracers(self):
+    def test_two_core_sched_events(self):
         scenario = Scenario(scheduler="BATCH", features="NFVnice")
         build_linear_chain(scenario, (120, 300, 550), core=(0, 1, 1))
         scenario.add_flow("f", "chain", line_rate_fraction=0.5)
-        tracers = {0: SchedTracer(), 1: SchedTracer()}
-        scenario.manager.attach_observability(Observer(tracers=tracers))
+        bus = EventBus(scenario.loop)
+        scenario.manager.attach_observability(Observer(bus=bus))
         scenario.run(0.05)
-        assert (len(tracers[0]), len(tracers[1])) == (1152, 189)
-        rows = [(c, ev.time_ns, ev.core_id, ev.kind, ev.task, ev.detail)
-                for c in (0, 1) for ev in tracers[c].events]
+        per_core = {0: [], 1: []}
+        for ev in bus.events:
+            if ev.kind.startswith("sched."):
+                per_core[ev.args["core"]].append(ev)
+        assert (len(per_core[0]), len(per_core[1])) == (1152, 189)
+        rows = [(c, ev.time_ns, c, ev.kind[len("sched."):], ev.source,
+                 ev.args.get("detail", ""))
+                for c in (0, 1) for ev in per_core[c]]
         assert _sha(rows) == (
             "747d2007e5770da0385e5281716a67f92b5bff3aaf2f21e358bc1e03cdb575ae")
 

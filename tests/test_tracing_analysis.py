@@ -1,6 +1,7 @@
-"""Tests for the scheduler tracer and the analysis helpers."""
+"""Tests for the bus's scheduler timeline and the analysis helpers."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -14,9 +15,11 @@ from repro.analysis.export import (
 )
 from repro.experiments.common import Scenario, build_linear_chain
 from repro.metrics.timeseries import TimeSeries
+from repro.obs.bus import EventBus
+from repro.obs.export import chrome_trace_events, render_timeline, sched_runs
 from repro.obs.observer import Observer
-from repro.sched.tracing import DISPATCH, SWITCH_OUT, WAKE, SchedTracer
 from repro.sim.clock import MSEC, SEC
+from repro.sim.engine import EventLoop
 
 
 def small_result(features="NFVnice"):
@@ -26,33 +29,60 @@ def small_result(features="NFVnice"):
     return scenario.run(0.2)
 
 
+def _sched_bus(*events, max_events=500_000):
+    """A hand-built bus of core-0 scheduler events, each given as
+    ``(time_ns, kind, task[, detail])`` with ``kind`` the bus kind's
+    suffix (``"wake"``, ``"dispatch"`` or ``"switch_out"``)."""
+    loop = EventLoop()
+    bus = EventBus(loop, max_events=max_events)
+    for time_ns, kind, task, *detail in events:
+        loop.now = time_ns
+        extra = {"detail": detail[0]} if detail else {}
+        bus.publish(f"sched.{kind}", task, core=0, **extra)
+    return bus
+
+
+def _runtime_by_task(bus, core_id):
+    """Total traced on-CPU time per task (ns) on one core."""
+    out = Counter()
+    for task, start, end, _reason in sched_runs(bus, core_id):
+        out[task] += end - start
+    return dict(out)
+
+
+def _mismatched(runs):
+    return sum(1 for run in runs if run[3].startswith("mismatch:"))
+
+
 class TestSchedTracer:
+    """The bus's ``sched.*`` events read as a ``perf sched`` timeline."""
+
     def _traced_run(self):
         scenario = Scenario(scheduler="BATCH", features="NFVnice")
         build_linear_chain(scenario, (120, 550), core=0)
         scenario.add_flow("f", "chain", line_rate_fraction=0.5)
-        tracer = SchedTracer()
-        scenario.manager.attach_observability(Observer(tracers={0: tracer}))
+        bus = EventBus(scenario.loop)
+        scenario.manager.attach_observability(Observer(bus=bus))
         scenario.run(0.1)
-        return tracer, scenario
+        return bus, scenario
 
     def test_records_all_event_kinds(self):
-        tracer, _ = self._traced_run()
-        kinds = {ev.kind for ev in tracer.events}
-        assert {WAKE, DISPATCH, SWITCH_OUT} <= kinds
-        assert len(tracer) > 10
+        bus, _ = self._traced_run()
+        assert {"sched.wake", "sched.dispatch", "sched.switch_out"} <= \
+            set(bus.counts)
+        assert len(bus.of_kind("sched.dispatch")) > 10
 
     def test_runs_are_well_formed(self):
-        tracer, _ = self._traced_run()
-        runs = tracer.runs(core_id=0)
+        bus, _ = self._traced_run()
+        runs = sched_runs(bus, 0)
         assert runs
         for task, start, end, reason in runs:
             assert end >= start
             assert reason  # every close carries an outcome
 
     def test_traced_runtime_matches_task_accounting(self):
-        tracer, scenario = self._traced_run()
-        traced = tracer.runtime_by_task(core_id=0)
+        bus, scenario = self._traced_run()
+        traced = _runtime_by_task(bus, 0)
         for nf in scenario.manager.nfs:
             if nf.name in traced:
                 # Traced wall intervals include context-switch overhead at
@@ -61,62 +91,64 @@ class TestSchedTracer:
                     nf.stats.runtime_ns, rel=0.2)
 
     def test_timeline_renders(self):
-        tracer, _ = self._traced_run()
-        art = tracer.render_timeline(0, int(0.1 * SEC), bucket_ns=5 * MSEC)
+        bus, _ = self._traced_run()
+        art = render_timeline(bus, 0, int(0.1 * SEC), bucket_ns=5 * MSEC)
         lines = art.splitlines()
         assert lines
         for line in lines:
             assert "|" in line
 
     def test_timeline_validation(self):
-        tracer = SchedTracer()
+        bus = _sched_bus()
         with pytest.raises(ValueError):
-            tracer.render_timeline(10, 10)
+            render_timeline(bus, 10, 10)
+        with pytest.raises(ValueError):
+            render_timeline(bus, 0, 10, bucket_ns=0)
 
     def test_event_cap(self):
-        tracer = SchedTracer(max_events=3)
-        for i in range(5):
-            tracer.record(i, 0, WAKE, "t")
-        assert len(tracer) == 3
-        assert tracer.dropped == 2
+        bus = _sched_bus(*[(i, "wake", "t") for i in range(5)], max_events=3)
+        assert len(bus) == 3
+        assert bus.dropped == 2
 
     def test_counts(self):
-        tracer = SchedTracer()
-        tracer.record(0, 0, WAKE, "a")
-        tracer.record(1, 0, WAKE, "a")
-        tracer.record(2, 0, DISPATCH, "a")
-        assert tracer.counts() == {("a", WAKE): 2, ("a", DISPATCH): 1}
+        bus = _sched_bus((0, "wake", "a"), (1, "wake", "a"),
+                         (2, "dispatch", "a"))
+        assert bus.counts == {"sched.wake": 2, "sched.dispatch": 1}
 
     def test_mismatched_switch_out_closes_run(self):
-        """A SWITCH_OUT naming a different task must not silently discard
+        """A switch-out naming a different task must not silently discard
         the open run — it closes it flagged as a mismatch."""
-        tracer = SchedTracer()
-        tracer.record(0, 0, DISPATCH, "a")
-        tracer.record(10, 0, SWITCH_OUT, "b")
-        runs = tracer.runs(core_id=0)
+        bus = _sched_bus((0, "dispatch", "a"), (10, "switch_out", "b", ""))
+        runs = sched_runs(bus, 0)
         assert runs == [("a", 0, 10, "mismatch:b")]
-        assert tracer.mismatched_runs(core_id=0) == 1
+        assert _mismatched(runs) == 1
         # The flagged interval still counts toward the task's runtime.
-        assert tracer.runtime_by_task(core_id=0) == {"a": 10}
+        assert _runtime_by_task(bus, 0) == {"a": 10}
 
     def test_double_dispatch_closes_run(self):
-        tracer = SchedTracer()
-        tracer.record(0, 0, DISPATCH, "a")
-        tracer.record(5, 0, DISPATCH, "b")
-        tracer.record(9, 0, SWITCH_OUT, "b")
-        assert tracer.runs(core_id=0) == [
-            ("a", 0, 5, "mismatch:b"), ("b", 5, 9, "")]
+        bus = _sched_bus((0, "dispatch", "a"), (5, "dispatch", "b"),
+                         (9, "switch_out", "b", "yield"))
+        assert sched_runs(bus, 0) == [
+            ("a", 0, 5, "mismatch:b"), ("b", 5, 9, "yield")]
+
+    def test_chrome_slice_carries_mismatch_outcome(self):
+        """A second dispatch closes the open run in the exported trace
+        too: its on-CPU time becomes a slice flagged as a mismatch."""
+        bus = _sched_bus((0, "dispatch", "a"), (5_000, "dispatch", "b"),
+                         (9_000, "switch_out", "b", "yield"))
+        slices = [(ev["name"], ev["ts"], ev["dur"], ev["args"]["outcome"])
+                  for ev in chrome_trace_events(bus) if ev["ph"] == "X"]
+        assert slices == [("a", 0.0, 5.0, "mismatch:b"),
+                          ("b", 5.0, 4.0, "yield")]
 
     def test_well_formed_trace_has_no_mismatches(self):
-        tracer, _ = self._traced_run()
-        assert tracer.mismatched_runs() == 0
+        bus, _ = self._traced_run()
+        assert _mismatched(sched_runs(bus, 0)) == 0
 
     def test_dropped_events_surface_in_timeline(self):
-        tracer = SchedTracer(max_events=2)
-        tracer.record(0, 0, DISPATCH, "a")
-        tracer.record(5, 0, SWITCH_OUT, "a")
-        tracer.record(6, 0, DISPATCH, "a")
-        art = tracer.render_timeline(0, 10, bucket_ns=5)
+        bus = _sched_bus((0, "dispatch", "a"), (5, "switch_out", "a", ""),
+                         (6, "dispatch", "a"), max_events=2)
+        art = render_timeline(bus, 0, 10, bucket_ns=5)
         assert "1 events dropped" in art
 
 
@@ -125,45 +157,35 @@ class TestMultiCoreTracing:
         scenario = Scenario(scheduler="BATCH", features="NFVnice")
         build_linear_chain(scenario, (120, 300, 550), core=(0, 1, 1))
         scenario.add_flow("f", "chain", line_rate_fraction=0.5)
-        tracers = {core_id: SchedTracer() for core_id in (0, 1)}
-        scenario.manager.attach_observability(Observer(tracers=tracers))
+        bus = EventBus(scenario.loop)
+        scenario.manager.attach_observability(Observer(bus=bus))
         scenario.run(0.1)
-        return tracers, scenario
+        return bus, scenario
 
     def test_each_core_traces_only_its_tasks(self):
-        tracers, _ = self._two_core_run()
-        assert {ev.task for ev in tracers[0].events} == {"nf1"}
-        assert {ev.task for ev in tracers[1].events} == {"nf2", "nf3"}
-        for core_id, tracer in tracers.items():
-            assert all(ev.core_id == core_id for ev in tracer.events)
+        bus, _ = self._two_core_run()
+        tasks = {0: set(), 1: set()}
+        for ev in bus.events:
+            if ev.kind.startswith("sched."):
+                tasks[ev.args["core"]].add(ev.source)
+        assert tasks == {0: {"nf1"}, 1: {"nf2", "nf3"}}
 
     def test_runtime_by_task_on_nonzero_core(self):
-        tracers, scenario = self._two_core_run()
-        traced = tracers[1].runtime_by_task(core_id=1)
+        bus, scenario = self._two_core_run()
+        traced = _runtime_by_task(bus, 1)
         assert set(traced) == {"nf2", "nf3"}
         for name in ("nf2", "nf3"):
             nf = scenario.manager.nf_by_name(name)
             assert traced[name] == pytest.approx(nf.stats.runtime_ns, rel=0.2)
 
     def test_render_timeline_on_nonzero_core(self):
-        tracers, _ = self._two_core_run()
-        art = tracers[1].render_timeline(0, int(0.1 * SEC),
-                                         bucket_ns=5 * MSEC, core_id=1)
+        bus, _ = self._two_core_run()
+        art = render_timeline(bus, 0, int(0.1 * SEC), bucket_ns=5 * MSEC,
+                              core_id=1)
         lines = art.splitlines()
         assert any(line.startswith("nf2") or line.lstrip().startswith("nf2")
                    for line in lines)
         assert all("|" in line for line in lines)
-
-    def test_result_carries_trace_drop_count(self):
-        scenario = Scenario(scheduler="BATCH", features="NFVnice")
-        build_linear_chain(scenario, (120, 550), core=0)
-        scenario.add_flow("f", "chain", line_rate_fraction=0.5)
-        scenario.manager.attach_observability(
-            Observer(tracers={0: SchedTracer(max_events=10)}))
-        result = scenario.run(0.05)
-        assert result.sched_trace_dropped > 0
-        assert result_to_dict(result)["sched_trace_dropped"] == \
-            result.sched_trace_dropped
 
 
 class TestExport:
@@ -196,7 +218,6 @@ class TestExport:
         assert rebuilt.features == result.features
         assert rebuilt.duration_s == result.duration_s
         assert rebuilt.total_throughput_pps == result.total_throughput_pps
-        assert rebuilt.sched_trace_dropped == result.sched_trace_dropped
         assert rebuilt.chains == result.chains
         assert rebuilt.nfs == result.nfs
         assert rebuilt.core_utilization == result.core_utilization
