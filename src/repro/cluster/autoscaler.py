@@ -64,19 +64,24 @@ class ChainTemplate:
         self.slo_us = None if slo_us is None else float(slo_us)
 
     def instantiate(self, host: ClusterHost, replica: int,
-                    core_id: int) -> ServiceChain:
-        """Build replica ``replica`` of this chain on ``host``.
+                    cores: int | Sequence[int], first: int = 0
+                    ) -> ServiceChain:
+        """Build NFs ``first, first + 1, ...`` of replica ``replica`` on
+        ``host`` as one chain, on ``cores`` (one per NF: a leg of a chain
+        spanning hosts), or the whole replica on core ``cores``.
 
         NF and chain names embed the replica index and host so they stay
-        unique cluster-wide (``svc~r2.nf1@h1``); all NFs of a replica
-        share one core — the slot the autoscaler allocated.
+        unique cluster-wide (``svc~r2.nf1@h1``).
         """
+        if isinstance(cores, int):
+            cores = [cores] * len(self.costs)
         manager = host.manager
         chain_name = f"{self.name}~r{replica}@{host.name}"
         nfs: List[NFProcess] = []
-        for i, cost in enumerate(self.costs, start=1):
+        for i, core_id in enumerate(cores, start=first + 1):
             nf = NFProcess(f"{self.name}~r{replica}.nf{i}@{host.name}",
-                           FixedCost(cost), config=manager.config)
+                           FixedCost(self.costs[i - 1]),
+                           config=manager.config)
             manager.add_nf(nf, core_id=core_id)
             nfs.append(nf)
         return manager.add_chain(chain_name, nfs)

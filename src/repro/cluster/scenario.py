@@ -9,7 +9,8 @@ ScenarioResult` so campaign digests, baselines and render tables reuse
 the existing machinery unchanged:
 
 * NF/chain names are replica- and host-qualified, so the merged ``nfs``
-  / ``chains`` dicts never collide;
+  / ``chains`` dicts never collide; a replica spread over hosts (§3.3)
+  has one chain (leg) per host, and only its last leg delivers;
 * ``core_utilization`` keys are ``host_index * 100 + core_id``;
 * the cluster-only accounting — steering binds, autoscaler events,
   per-link fabric counters — rides ``result.resilience["cluster"]``,
@@ -26,12 +27,16 @@ histograms the SLO grid and the autoscaler's projection trigger read.
 from __future__ import annotations
 
 import math
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.cluster.autoscaler import Autoscaler, ChainTemplate
-from repro.cluster.steering import FlowSteerer, Placement
-from repro.cluster.topology import (HOST_CORE_STRIDE, ClusterTopology,
-                                    IngressPoint, validate_slots)
+from repro.cluster.steering import FlowSteerer, Leg, Placement
+from repro.cluster.topology import (HOST_CORE_STRIDE, ClusterHost,
+                                    ClusterTopology, CrossHostLink,
+                                    IngressPoint, validate_slot,
+                                    validate_slots)
 from repro.experiments.common import (
     ChainSummary,
     NFSummary,
@@ -43,6 +48,7 @@ from repro.experiments.common import (
 )
 from repro.metrics.timeseries import IntervalSampler
 from repro.obs.latency import FlowLatencyTracker
+from repro.platform.chain import ServiceChain
 from repro.platform.nic import NIC
 from repro.platform.packet import Flow
 from repro.sim.clock import SEC
@@ -80,7 +86,7 @@ class ClusterScenario:
             ingress_ecn_mark_pkts=ingress_ecn_mark_pkts,
         )
         self.steerer = FlowSteerer(seed=seed)
-        self.ingress = IngressPoint(self.topology, self.steerer)
+        self.ingress = IngressPoint(self.steerer)
         # The generator only uses the NIC's ``receive`` surface, which
         # the ingress point provides.
         self.generator = TrafficGenerator(
@@ -95,7 +101,8 @@ class ClusterScenario:
         self.template: Optional[ChainTemplate] = None
         self.autoscaler: Optional[Autoscaler] = None
         self._slo_classes: Dict[str, int] = {}
-        self._initial_placements: List[Tuple[int, int]] = []
+        #: One ``(host, core)`` slot per NF for each initial replica.
+        self._initial_placements: List[List[Tuple[int, int]]] = []
         self._sampler: Optional[IntervalSampler] = None
 
     # ------------------------------------------------------------------
@@ -110,20 +117,44 @@ class ClusterScenario:
         name: str,
         costs: Sequence[float],
         slo_us: Optional[float] = None,
-        placements: Sequence[Tuple[int, int]] = ((0, 0),),
+        placements: Sequence[Sequence[object]] = ((0, 0),),
     ) -> None:
         """Declare the service chain and its initial replica placements.
 
-        ``placements`` is a sequence of ``(host_index, core_id)`` slots;
-        each gets one replica before the run starts.  Call once.  A host
-        outside the cluster or a core outside ``[0, 100)`` raises
-        :class:`ValueError` naming the offending ``placements[i]``.
+        Each ``placements`` entry gets one replica before the run starts:
+        a ``(host_index, core_id)`` slot, or one slot per NF.  Consecutive
+        NFs on different hosts become legs joined by
+        :meth:`ClusterTopology.connect` (§3.3); a chain visits each host
+        once, and a host hands off to one host only (its NIC feeds one
+        link).  Call once.  A bad entry raises :class:`ValueError` naming
+        ``placements[i]`` (``placements[i][j]`` for NF ``j``'s slot).
         """
         if self.template is not None:
             raise RuntimeError("set_chain may only be called once")
-        initial = validate_slots("placements", placements,
-                                 len(self.topology.hosts))
-        self.template = ChainTemplate(name, costs, slo_us=slo_us)
+        template = ChainTemplate(name, costs, slo_us=slo_us)
+        n_nfs, n_hosts = len(template.costs), len(self.topology.hosts)
+        initial: List[List[Tuple[int, int]]] = []
+        hands_off_to: Dict[int, int] = {}
+        for i, entry in enumerate(placements):
+            field = f"placements[{i}]"
+            slots = (validate_slots(field, entry, n_hosts)
+                     if isinstance(entry, (list, tuple)) and entry
+                     and isinstance(entry[0], (list, tuple))
+                     else [validate_slot(field, entry, n_hosts)] * n_nfs)
+            if len(slots) != n_nfs:
+                raise ValueError(f"{field}: {len(slots)} slots for a chain "
+                                 f"of {n_nfs} NFs")
+            hosts = [host for host, _leg in groupby(slots, itemgetter(0))]
+            if len(set(hosts)) < len(hosts):
+                raise ValueError(f"{field}: the chain returns to a host it "
+                                 f"left; it may visit each host once")
+            for up, down in zip(hosts, hosts[1:]):
+                if hands_off_to.setdefault(up, down) != down:
+                    raise ValueError(
+                        f"{field}: host {up} already hands off to host "
+                        f"{hands_off_to[up]}; its NIC feeds one link")
+            initial.append(slots)
+        self.template = template
         self._initial_placements = initial
 
     def enable_autoscaler(
@@ -137,11 +168,16 @@ class ClusterScenario:
         down_after: int = 20,
         cooldown_ns: int = 30_000_000,
     ) -> Autoscaler:
-        """Attach an :class:`Autoscaler` over the free ``slots``."""
+        """Attach an :class:`Autoscaler` over the free ``slots``; it
+        places whole replicas, so a spread placement raises ValueError."""
         if self.template is None:
             raise RuntimeError("set_chain before enable_autoscaler")
         if self.autoscaler is not None:
             raise RuntimeError("autoscaler already enabled")
+        for i, placement in enumerate(self._initial_placements):
+            if len(set(placement)) > 1:
+                raise ValueError(f"placements[{i}]: a chain spread over "
+                                 f"several slots is static only")
         self.autoscaler = Autoscaler(
             self.topology, self.steerer, self.template, slots,
             latency=self.observer.latency, period_ns=period_ns,
@@ -181,17 +217,31 @@ class ClusterScenario:
     def _materialise_placements(self) -> None:
         assert self.template is not None
         if self.autoscaler is not None:
-            for host_idx, core_id in self._initial_placements:
-                self.autoscaler.add_initial_placement(host_idx, core_id)
-        else:
-            # Static placement: instantiate replicas directly.
-            seq = 0
-            for host_idx, core_id in self._initial_placements:
+            for slots in self._initial_placements:
+                self.autoscaler.add_initial_placement(*slots[0])
+            return
+        # Static placement: instantiate replicas directly, one chain per
+        # host a replica visits.
+        links: Dict[Tuple[int, int], CrossHostLink] = {}
+        for seq, slots in enumerate(self._initial_placements):
+            legs: List[Tuple[ClusterHost, ServiceChain]] = []
+            first = 0
+            for host_idx, leg in groupby(slots, itemgetter(0)):
+                cores = [core for _host, core in leg]
                 host = self.topology.hosts[host_idx]
-                chain = self.template.instantiate(host, seq, core_id)
-                seq += 1
-                self.steerer.add_placement(
-                    host, chain, self.topology.ingress_links[host.name])
+                legs.append((host, self.template.instantiate(
+                    host, seq, cores, first)))
+                first += len(cores)
+            downstream: List[Leg] = []
+            for (up, _chain), (host, chain) in zip(legs, legs[1:]):
+                edge = (up.index, host.index)
+                if edge not in links:
+                    links[edge] = self.topology.connect(*edge)
+                downstream.append((links[edge], host, chain))
+            host, chain = legs[0]
+            self.steerer.add_placement(
+                host, chain, self.topology.ingress_links[host.name],
+                downstream)
 
     def _on_scale_out(self, placement: Placement) -> None:
         """Give a freshly scaled-out chain its own throughput probe."""
@@ -256,6 +306,9 @@ class ClusterScenario:
         chains: Dict[str, ChainSummary] = {}
         nfs: Dict[str, NFSummary] = {}
         core_utilization: Dict[int, float] = {}
+        # A leg that hands its packets to the next host delivers nothing.
+        handed_off = sum(chain.completed for p in self.steerer.placements
+                         for chain in p.chains[:-1])
         completed = wasted = entry = 0
         for host in self.topology.hosts:
             mgr = host.manager
@@ -275,7 +328,7 @@ class ClusterScenario:
             scheduler=self.scheduler,
             features=self.features,
             duration_s=duration_s,
-            total_throughput_pps=completed / duration_s,
+            total_throughput_pps=(completed - handed_off) / duration_s,
             total_wasted_pps=wasted / duration_s,
             total_entry_discard_pps=entry / duration_s,
             chains=chains,

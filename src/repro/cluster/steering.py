@@ -20,7 +20,7 @@ connection-affine L4 balancers behave in front of autoscaled backends.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, List, TYPE_CHECKING
+from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
 
 from repro.platform.chain import ServiceChain
 from repro.platform.packet import Flow
@@ -28,18 +28,24 @@ from repro.platform.packet import Flow
 from repro.cluster.fabric import FabricLink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.topology import ClusterHost
+    from repro.cluster.topology import ClusterHost, CrossHostLink
+
+#: A later leg of a chain spanning hosts: the link feeding it, its host.
+Leg = Tuple["CrossHostLink", "ClusterHost", ServiceChain]
 
 
 class Placement:
-    """One chain replica on one host, addressable from cluster ingress."""
+    """One chain replica, addressable from cluster ingress: its first leg
+    on ``host`` and, when the chain spans hosts, the ``downstream`` legs."""
 
     def __init__(self, placement_id: str, host: "ClusterHost",
-                 chain: ServiceChain, link: FabricLink) -> None:
+                 chain: ServiceChain, link: FabricLink,
+                 downstream: Sequence[Leg] = ()) -> None:
         self.placement_id = placement_id
         self.host = host
         self.chain = chain
         self.link = link
+        self.downstream: List[Leg] = list(downstream)
         #: Deactivated placements keep serving bound flows but receive no
         #: new bindings (scale-in).
         self.active = True
@@ -47,6 +53,11 @@ class Placement:
         #: Sum of the declared offered rates of bound flows — the load
         #: signal the balancer spreads on.
         self.assigned_pps = 0.0
+
+    @property
+    def chains(self) -> List[ServiceChain]:
+        """Every leg's chain in path order; only the last one delivers."""
+        return [self.chain] + [chain for _l, _h, chain in self.downstream]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "active" if self.active else "drained"
@@ -64,20 +75,19 @@ class FlowSteerer:
         #: Declared offered rate per flow (registered by the scenario
         #: builder) so the balancer can weigh a bind before any packets.
         self._rates: Dict[str, float] = {}
-        #: Bind log, in event order: {"t_ns", "flow", "placement"}.
-        self.binds: List[Dict[str, Any]] = []
         self.flows_admitted = 0
 
     # ------------------------------------------------------------------
     # Placement lifecycle
     # ------------------------------------------------------------------
     def add_placement(self, host: "ClusterHost", chain: ServiceChain,
-                      link: FabricLink) -> Placement:
-        """Register a chain replica; its id is the chain's unique name."""
+                      link: FabricLink,
+                      downstream: Sequence[Leg] = ()) -> Placement:
+        """Register a chain replica; its id is its first chain's name."""
         for existing in self.placements:
             if existing.placement_id == chain.name:
                 raise ValueError(f"duplicate placement {chain.name!r}")
-        placement = Placement(chain.name, host, chain, link)
+        placement = Placement(chain.name, host, chain, link, downstream)
         self.placements.append(placement)
         return placement
 
@@ -99,11 +109,11 @@ class FlowSteerer:
         """Declare a flow's offered rate for load-aware binding."""
         self._rates[flow_id] = float(rate_pps)
 
-    def placement_of(self, flow: Flow, now_ns: int) -> Placement:
+    def placement_of(self, flow: Flow) -> Placement:
         """The flow's placement, binding it on first sight."""
         placement = self._by_flow.get(flow.flow_id)
         if placement is None:
-            placement = self._bind(flow, now_ns)
+            placement = self._bind(flow)
         return placement
 
     def _tiebreak(self, flow_id: str, placement_id: str) -> int:
@@ -111,7 +121,7 @@ class FlowSteerer:
         key = f"{flow_id}|{placement_id}|{self.seed}".encode()
         return zlib.crc32(key)
 
-    def _bind(self, flow: Flow, now_ns: int) -> Placement:
+    def _bind(self, flow: Flow) -> Placement:
         candidates = self.active_placements()
         if not candidates:
             raise RuntimeError(
@@ -125,12 +135,12 @@ class FlowSteerer:
         best.assigned_flows += 1
         best.assigned_pps += self._rates.get(fid, 0.0)
         best.host.manager.install_flow(flow, best.chain)
+        upstream = flow
+        for link, host, chain in best.downstream:
+            upstream = link.connect_flow(upstream)
+            host.manager.install_flow(upstream, chain)
         self._by_flow[fid] = best
         self.flows_admitted += 1
-        self.binds.append({
-            "t_ns": int(now_ns), "flow": fid,
-            "placement": best.placement_id,
-        })
         return best
 
     def binds_per_placement(self) -> Dict[str, int]:

@@ -48,30 +48,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 HOST_CORE_STRIDE = 100
 
 
-def validate_slots(field: str, slots: Sequence[Tuple[int, int]],
-                   n_hosts: int) -> List[Tuple[int, int]]:
-    """``slots`` as ``(host_index, core_id)`` int pairs, checked.
+def validate_slot(field: str, slot: Sequence[int],
+                  n_hosts: int) -> Tuple[int, int]:
+    """``slot`` as a ``(host_index, core_id)`` int pair, checked.
 
-    Raises :class:`ValueError` naming ``field[i]`` for an entry that is
-    not a pair, a host outside ``[0, n_hosts)`` or a core outside
+    Raises :class:`ValueError` naming ``field`` for a slot that is not a
+    pair, a host outside ``[0, n_hosts)`` or a core outside
     ``[0, HOST_CORE_STRIDE)`` (which would collide in the cluster-wide
     core keys).
     """
-    checked: List[Tuple[int, int]] = []
-    for i, slot in enumerate(slots):
-        try:
-            host, core = (int(x) for x in slot)
-        except (TypeError, ValueError):
-            raise ValueError(f"{field}[{i}]: expected a (host, core) pair, "
-                             f"got {slot!r}") from None
-        if not 0 <= host < n_hosts:
-            raise ValueError(f"{field}[{i}]: host {host} outside the "
-                             f"cluster (0..{n_hosts - 1})")
-        if not 0 <= core < HOST_CORE_STRIDE:
-            raise ValueError(f"{field}[{i}]: core {core} outside "
-                             f"0..{HOST_CORE_STRIDE - 1}")
-        checked.append((host, core))
-    return checked
+    try:
+        host, core = (int(x) for x in slot)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field}: expected a (host, core) pair, "
+                         f"got {slot!r}") from None
+    if not 0 <= host < n_hosts:
+        raise ValueError(f"{field}: host {host} outside the "
+                         f"cluster (0..{n_hosts - 1})")
+    if not 0 <= core < HOST_CORE_STRIDE:
+        raise ValueError(f"{field}: core {core} outside "
+                         f"0..{HOST_CORE_STRIDE - 1}")
+    return host, core
+
+
+def validate_slots(field: str, slots: Sequence[Sequence[int]],
+                   n_hosts: int) -> List[Tuple[int, int]]:
+    """Each of ``slots`` through :func:`validate_slot` as ``field[i]``."""
+    return [validate_slot(f"{field}[{i}]", slot, n_hosts)
+            for i, slot in enumerate(slots)]
 
 
 class ClusterHost:
@@ -90,7 +94,9 @@ class CrossHostLink(FabricLink):
     """A host-to-host wire fed by the upstream host's NIC egress (§3.3).
 
     Only flows mapped with :meth:`connect_flow` are carried; other egress
-    traffic leaves the topology (it reached its destination).  ECN CE
+    traffic leaves the topology (it reached its destination).  A carried
+    segment is a hand-off, not a delivery: its upstream leg counts it in
+    ``chain.completed`` but not in ``flow.stats.delivered``.  ECN CE
     marks applied on either host accumulate on the shared flow stats, so
     the TCP sender sees congestion from any hop.
     """
@@ -118,25 +124,25 @@ class CrossHostLink(FabricLink):
         self._carried_flows: Dict[str, Flow] = {}
         nic.on_transmit = self._on_egress
 
-    def connect_flow(self, upstream_flow: Flow,
-                     downstream_flow: Optional[Flow] = None) -> Flow:
+    def connect_flow(self, upstream_flow: Flow) -> Flow:
         """Carry ``upstream_flow`` across this link.
 
         Each host steers the flow with its own :class:`Flow` twin (the
         ``chain`` backref is host-local) while stats and the TCP model are
-        shared.  Pass an existing twin or let the link clone one; install
-        the returned twin into the downstream host's flow table.
+        shared.  Install the returned twin into the downstream host's
+        flow table.
         """
-        twin = (downstream_flow if downstream_flow is not None
-                else upstream_flow.clone_shared())
+        twin = upstream_flow.clone_shared()
         self._carried_flows[upstream_flow.flow_id] = twin
         return twin
 
-    def _on_egress(self, segment: PacketSegment) -> None:
+    def _on_egress(self, segment: PacketSegment) -> bool:
+        """Carry a mapped flow's segment on; True when it did (a hand-off)."""
         flow = self._carried_flows.get(segment.flow.flow_id)
         if flow is not None:
             self.send(flow, segment.count, self.loop.now,
                       origin_ns=segment.origin_ns)
+        return flow is not None
 
 
 class ClusterTopology:
@@ -190,10 +196,6 @@ class ClusterTopology:
             host.manager.nic.rx_ring.enqueue(
                 flow, count, self.loop.now, origin_ns=origin_ns)
         return deliver
-
-    # ------------------------------------------------------------------
-    def host(self, index: int) -> ClusterHost:
-        return self.hosts[index]
 
     def connect(self, upstream: int, downstream: int,
                 latency_ns: int = 10 * USEC,
@@ -250,16 +252,12 @@ class IngressPoint:
     fabric.
     """
 
-    def __init__(self, topology: ClusterTopology,
-                 steerer: "FlowSteerer") -> None:
-        self.topology = topology
+    def __init__(self, steerer: "FlowSteerer") -> None:
         self.steerer = steerer
         self.received_packets = 0
-        self.received_bytes = 0
 
     def receive(self, flow: Flow, count: int, now_ns: int) -> int:
         """Admit ``count`` packets of ``flow`` into the cluster."""
-        placement = self.steerer.placement_of(flow, now_ns)
+        placement = self.steerer.placement_of(flow)
         self.received_packets += count
-        self.received_bytes += count * flow.pkt_size
         return placement.link.send(flow, count, now_ns)

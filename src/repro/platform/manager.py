@@ -184,6 +184,7 @@ class NFManager:
         events = obs.serving("bus")
         for core in self.cores.values():
             core.obs = obs.serving("bus", "causality")
+            core.bus_obs = events
         for nf in self.nfs:
             nf.obs = obs.serving("latency")
             nf.rx_ring.obs = nf.tx_ring.obs = events

@@ -40,10 +40,10 @@ class NIC:
         self.rx_ring = PacketRing(capacity=rx_capacity, name=f"{name}.rx")
         self.tx_packets = 0
         self.tx_bytes = 0
-        #: Optional egress tap: called with each transmitted segment.  A
-        #: :class:`~repro.cluster.topology.CrossHostLink` uses this to
-        #: carry packets to the next host of a multi-host service chain
-        #: (§3.3).
+        #: Optional egress tap, called with each transmitted segment: a
+        #: :class:`~repro.cluster.topology.CrossHostLink` carries packets to
+        #: the next host of a multi-host service chain (§3.3) and returns
+        #: whether it took the segment.
         self.on_transmit = None
 
     def receive(self, flow: Flow, count: int, now_ns: int) -> int:
@@ -51,12 +51,12 @@ class NIC:
         accepted, _dropped, _hi = self.rx_ring.enqueue(flow, count, now_ns)
         return accepted
 
-    def transmit(self, segment: PacketSegment) -> None:
-        """Send a processed segment out the port."""
+    def transmit(self, segment: PacketSegment) -> bool:
+        """Send a processed segment out the port; True when the egress tap
+        carried it on to another host (a hand-off, not a delivery)."""
         self.tx_packets += segment.count
         self.tx_bytes += segment.count * segment.flow.pkt_size
-        if self.on_transmit is not None:
-            self.on_transmit(segment)
+        return self.on_transmit is not None and self.on_transmit(segment)
 
     @property
     def rx_dropped(self) -> int:

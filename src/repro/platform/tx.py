@@ -53,9 +53,6 @@ class TxThread:
         self.backpressure = backpressure
         self.ecn = ecn
         self.config = config if config is not None else PlatformConfig()
-        self.forwarded = 0
-        self.egressed = 0
-        self.wasted_drops = 0
         #: Optional :class:`repro.obs.observer.Observer` whose trackers get
         #: every chain completion and wasted drop (wired by the manager).
         self.obs = None
@@ -106,30 +103,28 @@ class TxThread:
         if chain is None:
             # Untracked flow: send it out the port.
             self.nic.transmit(seg)
-            self.egressed += seg.count
             return
         nxt = chain._next[nf]
         if nxt is None:
-            self.nic.transmit(seg)
-            self.egressed += seg.count
+            handed_off = self.nic.transmit(seg)
             chain.completed += seg.count
             chain.completed_bytes += seg.count * flow.pkt_size
-            flow.stats.delivered += seg.count
             latency = now - seg.origin_ns
             if latency >= 0:
                 chain.latency_hist.add(latency, weight=seg.count)
-                if self.obs is not None:
-                    self.obs.on_delivery(flow, chain, seg.origin_ns, now,
-                                         seg.count)
+            if handed_off:  # a leg of a chain spanning hosts: not delivered
+                return
+            flow.stats.delivered += seg.count
+            if latency >= 0 and self.obs is not None:
+                self.obs.on_delivery(flow, chain, seg.origin_ns, now,
+                                     seg.count)
             return
         # Zero-copy: the next NF's Rx ring adopts the descriptor.
         accepted, dropped, above_high = nxt.rx_ring.admit(seg, now)
-        self.forwarded += accepted
         if dropped:
             # Work already performed upstream is lost with these packets.
             chain.wasted_drops += dropped
             nf.wasted_processed += dropped
-            self.wasted_drops += dropped
             if self.obs is not None:
                 # The full ring that destroyed this upstream work belongs
                 # to the congested downstream NF.

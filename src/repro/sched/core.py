@@ -115,9 +115,11 @@ class Core:
         )
         self.tasks: List[CoreTask] = []
         self.stats = CoreStats()
-        #: Optional :class:`repro.obs.observer.Observer` told of every wake,
-        #: dispatch and switch-out; ``None`` costs one branch per event.
+        #: Optional :class:`repro.obs.observer.Observer`s, per event: ``obs``
+        #: gets dispatches (bus or causality tracer), ``bus_obs`` wakes and
+        #: switch-outs (bus only).  ``None`` costs one branch per event.
         self.obs: Any = None
+        self.bus_obs: Any = None
 
         #: A failed core dispatches nothing and refuses wakeups until
         #: :meth:`repair` (fault injection: the paper's schedulers assume
@@ -157,8 +159,8 @@ class Core:
         task.state = READY
         task.last_ready_ns = now
         task.stats.wakeups += 1
-        if self.obs is not None:
-            self.obs.on_wake(self, task, now)
+        if self.bus_obs is not None:
+            self.bus_obs.on_wake(self, task, now)
         self.scheduler.enqueue(task, now, wakeup=True)
         if self.current is None:
             self._dispatch()
@@ -201,8 +203,9 @@ class Core:
             self.current = None
             task.state = BLOCKED
             task.stats.involuntary_switches += 1
-            if self.obs is not None:
-                self.obs.on_switch_out(self, task, "killed", self.loop.now)
+            if self.bus_obs is not None:
+                self.bus_obs.on_switch_out(self, task, "killed",
+                                           self.loop.now)
             self._dispatch()
             return True
         if task.state is READY:
@@ -365,8 +368,8 @@ class Core:
         now = self.loop.now
         self._close_run_span(now)
         self.current = None
-        if self.obs is not None:
-            self.obs.on_switch_out(self, task, outcome, now)
+        if self.bus_obs is not None:
+            self.bus_obs.on_switch_out(self, task, outcome, now)
         if outcome is USED_ALL:
             task.stats.involuntary_switches += 1
             task.state = READY

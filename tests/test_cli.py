@@ -391,9 +391,6 @@ CORE0_FAIL_PLAN = json.dumps({
 
 
 @pytest.mark.parametrize("experiment,flag", [
-    ("crosshost", "--sanitize"),
-    ("crosshost", "--trace"),
-    ("crosshost", "--metrics-out"),
     ("crosshost", "--stream-out"),
     ("crosshost", "--fault-plan"),
     ("cluster_scaling", "--fault-plan"),
@@ -414,6 +411,20 @@ def test_run_flag_no_run_accepted_exits_2(tmp_path, capsys, experiment,
     assert (f"{flag} was given but no run of experiment {experiment} "
             f"accepted it") in err
     assert "Traceback" not in err
+
+
+def test_crosshost_accepts_sanitize_trace_metrics(tmp_path, capsys):
+    """crosshost runs through ClusterScenario, so these flags attach."""
+    trace, prom = tmp_path / "t.json", tmp_path / "m.prom"
+    assert main(["run", "crosshost", "--duration", "0.01", "--sanitize",
+                 "--trace", str(trace), "--metrics-out", str(prom)]) == 0
+    captured = capsys.readouterr()
+    assert "accepted it" not in captured.err
+    assert "2 run(s), 0 violation(s)" in captured.out + captured.err
+    sources = {ev.get("name") for ev in
+               json.loads(trace.read_text())["traceEvents"]}
+    assert {"xhost~r0.nf1@h0", "xhost~r0.nf2@h1"} <= sources
+    assert 'link="h0.nic->h1.nic"' in prom.read_text()
 
 
 def test_run_fault_plan_accepted_exits_0(tmp_path, capsys):

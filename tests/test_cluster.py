@@ -145,8 +145,8 @@ class TestFlowSteerer:
         add_replica(topology, steerer, template, 1, 1)
         steerer.register_flow_rate("heavy", 1_000_000)
         steerer.register_flow_rate("light", 10_000)
-        p_heavy = steerer.placement_of(Flow("heavy"), 0)
-        p_light = steerer.placement_of(Flow("light"), 0)
+        p_heavy = steerer.placement_of(Flow("heavy"))
+        p_light = steerer.placement_of(Flow("light"))
         # Second bind sees the first flow's megapps and avoids it.
         assert p_heavy is not p_light
 
@@ -155,17 +155,17 @@ class TestFlowSteerer:
         add_replica(topology, steerer, template, 0, 0)
         add_replica(topology, steerer, template, 1, 1)
         flow = Flow("f0")
-        first = steerer.placement_of(flow, 0)
+        first = steerer.placement_of(flow)
         steerer.retire_placement(first)
         # Even retired, the bound flow keeps resolving to its placement.
-        assert steerer.placement_of(flow, MSEC) is first
+        assert steerer.placement_of(flow) is first
         assert first not in steerer.active_placements()
 
     def test_bind_installs_flow_on_host_manager(self, loop):
         topology, steerer, template = small_cluster(loop)
         placement = add_replica(topology, steerer, template, 0, 0)
         flow = Flow("f0")
-        steerer.placement_of(flow, 0)
+        steerer.placement_of(flow)
         assert flow.chain is placement.chain
         looked = placement.host.manager.flow_table.lookup(flow)
         assert looked is placement.chain
@@ -181,7 +181,7 @@ class TestFlowSteerer:
                 template_h = ChainTemplate(f"svc{host_idx}", (100.0,))
                 add_replica(topology, steerer, template_h, host_idx, 0)
             choices.append(
-                steerer.placement_of(Flow("f0"), 0).placement_id)
+                steerer.placement_of(Flow("f0")).placement_id)
         assert choices[0] == choices[1]
 
     def test_retired_placement_gets_no_new_flows(self, loop):
@@ -190,7 +190,7 @@ class TestFlowSteerer:
         p1 = add_replica(topology, steerer, template, 1, 1)
         steerer.retire_placement(p0)
         for i in range(4):
-            assert steerer.placement_of(Flow(f"f{i}"), 0) is p1
+            assert steerer.placement_of(Flow(f"f{i}")) is p1
         assert steerer.binds_per_placement() == {
             p0.placement_id: 0, p1.placement_id: 4}
 
@@ -207,7 +207,7 @@ class TestFlowSteerer:
     def test_no_active_placements_is_an_error(self, loop):
         _topology, steerer, _template = small_cluster(loop)
         with pytest.raises(RuntimeError, match="no active placements"):
-            steerer.placement_of(Flow("f0"), 0)
+            steerer.placement_of(Flow("f0"))
 
 
 # ----------------------------------------------------------------------
@@ -508,6 +508,65 @@ class TestClusterScenario:
             scenario.set_chain("svc", (100.0,), placements=(placement,))
         # The rejected call left nothing half-declared.
         scenario.set_chain("svc", (100.0,), placements=((1, 99),))
+
+
+# ----------------------------------------------------------------------
+# ClusterScenario: a chain spanning hosts (one slot per NF)
+# ----------------------------------------------------------------------
+class TestSpanningPlacement:
+    def run_spanning(self):
+        scenario = ClusterScenario(n_hosts=3, features="Default", seed=1)
+        scenario.set_chain("svc", (120.0, 270.0, 550.0),
+                           placements=[((0, 0), (0, 1), (2, 0))])
+        flow = scenario.add_flow("f0", rate_pps=200_000)
+        return scenario, flow, scenario.run(0.02)
+
+    def test_legs_are_joined_by_one_host_link(self):
+        scenario, flow, result = self.run_spanning()
+        assert set(result.chains) == {"svc~r0@h0", "svc~r0@h2"}
+        assert set(result.nfs) == {"svc~r0.nf1@h0", "svc~r0.nf2@h0",
+                                   "svc~r0.nf3@h2"}
+        # Per-NF cores: host 0's two NFs sit on cores 0 and 1.
+        assert {0, 1, 200} <= set(result.core_utilization)
+        links = result.resilience["cluster"]["links"]
+        assert links["h0.nic->h2.nic"]["carried_packets"] \
+            == result.chains["svc~r0@h0"].completed > 0
+        assert result.resilience["cluster"]["placements"] == 1
+
+    def test_handoff_is_not_a_delivery(self):
+        scenario, flow, result = self.run_spanning()
+        last = result.chains["svc~r0@h2"].completed
+        assert flow.stats.delivered == last > 0
+        assert result.total_throughput_pps == last / 0.02
+        assert result.chains["svc~r0@h0"].completed > last
+
+    @pytest.mark.parametrize("entry,match", [
+        (((0, 0), (1, 0)), r"placements\[0\]: 2 slots for a chain of 3"),
+        (((0, 0), (1, 0), (0, 1)),
+         r"placements\[0\]: the chain returns to a host"),
+        (((0, 0), (5, 0), (1, 0)),
+         r"placements\[0\]\[1\]: host 5 outside the cluster"),
+        (((0, 0), (1, 0), (1, 100)),
+         r"placements\[0\]\[2\]: core 100 outside"),
+    ])
+    def test_bad_per_nf_entries_name_the_slot(self, entry, match):
+        scenario = ClusterScenario(n_hosts=2)
+        with pytest.raises(ValueError, match=match):
+            scenario.set_chain("svc", (1.0, 2.0, 3.0), placements=[entry])
+
+    def test_host_hands_off_to_one_host(self):
+        scenario = ClusterScenario(n_hosts=3)
+        with pytest.raises(ValueError, match=r"placements\[1\]: host 0 "
+                           r"already hands off to host 1"):
+            scenario.set_chain("svc", (1.0, 2.0), placements=[
+                ((0, 0), (1, 0)), ((0, 1), (2, 0))])
+
+    def test_spanning_placement_is_static_only(self):
+        scenario = ClusterScenario(n_hosts=2)
+        scenario.set_chain("svc", (1.0, 2.0),
+                           placements=[(1, 0), ((0, 0), (1, 1))])
+        with pytest.raises(ValueError, match=r"placements\[1\]: .*static"):
+            scenario.enable_autoscaler(slots=[(0, 1)])
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,8 @@ from repro.sim.clock import MSEC, USEC
 def two_hosts(loop, config, cost_a=200, cost_b=200, n_hosts=2):
     topology = ClusterTopology(loop, n_hosts, scheduler="BATCH",
                                config=config)
-    host_a = topology.host(0).manager
-    host_b = topology.host(1).manager
+    host_a = topology.hosts[0].manager
+    host_b = topology.hosts[1].manager
     nf_a = NFProcess("nf-a", FixedCost(cost_a), config=config)
     nf_b = NFProcess("nf-b", FixedCost(cost_b), config=config)
     host_a.add_nf(nf_a)
@@ -49,24 +49,27 @@ class TestHostLink:
     def test_packets_cross_the_link(self, loop, default_config):
         topology, chain_a, chain_b = two_hosts(loop, default_config)
         flow_a = Flow("f")
-        topology.host(0).manager.install_flow(flow_a, chain_a)
+        topology.hosts[0].manager.install_flow(flow_a, chain_a)
         link = topology.connect(0, 1, latency_ns=5 * USEC)
         flow_b = link.connect_flow(flow_a)
-        topology.host(1).manager.install_flow(flow_b, chain_b)
+        topology.hosts[1].manager.install_flow(flow_b, chain_b)
         topology.start()
-        topology.host(0).manager.nic.receive(flow_a, 100, 0)
+        topology.hosts[0].manager.nic.receive(flow_a, 100, 0)
         loop.run_until(50 * MSEC)
         assert chain_a.completed == 100
         assert link.carried_packets == 100
         assert chain_b.completed == 100
+        # The hand-off at host A's exit is not a delivery; shared stats
+        # count each packet once, at the last leg.
+        assert flow_a.stats.delivered == 100
 
     def test_unmapped_flows_stay_local(self, loop, default_config):
         topology, chain_a, chain_b = two_hosts(loop, default_config)
         flow_a = Flow("f")
-        topology.host(0).manager.install_flow(flow_a, chain_a)
+        topology.hosts[0].manager.install_flow(flow_a, chain_a)
         link = topology.connect(0, 1)
         topology.start()
-        topology.host(0).manager.nic.receive(flow_a, 50, 0)
+        topology.hosts[0].manager.nic.receive(flow_a, 50, 0)
         loop.run_until(50 * MSEC)
         assert chain_a.completed == 50
         assert link.carried_packets == 0
@@ -75,12 +78,12 @@ class TestHostLink:
     def test_link_latency_delays_arrival(self, loop, default_config):
         topology, chain_a, chain_b = two_hosts(loop, default_config)
         flow_a = Flow("f")
-        topology.host(0).manager.install_flow(flow_a, chain_a)
+        topology.hosts[0].manager.install_flow(flow_a, chain_a)
         link = topology.connect(0, 1, latency_ns=5 * MSEC)
-        topology.host(1).manager.install_flow(link.connect_flow(flow_a),
+        topology.hosts[1].manager.install_flow(link.connect_flow(flow_a),
                                               chain_b)
         topology.start()
-        topology.host(0).manager.nic.receive(flow_a, 10, 0)
+        topology.hosts[0].manager.nic.receive(flow_a, 10, 0)
         loop.run_until(4 * MSEC)
         assert chain_b.completed == 0  # still on the wire
         loop.run_until(30 * MSEC)
@@ -89,12 +92,12 @@ class TestHostLink:
     def test_origin_preserved_end_to_end(self, loop, default_config):
         topology, chain_a, chain_b = two_hosts(loop, default_config)
         flow_a = Flow("f")
-        topology.host(0).manager.install_flow(flow_a, chain_a)
+        topology.hosts[0].manager.install_flow(flow_a, chain_a)
         link = topology.connect(0, 1, latency_ns=2 * MSEC)
-        topology.host(1).manager.install_flow(link.connect_flow(flow_a),
+        topology.hosts[1].manager.install_flow(link.connect_flow(flow_a),
                                               chain_b)
         topology.start()
-        topology.host(0).manager.nic.receive(flow_a, 10, 0)
+        topology.hosts[0].manager.nic.receive(flow_a, 10, 0)
         loop.run_until(50 * MSEC)
         # End-to-end latency includes the 2 ms wire.
         assert chain_b.latency_hist.mean >= 2 * MSEC
@@ -103,7 +106,7 @@ class TestHostLink:
         topology, _ca, _cb = two_hosts(loop, default_config)
         with pytest.raises(ValueError, match="distinct hosts"):
             topology.connect(0, 0)
-        assert topology.host(0).manager.nic.on_transmit is None
+        assert topology.hosts[0].manager.nic.on_transmit is None
 
     def test_double_tap_rejected(self, loop, default_config):
         topology, *_ = two_hosts(loop, default_config, n_hosts=3)
@@ -123,9 +126,21 @@ class TestCrossHostECN:
                      r.marked_packets, r.carried_packets)
                for ecn, r in results.items()}
         assert got == {
-            False: (2.957814, 6977, 0, 501993),
-            True: (2.366154, 676, 3355, 395046),
+            False: (2.958342, 8231, 0, 503774),
+            True: (2.361528, 617, 3374, 394212),
         }
+
+    @pytest.mark.parametrize("ecn", [False, True])
+    def test_sanitizer_clean(self, ecn):
+        from repro.check.sanitizer import Sanitizer
+        from repro.experiments.common import RunContext
+        from repro.experiments.cross_host_ecn import run_case
+
+        sanitizer = Sanitizer(per_tick=True)
+        with RunContext(sanitizer=sanitizer) as ctx:
+            run_case(ecn, duration_s=0.05)
+        assert ctx.attached["sanitizer"] == 1
+        assert sanitizer.violations == []
 
     def test_formatter(self):
         from repro.experiments.cross_host_ecn import (

@@ -97,6 +97,58 @@ class TestEventBus:
             assert ev.args["depth"] > 0
 
 
+class CountingObserver(Observer):
+    """Counts the scheduler hooks the cores call."""
+
+    def __init__(self, **sinks):
+        super().__init__(**sinks)
+        self.calls = dict.fromkeys(("wake", "dispatch", "switch_out"), 0)
+
+    def on_wake(self, core, task, now):
+        self.calls["wake"] += 1
+        super().on_wake(core, task, now)
+
+    def on_dispatch(self, core, task, now):
+        self.calls["dispatch"] += 1
+        super().on_dispatch(core, task, now)
+
+    def on_switch_out(self, core, task, outcome, now):
+        self.calls["switch_out"] += 1
+        super().on_switch_out(core, task, outcome, now)
+
+
+class TestSchedHookRouting:
+    """Only a bus consumes wakes and switch-outs; dispatches also feed
+    the causality tracer."""
+
+    def fig07_chain(self, with_bus):
+        """A 0.1 s telemetry fig07 chain under a counting observer."""
+        from repro.experiments import fig07_single_core_chain as fig07
+
+        scenario = Scenario(scheduler="BATCH", features="NFVnice",
+                            telemetry=True)
+        build_linear_chain(scenario, fig07.CHAIN_COSTS, core=0)
+        scenario.add_flow("flow", "chain", line_rate_fraction=1.0)
+        observer = CountingObserver(
+            bus=EventBus(scenario.loop) if with_bus else None)
+        scenario.manager.attach_observability(observer)
+        scenario.run(0.1)
+        return observer
+
+    def test_telemetry_only_run_skips_wake_and_switch_out(self):
+        calls = self.fig07_chain(with_bus=False).calls
+        assert calls["wake"] == calls["switch_out"] == 0
+        assert calls["dispatch"] > 0
+
+    def test_bus_receives_every_hook(self):
+        observer = self.fig07_chain(with_bus=True)
+        calls = observer.calls
+        assert calls["wake"] > 0 and calls["switch_out"] > 0
+        assert observer.bus.counts["sched.wake"] == calls["wake"]
+        assert observer.bus.counts["sched.switch_out"] \
+            == calls["switch_out"]
+
+
 class TestRegistry:
     def test_counter_gauge_histogram_registration(self):
         reg = MetricsRegistry()
