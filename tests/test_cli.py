@@ -413,18 +413,28 @@ def test_run_flag_no_run_accepted_exits_2(tmp_path, capsys, experiment,
     assert "Traceback" not in err
 
 
-def test_crosshost_accepts_sanitize_trace_metrics(tmp_path, capsys):
-    """crosshost runs through ClusterScenario, so these flags attach."""
-    trace, prom = tmp_path / "t.json", tmp_path / "m.prom"
-    assert main(["run", "crosshost", "--duration", "0.01", "--sanitize",
-                 "--trace", str(trace), "--metrics-out", str(prom)]) == 0
+@pytest.mark.parametrize("experiment,flag", [
+    ("crosshost", "--sanitize"),
+    ("crosshost", "--trace"),
+    ("crosshost", "--metrics-out"),
+])
+def test_run_flag_accepted_exits_0(tmp_path, capsys, experiment, flag):
+    """crosshost runs through ClusterScenario, so each of these flags
+    attaches to its runs on its own."""
+    artifact = tmp_path / "artifact"
+    value = [] if flag == "--sanitize" else [str(artifact)]
+    assert main(["run", experiment, "--duration", "0.01", flag]
+                + value) == 0
     captured = capsys.readouterr()
     assert "accepted it" not in captured.err
-    assert "2 run(s), 0 violation(s)" in captured.out + captured.err
-    sources = {ev.get("name") for ev in
-               json.loads(trace.read_text())["traceEvents"]}
-    assert {"xhost~r0.nf1@h0", "xhost~r0.nf2@h1"} <= sources
-    assert 'link="h0.nic->h1.nic"' in prom.read_text()
+    if flag == "--sanitize":
+        assert "2 run(s), 0 violation(s)" in captured.out + captured.err
+    elif flag == "--trace":
+        sources = {ev.get("name") for ev in
+                   json.loads(artifact.read_text())["traceEvents"]}
+        assert {"xhost~r0.nf1@h0", "xhost~r0.nf2@h1"} <= sources
+    else:
+        assert 'link="h0.nic->h1.nic"' in artifact.read_text()
 
 
 def test_run_fault_plan_accepted_exits_0(tmp_path, capsys):
