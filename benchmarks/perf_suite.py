@@ -1,8 +1,8 @@
 """CI-gated performance benchmark suite (schema v3).
 
-Runs a pinned set of experiments (the fig07, fig09, fig10 and fig16
-short grids, one SLO-battery cell and one 4-host cluster-scaling cell)
-and records, per experiment:
+Runs a pinned set of experiments (the fig07, fig09, fig10, fig16,
+slo_battery and cluster_scaling short grids, each whole) and records,
+per experiment:
 
 * wall-clock seconds for the whole case grid,
 * simulation events processed and events/second (from the event loop's

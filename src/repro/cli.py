@@ -271,6 +271,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     if _bad_duration(args.duration):
         return 2
+    if not args.max_regression >= 0:
+        print(f"--max-regression must be >= 0 (got {args.max_regression})",
+              file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.task_timeout) and args.task_timeout > 0):
+        print(f"--task-timeout must be a positive number of seconds "
+              f"(got {args.task_timeout})", file=sys.stderr)
+        return 2
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     if workers < 1:
         print(f"--workers must be >= 1 (got {workers})", file=sys.stderr)

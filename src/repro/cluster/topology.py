@@ -175,6 +175,7 @@ class ClusterTopology:
                 loop, scheduler=scheduler, config=self.config,
                 nic=NIC(name=f"h{i}.nic"),
             )
+            manager.core_track_base = i * HOST_CORE_STRIDE
             host = ClusterHost(i, manager)
             self.hosts.append(host)
             link = FabricLink(

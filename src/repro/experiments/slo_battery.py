@@ -19,7 +19,9 @@ cgroup-weighted CFS), ``EDF`` (earliest head-of-ring deadline first),
 and ``DEADLINE`` (deadline-cognizant CFS steered by the Monitor's
 :class:`~repro.core.monitor.SLOGovernor`, with one spare core it may
 migrate the bottleneck NF onto).  The report prints the gold/bulk p99
-sojourn grid — the table ``benchmarks/BENCH_slo.json`` pins.
+sojourn grid.  ``benchmarks/battery_smoke.py`` pins every flow's p99,
+the digest and the ``slo.edf-beats-normal`` claims row in
+``benchmarks/BENCH_batteries.json``.
 
 NF, chain and flow names carry a per-cell tag so the campaign runner's
 merged telemetry keeps per-cell percentile rows (merging histograms of
@@ -117,10 +119,6 @@ def campaign_cases(duration_s: float = 1.0) -> List[CaseSpec]:
 
 
 def render_cases(results: Dict[Tuple[str, str], ScenarioResult]) -> str:
-    return format_battery(results)
-
-
-def format_battery(results: Dict[Tuple[str, str], ScenarioResult]) -> str:
     workloads = sorted({k[0] for k in results},
                        key=lambda w: WORKLOADS.index(w))
     rows: List[list] = []

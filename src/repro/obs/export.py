@@ -27,7 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.obs.bus import BusEvent, EventBus
 from repro.obs.registry import MetricsRegistry
 
-#: Synthetic thread ids for non-core tracks (cores use their own ids).
+#: Synthetic thread id of the control track (cores use their track ids);
+#: a trace with a core track 900 (a cluster's tenth host) moves it past
+#: its highest core track.
 CONTROL_TID = 900
 
 
@@ -129,7 +131,7 @@ def chrome_trace_events(bus: EventBus, pid: int = 0,
     }]
     cores_seen: Dict[int, bool] = {}
     open_runs: Dict[int, Tuple[str, int]] = {}
-    control_used = False
+    control: List[dict] = []
 
     for ev in bus.events:
         kind = ev.kind
@@ -161,14 +163,14 @@ def chrome_trace_events(bus: EventBus, pid: int = 0,
                 "args": {"depth": ev.args.get("depth", 0)},
             })
         else:
-            control_used = True
             args = {"source": ev.source}
             args.update(ev.args)
-            out.append({
+            control.append({
                 "ph": "i", "name": kind, "cat": kind.split(".", 1)[0],
                 "pid": pid, "tid": CONTROL_TID, "ts": ts, "s": "t",
                 "args": args,
             })
+            out.append(control[-1])
 
     # A run still open at trace end becomes a slice up to the last event.
     if bus.events:
@@ -186,10 +188,14 @@ def chrome_trace_events(bus: EventBus, pid: int = 0,
             "ph": "M", "name": "thread_name", "pid": pid, "tid": core,
             "ts": 0, "args": {"name": f"core {core}"},
         })
-    if control_used:
+    if control:
+        control_tid = (max(cores_seen) + 1 if CONTROL_TID in cores_seen
+                       else CONTROL_TID)
+        for event in control:
+            event["tid"] = control_tid
         out.append({
             "ph": "M", "name": "thread_name", "pid": pid,
-            "tid": CONTROL_TID, "ts": 0, "args": {"name": "manager control"},
+            "tid": control_tid, "ts": 0, "args": {"name": "manager control"},
         })
     return out
 

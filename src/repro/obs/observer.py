@@ -47,13 +47,13 @@ class Observer:
     def on_wake(self, core, task, now: int) -> None:
         """``task`` became runnable on ``core`` (semaphore post)."""
         if self.bus is not None:
-            self.bus.publish("sched.wake", task.name, core=core.core_id)
+            self.bus.publish("sched.wake", task.name, core=core.track_id)
 
     def on_dispatch(self, core, task, now: int) -> None:
         """``task`` was picked and granted a slice; closes a pending
         relinquish-resume gap in the causality tracer."""
         if self.bus is not None:
-            self.bus.publish("sched.dispatch", task.name, core=core.core_id)
+            self.bus.publish("sched.dispatch", task.name, core=core.track_id)
         if self.causality is not None:
             self.causality.on_dispatch(task.name, now)
 
@@ -62,7 +62,7 @@ class Observer:
         ``"killed"``); its value is read only when a bus records it."""
         if self.bus is not None:
             detail = outcome if isinstance(outcome, str) else outcome.value
-            self.bus.publish("sched.switch_out", task.name, core=core.core_id,
+            self.bus.publish("sched.switch_out", task.name, core=core.track_id,
                              detail=detail)
 
     # ------------------------------------------------------------------

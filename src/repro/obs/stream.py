@@ -169,10 +169,10 @@ def _percentile_rows(entry: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
     return rows
 
 
-#: The percentile regression rule of ``repro obs diff`` and of the SLO
-#: and cluster smokes' pinned p99 grids: a value regressed when it grew
-#: by more than 10% relative AND by at least 1 µs absolute (the floor
-#: keeps sub-µs jitter on tiny runs from flagging).
+#: The percentile regression rule of ``repro obs diff`` and of the
+#: campaign baselines' pinned ``p99_us`` flows: a value regressed when
+#: it grew by more than 10% relative AND by at least 1 µs absolute (the
+#: floor keeps sub-µs jitter on tiny runs from flagging).
 REL_TOLERANCE = 0.10
 ABS_FLOOR_US = 1.0
 

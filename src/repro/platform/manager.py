@@ -72,6 +72,9 @@ class NFManager:
         #: The attached :class:`repro.obs.observer.Observer`
         #: (attach_observability() before start()).
         self.obs = None
+        #: Added to each core id to give the core's ``track_id`` (a
+        #: cluster host sets ``host_index * HOST_CORE_STRIDE``).
+        self.core_track_base = 0
 
         # NFVnice subsystems (wired at start()).
         self.cgroups = CgroupController()
@@ -107,6 +110,7 @@ class NFManager:
                 max_segment_ns=self.config.tx_poll_ns,
                 socket=core_id // max(1, self.config.cores_per_socket),
             )
+            core.track_id = self.core_track_base + core_id
             self.cores[core_id] = core
             if self._started:
                 self._wire_observer()

@@ -120,6 +120,11 @@ class Core:
         #: switch-outs (bus only).  ``None`` costs one branch per event.
         self.obs: Any = None
         self.bus_obs: Any = None
+        #: The ``core`` arg of this core's bus events, its scheduler track:
+        #: ``core_id``, or the cluster-wide ``host_index *
+        #: HOST_CORE_STRIDE + core_id`` on a cluster host, so each host's
+        #: cores get tracks of their own.
+        self.track_id = core_id
 
         #: A failed core dispatches nothing and refuses wakeups until
         #: :meth:`repair` (fault injection: the paper's schedulers assume

@@ -124,6 +124,20 @@ def test_campaign_rejects_nonpositive_duration(capsys, duration):
     assert "--duration must be a positive number" in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--max-regression", "-1"), ("--max-regression", "nan"),
+    ("--task-timeout", "0"), ("--task-timeout", "-5"),
+    ("--task-timeout", "nan"),
+])
+def test_campaign_rejects_bad_gate_flags(capsys, flag, value):
+    # Rejected before any task runs, not after the campaign.
+    assert main(["campaign", "tab05", "--quiet", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert f"{flag} must be" in captured.err
+    assert "Traceback" not in captured.err
+    assert "campaign:" not in captured.out
+
+
 @pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf"])
 def test_topology_rejects_nonpositive_duration(tmp_path, capsys, duration):
     path = tmp_path / "t.json"

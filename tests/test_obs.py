@@ -220,6 +220,19 @@ class TestExporters:
         process_names = [e for e in meta if e["name"] == "process_name"]
         assert process_names[0]["args"]["name"] == "lbl"
 
+    def test_control_track_moves_past_core_track_900(self):
+        # A cluster's tenth host traces its core 0 on track 900.
+        bus = EventBus(EventLoop())
+        bus.publish("sched.dispatch", "h9.nf", core=900)
+        bus.publish("bp.watch", "h9.nf", depth=3)
+        bus.publish("sched.switch_out", "h9.nf", core=900, detail="yield")
+        events = chrome_trace_events(bus)
+        names = {e["tid"]: e["args"]["name"] for e in events
+                 if e["name"] == "thread_name"}
+        assert names == {900: "core 900", 901: "manager control"}
+        assert [e["tid"] for e in events if e["ph"] == "i"] == [901]
+        assert [e["tid"] for e in events if e["ph"] == "X"] == [900]
+
     def test_write_chrome_trace_is_valid_json(self, tmp_path):
         path = tmp_path / "trace.json"
         write_chrome_trace(path, [("case", self._traced_bus())])

@@ -20,6 +20,7 @@ from repro.experiments import chaos_recovery, cluster_scaling
 from repro.experiments import fig07_single_core_chain as fig07
 from repro.experiments.common import RunContext, Scenario, build_linear_chain
 from repro.obs.bus import EventBus
+from repro.obs.export import chrome_trace_events
 from repro.obs.observer import Observer
 from repro.obs.session import ObsSession
 
@@ -79,8 +80,14 @@ class TestEventStreamPins:
         bus = _recorded(run, tmp_path)
         assert bus.counts["link.drop"] == 400
         assert bus.counts["link.ecn"] == 200
+        # Each host's core 0 has its own scheduler track, so every
+        # dispatch pairs with its own switch-out.
+        assert {ev.args["core"] for ev in bus.events
+                if ev.kind.startswith("sched.")} == {0, 100}
+        assert not [e for e in chrome_trace_events(bus) if e["ph"] == "X"
+                    and e["args"]["outcome"].startswith("mismatch:")]
         assert _bus_digest(bus) == (
-            "92a5f165cbfca572804f8d345d49f678d791654873c70cd0433b7ab36ed06616")
+            "5d7f67430b3f891cf5c35c07354edd9e7328ae8d25906ea549800477871f8e74")
 
     def test_two_core_sched_events(self):
         scenario = Scenario(scheduler="BATCH", features="NFVnice")

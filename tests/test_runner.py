@@ -12,6 +12,7 @@ from repro.obs.stream import diff_telemetry
 from repro.runner.baseline import (
     check_campaign,
     check_p99,
+    flow_p99s,
     load_baseline,
     write_baseline,
 )
@@ -301,9 +302,23 @@ P99_RULE_CASES = [
 ]
 
 
+@pytest.fixture(scope="module")
+def slo_campaign():
+    """``slo_battery`` at its claims-table horizon on 2 workers: flow
+    telemetry plus the cells of the ``slo.edf-beats-normal`` row."""
+    from repro.experiments.claims import SLO_S
+
+    return run_campaign(["slo_battery"], workers=2, duration_s=SLO_S)
+
+
 class TestBaseline:
     def _campaign(self):
         return run_campaign(["tab05"], workers=2, duration_s=FAST)
+
+    def _written(self, tmp_path, campaign, **kwargs):
+        """The entry ``write_baseline`` records, loaded back as a dict."""
+        path = write_baseline(tmp_path / "b.json", campaign, **kwargs)
+        return load_baseline(path)
 
     def test_write_then_check_passes(self, tmp_path):
         campaign = self._campaign()
@@ -379,6 +394,69 @@ class TestBaseline:
         report, regressions = diff_telemetry(entry(base), entry(cur))
         assert regressions == int(fails)
         assert ("REGRESSION cell flow:f p99_us" in report) is fails
+
+    def test_entry_records_p99s_and_claims(self, tmp_path, slo_campaign):
+        data = self._written(tmp_path, slo_campaign, record_wall=False)
+        entry = data["experiments"]["slo_battery"]
+        assert "task_wall_s" not in entry
+        assert "sim_time_throughput" not in entry
+        assert len(entry["p99_us"]) == 18   # gold + bulk, 9 cells
+        assert entry["claims"] == ["slo.edf-beats-normal"]
+        assert check_campaign(data, slo_campaign) == []
+
+    def test_lowered_p99_pin_fails_check(self, tmp_path, slo_campaign):
+        data = self._written(tmp_path, slo_campaign, record_wall=False)
+        pins = data["experiments"]["slo_battery"]["p99_us"]
+        flow = "gold.bursty.NORMAL"
+        pins[flow] = round(pins[flow] / 1.2, 3)   # +20%, far over 1 us
+        problems = check_campaign(data, slo_campaign)
+        assert len(problems) == 1
+        assert problems[0].startswith(f"slo_battery: {flow}: p99 ")
+
+    def test_claim_whose_cells_did_not_run_fails_check(self, tmp_path):
+        # At FAST the campaign holds none of the row's SLO_S cells.
+        campaign = run_campaign(["slo_battery"], workers=2, duration_s=FAST)
+        data = self._written(tmp_path, campaign)
+        entry = data["experiments"]["slo_battery"]
+        assert "claims" not in entry
+        entry["claims"] = ["slo.edf-beats-normal", "no.such-row"]
+        problems = check_campaign(data, campaign)
+        assert [p.split(":")[1] for p in problems] == [
+            " claim slo.edf-beats-normal", " claim no.such-row"]
+        assert all("not in this campaign" in p for p in problems)
+
+    def test_claim_that_no_longer_holds_fails_check(self, tmp_path,
+                                                    slo_campaign,
+                                                    monkeypatch):
+        import dataclasses
+
+        from repro.experiments import claims
+
+        data = self._written(tmp_path, slo_campaign, record_wall=False)
+        monkeypatch.setattr(claims, "CLAIMS", tuple(
+            dataclasses.replace(c, bound=0.0)
+            if c.id == "slo.edf-beats-normal" else c
+            for c in claims.CLAIMS))
+        problems = check_campaign(data, slo_campaign)
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            "slo_battery: claim slo.edf-beats-normal no longer holds")
+
+    def test_entry_without_wall_skips_wall_check(self, tmp_path):
+        campaign = self._campaign()
+        data = self._written(tmp_path, campaign)
+        data["experiments"]["tab05"]["task_wall_s"] = 1e-6
+        assert check_campaign(data, campaign, max_regression=0.0)
+        del data["experiments"]["tab05"]["task_wall_s"]
+        assert check_campaign(data, campaign, max_regression=0.0) == []
+
+    def test_p99s_equal_serial_and_two_workers(self):
+        serial, parallel = (
+            run_campaign(["slo_battery"], workers=w, duration_s=FAST)
+            for w in (1, 2))
+        p99s = flow_p99s(serial.experiments["slo_battery"])
+        assert len(p99s) == 18
+        assert p99s == flow_p99s(parallel.experiments["slo_battery"])
 
     def test_p99_missing_cell_fails(self):
         problems = check_p99({"a": 1.0, "b": 2.0}, {"b": 2.0, "c": 9.0})
