@@ -40,8 +40,11 @@ A run context hands the sanitizer to every scenario a run builds::
         result = scenario.run(...)   # Scenario.run attaches automatically
     assert not result.sanitizer_violations
 
-(:class:`~repro.experiments.common.RunContext`; ``ClusterScenario.run``
-attaches the same way.)
+(:class:`~repro.experiments.common.RunContext`).  The checks walk the
+scenario's ``platforms`` — one ``(host name or None, NFManager)`` pair
+per platform, shared by ``Scenario`` and ``ClusterScenario`` — and its
+fabric ``links``; a cluster host's subjects carry its name
+(``ring:h1.nf1.rx``, ``core:h1.0``).
 """
 
 from __future__ import annotations
@@ -50,6 +53,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["SanitizerViolation", "Sanitizer"]
+
+
+def _prefixed(platforms: Any) -> Iterator[Tuple[str, Any]]:
+    """(subject prefix, NFManager) per platform: ``"<host>."`` on a
+    cluster host, ``""`` on a single host (subjects unprefixed)."""
+    for host, mgr in platforms:
+        yield (f"{host}." if host else ""), mgr
 
 
 @dataclass(frozen=True)
@@ -91,10 +101,12 @@ class SanitizerViolation:
 class Sanitizer:
     """Installs the invariant checks on every scenario it is attached to.
 
-    One sanitizer may serve many sequential scenario runs (a sweep grid);
-    ``violations`` accumulates across runs while each
-    :class:`~repro.experiments.common.ScenarioResult` carries only its own
-    run's records.
+    A scenario is any :class:`~repro.experiments.common.ScenarioBase`:
+    the checks read its ``platforms``, ``links``, ``generator`` and
+    ``loop``.  One sanitizer may serve many sequential scenario runs (a
+    sweep grid); ``violations`` accumulates across runs while each
+    :class:`~repro.experiments.common.ScenarioResult` carries only its
+    own run's records.
     """
 
     def __init__(self, per_tick: bool = False, tick_ns: int = 1_000_000):
@@ -105,30 +117,13 @@ class Sanitizer:
         self.runs = 0
         self._scenario: Optional[Any] = None
         self._run_violations: List[SanitizerViolation] = []
-        #: Keyed by core_id on a single-host scenario, by
-        #: ``(host, core_id)`` on a cluster.
-        self._min_vruntime_seen: Dict[Any, float] = {}
+        #: Keyed by ``(subject prefix, core_id)``; the prefix is "" on a
+        #: single host.
+        self._min_vruntime_seen: Dict[Tuple[str, int], float] = {}
         self._tick_handle: Optional[Any] = None
 
-    @staticmethod
-    def _iter_managers(scenario: Any) -> Iterator[Tuple[str, Any]]:
-        """(subject prefix, NFManager) per platform of ``scenario``.
-
-        A single-host :class:`~repro.experiments.common.Scenario` has one
-        ``manager`` and an empty prefix (existing subjects unchanged); a
-        :class:`~repro.cluster.scenario.ClusterScenario` exposes a
-        ``topology`` whose hosts each carry a manager, prefixed with the
-        host name so a violating ring is attributable to its machine.
-        """
-        topology = getattr(scenario, "topology", None)
-        if topology is not None:
-            for host in topology.hosts:
-                yield f"{host.name}.", host.manager
-        else:
-            yield "", scenario.manager
-
     # ------------------------------------------------------------------
-    # Run lifecycle (driven by Scenario.run)
+    # Run lifecycle (driven by ScenarioBase.run)
     # ------------------------------------------------------------------
     def attach(self, scenario: Any) -> None:
         """Begin observing ``scenario`` (called once, before start)."""
@@ -150,7 +145,7 @@ class Sanitizer:
             self._min_vruntime_seen = {}
         now = scenario.loop.now
         self._check_packet_conservation(scenario, now)
-        for prefix, mgr in self._iter_managers(scenario):
+        for prefix, mgr in _prefixed(scenario.platforms):
             self._check_time_accounting(mgr, now, prefix)
             self._check_vruntime(mgr, now, prefix)
             self._check_rings(mgr, now, prefix)
@@ -176,7 +171,7 @@ class Sanitizer:
         if scenario is None:
             return
         now = scenario.loop.now
-        for prefix, mgr in self._iter_managers(scenario):
+        for prefix, mgr in _prefixed(scenario.platforms):
             self._check_vruntime(mgr, now, prefix)
             for name, ring in self._iter_rings(mgr):
                 if not 0 <= len(ring) <= ring.capacity:
@@ -206,16 +201,14 @@ class Sanitizer:
             entry += f.stats.entry_discards
             drops += f.stats.queue_drops
         unroutable = in_flight = 0
-        for _prefix, mgr in self._iter_managers(scenario):
+        for _prefix, mgr in _prefixed(scenario.platforms):
             if mgr.rx_thread is not None:
                 unroutable += mgr.rx_thread.unroutable
             in_flight += sum(
                 len(ring) for _n, ring in self._iter_rings(mgr))
-        topology = getattr(scenario, "topology", None)
-        if topology is not None:
-            # Packets serialising/propagating on fabric links are neither
-            # in a ring nor delivered yet: they are the wire's in-flight.
-            in_flight += sum(link.in_flight for link in topology.links)
+        # Packets serialising/propagating on fabric links are neither in
+        # a ring nor delivered yet: they are the wire's in-flight.
+        in_flight += sum(link.in_flight for link in scenario.links)
         accounted = delivered + entry + drops + unroutable + in_flight
         if offered != accounted:
             self._report(
@@ -251,9 +244,7 @@ class Sanitizer:
             min_vr = getattr(core.scheduler, "min_vruntime", None)
             if min_vr is None:
                 continue
-            # Plain core_id key on a single host (back-compat with
-            # callers priming the dict); (host, core) on a cluster.
-            key: Any = (prefix, core_id) if prefix else core_id
+            key = (prefix, core_id)
             seen = self._min_vruntime_seen.get(key)
             if seen is not None and min_vr < seen:
                 self._report(
@@ -285,7 +276,7 @@ class Sanitizer:
 
     def _check_descriptors(self, scenario: Any, now: int) -> None:
         owner: Dict[int, str] = {}
-        for prefix, mgr in self._iter_managers(scenario):
+        for prefix, mgr in _prefixed(scenario.platforms):
             for name, ring in self._iter_rings(mgr):
                 subject = f"ring:{prefix}{name}"
                 total = 0
@@ -312,7 +303,7 @@ class Sanitizer:
 
     def _check_non_negative(self, scenario: Any, now: int) -> None:
         counters: List[Tuple[str, str, Any]] = []
-        for prefix, mgr in self._iter_managers(scenario):
+        for prefix, mgr in _prefixed(scenario.platforms):
             for core_id, core in sorted(mgr.cores.items()):
                 s = core.stats
                 subject = f"core:{prefix}{core_id}"
@@ -348,16 +339,14 @@ class Sanitizer:
                     (f"ring:{prefix}{name}", f"drops[{reason}]", count)
                     for reason, count in sorted(ring.drops_by_reason.items())
                 ]
-        topology = getattr(scenario, "topology", None)
-        if topology is not None:
-            for link in topology.links:
-                counters += [
-                    (f"link:{link.name}", "carried_packets",
-                     link.carried_packets),
-                    (f"link:{link.name}", "dropped_packets",
-                     link.dropped_packets),
-                    (f"link:{link.name}", "in_flight", link.in_flight),
-                ]
+        for link in scenario.links:
+            counters += [
+                (f"link:{link.name}", "carried_packets",
+                 link.carried_packets),
+                (f"link:{link.name}", "dropped_packets",
+                 link.dropped_packets),
+                (f"link:{link.name}", "in_flight", link.in_flight),
+            ]
         for spec in scenario.generator.specs:
             st = spec.flow.stats
             counters += [

@@ -1,12 +1,13 @@
-"""Builder + runner for cluster experiments (the multi-host Scenario).
+"""Builder for cluster experiments (the multi-host Scenario).
 
-Mirrors :class:`repro.experiments.common.Scenario`'s shape — construct,
-add SLO classes and flows, ``run(duration_s)`` — but assembles a whole
-:class:`~repro.cluster.topology.ClusterTopology` behind a steered
-ingress instead of one manager behind one NIC, and summarises every
-host into a single standard :class:`~repro.experiments.common.
-ScenarioResult` so campaign digests, baselines and render tables reuse
-the existing machinery unchanged:
+A :class:`~repro.experiments.common.ScenarioBase` like
+:class:`~repro.experiments.common.Scenario` — construct, add SLO classes
+and flows, ``run(duration_s)`` through the one shared run lifecycle —
+whose platforms are a whole :class:`~repro.cluster.topology.
+ClusterTopology` behind a steered ingress instead of one manager behind
+one NIC.  The shared summary folds every host into a single standard
+:class:`~repro.experiments.common.ScenarioResult`, so campaign digests,
+baselines and render tables reuse the existing machinery unchanged:
 
 * NF/chain names are replica- and host-qualified, so the merged ``nfs``
   / ``chains`` dicts never collide; a replica spread over hosts (§3.3)
@@ -26,39 +27,29 @@ histograms the SLO grid and the autoscaler's projection trigger read.
 
 from __future__ import annotations
 
-import math
 from itertools import groupby
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple, cast
+from typing import Any, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.cluster.autoscaler import Autoscaler, ChainTemplate
 from repro.cluster.steering import FlowSteerer, Leg, Placement
-from repro.cluster.topology import (HOST_CORE_STRIDE, ClusterHost,
-                                    ClusterTopology, CrossHostLink,
-                                    IngressPoint, validate_slot,
-                                    validate_slots)
-from repro.experiments.common import (
-    ChainSummary,
-    NFSummary,
-    ScenarioResult,
-    add_tput_probe,
-    current_run_context,
-    feature_config,
-    slo_budget_ns,
-)
-from repro.metrics.timeseries import IntervalSampler
+from repro.cluster.topology import (ClusterHost, ClusterTopology,
+                                    CrossHostLink, IngressPoint,
+                                    validate_slot, validate_slots)
+from repro.experiments.common import ScenarioBase, add_tput_probe
 from repro.obs.latency import FlowLatencyTracker
 from repro.platform.chain import ServiceChain
 from repro.platform.nic import NIC
 from repro.platform.packet import Flow
-from repro.sim.clock import SEC
-from repro.sim.engine import EventLoop
-from repro.sim.rng import RngFactory
 from repro.traffic.generator import TrafficGenerator
 
 
-class ClusterScenario:
+class ClusterScenario(ScenarioBase):
     """One cluster configuration: topology, steering, flows, autoscaler."""
+
+    #: No fault plan (its targets would need resolving per host) and no
+    #: snapshot stream (the streamer registers one platform per label).
+    RUN_PARTS = ("session", "sanitizer")
 
     def __init__(
         self,
@@ -72,12 +63,9 @@ class ClusterScenario:
         ingress_ecn_mark_pkts: Optional[int] = None,
         **config_overrides: object,
     ) -> None:
-        self.scheduler = scheduler
-        self.features = features
+        super().__init__(scheduler, features, seed, None,
+                         **config_overrides)
         self.seed = int(seed)
-        self.loop = EventLoop()
-        self.rng_factory = RngFactory(seed)
-        self.config = feature_config(features, None, **config_overrides)
         self.topology = ClusterTopology(
             self.loop, n_hosts, scheduler=scheduler, config=self.config,
             ingress_latency_ns=ingress_latency_ns,
@@ -85,6 +73,10 @@ class ClusterScenario:
             ingress_queue_cap_pkts=ingress_queue_cap_pkts,
             ingress_ecn_mark_pkts=ingress_ecn_mark_pkts,
         )
+        self.platforms = [(host.name, host.manager)
+                          for host in self.topology.hosts]
+        #: The topology's own list, which connect() extends.
+        self.links = self.topology.links
         self.steerer = FlowSteerer(seed=seed)
         self.ingress = IngressPoint(self.steerer)
         # The generator only uses the NIC's ``receive`` surface, which
@@ -100,18 +92,12 @@ class ClusterScenario:
             host.manager.attach_observability(self.observer)
         self.template: Optional[ChainTemplate] = None
         self.autoscaler: Optional[Autoscaler] = None
-        self._slo_classes: Dict[str, int] = {}
         #: One ``(host, core)`` slot per NF for each initial replica.
         self._initial_placements: List[List[Tuple[int, int]]] = []
-        self._sampler: Optional[IntervalSampler] = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add_slo_class(self, name: str, slo_us: float) -> None:
-        """Declare an end-to-end p99 sojourn budget (µs) for flows."""
-        self._slo_classes[name] = slo_budget_ns(slo_us)
-
     def set_chain(
         self,
         name: str,
@@ -198,22 +184,23 @@ class ClusterScenario:
         **spec_kwargs: object,
     ) -> Flow:
         """Create a flow at cluster ingress (steered at first packet)."""
-        slo_ns = None
-        if slo_class is not None:
-            if slo_class not in self._slo_classes:
-                raise ValueError(
-                    f"undeclared SLO class {slo_class!r}; declare it with "
-                    f"add_slo_class() first")
-            slo_ns = self._slo_classes[slo_class]
         flow = Flow(flow_id, pkt_size=pkt_size, protocol=protocol,
-                    slo_ns=slo_ns)
+                    slo_ns=self._slo_ns(slo_class))
         self.steerer.register_flow_rate(flow_id, rate_pps)
         self.generator.add_flow(flow, rate_pps, **spec_kwargs)
         return flow
 
     # ------------------------------------------------------------------
-    # Execution
+    # Run hooks
     # ------------------------------------------------------------------
+    def _prepare_run(self) -> Sequence[Any]:
+        """The initial placements; the autoscaler starts last."""
+        if self.template is None:
+            raise RuntimeError("set_chain before run()")
+        if not self.steerer.placements:
+            self._materialise_placements()
+        return () if self.autoscaler is None else (self.autoscaler,)
+
     def _materialise_placements(self) -> None:
         assert self.template is not None
         if self.autoscaler is not None:
@@ -248,39 +235,7 @@ class ClusterScenario:
         if self._sampler is not None:
             add_tput_probe(self._sampler, placement.chain)
 
-    def run(self, duration_s: float = 1.0) -> ScenarioResult:
-        """Run the cluster for ``duration_s`` simulated seconds."""
-        if not (math.isfinite(duration_s) and duration_s > 0):
-            raise ValueError(
-                f"duration_s must be finite and positive, got {duration_s!r}")
-        if self.template is None:
-            raise RuntimeError("set_chain before run()")
-        if not self.steerer.placements:
-            self._materialise_placements()
-        ctx = current_run_context()
-        if ctx is not None:
-            ctx.attach_cluster(self)
-        sampler = IntervalSampler(self.loop, SEC)
-        self._sampler = sampler
-        for host in self.topology.hosts:
-            for chain in host.manager.chains.values():
-                add_tput_probe(sampler, chain)
-        self.topology.start()
-        self.generator.start()
-        sampler.start()
-        if self.autoscaler is not None:
-            self.autoscaler.start()
-        self.loop.run_until(self.loop.now + int(duration_s * SEC))
-        self.topology.finalize()
-        result = self._summarise(duration_s, sampler)
-        if ctx is not None and ctx.sanitizer is not None:
-            result.sanitizer_violations = ctx.sanitizer.finish_run(self)
-        return result
-
-    # ------------------------------------------------------------------
-    # Summary
-    # ------------------------------------------------------------------
-    def _cluster_summary(self) -> Dict[str, object]:
+    def _resilience(self, duration_s: float) -> Dict[str, Any]:
         """The digest-covered cluster accounting block."""
         summary: Dict[str, object] = {
             "hosts": len(self.topology.hosts),
@@ -298,44 +253,4 @@ class ClusterScenario:
         }
         if self.autoscaler is not None:
             summary["autoscaler"] = self.autoscaler.summary()
-        return summary
-
-    def _summarise(self, duration_s: float,
-                   sampler: IntervalSampler) -> ScenarioResult:
-        horizon_ns = duration_s * SEC
-        chains: Dict[str, ChainSummary] = {}
-        nfs: Dict[str, NFSummary] = {}
-        core_utilization: Dict[int, float] = {}
-        # A leg that hands its packets to the next host delivers nothing.
-        handed_off = sum(chain.completed for p in self.steerer.placements
-                         for chain in p.chains[:-1])
-        completed = wasted = entry = 0
-        for host in self.topology.hosts:
-            mgr = host.manager
-            completed += mgr.total_completed
-            wasted += mgr.total_wasted_drops
-            entry += mgr.total_entry_discards
-            for chain in mgr.chains.values():
-                chains[chain.name] = ChainSummary.from_chain(
-                    chain, duration_s, sampler)
-            for nf in mgr.nfs:
-                nfs[nf.name] = NFSummary.from_nf(
-                    nf, duration_s, core_base=host.index * HOST_CORE_STRIDE)
-            for core_id, core in mgr.cores.items():
-                core_utilization[host.index * HOST_CORE_STRIDE + core_id] = \
-                    core.stats.utilization(horizon_ns)
-        return ScenarioResult(
-            scheduler=self.scheduler,
-            features=self.features,
-            duration_s=duration_s,
-            total_throughput_pps=(completed - handed_off) / duration_s,
-            total_wasted_pps=wasted / duration_s,
-            total_entry_discard_pps=entry / duration_s,
-            chains=chains,
-            nfs=nfs,
-            core_utilization=core_utilization,
-            series=dict(sampler.series),
-            resilience={"cluster": self._cluster_summary()},
-            loop_stats=self.loop.stats_dict(),
-            flow_latency=self.observer.latency.to_dict(),
-        )
+        return {"cluster": summary}

@@ -189,7 +189,6 @@ class ClusterTopology:
             )
             self.ingress_links[host.name] = link
             self.links.append(link)
-        self._started = False
 
     def _deliver_to(self, host: ClusterHost
                     ) -> Callable[[Flow, int, int], None]:
@@ -222,20 +221,6 @@ class ClusterTopology:
         )
         self.links.append(link)
         return link
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Start every host's manager threads; idempotent."""
-        if self._started:
-            return
-        self._started = True
-        for host in self.hosts:
-            host.manager.start()
-
-    def finalize(self) -> None:
-        """Close per-core idle accounting on every host."""
-        for host in self.hosts:
-            host.manager.finalize()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ClusterTopology(hosts={len(self.hosts)}, "

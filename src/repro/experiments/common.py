@@ -261,10 +261,9 @@ class RunContext:
                         fault_plan=plan) as ctx:
             print(module.main())
 
-    and :meth:`Scenario.run` and ``ClusterScenario.run`` attach its
-    parts (read through :func:`current_run_context`) before starting.
-    A :class:`Scenario` takes all three; a ``ClusterScenario`` takes the
-    session, without snapshot streaming, and the sanitizer.
+    and :meth:`ScenarioBase.run` hands each scenario to :meth:`attach`
+    (read through :func:`current_run_context`) before starting.  Each
+    builder names the parts it takes in its ``RUN_PARTS``.
     :attr:`attached` counts the runs each part joined, so the CLI can
     reject a flag that no run accepted.
     """
@@ -276,9 +275,9 @@ class RunContext:
         self.sanitizer = sanitizer
         self.fault_plan = fault_plan
         #: part -> runs it attached to; ``stream`` is the session's
-        #: snapshot streamer, which only single-host scenarios feed.
+        #: snapshot streamer.
         self.attached: Dict[str, int] = dict.fromkeys(
-            ("session", "stream", "sanitizer", "fault_plan"), 0)
+            ScenarioBase.RUN_PARTS, 0)
 
     def __enter__(self) -> "RunContext":
         global _ACTIVE_RUN
@@ -291,31 +290,25 @@ class RunContext:
         global _ACTIVE_RUN
         _ACTIVE_RUN = None
 
-    def attach_session(self, scenario: "Scenario") -> None:
-        if self.session is not None:
-            self.session.attach(scenario)
-            self.attached["session"] += 1
-            if self.session.streamer is not None:
-                self.attached["stream"] += 1
-
-    def attach_sanitizer_and_plan(self, scenario: "Scenario") -> None:
-        """The sanitizer, then the fault plan unless ``scenario`` already
+    def attach(self, scenario: "ScenarioBase") -> None:
+        """Attach the parts ``scenario`` takes, in order: the session,
+        the sanitizer, then the fault plan unless a platform already
         carries its own."""
-        if self.sanitizer is not None:
+        takes = scenario.RUN_PARTS
+        session = self.session
+        if session is not None and "session" in takes:
+            session.attach(scenario)
+            self.attached["session"] += 1
+            if session.streamer is not None and "stream" in takes:
+                self.attached["stream"] += 1
+        if self.sanitizer is not None and "sanitizer" in takes:
             self.sanitizer.attach(scenario)
             self.attached["sanitizer"] += 1
-        if self.fault_plan is not None and scenario.manager.faults is None:
+        if (self.fault_plan is not None and "fault_plan" in takes
+                and all(mgr.faults is None
+                        for _host, mgr in scenario.platforms)):
             scenario.attach_faults(self.fault_plan)
             self.attached["fault_plan"] += 1
-
-    def attach_cluster(self, scenario: Any) -> None:
-        """The session and the sanitizer, for a ``ClusterScenario``."""
-        if self.session is not None:
-            self.session.attach_cluster(scenario)
-            self.attached["session"] += 1
-        if self.sanitizer is not None:
-            self.sanitizer.attach(scenario)
-            self.attached["sanitizer"] += 1
 
 
 def current_run_context() -> Optional[RunContext]:
@@ -323,7 +316,175 @@ def current_run_context() -> Optional[RunContext]:
     return _ACTIVE_RUN
 
 
-class Scenario:
+class ScenarioBase:
+    """What :class:`Scenario` and ``ClusterScenario`` share: SLO classes
+    and the one run lifecycle, :meth:`run` and its summary.
+
+    A builder sets ``generator`` and ``observer`` (the
+    :class:`~repro.obs.observer.Observer` its platforms share, or None)
+    and supplies four things:
+
+    * :attr:`platforms` — one ``(host name or None, NFManager)`` pair per
+      platform; None names the one platform of a single host;
+    * :attr:`links` — the fabric links between them (none on one host);
+    * :meth:`_prepare_run` — its pre-start wiring, returning the control
+      loops :meth:`run` starts after the sampler;
+    * :meth:`_resilience` — the result's ``resilience`` block.
+
+    :attr:`RUN_PARTS` names the :class:`RunContext` parts it takes.
+    """
+
+    #: The :class:`RunContext` parts this builder takes.
+    RUN_PARTS: Tuple[str, ...] = ("session", "stream", "sanitizer",
+                                  "fault_plan")
+    links: Sequence[Any] = ()
+    platforms: List[Tuple[Optional[str], NFManager]]
+    generator: TrafficGenerator
+    observer: Any
+
+    def __init__(self, scheduler: str, features: str, seed: int,
+                 config: Optional[PlatformConfig], **config_overrides):
+        self.scheduler = scheduler
+        self.features = features
+        self.loop = EventLoop()
+        self.rng_factory = RngFactory(seed)
+        self.config = feature_config(features, config, **config_overrides)
+        #: SLO class name -> end-to-end sojourn budget (ns).
+        self._slo_classes: Dict[str, int] = {}
+        #: The running sampler (a scaled-out chain adds its probe).
+        self._sampler: Optional[IntervalSampler] = None
+
+    def add_slo_class(self, name: str, slo_us: float) -> None:
+        """Declare an SLO class: an end-to-end p99 sojourn budget (µs).
+
+        Flows join a class via ``add_flow(..., slo_class=name)``; the
+        budget lands on :attr:`repro.platform.packet.Flow.slo_ns`, where
+        deadline-aware schedulers and the SLO governor read it.
+        """
+        self._slo_classes[name] = slo_budget_ns(slo_us)
+
+    def _slo_ns(self, slo_class: Optional[str]) -> Optional[int]:
+        """The budget of ``slo_class`` (None for no class)."""
+        if slo_class is None:
+            return None
+        if slo_class not in self._slo_classes:
+            raise ValueError(
+                f"undeclared SLO class {slo_class!r}; declare it with "
+                f"add_slo_class() first")
+        return self._slo_classes[slo_class]
+
+    def telemetry_observer(self) -> Any:
+        """The observer every platform shares, attached first if there is
+        none, with a flow-latency tracker and a causality tracer unless it
+        holds a latency tracker already."""
+        from repro.obs.observer import Observer
+
+        obs = self.observer
+        if obs is None:
+            obs = Observer()
+            for _host, mgr in self.platforms:
+                mgr.attach_observability(obs)
+        if obs.latency is None:
+            from repro.obs.causality import CausalityTracer
+            from repro.obs.latency import FlowLatencyTracker
+
+            obs.latency, obs.causality = FlowLatencyTracker(), CausalityTracer()
+        return obs
+
+    def _prepare_run(self) -> Sequence[Any]:
+        raise NotImplementedError
+
+    def _resilience(self, duration_s: float) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Execution
+    # ------------------------------------------------------------------
+    def run(self, duration_s: float = 2.0,
+            extra_probes: Optional[Dict[str, Tuple]] = None) -> ScenarioResult:
+        """Run for ``duration_s`` simulated seconds and summarise."""
+        if not (math.isfinite(duration_s) and duration_s > 0):
+            raise ValueError(
+                f"duration_s must be finite and positive, got {duration_s!r}")
+        ctx = current_run_context()
+        controls: Sequence[Any] = ()
+        if not any(mgr._started for _host, mgr in self.platforms):
+            controls = self._prepare_run()
+            if ctx is not None:
+                ctx.attach(self)
+        sampler = self._sampler = IntervalSampler(self.loop, SEC)
+        for _host, mgr in self.platforms:
+            for chain in mgr.chains.values():
+                add_tput_probe(sampler, chain)
+        if extra_probes:
+            for name, (fn, rate) in extra_probes.items():
+                sampler.add_probe(name, fn, rate=rate)
+        for _host, mgr in self.platforms:
+            mgr.start()
+        self.generator.start()
+        sampler.start()
+        for control in controls:
+            control.start()
+        self.loop.run_until(self.loop.now + int(duration_s * SEC))
+        for _host, mgr in self.platforms:
+            mgr.finalize()
+        result = self._summarise(duration_s, sampler)
+        if ctx is not None and ctx.sanitizer is not None:
+            result.sanitizer_violations = ctx.sanitizer.finish_run(self)
+        return result
+
+    def _summarise(self, duration_s: float,
+                   sampler: IntervalSampler) -> ScenarioResult:
+        horizon_ns = duration_s * SEC
+        chains: Dict[str, ChainSummary] = {}
+        nfs: Dict[str, NFSummary] = {}
+        utilization: Dict[int, float] = {}
+        slo: Dict[str, Any] = {}
+        completed = handed_off = wasted = entry = 0
+        for _host, mgr in self.platforms:
+            # A cluster host's cores key as host_index * 100 + core_id.
+            core_base = mgr.core_track_base
+            completed += mgr.total_completed
+            wasted += mgr.total_wasted_drops
+            entry += mgr.total_entry_discards
+            for chain in mgr.chains.values():
+                chains[chain.name] = ChainSummary.from_chain(
+                    chain, duration_s, sampler)
+                handed_off += chain.handed_off
+            for nf in mgr.nfs:
+                nfs[nf.name] = NFSummary.from_nf(nf, duration_s, core_base)
+            for core_id, core in mgr.cores.items():
+                utilization[core_base + core_id] = \
+                    core.stats.utilization(horizon_ns)
+            if mgr.slo_governor is not None:
+                slo = mgr.slo_governor.summary()
+        obs = self.observer
+        return ScenarioResult(
+            scheduler=self.scheduler,
+            features=self.features,
+            duration_s=duration_s,
+            # A leg that hands its packets to the next host delivers
+            # nothing.
+            total_throughput_pps=(completed - handed_off) / duration_s,
+            total_wasted_pps=wasted / duration_s,
+            total_entry_discard_pps=entry / duration_s,
+            chains=chains,
+            nfs=nfs,
+            core_utilization=utilization,
+            series=dict(sampler.series),
+            resilience=self._resilience(duration_s),
+            loop_stats=self.loop.stats_dict(),
+            flow_latency=(obs.latency.to_dict()
+                          if obs is not None and obs.latency is not None
+                          else {}),
+            causality=(obs.causality.summary(self.loop.now)
+                       if obs is not None and obs.causality is not None
+                       else {}),
+            slo=slo,
+        )
+
+
+class Scenario(ScenarioBase):
     """Builder + runner for one platform configuration."""
 
     def __init__(
@@ -337,10 +498,10 @@ class Scenario:
         spare_cores: Sequence[int] = (),
         **config_overrides,
     ):
-        self.scheduler = scheduler
-        self.features = features
+        super().__init__(scheduler, features, seed, config,
+                         **config_overrides)
         #: When True, run() attaches a FlowLatencyTracker and a
-        #: CausalityTracer (unless an ObsSession already did).
+        #: CausalityTracer (which an ObsSession then records).
         self.telemetry = telemetry
         #: SLO control loop: None = auto (on for the DEADLINE scheduler
         #: when SLO classes are declared and cgroups are enabled), or
@@ -349,18 +510,19 @@ class Scenario:
         self.slo_governor = slo_governor
         #: Cores the governor may migrate a bottleneck NF onto.
         self.spare_cores = list(spare_cores)
-        self.loop = EventLoop()
-        self.rng_factory = RngFactory(seed)
-        self.config = feature_config(features, config, **config_overrides)
         self.manager = NFManager(self.loop, scheduler=scheduler, config=self.config)
+        self.platforms = [(None, self.manager)]
         self.generator = TrafficGenerator(
             self.loop, self.manager.nic,
             rng=self.rng_factory.stream("traffic"),
         )
-        #: SLO class name -> end-to-end sojourn budget (ns).
-        self._slo_classes: Dict[str, int] = {}
         #: chain name -> tightest SLO budget (ns) among its flows.
         self._chain_slo_ns: Dict[str, int] = {}
+
+    @property
+    def observer(self) -> Any:
+        """The manager's observer (a hand-attached one included)."""
+        return self.manager.obs
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -385,15 +547,6 @@ class Scenario:
                 f"chain {name!r}: unknown NF {exc.args[0]!r}") from None
         return self.manager.add_chain(name, nfs)
 
-    def add_slo_class(self, name: str, slo_us: float) -> None:
-        """Declare an SLO class: an end-to-end p99 sojourn budget (µs).
-
-        Flows join a class via ``add_flow(..., slo_class=name)``; the
-        budget lands on :attr:`repro.platform.packet.Flow.slo_ns`, where
-        deadline-aware schedulers and the SLO governor read it.
-        """
-        self._slo_classes[name] = slo_budget_ns(slo_us)
-
     def add_flow(
         self,
         flow_id: str,
@@ -411,13 +564,7 @@ class Scenario:
         the NIC's 64-byte-equivalent line rate for this packet size.
         ``slo_class`` names a class declared with :meth:`add_slo_class`.
         """
-        slo_ns = None
-        if slo_class is not None:
-            if slo_class not in self._slo_classes:
-                raise ValueError(
-                    f"undeclared SLO class {slo_class!r}; declare it with "
-                    f"add_slo_class() first")
-            slo_ns = self._slo_classes[slo_class]
+        slo_ns = self._slo_ns(slo_class)
         chain = self.manager.chains.get(chain_name)
         if chain is None:
             raise ValueError(
@@ -445,56 +592,25 @@ class Scenario:
             plan, policy=policy, rng=self.rng_factory.stream("faults"))
 
     # ------------------------------------------------------------------
-    # Execution
+    # Run hooks
     # ------------------------------------------------------------------
-    def run(self, duration_s: float = 2.0,
-            extra_probes: Optional[Dict[str, Tuple]] = None) -> ScenarioResult:
-        """Run for ``duration_s`` simulated seconds and summarise."""
-        if not (math.isfinite(duration_s) and duration_s > 0):
-            raise ValueError(
-                f"duration_s must be finite and positive, got {duration_s!r}")
-        ctx = current_run_context()
+    def _prepare_run(self) -> Sequence[Any]:
+        """Telemetry, when asked for or needed by the SLO governor, and
+        the governor itself."""
         mgr = self.manager
-        fresh = not mgr._started
-        if ctx is not None and fresh:
-            ctx.attach_session(self)
         governor_on = self._governor_enabled()
         if governor_on:
             # The governor projects misses from live p99 snapshots; it
             # needs the tracker attached.
             self.telemetry = True
-        if self.telemetry and fresh and (mgr.obs is None
-                                         or mgr.obs.latency is None):
-            from repro.obs.causality import CausalityTracer
-            from repro.obs.latency import FlowLatencyTracker
-            from repro.obs.observer import Observer
-
-            obs = mgr.obs if mgr.obs is not None else Observer()
-            obs.latency, obs.causality = FlowLatencyTracker(), CausalityTracer()
-            mgr.attach_observability(obs)
-        if ctx is not None and fresh:
-            ctx.attach_sanitizer_and_plan(self)
-        if governor_on and mgr.slo_governor is None and fresh:
+        if self.telemetry:
+            self.telemetry_observer()
+        if governor_on and mgr.slo_governor is None:
             from repro.core.monitor import SLOGovernor
 
             mgr.attach_slo_governor(SLOGovernor(
                 mgr, self._chain_slo_ns, spare_cores=self.spare_cores))
-        sampler = IntervalSampler(self.loop, SEC)
-        for chain in mgr.chains.values():
-            add_tput_probe(sampler, chain)
-        if extra_probes:
-            for name, (fn, rate) in extra_probes.items():
-                sampler.add_probe(name, fn, rate=rate)
-        mgr.start()
-        self.generator.start()
-        sampler.start()
-        horizon = int(duration_s * SEC)
-        self.loop.run_until(self.loop.now + horizon)
-        mgr.finalize()
-        result = self._summarise(duration_s, sampler)
-        if ctx is not None and ctx.sanitizer is not None:
-            result.sanitizer_violations = ctx.sanitizer.finish_run(self)
-        return result
+        return ()
 
     def _governor_enabled(self) -> bool:
         """Should run() wire an SLO governor?  Explicit flag wins; auto
@@ -508,45 +624,10 @@ class Scenario:
                 and self.scheduler.strip().upper()
                 in ("DEADLINE", "DEADLINE_CFS", "DL"))
 
-    def _summarise(self, duration_s: float,
-                   sampler: IntervalSampler) -> ScenarioResult:
-        mgr = self.manager
-        chains = {
-            chain.name: ChainSummary.from_chain(chain, duration_s, sampler)
-            for chain in mgr.chains.values()
-        }
-        nfs = {nf.name: NFSummary.from_nf(nf, duration_s) for nf in mgr.nfs}
-        horizon_ns = duration_s * SEC
-        utilization = {
-            core_id: core.stats.utilization(horizon_ns)
-            for core_id, core in mgr.cores.items()
-        }
-        obs = mgr.obs
-        return ScenarioResult(
-            scheduler=self.scheduler,
-            features=self.features,
-            duration_s=duration_s,
-            total_throughput_pps=mgr.total_completed / duration_s,
-            total_wasted_pps=mgr.total_wasted_drops / duration_s,
-            total_entry_discard_pps=mgr.total_entry_discards / duration_s,
-            chains=chains,
-            nfs=nfs,
-            core_utilization=utilization,
-            series=dict(sampler.series),
-            resilience=(
-                mgr.faults.summary(horizon_ns=int(duration_s * SEC))
-                if mgr.faults is not None else {}
-            ),
-            loop_stats=self.loop.stats_dict(),
-            flow_latency=(obs.latency.to_dict()
-                          if obs is not None and obs.latency is not None
-                          else {}),
-            causality=(obs.causality.summary(self.loop.now)
-                       if obs is not None and obs.causality is not None
-                       else {}),
-            slo=(mgr.slo_governor.summary()
-                 if mgr.slo_governor is not None else {}),
-        )
+    def _resilience(self, duration_s: float) -> Dict[str, Any]:
+        faults = self.manager.faults
+        return ({} if faults is None
+                else faults.summary(horizon_ns=int(duration_s * SEC)))
 
 
 def build_linear_chain(

@@ -1,21 +1,25 @@
 """Observability sessions: CLI-level wiring for experiment runs.
 
-Experiment modules build their :class:`~repro.experiments.common.Scenario`
-objects internally (a fig07 run constructs sixteen), so the CLI cannot
-hand each one an observer directly.  Instead it enters a
+Experiment modules build their scenarios internally (a fig07 run
+constructs sixteen), so the CLI cannot hand each one an observer
+directly.  Instead it enters a
 :class:`~repro.experiments.common.RunContext` holding an
-:class:`ObsSession`; every Scenario attaches the context's session before
-starting its platform.  The session gives each scenario's
-:class:`~repro.obs.observer.Observer` its sinks and owns:
+:class:`ObsSession`; every scenario — a single-host ``Scenario`` or a
+``ClusterScenario``, through the one ``ScenarioBase.run`` — attaches the
+context's session before starting its platforms.  The session gives the
+:class:`~repro.obs.observer.Observer` a scenario's platforms share its
+sinks and owns:
 
 * one :class:`~repro.obs.bus.EventBus` per scenario (distinct Perfetto
   process per scenario in the exported trace),
-* one :class:`~repro.obs.latency.FlowLatencyTracker` per scenario (and
-  a :class:`~repro.obs.causality.CausalityTracer`), whose exact per-hop
-  wait/service histograms merge into one table at ``finalize()``; hop
-  names are the NF names, so rows merge across scenarios,
+* one :class:`~repro.obs.latency.FlowLatencyTracker` per scenario (with
+  a :class:`~repro.obs.causality.CausalityTracer` unless the scenario
+  brought its own tracker), whose exact per-hop wait/service histograms
+  merge into one table at ``finalize()``; hop names are the NF names,
+  so rows merge across scenarios,
 * one shared :class:`~repro.obs.registry.MetricsRegistry` where each
-  scenario registers its gauges under a ``scenario`` label.
+  platform and the fabric links register their gauges under a
+  ``scenario`` label.
 
 ``finalize()`` writes the requested artifacts and returns a printable
 summary.
@@ -31,7 +35,8 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import MSEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.common import Scenario
+    from repro.experiments.common import ScenarioBase
+    from repro.obs.latency import FlowLatencyTracker
     from repro.platform.manager import NFManager
 
 
@@ -68,63 +73,43 @@ class ObsSession:
         self._label_counts[base] = n
         return base if n == 1 else f"{base} #{n}"
 
-    def attach(self, scenario: "Scenario") -> None:
-        """Wire this session into a scenario about to run."""
+    def attach(self, scenario: "ScenarioBase") -> None:
+        """Wire this session into a scenario about to run.
+
+        The scenario's label is ``<sched>/<features>``, or
+        ``cluster<N>/<sched>/<features>`` for an N-host cluster, whose
+        hosts register their gauges under ``<label>/<host>`` and its
+        fabric links under the bare label.  One event bus spans the
+        scenario (a cluster's hosts share one loop, so one Perfetto
+        process with every host's cores is the honest render): it joins
+        the observer the platforms share, which the links' drop/ECN
+        events reach too.  The observer's latency tracker (a fresh one,
+        with a causality tracer, unless the scenario wired its own)
+        feeds the per-hop table.  Only a scenario taking the ``stream``
+        run part registers with the snapshot streamer.
+        """
+        hosts = [host for host, _mgr in scenario.platforms if host]
+        label = f"{scenario.scheduler}/{scenario.features}"
         label = self._unique_label(
-            f"{scenario.scheduler}/{scenario.features}")
+            f"cluster{len(hosts)}/{label}" if hosts else label)
         bus: Optional[EventBus] = None
         if self.trace_path is not None:
             bus = EventBus(scenario.loop, max_events=self.max_bus_events)
             self.buses.append((label, bus))
-        # Imported here: the observer and tracker modules load only once
-        # a session attaches to a run.
-        from repro.obs.causality import CausalityTracer
-        from repro.obs.latency import FlowLatencyTracker
-        from repro.obs.observer import Observer
-
-        latency, causality = FlowLatencyTracker(), CausalityTracer()
-        self.latencies.append(latency)
-        # Fill the session's sinks into an observer already attached (a
-        # hand-attached scheduler tracer keeps recording).
-        mgr = scenario.manager
-        obs = mgr.obs if mgr.obs is not None else Observer()
-        obs.bus, obs.latency, obs.causality = bus, latency, causality
-        mgr.attach_observability(obs)
-        self.register_platform_metrics(scenario.manager, label)
-        if self.streamer is not None:
+        obs = scenario.telemetry_observer()
+        obs.bus = bus
+        self.latencies.append(obs.latency)
+        for host, mgr in scenario.platforms:
+            self.register_platform_metrics(
+                mgr, f"{label}/{host}" if host else label)
+        for link in scenario.links:
+            link.obs = obs.serving("bus")
+        self.register_link_metrics(scenario.links, label)
+        if self.streamer is not None and "stream" in scenario.RUN_PARTS:
             self.streamer.register(label, scenario.loop,
                                    registry=self.registry,
-                                   latency=latency, causality=causality)
-
-    def attach_cluster(self, scenario) -> None:
-        """Wire this session into a ClusterScenario about to run.
-
-        Each host's platform registers its gauges under a
-        ``cluster<N>/<sched>/<features>/<host>`` scenario label; the
-        fabric links register under the bare cluster label.  One event
-        bus spans the whole cluster (all hosts share one loop, so one
-        Perfetto process with every host's cores is the honest render):
-        it joins the observer the hosts share, which the fabric links'
-        drop/ECN events reach too; its tracker feeds the per-hop table.
-        Snapshot streaming is not wired for clusters — the streamer's
-        per-scenario registration assumes one manager per label.
-        """
-        topology = scenario.topology
-        label = self._unique_label(
-            f"cluster{len(topology.hosts)}/"
-            f"{scenario.scheduler}/{scenario.features}")
-        bus: Optional[EventBus] = None
-        if self.trace_path is not None:
-            bus = EventBus(scenario.loop, max_events=self.max_bus_events)
-            self.buses.append((label, bus))
-        self.latencies.append(scenario.observer.latency)
-        scenario.observer.bus = bus
-        for host in topology.hosts:
-            self.register_platform_metrics(
-                host.manager, f"{label}/{host.name}")
-        for link in topology.links:
-            link.obs = scenario.observer.serving("bus")
-        self.register_link_metrics(topology.links, label)
+                                   latency=obs.latency,
+                                   causality=obs.causality)
 
     def register_link_metrics(self, links, scenario: str) -> None:
         """Expose fabric-link counters as labelled metrics.

@@ -38,6 +38,9 @@ class ServiceChain:
         self.throttle_cause: Optional["NFProcess"] = None
         # Counters
         self.completed = 0        # packets that exited the last NF
+        #: Of ``completed``, the packets a cluster leg carried on to the
+        #: next host (a hand-off, not a delivery).
+        self.handed_off = 0
         self.completed_bytes = 0
         self.entry_discards = 0   # early drops at system entry (saved work)
         self.wasted_drops = 0     # drops after at least one NF processed

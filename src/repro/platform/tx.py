@@ -113,6 +113,7 @@ class TxThread:
             if latency >= 0:
                 chain.latency_hist.add(latency, weight=seg.count)
             if handed_off:  # a leg of a chain spanning hosts: not delivered
+                chain.handed_off += seg.count
                 return
             flow.stats.delivered += seg.count
             if latency >= 0 and self.obs is not None:

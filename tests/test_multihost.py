@@ -27,6 +27,11 @@ def two_hosts(loop, config, cost_a=200, cost_b=200, n_hosts=2):
     return topology, chain_a, chain_b
 
 
+def start(topology):
+    for host in topology.hosts:
+        host.manager.start()
+
+
 class TestFlowTwins:
     def test_clone_shares_stats_and_tcp(self):
         flow = Flow("f", pkt_size=256, protocol="tcp")
@@ -53,7 +58,7 @@ class TestHostLink:
         link = topology.connect(0, 1, latency_ns=5 * USEC)
         flow_b = link.connect_flow(flow_a)
         topology.hosts[1].manager.install_flow(flow_b, chain_b)
-        topology.start()
+        start(topology)
         topology.hosts[0].manager.nic.receive(flow_a, 100, 0)
         loop.run_until(50 * MSEC)
         assert chain_a.completed == 100
@@ -68,7 +73,7 @@ class TestHostLink:
         flow_a = Flow("f")
         topology.hosts[0].manager.install_flow(flow_a, chain_a)
         link = topology.connect(0, 1)
-        topology.start()
+        start(topology)
         topology.hosts[0].manager.nic.receive(flow_a, 50, 0)
         loop.run_until(50 * MSEC)
         assert chain_a.completed == 50
@@ -82,7 +87,7 @@ class TestHostLink:
         link = topology.connect(0, 1, latency_ns=5 * MSEC)
         topology.hosts[1].manager.install_flow(link.connect_flow(flow_a),
                                               chain_b)
-        topology.start()
+        start(topology)
         topology.hosts[0].manager.nic.receive(flow_a, 10, 0)
         loop.run_until(4 * MSEC)
         assert chain_b.completed == 0  # still on the wire
@@ -96,7 +101,7 @@ class TestHostLink:
         link = topology.connect(0, 1, latency_ns=2 * MSEC)
         topology.hosts[1].manager.install_flow(link.connect_flow(flow_a),
                                               chain_b)
-        topology.start()
+        start(topology)
         topology.hosts[0].manager.nic.receive(flow_a, 10, 0)
         loop.run_until(50 * MSEC)
         # End-to-end latency includes the 2 ms wire.

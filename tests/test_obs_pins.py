@@ -4,10 +4,10 @@ Each pin hashes a complete event stream, so a change to the observation
 path that reorders, drops, duplicates or re-labels a single event fails
 here, not only in the exported trace:
 
-* the recording bus of one Figure 7 case, one ``cluster_scaling`` case
-  and a small fabric-congested cluster (the only one of the three with
-  ``link.drop`` / ``link.ecn`` events; ``cluster_scaling`` sets no link
-  queue cap or ECN threshold);
+* the recording bus of one Figure 7 case, two ``cluster_scaling`` cases
+  (the longer one scales out onto host 1) and a small fabric-congested
+  cluster (the only one with ``link.drop`` / ``link.ecn`` events;
+  ``cluster_scaling`` sets no link queue cap or ECN threshold);
 * the per-core ``sched.*`` events of a 2-core case (the scheduler
   timeline);
 * the fault events of one ``chaos_recovery`` case, field by field.
@@ -32,10 +32,11 @@ def _sha(rows) -> str:
     return h.hexdigest()
 
 
-def _recorded(run, tmp_path):
+def _recorded(run, tmp_path, max_bus_events=100_000):
     """The recording bus an ObsSession attached to the single platform
     (or cluster) that ``run`` builds."""
-    session = ObsSession(trace_path=str(tmp_path / "t.json"))
+    session = ObsSession(trace_path=str(tmp_path / "t.json"),
+                         max_bus_events=max_bus_events)
     with RunContext(session=session):
         run()
     (_label, bus), = session.buses
@@ -65,6 +66,19 @@ class TestEventStreamPins:
         assert len(bus) == 17467
         assert _bus_digest(bus) == (
             "9c99e05b980af7af3dc60cda2674fa6a159cbbfc56762e79749a6de36bb20a8a")
+
+    def test_cluster_scaling_case_reaches_host_1(self, tmp_path):
+        """Long enough for one scale-out (at about 220 ms): the stream
+        covers host 1's scheduler track, not only host 0's."""
+        bus = _recorded(
+            lambda: cluster_scaling.run_case("flash", 2, "auto",
+                                             duration_s=0.25),
+            tmp_path, max_bus_events=110_000)
+        assert len(bus) == 109414
+        assert any(ev.kind.startswith("sched.") and ev.args["core"] >= 100
+                   for ev in bus.events)
+        assert _bus_digest(bus) == (
+            "d3c2827f94b0e695b77158fdb10b4f432a992e35252e21e4a75175e8f40f299f")
 
     def test_congested_fabric_links(self, tmp_path):
         def run():

@@ -114,7 +114,7 @@ def test_detects_vruntime_regression():
     scenario, _result = small_run()
     sanitizer = Sanitizer()
     sanitizer.attach(scenario)
-    sanitizer._min_vruntime_seen[0] = float("inf")
+    sanitizer._min_vruntime_seen[("", 0)] = float("inf")
     violations = sanitizer.finish_run(scenario)
     assert "vruntime-monotonic" in checks_of(violations)
 
